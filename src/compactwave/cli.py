@@ -164,28 +164,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     axis = _axis_from_config(axis_cfg, n)
     factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
     m_entry = args.M or config.get("M", "auto")
-    if m_entry == "auto":
-        if problem.t_star is not None:
-            # the averaged data needs the switch-on time on the mesh: tie the
-            # step to the (uniform) spatial one
-            m = axis.n_intervals
-        else:
-            m = select_time_step_count(
-                mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, factor
-            )
-    else:
+    characteristic = sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC
+    if m_entry != "auto":
         m = int(m_entry)
-    tmesh = build_time_mesh(m, problem.horizon)
-
-    if sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
-        result, axis_c, tmesh_c = schemes.run_explicit_characteristic(
-            problem, axis.n_intervals, m, store_trajectory=True
+    elif characteristic:
+        # h_t = h/a is fixed: the last level inside the horizon, floor(a T / h)
+        h = problem.extents[0] / axis.n_intervals
+        m = select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
+    elif problem.t_star is not None:
+        # the averaged data needs the switch-on time on the mesh: tie the
+        # step to the (uniform) spatial one
+        m = axis.n_intervals
+    else:
+        m = select_time_step_count(
+            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, factor
         )
+
+    if characteristic:
+        axis_c, tmesh_c = schemes.characteristic_meshes(problem, axis.n_intervals, m)
         obs = analysis.ErrorObserver(problem.exact, axis_c, tmesh_c)
-        for level, values in enumerate(result.trajectory):
-            obs.observe(level, tmesh_c.nodes[level], values)
+        result, _, _ = schemes.run_explicit_characteristic(
+            problem, axis.n_intervals, m, observer=obs
+        )
         triple = obs.result()
     else:
+        tmesh = build_time_mesh(m, problem.horizon)
         obs = analysis.ErrorObserver(problem.exact, axis, tmesh) if problem.exact else None
         result = schemes.run(problem, sconfig, [axis], tmesh, observer=obs)
         triple = obs.result() if obs else None
@@ -437,15 +440,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )[1:-1, 1:-1]
     checks.append(("splitting identity", float(np.max(np.abs(lhs - rhs))) < 1e-13))
 
-    result, axis, tmesh = schemes.run_explicit_characteristic(
-        problems.make_example(1.5), 20, 10, store_trajectory=True
-    )
     problem = problems.make_example(1.5)
-    err = max(
-        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[m]) - v)))
-        for m, v in enumerate(result.trajectory)
-    )
-    checks.append(("characteristic-mesh exactness", err < 1e-12))
+    axis, tmesh = schemes.characteristic_meshes(problem, 20, 10)
+    obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
+    schemes.run_explicit_characteristic(problem, 20, 10, observer=obs)
+    checks.append(("characteristic-mesh exactness", obs.result().Ch < 1e-12))
 
     ok = all(flag for _, flag in checks)
     for name, flag in checks:

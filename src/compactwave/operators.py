@@ -55,6 +55,9 @@ __all__ = [
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 NODE_SNAP_TOL = 1e-12
+# relative distance below which a point counts as lying on a singular line
+# or on the end of an integration window (a few units in the last place)
+TIE_RTOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from .operators import (
     PiecewiseData,
     QPiece,
     SeparableTerm,
+    TIE_RTOL,
     SpaceDirac,
     TimeDirac,
     _signed_power,
@@ -117,6 +118,12 @@ def _step(z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(z) + 1.0)
 
 
+def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """z with roundoff-sized values (relative to `scale`) set to zero, so a
+    point on a singular line takes the line's half value."""
+    return np.where(np.abs(z) <= TIE_RTOL * scale, 0.0, z)
+
+
 def _forcing_convolution(j: int, degree: int, x: np.ndarray, tau: np.ndarray, a: float) -> np.ndarray:
     """int_0^tau s^degree [W_j(x + a(tau-s)) - W_j(x - a(tau-s))] ds, exactly.
 
@@ -165,7 +172,10 @@ def _dalembert_forcing_part(
         if isinstance(time, TimeDirac):
             tau = t - time.t_star
             if isinstance(space, SpaceDirac):
-                contrib = _step(a * tau - np.abs(x - space.location)) * _step(tau)
+                dx = np.abs(x - space.location)
+                contrib = _step(_snap(a * tau - dx, dx + a * np.abs(t))) * _step(
+                    _snap(tau, np.abs(t))
+                )
             else:
                 contrib = _step(tau) * (
                     _signed_power_antideriv(space.degree, x + a * tau)
@@ -259,12 +269,13 @@ def make_example(
 
     u0 = lambda x: _signed_power(k, x)
 
+    # d'Alembert velocity term from the antiderivative of u1 at x -+ a t
     if k == 0:
-        u1_part = lambda x, t: (c1 / (2.0 * a)) * _step(a * t - np.abs(x))
+        u1_part = lambda left, right: (c1 / (2.0 * a)) * (_step(right) - _step(left))
         u1_fn = None
     else:
-        u1_part = lambda x, t: (c1 / (2.0 * a)) * (
-            _signed_power_antideriv(k - 1, x + a * t) - _signed_power_antideriv(k - 1, x - a * t)
+        u1_part = lambda left, right: (c1 / (2.0 * a)) * (
+            _signed_power_antideriv(k - 1, right) - _signed_power_antideriv(k - 1, left)
         )
         u1_fn = lambda x: c1 * _signed_power(k - 1, x)
 
@@ -280,8 +291,13 @@ def make_example(
     def exact(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        u0_part = 0.5 * (_signed_power(k, x - a * t) + _signed_power(k, x + a * t))
-        total = u0_part + u1_part(x, t) + _dalembert_forcing_part(f, x, t, a)
+        left, right = x - a * t, x + a * t
+        if k == 0:
+            # the jumps travel along x = +-a t: nodes on them take the average
+            scale = np.abs(x) + a * np.abs(t)
+            left, right = _snap(left, scale), _snap(right, scale)
+        u0_part = 0.5 * (_signed_power(k, left) + _signed_power(k, right))
+        total = u0_part + u1_part(left, right) + _dalembert_forcing_part(f, x, t, a)
         if correction is not None:
             total = total - correction((t - t_star) - (half - x) / a)
         return total

@@ -32,7 +32,7 @@ from compactwave.operators import (
     stiffness_sum,
     sum_average,
 )
-from compactwave.problems import ProblemSpec, make_example, make_smooth_nonuniform_problem
+from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
 from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, run, run_explicit_characteristic, run_nonuniform
 from compactwave.solvers import (
     SpectralHandle,
@@ -101,16 +101,26 @@ def table1_second():
 
 
 def test_criterion_1_exact_characteristic_scheme():
-    problem = make_example(1.5)
-    start = time.perf_counter()
-    result, axis, tmesh = run_explicit_characteristic(problem, 20, 10, store_trajectory=True)
-    elapsed = time.perf_counter() - start
-    err = max(
-        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[m]) - v)))
-        for m, v in enumerate(result.trajectory)
-    )
+    # every catalog problem up to the last level inside the horizon,
+    # M = floor(N a T / X); the timing bound is on the N = 20 runs
+    err = 0.0
+    elapsed = 0.0
+    for alpha in EXAMPLE_ALPHAS:
+        problem = make_example(alpha)
+        for n in (20, 40, 200):
+            m = math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
+            start = time.perf_counter()
+            result, axis, tmesh = run_explicit_characteristic(problem, n, m, store_trajectory=True)
+            if n == 20:
+                elapsed = max(elapsed, time.perf_counter() - start)
+            for k, v in enumerate(result.trajectory):
+                err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v))))
     ok = err <= 1e-12 and elapsed < 0.1
-    _report(1, ok, f"characteristic-mesh Ch error {err:.2E} (<=1e-12), {elapsed * 1e3:.1f} ms")
+    _report(
+        1, ok,
+        f"characteristic-mesh Ch error {err:.2E} (<=1e-12) on E_0.5..E_5.5, N = 20/40/200, "
+        f"slowest N = 20 run {elapsed * 1e3:.1f} ms",
+    )
     assert err <= 1e-12
     assert elapsed < 0.1
 

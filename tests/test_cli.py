@@ -28,6 +28,20 @@ def test_run_characteristic(tmp_path):
     assert "stable: True" in text
 
 
+def test_run_characteristic_auto_steps_stop_at_horizon(tmp_path):
+    # h_t = h/a: --M auto takes floor(N a T / X) = 17 levels at N = 40
+    out = tmp_path / "run.txt"
+    code = main([
+        "run", "--problem", "E_2.5", "--scheme", "characteristic",
+        "--N", "40", "--M", "auto", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert "# M: 17" in lines
+    ch = float(lines[-1].split("Ch=")[1].split()[0])
+    assert ch <= 1e-12
+
+
 def test_run_degenerate_mesh_is_config_error(capsys):
     code = main(["run", "--problem", "smooth1d", "--scheme", "compact1d", "--N", "1"])
     assert code == EXIT_CONFIG

@@ -212,6 +212,30 @@ def test_forcing_part_against_triangle_quadrature():
         assert float(spec.exact(x, t)) == pytest.approx(u_from_quadrature(x, t), abs=1e-9)
 
 
+def test_singular_lines_take_average_of_one_sided_limits():
+    # E_0.5 jumps across x = +-a t (data) and x = +-a (t - t_*) (forcing);
+    # on those lines the evaluator returns the mean of the limits in x,
+    # also where the point misses the line by roundoff
+    spec = make_example(0.5)
+    a, t_star = spec.speeds[0], spec.t_star
+    n = 40
+    h = 1.0 / n
+    h_t = h / a
+    nodes = -0.5 + np.arange(n + 1) * 1.0 / n
+    points = []
+    for m in range(0, 18):
+        for j in (n // 2 - m, n // 2 + m):
+            points.append((nodes[j], m * h_t))
+    for t in (0.6, 0.75, 0.9):
+        for side in (-1.0, 1.0):
+            x = side * a * (t - t_star)
+            points += [(x, t), (np.nextafter(x, np.inf), t), (np.nextafter(x, -np.inf), t)]
+    delta = 1e-7
+    for x, t in points:
+        limits = 0.5 * (spec.exact(x + delta, t) + spec.exact(x - delta, t))
+        assert float(spec.exact(x, t)) == pytest.approx(float(limits), abs=1e-12), (x, t)
+
+
 def test_pure_dalembert_sine():
     spec = make_sine_mode_problem((1.0,), (1.0,), (2,))
     a = 1.0

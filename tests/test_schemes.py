@@ -13,16 +13,28 @@ from compactwave.mesh import (
 )
 from compactwave.operators import (
     GridFunction,
+    SpaceDirac,
+    TimeDirac,
     product_average,
     splitting_residual,
     step_factor,
     stiffness_product,
 )
-from compactwave.problems import ProblemSpec, make_example, make_sine_mode_problem, make_smooth_nonuniform_problem
+from compactwave.analysis import ErrorObserver
+from compactwave.problems import (
+    EXAMPLE_ALPHAS,
+    ProblemSpec,
+    make_example,
+    make_sine_mode_problem,
+    make_smooth_nonuniform_problem,
+)
 from compactwave.schemes import (
     SchemeConfig,
     SchemeKind,
+    _char_forcing_level,
+    _char_velocity_table,
     assemble,
+    characteristic_meshes,
     operator_pair,
     run,
     run_explicit_characteristic,
@@ -363,3 +375,139 @@ def test_characteristic_rejects_smooth_forcing():
     problem = make_smooth_nonuniform_problem()
     with pytest.raises(ValueError):
         run_explicit_characteristic(problem, 10, 5)
+
+
+def _horizon_steps(problem, n):
+    """Last characteristic-mesh level inside the horizon: floor(N a T / X)."""
+    return math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
+
+
+@pytest.mark.parametrize("n", [20, 40, 41, 200])
+@pytest.mark.parametrize("alpha", EXAMPLE_ALPHAS)
+def test_characteristic_exact_on_catalog(alpha, n):
+    # odd N puts the data breakpoints between nodes, so the footprints of the
+    # nodes next to them get their own crossing times
+    problem = make_example(alpha)
+    m = _horizon_steps(problem, n)
+    axis, tmesh = characteristic_meshes(problem, n, m)
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    result, _, _ = run_explicit_characteristic(problem, n, m, observer=obs)
+    assert result.stable
+    assert obs.result().Ch <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_characteristic_atom_on_footprint_corners(n):
+    # with a = 1 the switch-on time t_* = 0.4 is a mesh level and the Dirac
+    # atom at (0, t_*) sits on footprint corners and edges; the run stops
+    # before the initial-velocity front reaches the boundary at t = 0.5
+    problem = make_example(0.5, horizon=0.8, a=1.0)
+    m = n // 2 - 1
+    result, axis, tmesh = run_explicit_characteristic(problem, n, m, store_trajectory=True)
+    err = max(
+        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v)))
+        for k, v in enumerate(result.trajectory)
+    )
+    assert err <= 1e-12
+
+
+# scalar oracle of the cell averages: one node, one term at a time
+
+
+def _oracle_atom_weight(gap):
+    return 1.0 if gap > 1e-14 else (0.5 if gap >= -1e-14 else 0.0)
+
+
+def _oracle_slice_integral(space, x_k, halfwidth):
+    """Integral of the spatial profile over (x_k - w, x_k + w)."""
+    if isinstance(space, SpaceDirac):
+        return _oracle_atom_weight(halfwidth - abs(x_k - space.location))
+    if halfwidth <= 0.0:
+        return 0.0
+    return float(space.antideriv(x_k + halfwidth) - space.antideriv(x_k - halfwidth))
+
+
+def _oracle_cell_average(term, x_k, t_center, t_lo, t_hi, h, h_t):
+    space, time = term.space, term.time
+    width = lambda t: h * (1.0 - abs(t - t_center) / h_t)
+    if isinstance(time, TimeDirac):
+        weight = _oracle_atom_weight(min(time.t_star - t_lo, t_hi - time.t_star))
+        value = _oracle_slice_integral(space, x_k, width(time.t_star))
+        if isinstance(space, SpaceDirac) and t_lo < t_center < t_hi and abs(time.t_star - t_center) < 1e-14:
+            value = 1.0 if value == 1.0 else 0.5 * value
+        return term.coef * weight * value
+    pts = {t_lo, t_hi}
+    if t_lo < t_center < t_hi:
+        pts.add(t_center)
+    if t_lo < time.t_star < t_hi:
+        pts.add(time.t_star)
+    # levels where a slice endpoint meets the atom or the breakpoint
+    d = abs(x_k - (space.location if isinstance(space, SpaceDirac) else space.breakpoint))
+    if d < h:
+        for s in (-1.0, 1.0):
+            t_cross = t_center + s * h_t * (1.0 - d / h)
+            if t_lo < t_cross < t_hi:
+                pts.add(t_cross)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    total = 0.0
+    levels = sorted(pts)
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        half = 0.5 * (hi - lo)
+        t = 0.5 * (hi + lo) + half * gl_x
+        vals = np.array([
+            _oracle_slice_integral(space, x_k, width(tt)) if width(tt) > 0 else 0.0 for tt in t
+        ])
+        total += half * float(np.sum(gl_w * time.eval(t) * vals))
+    return term.coef * total
+
+
+def _oracle_forcing_level(problem, nodes, level, h, h_t):
+    t_m = level * h_t
+    out = np.zeros(nodes.size - 2)
+    for k in range(1, nodes.size - 1):
+        if level == 0:
+            cells = [_oracle_cell_average(term, nodes[k], 0.0, 0.0, h_t, h, h_t) for term in problem.f_data]
+            out[k - 1] = sum(cells) / (h * h_t)
+        else:
+            cells = [
+                _oracle_cell_average(term, nodes[k], t_m, t_m - h_t, t_m + h_t, h, h_t)
+                for term in problem.f_data
+            ]
+            out[k - 1] = sum(cells) / (2.0 * h * h_t)
+    return out
+
+
+_ORACLE_PROBLEMS = [make_example(alpha) for alpha in EXAMPLE_ALPHAS] + [
+    make_example(0.5, horizon=0.8, a=1.0)
+]
+
+
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("problem", _ORACLE_PROBLEMS, ids=lambda p: f"{p.name}-a{p.speeds[0]:.3f}")
+def test_characteristic_forcing_matches_scalar_oracle(problem, n):
+    # every level of the run, from the first half level through the levels
+    # before t_* to the horizon
+    axis, _ = characteristic_meshes(problem, n, 1)
+    h = axis.h
+    h_t = h / problem.speeds[0]
+    for level in range(_horizon_steps(problem, n)):
+        got = _char_forcing_level(problem.f_data, axis.nodes, level, h, h_t)
+        want = _oracle_forcing_level(problem, axis.nodes, level, h, h_t)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_characteristic_velocity_quadrature_matches_scalar_oracle():
+    problem = make_smooth_nonuniform_problem()
+    axis, _ = characteristic_meshes(problem, 30, 1)
+    nodes, h = axis.nodes, axis.h
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    want = np.zeros(nodes.size)
+    for k in range(1, nodes.size - 1):
+        val = 0.0
+        for lo, hi in ((nodes[k - 1], nodes[k]), (nodes[k], nodes[k + 1])):
+            half = 0.5 * (hi - lo)
+            val += half * float(np.sum(gl_w * problem.u1_fn(0.5 * (hi + lo) + half * gl_x)))
+        want[k] = val / (2.0 * h)
+    got = _char_velocity_table(problem, nodes, h)
+    assert np.max(np.abs(got - want)) <= 1e-13 * float(np.max(np.abs(want)))
+
