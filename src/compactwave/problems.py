@@ -172,6 +172,7 @@ def _dalembert_forcing_part(
         if isinstance(time, TimeDirac):
             tau = t - time.t_star
             if isinstance(space, SpaceDirac):
+                # 1/2 on the cone's sides, 1/4 at its apex (0, t_*)
                 dx = np.abs(x - space.location)
                 contrib = _step(_snap(a * tau - dx, dx + a * np.abs(t))) * _step(
                     _snap(tau, np.abs(t))

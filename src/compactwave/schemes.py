@@ -18,9 +18,9 @@ The explicit scheme on the characteristic mesh h_t = h/a advances
 where f_k^m is the exact average of the forcing over the rhomb footprint of
 node k (a triangle at the first half level).  The averages of one level are
 computed for all interior nodes at once: Gauss quadrature on the pieces of
-the slice integral between the level's shared breakpoints, closed forms for
-Dirac atoms in time, and per-node crossing times only for the nodes near a
-spatial breakpoint that falls between nodes.
+the slice integral between the level's shared breakpoints and each node's
+own crossing times of the spatial breakpoint, closed forms for Dirac atoms
+in time.
 """
 
 from __future__ import annotations
@@ -517,11 +517,10 @@ def _footprint_integrals(term, x: np.ndarray, t_c: float, t_lo: float, t_hi: flo
     integrand f2(t) [A(x_k + w(t)) - A(x_k - w(t))] is a piecewise
     polynomial in t whose pieces end at t_lo, t_c, t_hi, the switch-on time
     t_* (shared by all nodes) and, for nodes within h of the spatial
-    breakpoint, the two times where x_k +- w(t) crosses it.  The 6-point
-    Gauss rule, exact on each piece, runs over all nodes at once: on the
-    shared pieces when no crossing falls inside the window (always so when
-    the breakpoint is a node), else on the shared breakpoints plus each
-    node's two crossing times (t_c for nodes without one), sorted per node.
+    breakpoint, the two times where x_k +- w(t) crosses it (t_c for the
+    other nodes), clipped to the window and sorted per node; repeated
+    breakpoints give zero-width pieces.  The 6-point Gauss rule, exact on
+    each piece, runs over all nodes at once.
     """
     space, time = term.space, term.time
     atom = isinstance(space, SpaceDirac)
@@ -543,17 +542,15 @@ def _footprint_integrals(term, x: np.ndarray, t_c: float, t_lo: float, t_hi: flo
         return term.coef * weight * value
     if t_hi <= time.t_star:
         return 0.0  # one-sided forcing not switched on yet
-    cuts = np.array(sorted({t_lo, t_c, t_hi, min(max(time.t_star, t_lo), t_hi)}))[None, :]
+    # the slice ends x_k +- w(t) cross the breakpoint at t_c +- reach
     reach = h_t * (1.0 - d / h)
     tol = TIE_RTOL * t_hi
-    crossing = (reach > tol) & (reach < h_t - tol)
-    if np.any(crossing):
-        # the slice ends x_k +- w(t) cross the breakpoint inside the window
-        reach = np.where(crossing, reach, 0.0)[:, None]
-        cuts = np.concatenate(
-            [np.repeat(cuts, x.size, axis=0), t_c - reach, t_c + reach], axis=1
-        )
-        cuts.sort(axis=1)
+    reach = np.where((reach > tol) & (reach < h_t - tol), reach, 0.0)[:, None]
+    shared = np.broadcast_to([t_lo, t_c, t_hi, min(max(time.t_star, t_lo), t_hi)], (x.size, 4))
+    cuts = np.concatenate(
+        [shared, np.clip(t_c - reach, t_lo, t_hi), np.clip(t_c + reach, t_lo, t_hi)], axis=1
+    )
+    cuts.sort(axis=1)
     half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
     t = (0.5 * (cuts[:, 1:] + cuts[:, :-1]))[..., None] + half[..., None] * _GL_X
     w = h * (1.0 - np.abs(t - t_c) / h_t)

@@ -215,7 +215,8 @@ def test_forcing_part_against_triangle_quadrature():
 def test_singular_lines_take_average_of_one_sided_limits():
     # E_0.5 jumps across x = +-a t (data) and x = +-a (t - t_*) (forcing);
     # on those lines the evaluator returns the mean of the limits in x,
-    # also where the point misses the line by roundoff
+    # also where the point misses the line by roundoff (except at the apex
+    # (0, t_*), checked last)
     spec = make_example(0.5)
     a, t_star = spec.speeds[0], spec.t_star
     n = 40
@@ -234,6 +235,16 @@ def test_singular_lines_take_average_of_one_sided_limits():
     for x, t in points:
         limits = 0.5 * (spec.exact(x + delta, t) + spec.exact(x - delta, t))
         assert float(spec.exact(x, t)) == pytest.approx(float(limits), abs=1e-12), (x, t)
+    # the apex (0, t_*) of the forcing cone is the exception: both x-limits
+    # miss the forcing wave, and the evaluator adds 1/4 of its jump
+    # c3 / (2a), the weight the characteristic-mesh scheme gives an atom on
+    # a footprint corner
+    (term,) = spec.f_data.terms
+    before = float(spec.exact(0.0, t_star - delta))
+    quarter = 0.25 * term.coef / (2.0 * a)
+    assert float(spec.exact(0.0, t_star)) == pytest.approx(before + quarter, abs=1e-12)
+    limits = 0.5 * (spec.exact(delta, t_star) + spec.exact(-delta, t_star))
+    assert float(limits) == pytest.approx(before, abs=1e-12)
 
 
 def test_pure_dalembert_sine():

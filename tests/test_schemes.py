@@ -13,6 +13,9 @@ from compactwave.mesh import (
 )
 from compactwave.operators import (
     GridFunction,
+    PPiece,
+    QPiece,
+    SeparableTerm,
     SpaceDirac,
     TimeDirac,
     product_average,
@@ -461,17 +464,17 @@ def _oracle_cell_average(term, x_k, t_center, t_lo, t_hi, h, h_t):
     return term.coef * total
 
 
-def _oracle_forcing_level(problem, nodes, level, h, h_t):
+def _oracle_forcing_level(f_data, nodes, level, h, h_t):
     t_m = level * h_t
     out = np.zeros(nodes.size - 2)
     for k in range(1, nodes.size - 1):
         if level == 0:
-            cells = [_oracle_cell_average(term, nodes[k], 0.0, 0.0, h_t, h, h_t) for term in problem.f_data]
+            cells = [_oracle_cell_average(term, nodes[k], 0.0, 0.0, h_t, h, h_t) for term in f_data]
             out[k - 1] = sum(cells) / (h * h_t)
         else:
             cells = [
                 _oracle_cell_average(term, nodes[k], t_m, t_m - h_t, t_m + h_t, h, h_t)
-                for term in problem.f_data
+                for term in f_data
             ]
             out[k - 1] = sum(cells) / (2.0 * h * h_t)
     return out
@@ -492,7 +495,29 @@ def test_characteristic_forcing_matches_scalar_oracle(problem, n):
     h_t = h / problem.speeds[0]
     for level in range(_horizon_steps(problem, n)):
         got = _char_forcing_level(problem.f_data, axis.nodes, level, h, h_t)
-        want = _oracle_forcing_level(problem, axis.nodes, level, h, h_t)
+        want = _oracle_forcing_level(problem.f_data, axis.nodes, level, h, h_t)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("shift", [-0.3, 0.4])
+def test_characteristic_forcing_switched_on_near_start_matches_scalar_oracle(shift):
+    # t_* = shift * h_t: the forcing is on over (part of) the level-0
+    # triangle, and before t = 0 when shift < 0, where the crossing times
+    # of the nodes next to the breakpoint (odd N) fall outside the triangle
+    problem = make_example(2.5)
+    n = 41
+    axis, _ = characteristic_meshes(problem, n, 1)
+    h = axis.h
+    h_t = h / problem.speeds[0]
+    t_star = shift * h_t
+    terms = [
+        SeparableTerm(1.0, space, QPiece(degree, t_star))
+        for space in (PPiece(0), PPiece(1), PPiece(3), SpaceDirac(0.0))
+        for degree in (0, 1, 2)
+    ]
+    for level in range(3):
+        got = _char_forcing_level(terms, axis.nodes, level, h, h_t)
+        want = _oracle_forcing_level(terms, axis.nodes, level, h, h_t)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
