@@ -22,12 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import AxisMesh, TimeMesh
-from .schemes import RunResult
+from .schemes import RunResult, SchemeConfig, assemble, diverged
 
 __all__ = [
     "ErrorTriple",
     "ErrorObserver",
     "error_norms",
+    "lockstep_errors",
     "FitResult",
     "fit_order",
     "theoretical_orders",
@@ -61,6 +62,8 @@ class ErrorObserver:
 
     The quadrature weight is the mean spatial step, so on graded axes only
     the Ch norm is layout-independent (the graded-mesh studies report Ch).
+    A level that meets the blow-up rule (schemes.diverged) makes all three
+    norms infinite.
     """
 
     def __init__(self, exact: Callable, axis: AxisMesh, tmesh: TimeMesh):
@@ -75,7 +78,7 @@ class ErrorObserver:
         self.blew_up = False
 
     def observe(self, level: int, t: float, values: np.ndarray) -> None:
-        if not np.all(np.isfinite(values)):
+        if diverged(values):
             self.blew_up = True
             return
         r = self.exact(self.nodes, t) - values
@@ -109,6 +112,44 @@ def error_norms(
     for level, values in enumerate(run.trajectory):
         obs.observe(level, tmesh.nodes[level], values)
     return obs.result()
+
+
+def _last_level(exact: Callable) -> Callable:
+    """exact(x, t) remembered for the last (x, t) asked for: observers that
+    march in lockstep over one mesh evaluate each level once."""
+    last = [None, None, None]
+
+    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
+        if x is not last[0] or t != last[1]:
+            last[:] = x, t, exact(x, t)
+        return last[2]
+
+    return evaluate
+
+
+def lockstep_errors(
+    problem, configs: Sequence[SchemeConfig], axis: AxisMesh, tmesh: TimeMesh
+) -> list[ErrorTriple]:
+    """Error triples of several 1D schemes on one mesh and time mesh.
+
+    The schemes march level by level together and their observers share one
+    exact evaluation per level; no trajectory is stored.  A scheme that blows
+    up stops with the infinite triple, the others run to the end.
+    """
+    exact = _last_level(problem.exact)
+    runs = [
+        (assemble(problem, config, [axis], tmesh).march(), ErrorObserver(exact, axis, tmesh))
+        for config in configs
+    ]
+    active = list(runs)
+    while active:
+        for run in tuple(active):
+            levels, obs = run
+            try:
+                obs.observe(*next(levels))
+            except StopIteration:
+                active.remove(run)
+    return [obs.result() for _, obs in runs]
 
 
 @dataclass(frozen=True)

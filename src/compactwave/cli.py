@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
+import multiprocessing
 import sys
 from typing import Sequence
 
@@ -161,10 +162,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     axis_cfg.setdefault("N", n)
     axis_cfg.setdefault("X", problem.extents[0])
     axis_cfg.setdefault("origin", problem.origin[0])
+    characteristic = sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC
+    given = (axis_cfg.get("kind", "uniform"), float(axis_cfg["X"]), float(axis_cfg["origin"]))
+    if characteristic and given != ("uniform", problem.extents[0], problem.origin[0]):
+        raise ConfigError(
+            "the characteristic-mesh scheme runs on the problem's uniform axis; "
+            "of the axis settings only N may be given"
+        )
     axis = _axis_from_config(axis_cfg, n)
     factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
     m_entry = args.M or config.get("M", "auto")
-    characteristic = sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC
     if m_entry != "auto":
         m = int(m_entry)
     elif characteristic:
@@ -211,41 +218,49 @@ def cmd_run(args: argparse.Namespace) -> int:
 # uniform-mesh convergence study
 
 
-def _table1_case(alpha: float, scheme_name: str, n: int) -> tuple[int, analysis.ErrorTriple]:
+TABLE1_SCHEMES = ("compact1d", "second-order")
+
+
+def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
+    """{case: fn(*case)}, on one pool of `jobs` processes when jobs > 1; the
+    largest N (second entry of a case) goes first, so no long case ends last."""
+    order = sorted(cases, key=lambda case: -case[1])
+    if jobs <= 1:
+        return {case: fn(*case) for case in order}
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        return dict(zip(order, pool.map(fn, *zip(*order))))
+
+
+def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
+    """Error triples of both schemes (TABLE1_SCHEMES order) on E_alpha at N,
+    marched in lockstep against one exact evaluation per level."""
     problem = problems.make_example(alpha)
     axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(n, problem.horizon)  # time step equal to h
-    config = _scheme_config(scheme_name, {"sigma": 0.5})
-    obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
-    schemes.run(problem, config, [axis], tmesh, observer=obs)
-    return n, obs.result()
+    configs = [_scheme_config(name, {"sigma": 0.5}) for name in TABLE1_SCHEMES]
+    return analysis.lockstep_errors(problem, configs, axis, tmesh)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     alphas = [float(a) for a in (args.alpha or config.get("alpha", TABLE1_ALPHAS))]
-    reports: list[analysis.ConvergenceReport] = []
     jobs = args.jobs or int(config.get("jobs", 1))
+    n_lists = {}
     for alpha in alphas:
         if alpha not in problems.EXAMPLE_COEFFICIENTS:
             raise ConfigError(f"alpha {alpha} is not in the catalog")
-        n_list = (
-            list(_FULL_N_BY_ALPHA[alpha])
-            if args.full
-            else (list(args.N) if args.N else list(TABLE1_N))
-        )
-        if any(n % 2 for n in n_list):
+        n_lists[alpha] = sorted(set(_FULL_N_BY_ALPHA[alpha] if args.full else args.N or TABLE1_N))
+        if any(n % 2 for n in n_lists[alpha]):
             raise ConfigError(
                 "odd N places the data singularity between nodes; use even N"
             )
-        for scheme_name in ("compact1d", "second-order"):
-            cases = [(alpha, scheme_name, n) for n in n_list]
-            if jobs > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(_table1_case, *zip(*cases)))
-            else:
-                results = [_table1_case(*case) for case in cases]
-            results.sort(key=lambda item: item[0])
+    cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
+    triples = _run_cases(_table1_case, cases, jobs)
+    reports: list[analysis.ConvergenceReport] = []
+    for alpha in alphas:
+        for k, scheme_name in enumerate(TABLE1_SCHEMES):
+            results = [(n, triples[alpha, n][k]) for n in n_lists[alpha]]
             rep = analysis.ConvergenceReport(
                 problem=f"E_{alpha}", scheme=scheme_name, alpha=alpha, results=results
             )
@@ -263,7 +278,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # graded-mesh convergence study
 
 
-def _table2_case(phi_name: str, n: int, factor: float) -> tuple[int, analysis.ErrorTriple, float]:
+def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTriple, float]:
     problem = problems.make_smooth_nonuniform_problem()
     phi = NODE_DISTRIBUTIONS[phi_name]
     axis = build_graded_axis(phi, n, problem.extents[0], problem.origin[0])
@@ -272,7 +287,7 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[int, analysis.Er
     tmesh = build_time_mesh(m, problem.horizon)
     obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
     schemes.run_nonuniform(problem, axis, tmesh, observer=obs)
-    return n, obs.result(), m / n
+    return obs.result(), m / n
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
@@ -281,21 +296,17 @@ def cmd_table2(args: argparse.Namespace) -> int:
     n_list = list(args.N) if args.N else list(TABLE2_N)
     if args.full:
         n_list = list(range(50, 1001, 50))
+    n_list = sorted(set(n_list))
     factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
     jobs = args.jobs or int(config.get("jobs", 1))
-    reports: list[analysis.ConvergenceReport] = []
     for phi_name in phis:
         if phi_name not in NODE_DISTRIBUTIONS:
             raise ConfigError(f"unknown node distribution {phi_name!r}")
-        cases = [(phi_name, n, factor) for n in sorted(n_list)]
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_table2_case, *zip(*cases)))
-        else:
-            outcomes = [_table2_case(*case) for case in cases]
-        outcomes.sort(key=lambda item: item[0])
-        results = [(n, triple) for n, triple, _ in outcomes]
-        n_big = max(n for n, _, _ in outcomes)
+    outcomes = _run_cases(_table2_case, [(phi, n, factor) for phi in phis for n in n_list], jobs)
+    reports: list[analysis.ConvergenceReport] = []
+    for phi_name in phis:
+        results = [(n, outcomes[phi_name, n, factor][0]) for n in n_list]
+        n_big = n_list[-1]
         stats = mesh_stats(
             build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n_big, 1.0, -0.5)
         )
@@ -309,7 +320,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
             "h_ratio": stats.ratio,
             "rho_min": stats.rho_min,
             "rho_max": stats.rho_max,
-            "M_over_N": next(r for n, _, r in outcomes if n == n_big),
+            "M_over_N": outcomes[phi_name, n_big, factor][1],
         }
         reports.append(rep)
     fmt = args.format or config.get("format", "csv")

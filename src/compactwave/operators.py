@@ -34,9 +34,7 @@ __all__ = [
     "second_diff",
     "axis_average",
     "sum_average",
-    "sum_average_skip",
     "product_average",
-    "product_average_skip",
     "stiffness_sum",
     "stiffness_product",
     "splitting_residual",
@@ -156,31 +154,11 @@ def sum_average(w: GridFunction) -> GridFunction:
     return GridFunction(w.meshes, out)
 
 
-def sum_average_skip(w: GridFunction, skip: int) -> GridFunction:
-    """Additive compact average over every axis except `skip`."""
-    out = w.values.copy()
-    for axis, mesh in enumerate(w.meshes):
-        if axis == skip:
-            continue
-        if not mesh.uniform:
-            raise MeshError("additive compact average requires uniform axes")
-        out += (mesh.h**2 / 12.0) * _second_diff_values(w.values, mesh, axis)
-    return GridFunction(w.meshes, out)
-
-
 def product_average(w: GridFunction) -> GridFunction:
     """Tensor-product compact average (factors commute on tensor grids)."""
     out = w.values
     for axis, mesh in enumerate(w.meshes):
         out = _axis_average_values(out, mesh, axis)
-    return GridFunction(w.meshes, out)
-
-
-def product_average_skip(w: GridFunction, skip: int) -> GridFunction:
-    out = w.values
-    for axis, mesh in enumerate(w.meshes):
-        if axis != skip:
-            out = _axis_average_values(out, mesh, axis)
     return GridFunction(w.meshes, out)
 
 
@@ -443,44 +421,56 @@ def _nearest_node(nodes: np.ndarray, x: float, scale: float) -> int:
     return idx
 
 
-def _hat_quad(fn: Callable, breakpoints: Sequence[float], mesh: AxisMesh, node: int) -> float:
-    """Exact hat-weighted average of fn at an interior node (Gauss per piece)."""
-    nodes = mesh.nodes
-    xl, xc, xr = nodes[node - 1], nodes[node], nodes[node + 1]
-    h_star = 0.5 * (xr - xl)
-    total = 0.0
-    for a, b, rise in ((xl, xc, True), (xc, xr, False)):
-        pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            x = mid + half * _GAUSS_X
-            weight = (x - xl) / (xc - xl) if rise else (xr - x) / (xr - xc)
-            total += half * float(np.sum(_GAUSS_W * fn(x) * weight))
-    return total / h_star
-
-
 def hat_average_x(
     profile: SpaceProfile | Callable[[np.ndarray], np.ndarray], mesh: AxisMesh
 ) -> np.ndarray:
     """Exact hat-function average at every interior node (faces set to zero).
 
-    Dirac atoms must sit on a mesh node and contribute 1/h_* there.
+    Each half-cell is cut at the profile's breakpoint clipped to the cell (a
+    breakpoint outside gives a zero-width piece) and every piece gets the
+    8-point Gauss rule, for all interior nodes at once.  Dirac atoms must sit
+    on a mesh node and contribute 1/h_* there.
     """
-    out = np.zeros(mesh.nodes.size)
+    nodes = mesh.nodes
+    out = np.zeros(nodes.size)
     if isinstance(profile, SpaceDirac):
-        idx = _nearest_node(mesh.nodes, profile.location, mesh.extent)
-        if idx == 0 or idx == mesh.nodes.size - 1:
+        idx = _nearest_node(nodes, profile.location, mesh.extent)
+        if idx == 0 or idx == nodes.size - 1:
             raise ValueError("Dirac atom on the boundary is not supported")
-        h_star = 0.5 * (mesh.nodes[idx + 1] - mesh.nodes[idx - 1])
+        h_star = 0.5 * (nodes[idx + 1] - nodes[idx - 1])
         out[idx] = 1.0 / h_star
         return out
     if isinstance(profile, PPiece):
-        fn, breaks = profile.eval, (profile.breakpoint,)
+        fn, cut = profile.eval, profile.breakpoint
     else:
-        fn, breaks = profile, ()
-    for node in range(1, mesh.nodes.size - 1):
-        out[node] = _hat_quad(fn, breaks, mesh, node)
+        fn, cut = profile, None
+    xl, xc, xr = (v[:, None] for v in (nodes[:-2], nodes[1:-1], nodes[2:]))
+    total = np.zeros(nodes.size - 2)
+    for a, b, rise in ((xl, xc, True), (xc, xr, False)):
+        cuts = (a, b) if cut is None else (a, np.clip(cut, a, b), b)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            half = 0.5 * (hi - lo)
+            x = 0.5 * (lo + hi) + half * _GAUSS_X
+            weight = (x - xl) / (xc - xl) if rise else (xr - x) / (xr - xc)
+            total += half[:, 0] * np.sum(_GAUSS_W * fn(x) * weight, axis=1)
+    out[1:-1] = total / (0.5 * (nodes[2:] - nodes[:-2]))
+    return out
+
+
+def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
+    """hat_average_t of one profile at every time level (0 at both ends)."""
+    h_t = tmesh.h_t
+    idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
+    out = np.zeros(tmesh.nodes.size)
+    t = tmesh.nodes[1:-1]
+    if isinstance(profile, TimeDirac):
+        out[idx] = 1.0 / h_t
+    elif profile.degree == 0:
+        out[1:-1] = profile.eval(t)
+    else:
+        out[1:-1] = (profile.eval(t - h_t) + 10.0 * profile.eval(t) + profile.eval(t + h_t)) / 12.0
+        out[idx] = h_t**profile.degree / ((profile.degree + 1) * (profile.degree + 2))
+    out[[0, -1]] = 0.0
     return out
 
 
@@ -494,19 +484,7 @@ def hat_average_t(profile: TimeProfile, tmesh: TimeMesh, level: int) -> float:
     """
     if not 1 <= level <= tmesh.n_steps - 1:
         raise ValueError(f"level {level} is not an interior time level")
-    h_t = tmesh.h_t
-    if isinstance(profile, TimeDirac):
-        idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
-        return 1.0 / h_t if idx == level else 0.0
-    idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
-    t = tmesh.nodes[level]
-    if profile.degree == 0:
-        return float(profile.eval(t))
-    if level == idx:
-        return h_t**profile.degree / ((profile.degree + 1) * (profile.degree + 2))
-    return float(
-        (profile.eval(t - h_t) + 10.0 * profile.eval(t) + profile.eval(t + h_t)) / 12.0
-    )
+    return float(_hat_weights_t(profile, tmesh)[level])
 
 
 def hat_average_t0(profile: TimeProfile, h_t: float) -> float:
@@ -628,12 +606,12 @@ def build_rhs_table(
             if term.time is None:
                 raise ValueError("forcing terms need a temporal factor")
             qx = hat_average_x(term.space, meshes[0])[1:-1]
-            parts.append((term.coef, qx, term.time))
+            parts.append((term.coef, qx, _hat_weights_t(term.time, tmesh)))
 
         def averaged(level: int) -> np.ndarray:
             out = np.zeros(meshes[0].nodes.size - 2)
-            for coef, qx, tprof in parts:
-                out += coef * hat_average_t(tprof, tmesh, level) * qx
+            for coef, qx, qt in parts:
+                out += coef * qt[level] * qx
             return out
 
         return RhsTable(averaged, tmesh.n_steps)

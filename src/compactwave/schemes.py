@@ -64,12 +64,18 @@ __all__ = [
     "characteristic_meshes",
     "operator_pair",
     "BLOWUP_ABORT",
+    "diverged",
 ]
 
 BLOWUP_ABORT = 1e100
 COMPACT_SIGMA = 1.0 / 12.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+
+
+def diverged(values: np.ndarray) -> bool:
+    """The blow-up rule: a non-finite value or a magnitude beyond 1e100."""
+    return not np.abs(values).max() <= BLOWUP_ABORT
 
 
 class SchemeKind(str, Enum):
@@ -402,12 +408,10 @@ class Scheme:
         rhs += self.apply_step_operator_interior(2.0 * v_curr - v_prev)
         return self.solve_step(rhs, self.tmesh.nodes[level + 1])
 
-    def run(
-        self,
-        observer: Callable[[int, float, np.ndarray], None] | None = None,
-        store_trajectory: bool = False,
-    ) -> RunResult:
-        """March the scheme over the whole time mesh.
+    def march(self, store_trajectory: bool = False):
+        """Generator over the levels of a run: yields (level, t, values) for
+        every level it computes, the aborting one included, and returns the
+        RunResult.
 
         Any non-finite value or magnitude beyond 1e100 aborts the run with the
         blow-up flag set and a partial result returned.
@@ -415,23 +419,36 @@ class Scheme:
         tmesh = self.tmesh
         v0 = self.initial_level()
         trajectory = [v0.copy()] if store_trajectory else None
-        if observer is not None:
-            observer(0, 0.0, v0)
+        yield 0, 0.0, v0
         v_prev, v_curr = None, v0
-        level = 0
         for level in range(1, tmesh.n_steps + 1):
             if level == 1:
                 v_next = self.first_step(v_curr)
             else:
                 v_next = self.time_step(v_prev, v_curr, level - 1)
             v_prev, v_curr = v_curr, v_next
-            if not np.all(np.isfinite(v_curr)) or np.max(np.abs(v_curr)) > BLOWUP_ABORT:
+            yield level, tmesh.nodes[level], v_curr
+            if diverged(v_curr):
                 return RunResult(level + 1, v_prev, v_curr, True, trajectory)
             if store_trajectory:
                 trajectory.append(v_curr.copy())
-            if observer is not None:
-                observer(level, tmesh.nodes[level], v_curr)
         return RunResult(tmesh.n_steps + 1, v_prev, v_curr, False, trajectory)
+
+    def run(
+        self,
+        observer: Callable[[int, float, np.ndarray], None] | None = None,
+        store_trajectory: bool = False,
+    ) -> RunResult:
+        """March the scheme over the whole time mesh, showing every level to
+        the observer (see march)."""
+        levels = self.march(store_trajectory)
+        while True:
+            try:
+                level, t, values = next(levels)
+            except StopIteration as done:
+                return done.value
+            if observer is not None:
+                observer(level, t, values)
 
 
 def assemble(
@@ -636,10 +653,10 @@ def run_explicit_characteristic(
         v_next[1:-1] = v_curr[:-2] + v_curr[2:] - v_prev[1:-1] + h_t**2 * f_m
         v_next[0], v_next[-1] = boundary(tmesh.nodes[level + 1])
         v_prev, v_curr = v_curr, v_next
-        if not np.all(np.isfinite(v_curr)) or np.max(np.abs(v_curr)) > BLOWUP_ABORT:
+        if observer is not None:
+            observer(level + 1, tmesh.nodes[level + 1], v_curr)
+        if diverged(v_curr):
             return RunResult(level + 2, v_prev, v_curr, True, trajectory), axis, tmesh
         if store_trajectory:
             trajectory.append(v_curr.copy())
-        if observer is not None:
-            observer(level + 1, tmesh.nodes[level + 1], v_curr)
     return RunResult(n_steps + 1, v_prev, v_curr, False, trajectory), axis, tmesh

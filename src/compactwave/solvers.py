@@ -1,10 +1,9 @@
-"""Linear-system kernels: tridiagonal sweeps, sine-transform diagonalization,
-sequential splitting solves, and a dense oracle for tests.
+"""Linear-system kernels: factored tridiagonal solves, sine-transform
+diagonalization, sequential splitting solves, and a dense oracle for tests.
 
 Every implicit scheme step solves a system with the same operator, so the
-tridiagonal solvers cache their forward-elimination coefficients and the
-spectral solver caches the eigenvalue tensor of the assembled operator over
-the tensor sine basis.
+tridiagonal solver factors its operator once and the spectral solver keeps
+the eigenvalue tensor of the assembled operator over the tensor sine basis.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .operators import TridiagonalFactor
 
 __all__ = [
     "SingularSystemError",
-    "thomas_solve",
     "TriSolver",
     "sine_spectrum",
     "dst1",
@@ -31,16 +29,14 @@ __all__ = [
     "operator_pair_c0",
     "SpectralHandle",
     "SplittingHandle",
-    "TridiagonalHandle",
-    "dst_diagonal_solve",
-    "splitting_solve",
     "dense_solve_oracle",
     "assemble_dense_operator",
 ]
 
 DENSE_ORACLE_MAX_UNKNOWNS = 4096
-_PIVOT_RTOL = 1e-14
 _DIRECT_DST_MAX = 256
+# the LAPACK tridiagonal wrappers need at least three unknowns
+_GT_MIN_UNKNOWNS = 3
 
 _sine_matrix_cache: dict[int, np.ndarray] = {}
 
@@ -52,57 +48,43 @@ class SingularSystemError(RuntimeError):
 class TriSolver:
     """Repeated solves with one tridiagonal factor.
 
-    Delegates to the LAPACK banded solver: on strongly graded meshes the
+    The LU factorization with partial pivoting (LAPACK ?gttrf) is computed
+    once; each solve is one ?gttrs sweep.  On strongly graded meshes the
     pivoted elimination keeps the roundoff floor of long runs visibly below
     the plain sweeps (the 4th-order error at desk scale sits near 1e-10).
+    Systems of one or two unknowns are padded to three with decoupled unit
+    rows.
     """
 
     def __init__(self, factor: TridiagonalFactor):
+        # imported here, not with the module: scipy.linalg adds ~0.1 s and
+        # ~5 MB to every run, and only the tridiagonal solves need it
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         n = factor.n_interior
-        ab = np.zeros((3, n))
-        ab[0, 1:] = factor.upper[:-1]
-        ab[1, :] = factor.diag
-        ab[2, :-1] = factor.lower[1:]
+        pad = max(_GT_MIN_UNKNOWNS - n, 0)
+        off = np.zeros(pad)
+        *lu, info = dgttrf(
+            np.concatenate([factor.lower[1:], off]),
+            np.concatenate([factor.diag, np.ones(pad)]),
+            np.concatenate([factor.upper[:-1], off]),
+        )
+        if info > 0:
+            raise SingularSystemError(f"zero pivot in row {info} of the tridiagonal factor")
         self.factor = factor
-        self._ab = ab
+        self._lu = lu
+        self._pad = pad
+        self._dgttrs = dgttrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.factor.n_interior:
-            raise ValueError(
-                f"rhs length {rhs.shape[0]} != interior count {self.factor.n_interior}"
-            )
-        try:
-            return scipy.linalg.solve_banded((1, 1), self._ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-
-
-def thomas_solve(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the interior tridiagonal system by forward elimination and back
-    substitution (no pivoting); rhs may carry trailing dimensions."""
-    lo, di, up = factor.lower, factor.diag, factor.upper
-    n = di.size
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs length {rhs.shape[0]} != interior count {n}")
-    scale = max(np.abs(lo).max(), np.abs(di).max(), np.abs(up).max())
-    cp = np.empty(n)
-    x = rhs.astype(float, copy=True)
-    den = di[0]
-    if abs(den) <= _PIVOT_RTOL * scale:
-        raise SingularSystemError("zero pivot in tridiagonal elimination")
-    cp[0] = up[0] / den
-    x[0] = x[0] / den
-    for i in range(1, n):
-        den = di[i] - lo[i] * cp[i - 1]
-        if abs(den) <= _PIVOT_RTOL * scale:
-            raise SingularSystemError("zero pivot in tridiagonal elimination")
-        cp[i] = up[i] / den
-        x[i] = (x[i] - lo[i] * x[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return x
+        n = self.factor.n_interior
+        if rhs.shape[0] != n:
+            raise ValueError(f"rhs length {rhs.shape[0]} != interior count {n}")
+        if self._pad:
+            rhs = np.concatenate([rhs, np.zeros((self._pad,) + rhs.shape[1:])])
+        x, _ = self._dgttrs(*self._lu, rhs)
+        return x[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +273,6 @@ class SpectralHandle:
         return sine_synthesis(coeffs * self.eigenvalues)
 
 
-def dst_diagonal_solve(handle: SpectralHandle, rhs: np.ndarray) -> np.ndarray:
-    """Forward sine transform per axis, divide by the operator eigenvalue,
-    inverse transform; exact up to roundoff on homogeneous-form data."""
-    return handle.solve(rhs)
-
-
 def _factor_apply_full(values: np.ndarray, factor: TridiagonalFactor) -> np.ndarray:
     w = np.moveaxis(values, factor.axis, 0)
     out = w.copy()
@@ -358,29 +334,6 @@ class SplittingHandle:
             solved = solver.solve(flat)
             out = np.moveaxis(solved.reshape(w.shape), 0, axis)
         return out
-
-
-class TridiagonalHandle:
-    """One-factor (one-dimensional) solve with cached elimination."""
-
-    def __init__(self, factor: TridiagonalFactor):
-        self.factor = factor
-        self._solver = TriSolver(factor)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solver.solve(rhs)
-
-    def apply(self, values_full: np.ndarray) -> np.ndarray:
-        return self.factor.apply(values_full)
-
-
-def splitting_solve(
-    factors: Sequence[TridiagonalFactor],
-    rhs: np.ndarray,
-    boundary: np.ndarray | None = None,
-) -> np.ndarray:
-    """Line-by-line solve of the factorized system (order-independent)."""
-    return SplittingHandle(factors).solve(rhs, boundary)
 
 
 # ---------------------------------------------------------------------------

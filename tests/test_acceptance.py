@@ -41,9 +41,9 @@ from compactwave.solvers import (
     dense_solve_oracle,
     operator_pair_c0,
     pair_spectra,
-    thomas_solve,
 )
 from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
+from oracles import thomas_solve
 
 EPS0 = math.sqrt(0.5)
 

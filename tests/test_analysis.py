@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from compactwave.analysis import (
     build_report,
     error_norms,
     fit_order,
+    lockstep_errors,
     theoretical_orders,
 )
 from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.problems import make_example
-from compactwave.schemes import RunResult, SchemeConfig, SchemeKind, run
+from compactwave.schemes import RunResult, SchemeConfig, SchemeKind, assemble, run
 
 
 def test_fit_exact_power_law():
@@ -151,3 +153,90 @@ def test_build_report_extras_columns():
     header = csv.splitlines()[0]
     assert header.endswith("err_200,h_ratio,rho_min")
     assert "5.655E+01" in csv
+
+
+# ---------------------------------------------------------------------------
+# lockstep studies
+
+
+def _separate_triples(problem, configs, axis, tmesh):
+    triples = []
+    for config in configs:
+        obs = ErrorObserver(problem.exact, axis, tmesh)
+        run(problem, config, [axis], tmesh, observer=obs)
+        triples.append(obs.result())
+    return triples
+
+
+def test_lockstep_errors_equal_separate_runs_with_one_exact_call_per_level():
+    problem = make_example(2.5)
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return problem.exact(x, t)
+
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    tmesh = build_time_mesh(40, problem.horizon)
+    configs = [
+        SchemeConfig(kind=SchemeKind.COMPACT_1D, sigma=0.5),
+        SchemeConfig(kind=SchemeKind.SECOND_ORDER, sigma=0.5),
+    ]
+    shared = lockstep_errors(dataclasses.replace(problem, exact=counted), configs, axis, tmesh)
+    assert shared == _separate_triples(problem, configs, axis, tmesh)
+    assert calls == list(tmesh.nodes)
+
+
+@pytest.mark.parametrize("unstable_first", [True, False])
+def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first):
+    # Courant number a h_t / h = 1.79: compact1d (sigma = 1/12) blows up,
+    # the sigma = 1/2 second-order scheme is unconditionally stable
+    problem = make_example(1.5)
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    tmesh = build_time_mesh(200, 20.0)
+    unstable = SchemeConfig(kind=SchemeKind.COMPACT_1D)
+    stable = SchemeConfig(kind=SchemeKind.SECOND_ORDER, sigma=0.5)
+    configs = [unstable, stable] if unstable_first else [stable, unstable]
+    shared = dict(zip(configs, lockstep_errors(problem, configs, axis, tmesh)))
+    separate = dict(zip(configs, _separate_triples(problem, configs, axis, tmesh)))
+    assert shared[unstable] == separate[unstable] == ErrorTriple(math.inf, math.inf, math.inf)
+    assert shared[stable] == separate[stable]
+    assert math.isfinite(shared[stable].Ch)
+
+
+def test_run_shows_the_aborting_level_to_the_observer():
+    problem = make_example(1.5)
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    tmesh = build_time_mesh(200, 20.0)
+    seen = []
+    result = run(
+        problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh,
+        observer=lambda level, t, values: seen.append((level, np.abs(values).max())),
+    )
+    assert result.blew_up
+    assert seen[-1][0] == result.completed_levels - 1 < tmesh.n_steps
+    assert seen[-1][1] > 1e100
+    assert all(peak <= 1e100 for _, peak in seen[:-1])
+
+
+def test_march_yields_every_level_and_returns_the_run_result():
+    problem = make_example(2.5)
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    tmesh = build_time_mesh(20, problem.horizon)
+    config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
+    levels = assemble(problem, config, [axis], tmesh).march(store_trajectory=True)
+    seen = []
+    while True:
+        try:
+            level, t, values = next(levels)
+        except StopIteration as done:
+            result = done.value
+            break
+        seen.append((level, t, values.copy()))
+    assert [level for level, _, _ in seen] == list(range(tmesh.n_steps + 1))
+    assert [t for _, t, _ in seen] == list(tmesh.nodes)
+    reference = run(problem, config, [axis], tmesh, store_trajectory=True)
+    assert not result.blew_up and result.completed_levels == reference.completed_levels
+    np.testing.assert_array_equal(result.v_last, reference.v_last)
+    for (_, _, values), stored in zip(seen, reference.trajectory):
+        np.testing.assert_array_equal(values, stored)

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 import yaml
 
 from compactwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
@@ -74,6 +75,50 @@ def test_table1_smoke_and_determinism(tmp_path):
     assert text == out2.read_text()
     assert "compact1d" in text and "second-order" in text
     assert "err_40" in text
+
+
+def test_table1_jobs_output_equals_serial(tmp_path):
+    outs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        args = ["table1", "--alpha", "1.5", "2.5", "--N", "40,80,160", "--jobs", str(jobs)]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        outs[jobs] = out.read_text()
+    assert outs[1] == outs[2]
+    assert outs[1].count("\nE_2.5,second-order,") == 3
+
+
+def test_table2_blown_up_runs_report_inf_and_leave_the_fit(tmp_path):
+    # at 0.3 of the sqrt(2) step rule the N = 1000 and 2000 runs pass 1e100
+    out = tmp_path / "t2.csv"
+    with pytest.warns(UserWarning, match="excluding"):
+        code = main([
+            "table2", "--phi", "phi0", "--N", "500,1000,2000", "--cfl-factor", "0.3",
+            "--out", str(out),
+        ])
+    assert code == EXIT_OK
+    lines = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0]
+    for row in lines[1:]:
+        cells = dict(zip(header, row))
+        assert cells["err_1000"] == cells["err_2000"] == "inf"
+        assert cells["gamma_pr"] == cells["c0"] == ""
+
+
+@pytest.mark.parametrize("axis", [
+    {"kind": "graded", "phi": "phi3"},
+    {"X": 2.0},
+    {"origin": 0.0},
+])
+def test_run_characteristic_rejects_axis_settings(tmp_path, capsys, axis):
+    cfg = tmp_path / "char.yaml"
+    cfg.write_text(yaml.safe_dump({"axis": axis}))
+    code = main([
+        "run", "--problem", "E_1.5", "--scheme", "characteristic", "--N", "40",
+        "--config", str(cfg),
+    ])
+    assert code == EXIT_CONFIG
+    assert "uniform axis" in capsys.readouterr().err
 
 
 def test_table1_rejects_odd_n(capsys):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from compactwave.mesh import AxisMesh, MeshError, build_time_mesh, build_uniform_axis
+from compactwave.mesh import (
+    NODE_DISTRIBUTIONS,
+    AxisMesh,
+    MeshError,
+    build_graded_axis,
+    build_time_mesh,
+    build_uniform_axis,
+)
 from compactwave.operators import (
     GridFunction,
     axis_average,
@@ -29,6 +36,7 @@ from compactwave.operators import (
     sum_average,
     tridiag_axis_average,
 )
+from compactwave.problems import make_example
 from compactwave.solvers import assemble_dense_operator
 
 
@@ -320,6 +328,64 @@ def test_hat_average_kink_profile():
     assert out[5] == pytest.approx(1.0 - 2.0 * h / 3.0, rel=1e-12)
     assert out[5] == pytest.approx(oracle, rel=1e-7)
     assert out[3] == pytest.approx(1.0 - 2.0 * abs(axis.nodes[3]), rel=1e-12)
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+
+
+def _hat_quad(fn, breakpoints, mesh, node):
+    """Scalar oracle: hat-weighted average of fn at one interior node, 8-point
+    Gauss on each piece of the two half-cells split at the breakpoints."""
+    nodes = mesh.nodes
+    xl, xc, xr = nodes[node - 1], nodes[node], nodes[node + 1]
+    total = 0.0
+    for a, b, rise in ((xl, xc, True), (xc, xr, False)):
+        pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            half = 0.5 * (hi - lo)
+            x = 0.5 * (lo + hi) + half * _GAUSS_X
+            weight = (x - xl) / (xc - xl) if rise else (xr - x) / (xr - xc)
+            total += half * float(np.sum(_GAUSS_W * fn(x) * weight))
+    return total / (0.5 * (xr - xl))
+
+
+_HAT_MESHES = {
+    "uniform-even": build_uniform_axis(20, 1.0, -0.5),
+    "uniform-odd": build_uniform_axis(21, 1.0, -0.5),
+    "graded-phi3": build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 21, 1.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(_HAT_MESHES))
+@pytest.mark.parametrize("profile", [PPiece(k) for k in range(6)] + ["callable"])
+def test_hat_average_x_matches_scalar_oracle(mesh_name, profile):
+    mesh = _HAT_MESHES[mesh_name]
+    if profile == "callable":
+        profile = lambda x: np.cos(3.0 * x) + x**3
+        fn, breaks = profile, ()
+    else:
+        fn, breaks = profile.eval, (profile.breakpoint,)
+    got = hat_average_x(profile, mesh)
+    oracle = [_hat_quad(fn, breaks, mesh, k) for k in range(1, mesh.nodes.size - 1)]
+    assert got[0] == got[-1] == 0.0
+    np.testing.assert_allclose(got[1:-1], oracle, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5, 4.5])
+def test_rhs_table_averaged_equals_per_level_composition(alpha):
+    # the per-term temporal weights computed once at construction give the
+    # same levels as composing hat_average_t level by level (Dirac atoms and
+    # one-sided powers of degree 0..2 in time)
+    problem = make_example(alpha)
+    meshes = [build_uniform_axis(20, 1.0, -0.5)]
+    tmesh = build_time_mesh(20, problem.horizon)
+    table = build_rhs_table(problem.f_data, meshes, tmesh, "averaged")
+    for level in range(1, tmesh.n_steps):
+        expected = np.zeros(19)
+        for term in problem.f_data:
+            qx = hat_average_x(term.space, meshes[0])[1:-1]
+            expected += term.coef * hat_average_t(term.time, tmesh, level) * qx
+        np.testing.assert_array_equal(table(level), expected)
 
 
 def test_hat_average_t_values():

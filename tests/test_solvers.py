@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from compactwave.mesh import build_uniform_axis
 from compactwave.operators import (
@@ -14,17 +15,16 @@ from compactwave.solvers import (
     SingularSystemError,
     SpectralHandle,
     SplittingHandle,
+    TriSolver,
     assemble_dense_operator,
     dense_solve_oracle,
     dst1,
-    dst_diagonal_solve,
     idst1,
     pair_spectra,
     sine_coefficients,
     sine_spectrum,
-    splitting_solve,
-    thomas_solve,
 )
+from oracles import thomas_solve
 
 
 def identity_factor(n):
@@ -38,6 +38,36 @@ def neg_second_diff_factor(mesh):
 
 # ---------------------------------------------------------------------------
 # tridiagonal solves
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("dominant", [True, False])
+def test_trisolver_matches_solve_banded(n, dominant):
+    # the factored LAPACK solve against the banded one-shot solve, with
+    # pivoting exercised by the non-dominant rows
+    rng = np.random.default_rng(10 * n + dominant)
+    diag = rng.standard_normal(n) + (4.0 if dominant else 0.0)
+    factor = TridiagonalFactor(0, rng.standard_normal(n), diag, rng.standard_normal(n))
+    ab = np.zeros((3, n))
+    ab[0, 1:] = factor.upper[:-1]
+    ab[1] = factor.diag
+    ab[2, :-1] = factor.lower[1:]
+    solver = TriSolver(factor)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        got = solver.solve(rhs)
+        assert got.shape == rhs.shape
+        expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        if n >= 3:
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("diag", [[0.0], [1.0, 0.0], [1.0, 0.0, 1.0]])
+def test_trisolver_singular_factor_raises(diag):
+    n = len(diag)
+    factor = TridiagonalFactor(0, np.zeros(n), np.array(diag), np.zeros(n))
+    with pytest.raises(SingularSystemError):
+        TriSolver(factor)
 
 
 def test_thomas_identity():
@@ -133,7 +163,7 @@ def test_spectral_solve_recovers_average_input():
     full = np.zeros(13)
     full[1:-1] = b
     rhs = sum_average(GridFunction((mesh,), full)).values[1:-1]
-    x = dst_diagonal_solve(handle, rhs)
+    x = handle.solve(rhs)
     assert np.max(np.abs(x - b)) < 1e-12
 
 
@@ -192,7 +222,7 @@ def test_splitting_1d_equals_thomas():
     factor = step_factor(mesh, 0.05, 1.0, 0)
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(8)
-    assert np.allclose(splitting_solve([factor], rhs), thomas_solve(factor, rhs), atol=1e-13)
+    assert np.allclose(SplittingHandle([factor]).solve(rhs), thomas_solve(factor, rhs), atol=1e-13)
 
 
 def test_splitting_2d_vs_dense():
@@ -224,8 +254,8 @@ def test_splitting_axis_order_invariance():
     h_t = 0.03
     factors = [step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)]
     rhs = rng.standard_normal((5, 6, 4))
-    ordered = splitting_solve(factors, rhs)
-    permuted = splitting_solve([factors[2], factors[0], factors[1]], rhs)
+    ordered = SplittingHandle(factors).solve(rhs)
+    permuted = SplittingHandle([factors[2], factors[0], factors[1]]).solve(rhs)
     assert np.max(np.abs(ordered - permuted)) < 1e-12 * max(1.0, np.max(np.abs(ordered)))
 
 
