@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
-import multiprocessing
 import sys
 from typing import Sequence
 
@@ -227,8 +226,7 @@ def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
     order = sorted(cases, key=lambda case: -case[1])
     if jobs <= 1:
         return {case: fn(*case) for case in order}
-    spawn = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return dict(zip(order, pool.map(fn, *zip(*order))))
 
 
