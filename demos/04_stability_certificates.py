@@ -28,7 +28,6 @@ from compactwave import (
     sharp_alpha2,
     verify_energy_bound,
 )
-from compactwave.operators import RhsTable
 from compactwave.problems import ProblemSpec
 from compactwave.schemes import assemble, operator_pair
 
@@ -58,14 +57,9 @@ tmesh = build_time_mesh(steps, steps * h_t)
 scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [mesh], tmesh)
 u1n = rng.standard_normal(15)
 forcing = [rng.standard_normal(15) for _ in range(steps)]
-scheme.u1n = u1n
-scheme.fn0 = forcing[0]
-scheme.fn_table = RhsTable(lambda level: forcing[level], steps)
 v0 = np.zeros(17)
 v0[1:-1] = rng.standard_normal(15)
-trajectory = [v0, scheme.first_step(v0)]
-for level in range(1, steps):
-    trajectory.append(scheme.time_step(trajectory[-2], trajectory[-1], level))
+trajectory = scheme.march_data(v0, u1n, forcing)
 pair = operator_pair(SchemeKind.COMPACT_1D, 1)
 for which in ("strong", "weak"):
     cert = verify_energy_bound(

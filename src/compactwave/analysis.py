@@ -170,17 +170,18 @@ def fit_order(
 ) -> FitResult:
     """Ordinary least squares on log10 error versus log10 N.
 
-    Non-positive errors are excluded with a warning; `drop_below` removes the
-    coarse resolutions (the starred fits of rough-data studies) and marks the
-    result."""
+    Non-finite (blown-up) and non-positive errors are excluded with a warning
+    that names which; `drop_below` removes the coarse resolutions (the
+    starred fits of rough-data studies) and marks the result."""
     excluded: list[int] = []
     usable: list[tuple[int, float]] = []
     for n, err in points:
         if drop_below is not None and n < drop_below:
             excluded.append(n)
             continue
-        if not err > 0.0 or not math.isfinite(err):
-            warnings.warn(f"excluding non-positive error at N={n}", stacklevel=2)
+        if not math.isfinite(err) or err <= 0.0:
+            reason = "non-positive" if math.isfinite(err) else "non-finite"
+            warnings.warn(f"excluding {reason} error at N={n}", stacklevel=2)
             excluded.append(n)
             continue
         usable.append((n, err))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import sys
 from typing import Sequence
@@ -49,6 +50,10 @@ _FULL_N_BY_ALPHA = {
 }
 
 
+# libyaml's parser when PyYAML was built with it; same documents, same values
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     pass
 
@@ -58,7 +63,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.load(fh, Loader=_YAML_LOADER) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -403,12 +408,7 @@ def _certify_random_instance(kind, meshes, speeds, rng) -> list[str]:
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
     scheme = schemes.assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
-    scheme.u1n = u1n
-    scheme.fn_table = schemes.RhsTable(lambda level: forcing[level], m_steps)
-    scheme.fn0 = forcing[0]
-    traj = [full0, scheme.first_step(full0)]
-    for level in range(1, m_steps):
-        traj.append(scheme.time_step(traj[-2], traj[-1], level))
+    traj = scheme.march_data(full0, u1n, forcing)
     lines = []
     for which in ("strong", "weak"):
         cert = stability.verify_energy_bound(
@@ -464,6 +464,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compactwave",

@@ -102,17 +102,17 @@ def _coef_shape(coef: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _second_diff_values(values: np.ndarray, mesh: AxisMesh, axis: int) -> np.ndarray:
-    w = np.moveaxis(values, axis, 0)
+    w = values.swapaxes(axis, 0)
     out = np.zeros_like(w)
     h_lo = _coef_shape(mesh.steps[:-1], w.ndim)
     h_hi = _coef_shape(mesh.steps[1:], w.ndim)
     h_c = 0.5 * (h_lo + h_hi)
     out[1:-1] = ((w[2:] - w[1:-1]) / h_hi - (w[1:-1] - w[:-2]) / h_lo) / h_c
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def _axis_average_values(values: np.ndarray, mesh: AxisMesh, axis: int) -> np.ndarray:
-    w = np.moveaxis(values, axis, 0)
+    w = values.swapaxes(axis, 0)
     out = w.copy()
     if mesh.uniform:
         out[1:-1] = (w[:-2] + 10.0 * w[1:-1] + w[2:]) / 12.0
@@ -123,7 +123,7 @@ def _axis_average_values(values: np.ndarray, mesh: AxisMesh, axis: int) -> np.nd
             + _coef_shape(di, w.ndim) * w[1:-1]
             + _coef_shape(hi, w.ndim) * w[2:]
         )
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def second_diff(w: GridFunction, axis: int) -> GridFunction:

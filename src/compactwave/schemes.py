@@ -324,13 +324,15 @@ class Scheme:
         if self._tri is not None:
             out[1:-1] = self._tri.solve(rhs_interior, out[0], out[-1])
             return out
+        interior = tuple(slice(1, -1) for _ in self.meshes)
+        # S 0 = 0: a zero trace needs no lift
+        lift = out.any()
         if self._splitting is not None:
-            out[tuple(slice(1, -1) for _ in self.meshes)] = self._splitting.solve(
-                rhs_interior, boundary=out
-            )
+            out[interior] = self._splitting.solve(rhs_interior, boundary=out if lift else None)
             return out
-        hom = rhs_interior - self.apply_step_operator_interior(out)
-        out[tuple(slice(1, -1) for _ in self.meshes)] = self._spectral.solve(hom)
+        if lift:
+            rhs_interior = rhs_interior - self.apply_step_operator_interior(out)
+        out[interior] = self._spectral.solve(rhs_interior)
         return out
 
     # -- data constructions ----------------------------------------------------
@@ -395,18 +397,46 @@ class Scheme:
         values = self.problem.u0(*self._grids)
         return np.array(values, dtype=float)
 
-    def first_step(self, v0: np.ndarray) -> np.ndarray:
+    def first_step(
+        self, v0: np.ndarray, u1n: np.ndarray | None = None, fn0: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Level 1 from the full array v0; u1n and fn0 default to the
+        scheme's own data constructions."""
         h_t = self.h_t
+        u1n = self.u1n if u1n is None else u1n
+        fn0 = self.fn0 if fn0 is None else fn0
         rhs = self.apply_step_operator_interior(v0) + h_t * (
-            self.u1n + 0.5 * h_t * self.fn0 - 0.5 * h_t * self.apply_a_interior(v0)
+            u1n + 0.5 * h_t * fn0 - 0.5 * h_t * self.apply_a_interior(v0)
         )
         return self.solve_step(rhs, self.tmesh.nodes[1])
 
-    def time_step(self, v_prev: np.ndarray, v_curr: np.ndarray, level: int) -> np.ndarray:
+    def time_step(
+        self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Level `level` + 1; the interior forcing fn defaults to the
+        scheme's table entry f_N^level."""
         h_t = self.h_t
-        rhs = h_t**2 * (self.fn_table(level) - self.apply_a_interior(v_curr))
+        fn = self.fn_table(level) if fn is None else fn
+        rhs = h_t**2 * (fn - self.apply_a_interior(v_curr))
         rhs += self.apply_step_operator_interior(2.0 * v_curr - v_prev)
         return self.solve_step(rhs, self.tmesh.nodes[level + 1])
+
+    def march_data(
+        self, v0: np.ndarray, u1n: np.ndarray, forcing: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Every level v^0 .. v^M of the recursion started from the full array
+        v0 with the given discrete data in place of the problem's: the
+        initial velocity u_1N and the interior forcing f^0 .. f^{M-1}, one
+        entry per step of the time mesh.  The trace is still the problem's;
+        there is no blow-up check."""
+        if len(forcing) != self.tmesh.n_steps:
+            raise ValueError(
+                f"{len(forcing)} forcing levels for {self.tmesh.n_steps} time steps"
+            )
+        levels = [v0, self.first_step(v0, u1n, forcing[0])]
+        for level in range(1, self.tmesh.n_steps):
+            levels.append(self.time_step(levels[-2], levels[-1], level, forcing[level]))
+        return levels
 
     def march(self, store_trajectory: bool = False):
         """Generator over the levels of a run: yields (level, t, values) for

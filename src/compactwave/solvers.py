@@ -1,15 +1,18 @@
 """Linear-system kernels: factored tridiagonal solves, sine-transform
-diagonalization, sequential splitting solves, and a dense oracle for tests.
+diagonalization and sequential splitting solves.
 
 Every implicit scheme step solves a system with the same operator, so the
 tridiagonal solver factors its operator once and the spectral solver keeps
 the eigenvalue tensor of the assembled operator over the tensor sine basis.
+The sine analysis transforms the trailing axes of a stack of arrays in one
+call (the energy certificates analyse all levels of a run at once); on small
+axes each transform is one matrix product with the symmetric sine matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.fft
@@ -29,11 +32,8 @@ __all__ = [
     "operator_pair_c0",
     "SpectralHandle",
     "SplittingHandle",
-    "dense_solve_oracle",
-    "assemble_dense_operator",
 ]
 
-DENSE_ORACLE_MAX_UNKNOWNS = 4096
 _DIRECT_DST_MAX = 256
 # the LAPACK tridiagonal wrappers need at least three unknowns
 _GT_MIN_UNKNOWNS = 3
@@ -135,8 +135,8 @@ def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarra
     if direct is None:
         direct = n_int <= _DIRECT_DST_MAX
     if direct:
-        mat = _sine_matrix(n_int + 1)
-        return np.moveaxis(np.tensordot(mat, np.moveaxis(values, axis, 0), axes=1), 0, axis)
+        # the sine matrix is symmetric: a right product on the swapped view
+        return (values.swapaxes(axis, -1) @ _sine_matrix(n_int + 1)).swapaxes(axis, -1)
     return scipy.fft.dst(values, type=1, axis=axis) / 2.0
 
 
@@ -146,12 +146,13 @@ def idst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarr
     return dst1(values, axis, direct) * (2.0 / (n_int + 1))
 
 
-def sine_coefficients(interior: np.ndarray) -> np.ndarray:
+def sine_coefficients(interior: np.ndarray, batch: int = 0) -> np.ndarray:
+    """Coefficients over the tensor sine basis of the trailing axes; the
+    leading `batch` axes index a stack of arrays analysed in one call."""
     out = interior
-    for axis in range(interior.ndim):
-        out = dst1(out, axis)
     scale = 1.0
-    for axis in range(interior.ndim):
+    for axis in range(batch, interior.ndim):
+        out = dst1(out, axis)
         scale *= 2.0 / (interior.shape[axis] + 1)
     return out * scale
 
@@ -274,14 +275,14 @@ class SpectralHandle:
 
 
 def _factor_apply_full(values: np.ndarray, factor: TridiagonalFactor) -> np.ndarray:
-    w = np.moveaxis(values, factor.axis, 0)
+    w = values.swapaxes(factor.axis, 0)
     out = w.copy()
     ndim = w.ndim
     lo = factor.lower.reshape((-1,) + (1,) * (ndim - 1))
     di = factor.diag.reshape((-1,) + (1,) * (ndim - 1))
     hi = factor.upper.reshape((-1,) + (1,) * (ndim - 1))
     out[1:-1] = lo * w[:-2] + di * w[1:-1] + hi * w[2:]
-    return np.moveaxis(out, 0, factor.axis)
+    return out.swapaxes(0, factor.axis)
 
 
 class SplittingHandle:
@@ -320,51 +321,14 @@ class SplittingHandle:
                 trail = _factor_apply_full(trail, self.factors[j + 1])
                 partials[j] = trail
         out = np.asarray(rhs, dtype=float).copy()
+        inner = tuple(slice(1, -1) for _ in range(n - 1))
         for j, (factor, solver) in enumerate(zip(self.factors, self._solvers)):
             axis = factor.axis
+            w = out.swapaxes(axis, 0)
             if partials[j] is not None:
-                pj = partials[j]
-                face = np.moveaxis(pj, axis, 0)
-                inner = tuple(slice(1, -1) for _ in range(n - 1))
-                sub = np.moveaxis(out, axis, 0)
-                sub[0] -= factor.lower[0] * face[0][inner]
-                sub[-1] -= factor.upper[-1] * face[-1][inner]
-            w = np.moveaxis(out, axis, 0)
-            flat = w.reshape(w.shape[0], -1)
-            solved = solver.solve(flat)
-            out = np.moveaxis(solved.reshape(w.shape), 0, axis)
+                face = partials[j].swapaxes(axis, 0)
+                w[0] -= factor.lower[0] * face[0][inner]
+                w[-1] -= factor.upper[-1] * face[-1][inner]
+            solved = solver.solve(w.reshape(w.shape[0], -1))
+            out = solved.reshape(w.shape).swapaxes(0, axis)
         return out
-
-
-# ---------------------------------------------------------------------------
-# dense oracle
-
-
-def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct factorization solve of an explicitly assembled operator."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("operator matrix must be square")
-    if matrix.shape[0] > DENSE_ORACLE_MAX_UNKNOWNS:
-        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_MAX_UNKNOWNS} unknowns")
-    try:
-        return np.linalg.solve(matrix, np.asarray(rhs, dtype=float).reshape(matrix.shape[0], -1)).reshape(np.shape(rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-
-def assemble_dense_operator(
-    apply_fn: Callable[[np.ndarray], np.ndarray], interior_shape: tuple[int, ...]
-) -> np.ndarray:
-    """Materialize an interior-to-interior operator column by column."""
-    size = int(np.prod(interior_shape))
-    if size > DENSE_ORACLE_MAX_UNKNOWNS:
-        raise ValueError(f"dense assembly capped at {DENSE_ORACLE_MAX_UNKNOWNS} unknowns")
-    matrix = np.empty((size, size))
-    basis = np.zeros(interior_shape)
-    flat = basis.reshape(-1)
-    for j in range(size):
-        flat[j] = 1.0
-        matrix[:, j] = np.asarray(apply_fn(basis)).reshape(-1)
-        flat[j] = 0.0
-    return matrix

@@ -1,11 +1,15 @@
 """Reference solvers that the tests compare the library kernels against."""
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from compactwave.operators import TridiagonalFactor
-from compactwave.solvers import SingularSystemError
+from compactwave.solvers import SingularSystemError, pair_spectra, sine_coefficients
 
 _PIVOT_RTOL = 1e-14
+DENSE_ORACLE_MAX_UNKNOWNS = 4096
 
 
 def thomas_solve(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
@@ -33,3 +37,79 @@ def thomas_solve(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         x[i] -= cp[i] * x[i + 1]
     return x
+
+
+def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Direct factorization solve of an explicitly assembled operator."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("operator matrix must be square")
+    if matrix.shape[0] > DENSE_ORACLE_MAX_UNKNOWNS:
+        raise ValueError(f"dense oracle capped at {DENSE_ORACLE_MAX_UNKNOWNS} unknowns")
+    try:
+        return np.linalg.solve(matrix, np.asarray(rhs, dtype=float).reshape(matrix.shape[0], -1)).reshape(np.shape(rhs))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
+def assemble_dense_operator(
+    apply_fn: Callable[[np.ndarray], np.ndarray], interior_shape: tuple[int, ...]
+) -> np.ndarray:
+    """Materialize an interior-to-interior operator column by column."""
+    size = int(np.prod(interior_shape))
+    if size > DENSE_ORACLE_MAX_UNKNOWNS:
+        raise ValueError(f"dense assembly capped at {DENSE_ORACLE_MAX_UNKNOWNS} unknowns")
+    matrix = np.empty((size, size))
+    basis = np.zeros(interior_shape)
+    flat = basis.reshape(-1)
+    for j in range(size):
+        flat[j] = 1.0
+        matrix[:, j] = np.asarray(apply_fn(basis)).reshape(-1)
+        flat[j] = 0.0
+    return matrix
+
+
+def energy_bound_per_level(trajectory, meshes, speeds, h_t, pair, u1n, forcing, which, eps0):
+    """(lhs, rhs) of the default strong or weak energy estimate, with one
+    sine analysis per level and one norm per level."""
+    interior = tuple(slice(1, -1) for _ in meshes)
+    mu_b, mu_a = pair_spectra(meshes, speeds, pair, h_t)
+    scale = math.prod(m.extent / 2.0 for m in meshes)
+
+    def norm(coeffs, weights):
+        return math.sqrt(scale * float(np.sum(coeffs**2 * weights)))
+
+    levels = [sine_coefficients(np.asarray(v)[interior]) for v in trajectory]
+    f_coeffs = [sine_coefficients(np.asarray(f)) for f in forcing]
+    u1_coeffs = sine_coefficients(np.asarray(u1n))
+    if which == "strong":
+        lhs = 0.0
+        for m in range(1, len(levels)):
+            diff = (levels[m] - levels[m - 1]) / h_t
+            mean = 0.5 * (levels[m] + levels[m - 1])
+            val = math.sqrt(
+                eps0**2 * scale * float(np.sum(diff**2 * mu_b))
+                + scale * float(np.sum(mean**2 * mu_a))
+            )
+            lhs = max(lhs, val)
+        head = math.sqrt(
+            scale * float(np.sum(levels[0] ** 2 * mu_a))
+            + eps0**-2 * scale * float(np.sum(u1_coeffs**2 / mu_b))
+        )
+        l1 = 0.25 * h_t * norm(f_coeffs[0], 1.0 / mu_b)
+        for fc in f_coeffs[1:]:
+            l1 += h_t * norm(fc, 1.0 / mu_b)
+        return lhs, head + 2.0 / eps0 * l1
+    lhs = 0.0
+    running = np.zeros_like(levels[0])
+    for m in range(len(levels)):
+        val = eps0 * norm(levels[m], mu_b)
+        if m >= 1:
+            running = running + h_t * 0.5 * (levels[m] + levels[m - 1])
+            val = max(val, norm(running, mu_a))
+        lhs = max(lhs, val)
+    head = norm(levels[0], mu_b) + 2.0 * norm(u1_coeffs, 1.0 / mu_a)
+    l1 = 0.25 * h_t * norm(f_coeffs[0], 1.0 / mu_a)
+    for fc in f_coeffs[1:]:
+        l1 += h_t * norm(fc, 1.0 / mu_a)
+    return lhs, head + 2.0 * l1

@@ -23,7 +23,6 @@ from compactwave.mesh import (
 )
 from compactwave.operators import (
     GridFunction,
-    RhsTable,
     product_average,
     second_diff,
     splitting_residual,
@@ -37,13 +36,11 @@ from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pai
 from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
-    assemble_dense_operator,
-    dense_solve_oracle,
     operator_pair_c0,
     pair_spectra,
 )
 from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
-from oracles import thomas_solve
+from oracles import assemble_dense_operator, dense_solve_oracle, thomas_solve
 
 EPS0 = math.sqrt(0.5)
 
@@ -385,14 +382,9 @@ def test_criterion_9_energy_certificates():
             scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
             u1n = rng.standard_normal(interior_shape)
             forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
-            scheme.u1n = u1n
-            scheme.fn0 = forcing[0]
-            scheme.fn_table = RhsTable(lambda level: forcing[level], m_steps)
             full0 = np.zeros(shape)
             full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior_shape)
-            trajectory = [full0, scheme.first_step(full0)]
-            for level in range(1, m_steps):
-                trajectory.append(scheme.time_step(trajectory[-2], trajectory[-1], level))
+            trajectory = scheme.march_data(full0, u1n, forcing)
             for which in ("strong", "weak"):
                 cert = verify_energy_bound(
                     trajectory, meshes, speeds, h_t, pair, u1n, forcing, which, EPS0

@@ -35,6 +35,17 @@ def test_fit_excludes_bad_points():
     assert 200 in fit.excluded
 
 
+@pytest.mark.parametrize(
+    "bad,reason",
+    [(0.0, "non-positive"), (-1e-5, "non-positive"), (math.inf, "non-finite"), (math.nan, "non-finite")],
+)
+def test_fit_warning_names_the_reason(bad, reason):
+    points = [(100, 1e-3), (200, bad), (400, 1.2e-4), (800, 1.4e-5)]
+    with pytest.warns(UserWarning, match=rf"^excluding {reason} error at N=200$"):
+        fit = fit_order(points)
+    assert fit.excluded == (200,)
+
+
 def test_fit_drop_below_marks_star():
     points = [(n, 3.0 * (1.0 / n) ** 2) for n in (50, 100, 200, 400, 800)]
     fit = fit_order(points, drop_below=200)

@@ -37,7 +37,7 @@ from compactwave.operators import (
     tridiag_axis_average,
 )
 from compactwave.problems import make_example
-from compactwave.solvers import assemble_dense_operator
+from oracles import assemble_dense_operator
 
 
 def grid1(nodes_or_axis, values):

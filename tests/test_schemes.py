@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +44,8 @@ from compactwave.schemes import (
     run_explicit_characteristic,
     run_nonuniform,
 )
-from compactwave.solvers import assemble_dense_operator, dense_solve_oracle, sine_coefficients
+from compactwave.solvers import sine_coefficients
+from oracles import assemble_dense_operator, dense_solve_oracle
 
 
 def zero_problem(n):
@@ -80,6 +82,34 @@ def test_zero_data_stays_zero(kind, ndim):
     assert result.stable
     for level in result.trajectory:
         assert np.max(np.abs(level)) == 0.0
+
+
+def _solve_with_full_lift(scheme, rhs, t):
+    """solve_step with the boundary lift always applied."""
+    out = np.zeros(tuple(m.nodes.size for m in scheme.meshes))
+    scheme.boundary_values(out, t)
+    interior = tuple(slice(1, -1) for _ in scheme.meshes)
+    if scheme._splitting is not None:
+        out[interior] = scheme._splitting.solve(rhs, boundary=out)
+    else:
+        out[interior] = scheme._spectral.solve(rhs - scheme.apply_step_operator_interior(out))
+    return out
+
+
+@pytest.mark.parametrize("kind,ndim", [case for case in IMPLICIT_KINDS if case[1] > 1])
+def test_zero_trace_shortcut_equals_full_lift_bitwise(kind, ndim):
+    rng = np.random.default_rng(ndim)
+    meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
+    tmesh = build_time_mesh(6, 0.05)
+    rhs = rng.standard_normal(tuple(m.nodes.size - 2 for m in meshes))
+    traced = dataclasses.replace(
+        zero_problem(ndim), exact=lambda *args: np.cos(args[0]) + args[-1]
+    )
+    for problem, zero_trace in ((zero_problem(ndim), True), (traced, False)):
+        scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+        got = scheme.solve_step(rhs, 0.1)
+        assert np.array_equal(got, _solve_with_full_lift(scheme, rhs, 0.1))
+        assert (np.count_nonzero(got) == rhs.size) == zero_trace
 
 
 def test_kind_dimension_compatibility():

@@ -16,15 +16,13 @@ from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
     TriSolver,
-    assemble_dense_operator,
-    dense_solve_oracle,
     dst1,
     idst1,
     pair_spectra,
     sine_coefficients,
     sine_spectrum,
 )
-from oracles import thomas_solve
+from oracles import assemble_dense_operator, dense_solve_oracle, thomas_solve
 
 
 def identity_factor(n):
@@ -152,6 +150,40 @@ def test_dst_direct_and_fast_agree():
         assert np.max(np.abs(direct - fast)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
         back = idst1(dst1(values, 0), 0)
         assert np.max(np.abs(back - values)) < 1e-12
+
+
+def _views(values):
+    """The array itself plus non-contiguous views of it: every axis pair
+    swapped, and a reversed stride on the first axis."""
+    yield values
+    for i in range(values.ndim):
+        for j in range(i + 1, values.ndim):
+            yield values.swapaxes(i, j)
+    yield values[::-1]
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (6, 4, 5)])
+def test_dst_direct_and_fast_agree_on_strided_views(shape):
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal(tuple(2 * s for s in shape))[tuple(slice(None, None, 2) for _ in shape)]
+    for values in _views(base):
+        assert not values.flags.c_contiguous
+        for axis in range(values.ndim):
+            direct = dst1(values, axis, direct=True)
+            fast = dst1(values, axis, direct=False)
+            assert direct.shape == values.shape
+            assert np.max(np.abs(direct - fast)) < 1e-13 * max(1.0, np.max(np.abs(fast)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 4), (5, 4, 3), (3, 300)])
+def test_stacked_sine_coefficients_equal_per_level_calls(shape):
+    rng = np.random.default_rng(22)
+    stack = rng.standard_normal((6,) + shape)
+    batched = sine_coefficients(stack, batch=1)
+    for level, values in enumerate(stack):
+        assert np.max(np.abs(batched[level] - sine_coefficients(values))) < 1e-14
+    twice = sine_coefficients(stack.reshape((2, 3) + shape), batch=2)
+    assert np.max(np.abs(twice.reshape(stack.shape) - batched)) < 1e-14
 
 
 def test_spectral_solve_recovers_average_input():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,13 @@ import pytest
 from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.operators import (
     GridFunction,
-    RhsTable,
     product_average,
     splitting_residual,
     stiffness_product,
     stiffness_sum,
     sum_average,
 )
-from compactwave.problems import ProblemSpec
+from compactwave.problems import ProblemSpec, make_sine_mode_problem
 from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair
 from compactwave.solvers import operator_pair_c0, pair_spectra, sine_coefficients
 from compactwave.stability import (
@@ -23,6 +23,8 @@ from compactwave.stability import (
     sharp_alpha2,
     verify_energy_bound,
 )
+
+from oracles import energy_bound_per_level
 
 EPS0 = math.sqrt(0.5)
 
@@ -168,14 +170,9 @@ def random_run(kind, dims, rng, step_fraction=None):
     scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
     u1n = rng.standard_normal(interior_shape)
     forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
-    scheme.u1n = u1n
-    scheme.fn0 = forcing[0]
-    scheme.fn_table = RhsTable(lambda level: forcing[level], m_steps)
     full0 = np.zeros(shape)
     full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior_shape)
-    trajectory = [full0, scheme.first_step(full0)]
-    for level in range(1, m_steps):
-        trajectory.append(scheme.time_step(trajectory[-2], trajectory[-1], level))
+    trajectory = scheme.march_data(full0, u1n, forcing)
     return trajectory, meshes, speeds, h_t, pair, u1n, forcing
 
 
@@ -199,6 +196,91 @@ def test_energy_bounds_random_instances(kind, dims):
                 trajectory, meshes, speeds, h_t, pair, u1n, forcing, which, EPS0
             )
             assert cert.satisfied, (kind, which)
+
+
+BATCH_KINDS = [
+    (SchemeKind.COMPACT_1D, 1),
+    (SchemeKind.COMPACT_2D_SUM, 2),
+    (SchemeKind.COMPACT_3D_PROD_MASS, 3),
+    (SchemeKind.COMPACT_ND, 2),
+    (SchemeKind.COMPACT_ND, 3),
+    (SchemeKind.SPLITTING, 2),
+    (SchemeKind.SPLITTING, 3),
+]
+
+
+@pytest.mark.parametrize("kind,dims", BATCH_KINDS)
+def test_batched_energy_bound_matches_per_level_oracle(kind, dims):
+    rng = np.random.default_rng(70 + dims)
+    for _ in range(10):
+        run_data = random_run(kind, dims, rng)
+        for which in ("strong", "weak"):
+            cert = verify_energy_bound(*run_data, which, EPS0)
+            lhs, rhs = energy_bound_per_level(*run_data, which, EPS0)
+            assert cert.lhs == pytest.approx(lhs, rel=1e-14, abs=0.0), (kind, which)
+            assert cert.rhs == pytest.approx(rhs, rel=1e-14, abs=0.0), (kind, which)
+
+
+def _forced_sine_problem():
+    return dataclasses.replace(
+        make_sine_mode_problem((1.0, 1.3), (1.0, 0.8), (2, 1)),
+        u1_fn=lambda x, y: x * (1.0 - x) * np.cos(y),
+        f_fn=lambda x, y, t: np.sin(3.0 * x + t) * np.cos(2.0 * y),
+    )
+
+
+MARCH_MESHES = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.8)]
+
+
+def test_march_data_with_own_data_equals_run():
+    problem = _forced_sine_problem()
+    meshes = MARCH_MESHES
+    tmesh = build_time_mesh(5, 0.2)
+    for kind in (SchemeKind.COMPACT_ND, SchemeKind.SPLITTING):
+        scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+        forcing = [scheme.fn0] + [scheme.fn_table(level) for level in range(1, 5)]
+        levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
+        stored = scheme.run(store_trajectory=True).trajectory
+        assert len(levels) == len(stored) == 6
+        for got, expected in zip(levels, stored):
+            assert np.array_equal(got, expected)
+        with pytest.raises(ValueError, match="4 forcing levels for 5 time steps"):
+            scheme.march_data(scheme.initial_level(), scheme.u1n, forcing[:4])
+
+
+@pytest.mark.parametrize("kind,dims", BATCH_KINDS)
+def test_march_data_levels_satisfy_the_recursion_with_given_data(kind, dims):
+    # residuals of (B + h_t^2/12 A)(v^1 - v^0)/h_t = u1n + (h_t/2)(f^0 - A v^0)
+    # and (B + h_t^2/12 A)(v^{m+1} - 2v^m + v^{m-1}) = h_t^2 (f^m - A v^m)
+    rng = np.random.default_rng(90 + dims)
+    levels, meshes, speeds, h_t, _, u1n, forcing = random_run(kind, dims, rng)
+    m_steps = len(forcing)
+    problem = ProblemSpec(
+        name="random", speeds=speeds, origin=(0.0,) * dims,
+        extents=tuple(m.extent for m in meshes), horizon=m_steps * h_t,
+        u0=lambda *xs: np.zeros_like(xs[0]),
+    )
+    tmesh = build_time_mesh(m_steps, m_steps * h_t)
+    scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    s_op, a_op = scheme.apply_step_operator_interior, scheme.apply_a_interior
+    inner = tuple(slice(1, -1) for _ in meshes)
+    first = s_op(levels[1] - levels[0]) / h_t - u1n - 0.5 * h_t * (forcing[0] - a_op(levels[0]))
+    assert np.max(np.abs(first)) < 1e-10 * max(1.0, np.max(np.abs(levels[1][inner])) / h_t)
+    for m in range(1, len(forcing)):
+        res = s_op(levels[m + 1] - 2.0 * levels[m] + levels[m - 1]) - h_t**2 * (
+            forcing[m] - a_op(levels[m])
+        )
+        assert np.max(np.abs(res)) < 1e-12 * max(1.0, np.max(np.abs(levels[m + 1][inner])))
+
+
+@pytest.mark.parametrize("which", ["strong", "weak"])
+def test_energy_bound_non_finite_level_is_not_satisfied(which):
+    rng = np.random.default_rng(6)
+    trajectory, *rest = random_run(SchemeKind.COMPACT_ND, 2, rng)
+    trajectory[2] = trajectory[2].copy()
+    trajectory[2][1, 1] = np.nan
+    cert = verify_energy_bound(trajectory, *rest, which, EPS0)
+    assert math.isnan(cert.lhs) and not cert.satisfied
 
 
 def test_energy_bound_zero_data():
@@ -245,14 +327,9 @@ def test_energy_bound_telescoped_forcing_variant():
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
     scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
     u1n = rng.standard_normal(n - 1)
-    scheme.u1n = u1n
-    scheme.fn0 = forcing[0]
-    scheme.fn_table = RhsTable(lambda level: forcing[level], m_steps)
     full0 = np.zeros(n + 1)
     full0[1:-1] = rng.standard_normal(n - 1)
-    trajectory = [full0, scheme.first_step(full0)]
-    for level in range(1, m_steps):
-        trajectory.append(scheme.time_step(trajectory[-2], trajectory[-1], level))
+    trajectory = scheme.march_data(full0, u1n, forcing)
     cert = verify_energy_bound(
         trajectory, meshes, speeds, h_t, pair, u1n, forcing, "weak", EPS0,
         f_variant="delta_g", g_series=g_series,
