@@ -28,7 +28,7 @@ from .mesh import (
     select_time_step_count,
 )
 from .schemes import SchemeConfig, SchemeKind
-from .solvers import SingularSystemError
+from .solvers import SingularSystemError, operator_pair_c0
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,6 +235,11 @@ def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
         return dict(zip(order, pool.map(fn, *zip(*order))))
 
 
+def _study_exit(triples) -> int:
+    """EXIT_BLOWUP when any run of a study blew up (its norms are infinite)."""
+    return EXIT_BLOWUP if any(math.isinf(t.Ch) for t in triples) else EXIT_OK
+
+
 def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
     """Error triples of both schemes (TABLE1_SCHEMES order) on E_alpha at N,
     marched in lockstep against one exact evaluation per level."""
@@ -274,7 +279,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     text = "\n".join(_echo_header({"alphas": alphas, "command": "table1"}, fmt))
     text += "\n" + analysis.build_report(reports, fmt)
     _emit(text, args.out)
-    return EXIT_OK
+    return _study_exit(t for pair in triples.values() for t in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     text = "\n".join(_echo_header({"phis": phis, "command": "table2"}, fmt))
     text += "\n" + analysis.build_report(reports, fmt)
     _emit(text, args.out)
-    return EXIT_OK
+    return _study_exit(triple for triple, _ in outcomes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,7 @@ def _certify_random_instance(kind, meshes, speeds, rng) -> list[str]:
     shape = tuple(m.nodes.size for m in meshes)
     interior = tuple(s - 2 for s in shape)
     pair = schemes.operator_pair(kind, len(meshes))
-    c0 = stability.check_cfl(pair, meshes, speeds, 1e-9, 0.5).c0
+    c0 = operator_pair_c0(pair)
     eps0 = math.sqrt(0.5)
     bound = c0 * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
     h_t = 0.9 * math.sqrt((1.0 - eps0**2) / bound)

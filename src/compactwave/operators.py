@@ -1,11 +1,18 @@
 """Discrete operators of the compact 4th-order wave-equation schemes.
 
-All operators act on full node arrays (boundary values included) and return
-full-shape arrays whose entries are meaningful on the interior node set; the
-averaging operators act as the identity on their own boundary faces so that
-tensor-product compositions read correct boundary data, while the stiffness
-operators return zero on every face (their codomain is the zero-boundary
-space).
+Every operator is built from per-axis tridiagonal stencil rows
+(`TridiagonalFactor`).  Their coefficients are computed in three places, for
+uniform and graded axes alike: `tridiag_second_diff`, `tridiag_axis_average`
+and `step_factor`.  `TridiagonalFactor.apply` applies rows along one axis;
+the averages, the stiffness operators, the splitting residual and the
+compact corrections of the data are products and sums of such applications.
+On one axis each of them is a single row application.
+
+The GridFunction operators act on full node arrays (boundary values
+included) and return full-shape arrays whose entries are meaningful on the
+interior node set: the averages keep their input on the boundary faces, and
+the stiffness operators return zero on every face (their codomain is the
+zero-boundary space).
 
 Averaging conventions for non-smooth data follow the exact hat-function
 averages: piecewise polynomials are integrated analytically (Gauss rules of
@@ -15,6 +22,7 @@ the weight 1/h_*.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -83,150 +91,6 @@ class GridFunction:
         return self.values[tuple(slice(1, -1) for _ in self.meshes)]
 
 
-def _interior_slices(n: int) -> tuple[slice, ...]:
-    return tuple(slice(1, -1) for _ in range(n))
-
-
-def _zero_faces(values: np.ndarray) -> np.ndarray:
-    for axis in range(values.ndim):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = 0
-        values[tuple(idx)] = 0.0
-        idx[axis] = -1
-        values[tuple(idx)] = 0.0
-    return values
-
-
-def _coef_shape(coef: np.ndarray, ndim: int) -> np.ndarray:
-    return coef.reshape((-1,) + (1,) * (ndim - 1))
-
-
-def _second_diff_values(values: np.ndarray, mesh: AxisMesh, axis: int) -> np.ndarray:
-    w = values.swapaxes(axis, 0)
-    out = np.zeros_like(w)
-    h_lo = _coef_shape(mesh.steps[:-1], w.ndim)
-    h_hi = _coef_shape(mesh.steps[1:], w.ndim)
-    h_c = 0.5 * (h_lo + h_hi)
-    out[1:-1] = ((w[2:] - w[1:-1]) / h_hi - (w[1:-1] - w[:-2]) / h_lo) / h_c
-    return out.swapaxes(0, axis)
-
-
-def _axis_average_values(values: np.ndarray, mesh: AxisMesh, axis: int) -> np.ndarray:
-    w = values.swapaxes(axis, 0)
-    out = w.copy()
-    if mesh.uniform:
-        out[1:-1] = (w[:-2] + 10.0 * w[1:-1] + w[2:]) / 12.0
-    else:
-        lo, di, hi = tridiag_axis_average(mesh)
-        out[1:-1] = (
-            _coef_shape(lo, w.ndim) * w[:-2]
-            + _coef_shape(di, w.ndim) * w[1:-1]
-            + _coef_shape(hi, w.ndim) * w[2:]
-        )
-    return out.swapaxes(0, axis)
-
-
-def second_diff(w: GridFunction, axis: int) -> GridFunction:
-    """Three-point second difference along one axis (zero on its own faces)."""
-    if not 0 <= axis < w.ndim:
-        raise ValueError(f"axis {axis} out of range for dimension {w.ndim}")
-    return GridFunction(w.meshes, _second_diff_values(w.values, w.meshes[axis], axis))
-
-
-def axis_average(w: GridFunction, axis: int) -> GridFunction:
-    """Compact single-axis average with weights (alpha, 10*gamma, beta)/12.
-
-    Uniform steps give the (1, 10, 1)/12 stencil exactly; identity on the
-    axis' own boundary faces.
-    """
-    if not 0 <= axis < w.ndim:
-        raise ValueError(f"axis {axis} out of range for dimension {w.ndim}")
-    return GridFunction(w.meshes, _axis_average_values(w.values, w.meshes[axis], axis))
-
-
-def sum_average(w: GridFunction) -> GridFunction:
-    """Additive compact average I + sum_i (h_i^2/12) Lambda_i (uniform axes)."""
-    out = w.values.copy()
-    for axis, mesh in enumerate(w.meshes):
-        if not mesh.uniform:
-            raise MeshError("additive compact average requires uniform axes")
-        out += (mesh.h**2 / 12.0) * _second_diff_values(w.values, mesh, axis)
-    return GridFunction(w.meshes, out)
-
-
-def product_average(w: GridFunction) -> GridFunction:
-    """Tensor-product compact average (factors commute on tensor grids)."""
-    out = w.values
-    for axis, mesh in enumerate(w.meshes):
-        out = _axis_average_values(out, mesh, axis)
-    return GridFunction(w.meshes, out)
-
-
-def stiffness_sum(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
-    """-sum_i a_i^2 (cross additive average) Lambda_i w, zero on all faces."""
-    if w.ndim > 3:
-        raise ValueError("supported for dimensions 1..3 only")
-    out = np.zeros_like(w.values)
-    for axis, mesh in enumerate(w.meshes):
-        lam = _second_diff_values(w.values, mesh, axis)
-        acc = lam.copy()
-        for other, om in enumerate(w.meshes):
-            if other == axis:
-                continue
-            acc += (om.h**2 / 12.0) * _second_diff_values(lam, om, other)
-        out -= speeds[axis] ** 2 * acc
-    return GridFunction(w.meshes, _zero_faces(out))
-
-
-def stiffness_product(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
-    """-sum_i a_i^2 (cross product average) Lambda_i w, zero on all faces."""
-    if w.ndim > 3:
-        raise ValueError("supported for dimensions 1..3 only")
-    out = np.zeros_like(w.values)
-    for axis, mesh in enumerate(w.meshes):
-        acc = _second_diff_values(w.values, mesh, axis)
-        for other, om in enumerate(w.meshes):
-            if other != axis:
-                acc = _axis_average_values(acc, om, other)
-        out -= speeds[axis] ** 2 * acc
-    return GridFunction(w.meshes, _zero_faces(out))
-
-
-def splitting_residual(w: GridFunction, speeds: Sequence[float], h_t: float) -> GridFunction:
-    """Difference between the factorized step operator and its unsplit form.
-
-    Zero for one dimension; for two and three dimensions the explicit
-    mixed-difference expressions are used.
-    """
-    n = w.ndim
-    if n == 1:
-        return GridFunction(w.meshes, np.zeros_like(w.values))
-    if n > 3:
-        raise ValueError("supported for dimensions 1..3 only")
-    c = h_t**2 / 12.0
-    lam = lambda arr, ax: _second_diff_values(arr, w.meshes[ax], ax)
-    sav = lambda arr, ax: _axis_average_values(arr, w.meshes[ax], ax)
-    a2 = [s**2 for s in speeds]
-    if n == 2:
-        out = c**2 * a2[0] * a2[1] * lam(lam(w.values, 0), 1)
-    else:
-        out = c**2 * (
-            a2[0] * a2[1] * sav(lam(lam(w.values, 0), 1), 2)
-            + a2[0] * a2[2] * sav(lam(lam(w.values, 0), 2), 1)
-            + a2[1] * a2[2] * sav(lam(lam(w.values, 1), 2), 0)
-        )
-        out -= c**3 * a2[0] * a2[1] * a2[2] * lam(lam(lam(w.values, 0), 1), 2)
-    return GridFunction(w.meshes, _zero_faces(out))
-
-
-def inner_h(u: GridFunction, w: GridFunction) -> float:
-    """Mesh inner product h_1...h_n * sum over interior nodes (uniform axes)."""
-    weight = 1.0
-    for mesh in u.meshes:
-        weight *= mesh.h
-    return float(weight * np.sum(u.interior * w.interior))
-
-
 # ---------------------------------------------------------------------------
 # tridiagonal stencils
 
@@ -254,8 +118,11 @@ class TridiagonalFactor:
         return self.diag.size
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Stencil applied to a full 1-D node array; returns interior values."""
-        return self.lower * values[:-2] + self.diag * values[1:-1] + self.upper * values[2:]
+        """The rows applied along `axis` of a node array: that axis keeps only
+        its interior nodes (a full 1-D array gives the interior values)."""
+        w = values.swapaxes(self.axis, -1)
+        out = self.lower * w[..., :-2] + self.diag * w[..., 1:-1] + self.upper * w[..., 2:]
+        return out.swapaxes(-1, self.axis)
 
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -293,17 +160,165 @@ def tridiag_axis_average(mesh: AxisMesh) -> tuple[np.ndarray, np.ndarray, np.nda
     return alpha / 12.0, 10.0 * gamma / 12.0, beta / 12.0
 
 
-def step_factor(mesh: AxisMesh, h_t: float, speed: float, axis: int = 0) -> TridiagonalFactor:
-    """Per-axis factor of the splitting step operator.
+def step_factor(
+    mesh: AxisMesh, h_t: float, speed: float, axis: int = 0, sigma: float | None = None
+) -> TridiagonalFactor:
+    """Per-axis factor of the splitting step operator; the whole step
+    operator of a 1D scheme.
 
     Uniform steps give I + (1/12)(h^2 - h_t^2 a^2) Lambda; the factor reduces
     to the identity on the characteristic mesh h_t = h/a and to the compact
-    average at h_t = 0.
+    average at h_t = 0.  A weight sigma gives the factor I - sigma h_t^2 a^2
+    Lambda of the weighted second-order scheme instead.
     """
-    s_lo, s_di, s_hi = tridiag_axis_average(mesh)
     l_lo, l_di, l_hi = tridiag_second_diff(mesh)
+    if sigma is not None:
+        c = sigma * speed**2 * h_t**2
+        return TridiagonalFactor(axis, -c * l_lo, 1.0 - c * l_di, -c * l_hi)
+    s_lo, s_di, s_hi = tridiag_axis_average(mesh)
     c = h_t**2 * speed**2 / 12.0
     return TridiagonalFactor(axis, s_lo - c * l_lo, s_di - c * l_di, s_hi - c * l_hi)
+
+
+# ---------------------------------------------------------------------------
+# operator compositions
+
+
+def _interior_slices(n: int) -> tuple[slice, ...]:
+    return tuple(slice(1, -1) for _ in range(n))
+
+
+def _trim(values: np.ndarray, axes) -> np.ndarray:
+    """The interior nodes of `values` along `axes`, every node along the others."""
+    return values[tuple(slice(1, -1) if a in axes else slice(None) for a in range(values.ndim))]
+
+
+def _embed(part: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """A copy of the full array `base` with `part` written over its interior
+    along every axis on which `part` is two nodes shorter."""
+    out = base.copy()
+    out[tuple(slice(1, -1) if p < b else slice(None) for p, b in zip(part.shape, base.shape))] = part
+    return out
+
+
+def _average_factors(meshes: Sequence[AxisMesh]) -> list[TridiagonalFactor]:
+    return [TridiagonalFactor(axis, *tridiag_axis_average(m)) for axis, m in enumerate(meshes)]
+
+
+def _stiffness_factors(meshes: Sequence[AxisMesh], speeds: Sequence[float]) -> list[TridiagonalFactor]:
+    """The rows of -a_i^2 Lambda_i on every axis."""
+    return [
+        TridiagonalFactor(axis, *(-speeds[axis] ** 2 * r for r in tridiag_second_diff(m)))
+        for axis, m in enumerate(meshes)
+    ]
+
+
+def _product(values: np.ndarray, factors: Sequence[TridiagonalFactor]) -> np.ndarray:
+    """The factors applied in turn, each along its own axis."""
+    for factor in factors:
+        values = factor.apply(values)
+    return values
+
+
+def _additive(values: np.ndarray, factors: Sequence[TridiagonalFactor]) -> np.ndarray:
+    """I + sum_j (F_j - I) over factors on distinct axes: the additive
+    compact average (F_0 itself for one factor), interior along their axes."""
+    if not factors:
+        return values
+    axes = {f.axis for f in factors}
+    out = _trim(factors[0].apply(values), axes - {factors[0].axis})
+    base = _trim(values, axes)
+    for factor in factors[1:]:
+        out += _trim(factor.apply(values), axes - {factor.axis}) - base
+    return out
+
+
+def _stiffness(values, stiffs, averages, cross) -> np.ndarray:
+    """sum_i cross(stiff_i values) with the averages of the other axes, on the
+    interior; cross is _additive (sum form) or _product (product form)."""
+    out = None
+    for i, stiff in enumerate(stiffs):
+        term = cross(stiff.apply(values), averages[:i] + averages[i + 1:])
+        out = term if out is None else out + term
+    return out
+
+
+def _check_axis(w: GridFunction, axis: int) -> None:
+    if not 0 <= axis < w.ndim:
+        raise ValueError(f"axis {axis} out of range for dimension {w.ndim}")
+
+
+def second_diff(w: GridFunction, axis: int) -> GridFunction:
+    """Three-point second difference along one axis (zero on its own faces)."""
+    _check_axis(w, axis)
+    lam = TridiagonalFactor(axis, *tridiag_second_diff(w.meshes[axis]))
+    return GridFunction(w.meshes, _embed(lam.apply(w.values), np.zeros_like(w.values)))
+
+
+def axis_average(w: GridFunction, axis: int) -> GridFunction:
+    """Compact single-axis average with weights (alpha, 10*gamma, beta)/12.
+
+    Uniform steps give the (1, 10, 1)/12 stencil exactly; identity on the
+    axis' own boundary faces.
+    """
+    _check_axis(w, axis)
+    avg = TridiagonalFactor(axis, *tridiag_axis_average(w.meshes[axis]))
+    return GridFunction(w.meshes, _embed(avg.apply(w.values), w.values))
+
+
+def sum_average(w: GridFunction) -> GridFunction:
+    """Additive compact average I + sum_i (h_i^2/12) Lambda_i (uniform axes)."""
+    if not all(mesh.uniform for mesh in w.meshes):
+        raise MeshError("additive compact average requires uniform axes")
+    return GridFunction(w.meshes, _embed(_additive(w.values, _average_factors(w.meshes)), w.values))
+
+
+def product_average(w: GridFunction) -> GridFunction:
+    """Tensor-product compact average (factors commute on tensor grids)."""
+    return GridFunction(w.meshes, _embed(_product(w.values, _average_factors(w.meshes)), w.values))
+
+
+def _stiffness_grid(w: GridFunction, speeds: Sequence[float], cross) -> GridFunction:
+    if w.ndim > 3:
+        raise ValueError("supported for dimensions 1..3 only")
+    stiff = _stiffness(w.values, _stiffness_factors(w.meshes, speeds), _average_factors(w.meshes), cross)
+    return GridFunction(w.meshes, _embed(stiff, np.zeros_like(w.values)))
+
+
+def stiffness_sum(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
+    """-sum_i a_i^2 (cross additive average) Lambda_i w, zero on all faces."""
+    return _stiffness_grid(w, speeds, _additive)
+
+
+def stiffness_product(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
+    """-sum_i a_i^2 (cross product average) Lambda_i w, zero on all faces."""
+    return _stiffness_grid(w, speeds, _product)
+
+
+def splitting_residual(w: GridFunction, speeds: Sequence[float], h_t: float) -> GridFunction:
+    """Difference between the factorized step operator and its unsplit form:
+    the terms of order h_t^4 and up of prod_i (S_i - (h_t^2/12) a_i^2 Lambda_i),
+    zero on all faces (and everywhere in one dimension)."""
+    n = w.ndim
+    if n > 3:
+        raise ValueError("supported for dimensions 1..3 only")
+    averages = _average_factors(w.meshes)
+    stiffs = _stiffness_factors(w.meshes, speeds)
+    c = h_t**2 / 12.0
+    out = np.zeros(tuple(m.nodes.size - 2 for m in w.meshes))
+    for k in range(2, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            factors = [stiffs[i] if i in combo else averages[i] for i in range(n)]
+            out += c**k * _product(w.values, factors)
+    return GridFunction(w.meshes, _embed(out, np.zeros_like(w.values)))
+
+
+def inner_h(u: GridFunction, w: GridFunction) -> float:
+    """Mesh inner product h_1...h_n * sum over interior nodes (uniform axes)."""
+    weight = 1.0
+    for mesh in u.meshes:
+        weight *= mesh.h
+    return float(weight * np.sum(u.interior * w.interior))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +528,6 @@ def _meshgrid(meshes: Sequence[AxisMesh]) -> list[np.ndarray]:
     return np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
 
 
-def _compact_space_correction(values: np.ndarray, meshes: Sequence[AxisMesh]) -> np.ndarray:
-    out = values.copy()
-    for axis, mesh in enumerate(meshes):
-        out += (mesh.h**2 / 12.0) * _second_diff_values(values, mesh, axis)
-    return out
-
-
 def initial_velocity(
     u1,
     meshes: Sequence[AxisMesh],
@@ -530,7 +538,9 @@ def initial_velocity(
     """Discrete initial-velocity data (full-shape array, faces zero).
 
     mode 'qx': exact hat average of piecewise data.
-    mode 'compact': u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1 from samples.
+    mode 'compact': S u1 + sum_i (h_t^2 a_i^2/12) Lambda_i u1 from samples, with
+                    S the additive compact average (on uniform axes
+                    u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).
     mode 'samples': plain nodal samples (second-order reference choice).
     """
     meshes = list(meshes)
@@ -553,16 +563,18 @@ def initial_velocity(
     else:
         raise TypeError(f"unsupported initial-velocity data {type(u1)!r}")
     samples = fn(*_meshgrid(meshes))
+    axes = range(len(meshes))
     if mode == "samples":
-        out = samples.copy()
+        out = _trim(samples, axes)
     elif mode == "compact":
-        out = samples.copy()
+        out = _additive(samples, _average_factors(meshes))
         for axis, mesh in enumerate(meshes):
-            coef = (mesh.h**2 + h_t**2 * speeds[axis] ** 2) / 12.0
-            out += coef * _second_diff_values(samples, mesh, axis)
+            lam = TridiagonalFactor(axis, *tridiag_second_diff(mesh))
+            c = h_t**2 * speeds[axis] ** 2 / 12.0
+            out += c * _trim(lam.apply(samples), set(axes) - {axis})
     else:
         raise ValueError(f"unknown initial-velocity mode {mode!r}")
-    return _zero_faces(out)
+    return _embed(out, np.zeros(shape))
 
 
 class RhsTable:
@@ -621,13 +633,13 @@ def build_rhs_table(
                             "use averaged mode for distributional data")
         grids = _meshgrid(meshes)
         h_t = tmesh.h_t
+        averages = _average_factors(meshes)
 
         def smooth(level: int) -> np.ndarray:
             t = tmesh.nodes[level]
             fm = f(*grids, t)
-            out = _compact_space_correction(fm, meshes)
-            out += (f(*grids, t + h_t) - 2.0 * fm + f(*grids, t - h_t)) / 12.0
-            return out[interior]
+            lam_t = f(*grids, t + h_t) - 2.0 * fm + f(*grids, t - h_t)
+            return _additive(fm, averages) + lam_t[interior] / 12.0
 
         return RhsTable(smooth, tmesh.n_steps)
     raise ValueError(f"unknown forcing mode {mode!r}")
@@ -669,17 +681,16 @@ def initial_rhs(
     grids = _meshgrid(meshes)
     f_at = lambda t: f(*grids, t)
     f0 = f_at(0.0)
+    averages = _average_factors(meshes)
     if mode == "three_level":
         time_part = (7.0 * f0 + 6.0 * f_at(h_t) - f_at(2.0 * h_t)) / 12.0
     elif mode == "two_level_half":
-        time_part = f0 / 3.0 + 2.0 * f_at(0.5 * h_t) / 3.0
+        # (1/3) f^0 + (2/3) f(h_t/2) with the compact correction of f^0
+        return _additive(f0, averages) + (2.0 / 3.0) * (f_at(0.5 * h_t) - f0)[interior]
     elif mode == "centered":
         time_part = -f_at(-h_t) / 12.0 + 5.0 * f0 / 6.0 + f_at(h_t) / 4.0
     elif mode == "graded":
-        out = f0
-        for axis, mesh in enumerate(meshes):
-            out = _axis_average_values(out, mesh, axis)
-        return (out + (f_at(h_t) - f0) / 3.0)[interior]
+        return _product(f0, averages) + ((f_at(h_t) - f0) / 3.0)[interior]
     else:
         raise ValueError(f"unknown initial forcing mode {mode!r}")
-    return (time_part + (_compact_space_correction(f0, meshes) - f0))[interior]
+    return time_part[interior] + (_additive(f0, averages) - f0[interior])

@@ -11,6 +11,13 @@ right-hand side, and starts from
 
     (B + sigma h_t^2 A) (v^1 - v^0) / h_t = u_1N + (h_t/2) (f_N^0 - A v^0).
 
+A scheme holds per-axis stencil rows (the compact averages and the
+stiffness rows -a_i^2 Lambda_i) and one solver handle.  The 1D kinds and the
+splitting form solve with the product of their per-axis step factors
+(SplittingHandle; 1D is the one-factor case).  compact2d, compact3d and nD
+compactnd solve over the tensor sine basis (SpectralHandle) and apply B and A
+as sums and products of the per-axis rows.
+
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
     v_k^{m+1} = v_{k-1}^m + v_{k+1}^m - v_k^{m-1} + h_t^2 f_k^m
@@ -33,24 +40,21 @@ import numpy as np
 
 from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis
 from .operators import (
-    GridFunction,
     TIE_RTOL,
     RhsTable,
     SpaceDirac,
     TimeDirac,
-    TridiagonalFactor,
+    _additive,
+    _average_factors,
+    _product,
+    _stiffness,
+    _stiffness_factors,
     build_rhs_table,
     initial_rhs,
     initial_velocity,
     step_factor,
-    stiffness_product,
-    stiffness_sum,
-    product_average,
-    sum_average,
-    tridiag_axis_average,
-    tridiag_second_diff,
 )
-from .solvers import SpectralHandle, SplittingHandle, TriSolver, pair_spectra
+from .solvers import SpectralHandle, SplittingHandle, pair_spectra
 
 __all__ = [
     "SchemeKind",
@@ -159,52 +163,6 @@ def _resolve_modes(config: SchemeConfig, problem) -> tuple[str, str, str]:
     return rhs_mode, u1n_mode, fn0_mode
 
 
-class _Tridiagonal1D:
-    """Stencil-row backend shared by the 1D implicit kinds (uniform and
-    graded meshes use identical code; uniform steps reproduce the compact
-    1D scheme exactly)."""
-
-    def __init__(self, mesh: AxisMesh, h_t: float, speed: float, kind: SchemeKind, sigma: float):
-        l_lo, l_di, l_hi = tridiag_second_diff(mesh)
-        s_lo, s_di, s_hi = tridiag_axis_average(mesh)
-        a2 = speed**2
-        self.a_rows = (-a2 * l_lo, -a2 * l_di, -a2 * l_hi)
-        if kind == SchemeKind.SECOND_ORDER:
-            c = sigma * a2 * h_t**2
-            self.s_rows = (-c * l_lo, 1.0 - c * l_di, -c * l_hi)
-            self.avg_rows = None
-        else:
-            c = h_t**2 * a2 / 12.0
-            self.s_rows = (s_lo - c * l_lo, s_di - c * l_di, s_hi - c * l_hi)
-            self.avg_rows = (s_lo, s_di, s_hi)
-        self.lam_rows = (l_lo, l_di, l_hi)
-        factor = TridiagonalFactor(0, *self.s_rows)
-        self.solver = TriSolver(factor)
-
-    @staticmethod
-    def _apply(rows, values):
-        lo, di, hi = rows
-        return lo * values[:-2] + di * values[1:-1] + hi * values[2:]
-
-    def apply_a(self, values):
-        return self._apply(self.a_rows, values)
-
-    def apply_s(self, values):
-        return self._apply(self.s_rows, values)
-
-    def apply_avg(self, values):
-        return self._apply(self.avg_rows, values)
-
-    def apply_lam(self, values):
-        return self._apply(self.lam_rows, values)
-
-    def solve(self, rhs, b_left, b_right):
-        r = rhs.copy()
-        r[0] -= self.s_rows[0][0] * b_left
-        r[-1] -= self.s_rows[2][-1] * b_right
-        return self.solver.solve(r)
-
-
 class Scheme:
     """Assembled scheme: step operators, data constructions, and solvers."""
 
@@ -240,25 +198,25 @@ class Scheme:
         self.u1n_mode = u1n_mode
         self.fn0_mode = fn0_mode
 
-        self._tri: _Tridiagonal1D | None = None
-        self._spectral: SpectralHandle | None = None
-        self._splitting: SplittingHandle | None = None
-        if n == 1 and kind != SchemeKind.SPLITTING:
-            self._tri = _Tridiagonal1D(meshes[0], self.h_t, self.speeds[0], kind, self.sigma)
-        elif kind == SchemeKind.SPLITTING:
-            factors = [
-                step_factor(mesh, self.h_t, self.speeds[axis], axis)
+        # per-axis stencil rows; one solver handle for the step operator
+        self._averages = _average_factors(meshes)
+        self._stiffness = _stiffness_factors(meshes, self.speeds)
+        additive_stiffness = self.pair in ("sum_stiffsum", "prod_stiffsum")
+        self._cross = _additive if additive_stiffness else _product
+        self._mass = _additive if self.pair == "sum_stiffsum" else _product
+        self._interior = tuple(slice(1, -1) for _ in meshes)
+        # without boundary data the trace is identically zero: S 0 = 0 needs no lift
+        self._traced = problem.exact is not None or (n == 1 and problem.g is not None)
+        if n == 1 or kind == SchemeKind.SPLITTING:
+            # the step operator is the product of its per-axis factors
+            sigma = self.sigma if kind == SchemeKind.SECOND_ORDER else None
+            self._solver = SplittingHandle([
+                step_factor(mesh, self.h_t, self.speeds[axis], axis, sigma)
                 for axis, mesh in enumerate(meshes)
-            ]
-            self._splitting = SplittingHandle(factors)
+            ])
         else:
             mu_b, mu_a = pair_spectra(meshes, self.speeds, self.pair, self.h_t)
-            self._spectral = SpectralHandle(mu_b + self.sigma * self.h_t**2 * mu_a)
-            self._use_sum_mass = kind == SchemeKind.COMPACT_2D_SUM
-            self._use_sum_stiff = kind in (
-                SchemeKind.COMPACT_2D_SUM,
-                SchemeKind.COMPACT_3D_PROD_MASS,
-            )
+            self._solver = SpectralHandle(mu_b + self.sigma * self.h_t**2 * mu_a)
 
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
@@ -269,25 +227,14 @@ class Scheme:
     # -- operator applications (full array in, interior out) ---------------
 
     def apply_a_interior(self, values: np.ndarray) -> np.ndarray:
-        if self._tri is not None:
-            return self._tri.apply_a(values)
-        gf = GridFunction(self.meshes, values)
-        if self.kind == SchemeKind.SPLITTING:
-            return stiffness_product(gf, self.speeds).interior
-        stiff = stiffness_sum if self._use_sum_stiff else stiffness_product
-        return stiff(gf, self.speeds).interior
+        return _stiffness(values, self._stiffness, self._averages, self._cross)
 
     def apply_step_operator_interior(self, values: np.ndarray) -> np.ndarray:
-        if self._tri is not None:
-            return self._tri.apply_s(values)
-        if self._splitting is not None:
-            return self._splitting.apply(values)
-        gf = GridFunction(self.meshes, values)
-        mass = sum_average(gf) if self._use_sum_mass else product_average(gf)
-        stiff = stiffness_sum(gf, self.speeds) if self._use_sum_stiff else stiffness_product(gf, self.speeds)
-        return (mass.values + self.sigma * self.h_t**2 * stiff.values)[
-            tuple(slice(1, -1) for _ in self.meshes)
-        ]
+        if isinstance(self._solver, SplittingHandle):
+            return self._solver.apply(values)
+        return self._mass(values, self._averages) + self.sigma * self.h_t**2 * self.apply_a_interior(
+            values
+        )
 
     # -- boundary handling ---------------------------------------------------
 
@@ -318,43 +265,31 @@ class Scheme:
 
     def solve_step(self, rhs_interior: np.ndarray, t_boundary: float) -> np.ndarray:
         """Solve (B + sigma h_t^2 A) v = rhs with the trace at t_boundary."""
-        shape = tuple(m.nodes.size for m in self.meshes)
-        out = np.zeros(shape)
+        out = np.zeros(tuple(m.nodes.size for m in self.meshes))
         self.boundary_values(out, t_boundary)
-        if self._tri is not None:
-            out[1:-1] = self._tri.solve(rhs_interior, out[0], out[-1])
+        if isinstance(self._solver, SplittingHandle):
+            boundary = out if self._traced else None
+            out[self._interior] = self._solver.solve(rhs_interior, boundary=boundary)
             return out
-        interior = tuple(slice(1, -1) for _ in self.meshes)
-        # S 0 = 0: a zero trace needs no lift
-        lift = out.any()
-        if self._splitting is not None:
-            out[interior] = self._splitting.solve(rhs_interior, boundary=out if lift else None)
-            return out
-        if lift:
+        if self._traced:
             rhs_interior = rhs_interior - self.apply_step_operator_interior(out)
-        out[interior] = self._spectral.solve(rhs_interior)
+        out[self._interior] = self._solver.solve(rhs_interior)
         return out
 
     # -- data constructions ----------------------------------------------------
 
     def _build_u1n(self) -> np.ndarray:
         problem = self.problem
-        interior = tuple(slice(1, -1) for _ in self.meshes)
         if problem.u1_data is None and problem.u1_fn is None:
             return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
-        if self._tri is not None and self.kind == SchemeKind.NONUNIFORM_COMPACT:
-            if problem.u1_fn is None:
-                raise ValueError("graded-mesh scheme needs a sampleable initial velocity")
-            samples = problem.u1_fn(self.meshes[0].nodes)
-            c = self.h_t**2 * self.speeds[0] ** 2 / 12.0
-            return self._tri.apply_avg(samples) + c * self._tri.apply_lam(samples)
         if self.u1n_mode == "qx":
-            data = problem.u1_data
-            if data is None:
+            source = problem.u1_data
+            if source is None:
                 raise ValueError("averaging mode needs piecewise initial velocity data")
-            return initial_velocity(data, self.meshes, self.h_t, self.speeds, "qx")[interior]
-        source = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
-        return initial_velocity(source, self.meshes, self.h_t, self.speeds, self.u1n_mode)[interior]
+        else:
+            source = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
+        velocity = initial_velocity(source, self.meshes, self.h_t, self.speeds, self.u1n_mode)
+        return velocity[self._interior]
 
     def _build_fn_table(self) -> RhsTable:
         problem = self.problem
@@ -362,20 +297,6 @@ class Scheme:
             return build_rhs_table(None, self.meshes, self.tmesh, "smooth")
         if self.rhs_mode == "averaged":
             return build_rhs_table(problem.f_data, self.meshes, self.tmesh, "averaged")
-        if self._tri is not None:
-            # single stencil path for uniform and graded axes alike
-            nodes = self.meshes[0].nodes
-            f_fn = problem.f_fn
-            h_t = self.h_t
-            tri = self._tri
-
-            def getter(level: int) -> np.ndarray:
-                t = self.tmesh.nodes[level]
-                fm = f_fn(nodes, t)
-                lam_t = (f_fn(nodes, t + h_t) - 2.0 * fm + f_fn(nodes, t - h_t))[1:-1]
-                return tri.apply_avg(fm) + lam_t / 12.0
-
-            return RhsTable(getter, self.tmesh.n_steps)
         return build_rhs_table(problem.f_fn, self.meshes, self.tmesh, "smooth")
 
     def _build_fn0(self) -> np.ndarray:
@@ -384,11 +305,6 @@ class Scheme:
             return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
         if self.fn0_mode == "averaged":
             return initial_rhs(problem.f_data, self.meshes, self.h_t, "averaged")
-        if self._tri is not None and self.fn0_mode == "two_level_half":
-            nodes = self.meshes[0].nodes
-            f0 = problem.f_fn(nodes, 0.0)
-            fh = problem.f_fn(nodes, 0.5 * self.h_t)
-            return self._tri.apply_avg(f0) + (2.0 / 3.0) * (fh - f0)[1:-1]
         return initial_rhs(problem.f_fn, self.meshes, self.h_t, self.fn0_mode)
 
     # -- stepping ----------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Linear-system kernels: factored tridiagonal solves, sine-transform
 diagonalization and sequential splitting solves.
 
-Every implicit scheme step solves a system with the same operator, so the
-tridiagonal solver factors its operator once and the spectral solver keeps
-the eigenvalue tensor of the assembled operator over the tensor sine basis.
+Every implicit scheme step solves a system with the same operator.  A
+factored operator (one per-axis step factor for the 1D schemes, one per axis
+for the splitting form) is solved axis by axis, with one TriSolver per factor
+that factors its rows once.  The spectral solver keeps the eigenvalue tensor
+of an assembled nD operator over the tensor sine basis.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
@@ -274,19 +276,9 @@ class SpectralHandle:
         return sine_synthesis(coeffs * self.eigenvalues)
 
 
-def _factor_apply_full(values: np.ndarray, factor: TridiagonalFactor) -> np.ndarray:
-    w = values.swapaxes(factor.axis, 0)
-    out = w.copy()
-    ndim = w.ndim
-    lo = factor.lower.reshape((-1,) + (1,) * (ndim - 1))
-    di = factor.diag.reshape((-1,) + (1,) * (ndim - 1))
-    hi = factor.upper.reshape((-1,) + (1,) * (ndim - 1))
-    out[1:-1] = lo * w[:-2] + di * w[1:-1] + hi * w[2:]
-    return out.swapaxes(0, factor.axis)
-
-
 class SplittingHandle:
-    """Sequential per-axis tridiagonal solves for a factorized operator.
+    """Sequential per-axis tridiagonal solves for a product of factors, one
+    per axis; a single factor is the step operator of a 1D scheme.
 
     Nonhomogeneous boundary values enter through the partial products of the
     remaining factors applied to the boundary extension.
@@ -295,16 +287,18 @@ class SplittingHandle:
     def __init__(self, factors: Sequence[TridiagonalFactor]):
         self.factors = list(factors)
         self._solvers = [TriSolver(f) for f in self.factors]
-
-    def apply_full(self, values: np.ndarray) -> np.ndarray:
-        """Factor product applied on the full node array (interior valid)."""
-        out = values
-        for factor in self.factors:
-            out = _factor_apply_full(out, factor)
-        return out
+        # the partial product of factor j is interior along the axes solved before j
+        axes = [f.axis for f in self.factors]
+        self._solved_before = [
+            tuple(slice(1, -1) if a in axes[:j] else slice(None) for a in range(len(axes)))
+            for j in range(len(axes))
+        ]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.apply_full(values)[tuple(slice(1, -1) for _ in self.factors)]
+        """Factor product applied to a full node array; interior values."""
+        for factor in self.factors:
+            values = factor.apply(values)
+        return values
 
     def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
         """Solve (product of factors) x = rhs on the interior.
@@ -313,22 +307,22 @@ class SplittingHandle:
         x (zero interior); omit it for homogeneous data.
         """
         n = len(self.factors)
+        # partials[j]: the factors after j applied to the boundary extension
         partials: list[np.ndarray | None] = [None] * n
         if boundary is not None:
-            trail = boundary
-            partials[n - 1] = trail
-            for j in range(n - 2, -1, -1):
-                trail = _factor_apply_full(trail, self.factors[j + 1])
-                partials[j] = trail
-        out = np.asarray(rhs, dtype=float).copy()
-        inner = tuple(slice(1, -1) for _ in range(n - 1))
-        for j, (factor, solver) in enumerate(zip(self.factors, self._solvers)):
+            partials[n - 1] = boundary
+            for j in range(n - 1, 0, -1):
+                partials[j - 1] = self.factors[j].apply(partials[j])
+        out = np.array(rhs, dtype=float)
+        for factor, solver, partial, before in zip(
+            self.factors, self._solvers, partials, self._solved_before
+        ):
             axis = factor.axis
             w = out.swapaxes(axis, 0)
-            if partials[j] is not None:
-                face = partials[j].swapaxes(axis, 0)
-                w[0] -= factor.lower[0] * face[0][inner]
-                w[-1] -= factor.upper[-1] * face[-1][inner]
+            if partial is not None:
+                face = partial[before].swapaxes(axis, 0)
+                w[0] -= factor.lower[0] * face[0]
+                w[-1] -= factor.upper[-1] * face[-1]
             solved = solver.solve(w.reshape(w.shape[0], -1))
             out = solved.reshape(w.shape).swapaxes(0, axis)
         return out

@@ -18,6 +18,17 @@ def test_run_smoke(tmp_path, capsys):
     assert "errors:" in text
 
 
+def test_run_second_order_with_smooth_forcing(tmp_path):
+    # the weighted 2nd-order scheme takes the compact forcing table too
+    out = tmp_path / "run.txt"
+    code = main([
+        "run", "--problem", "smooth1d", "--scheme", "second-order", "--N", "40",
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert "stable: True" in out.read_text()
+
+
 def test_run_characteristic(tmp_path):
     out = tmp_path / "run.txt"
     code = main([
@@ -96,13 +107,36 @@ def test_table2_blown_up_runs_report_inf_and_leave_the_fit(tmp_path):
             "table2", "--phi", "phi0", "--N", "500,1000,2000", "--cfl-factor", "0.3",
             "--out", str(out),
         ])
-    assert code == EXIT_OK
+    assert code == EXIT_BLOWUP
     lines = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0]
     for row in lines[1:]:
         cells = dict(zip(header, row))
         assert cells["err_1000"] == cells["err_2000"] == "inf"
         assert cells["gamma_pr"] == cells["c0"] == ""
+
+
+def test_table1_blown_up_run_writes_report_and_exits_3(tmp_path, monkeypatch):
+    # no table1 setting blows up, so one case reports the blow-up triple
+    from compactwave import cli
+    from compactwave.analysis import ErrorTriple
+
+    real_case = cli._table1_case
+
+    def case(alpha, n):
+        triples = real_case(alpha, n)
+        return triples if n < 400 else [triples[0], ErrorTriple(math.inf, math.inf, math.inf)]
+
+    monkeypatch.setattr(cli, "_table1_case", case)
+    out = tmp_path / "t1.csv"
+    with pytest.warns(UserWarning, match="excluding non-finite"):
+        code = main(["table1", "--alpha", "1.5", "--N", "100,200,400", "--out", str(out)])
+    assert code == EXIT_BLOWUP
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    cells = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert len(cells) == 6
+    assert all(c["err_400"] == "inf" for c in cells if c["scheme"] == "second-order")
+    assert all(c["err_400"] != "inf" for c in cells if c["scheme"] == "compact1d")
 
 
 @pytest.mark.parametrize("axis", [
