@@ -6,7 +6,8 @@ uniform and graded axes alike: `tridiag_second_diff`, `tridiag_axis_average`
 and `step_factor`.  `TridiagonalFactor.apply` applies rows along one axis;
 the averages, the stiffness operators, the splitting residual and the
 compact corrections of the data are products and sums of such applications.
-On one axis each of them is a single row application.
+On one axis each of them is a single row application.  `pair_appliers`
+chooses the sum or product forms of a scheme's operator pair.
 
 The GridFunction operators act on full node arrays (boundary values
 included) and return full-shape arrays whose entries are meaningful on the
@@ -241,6 +242,23 @@ def _stiffness(values, stiffs, averages, cross) -> np.ndarray:
         term = cross(stiff.apply(values), averages[:i] + averages[i + 1:])
         out = term if out is None else out + term
     return out
+
+
+def pair_appliers(
+    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float]
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The mass B and the stiffness A of a scheme's operator pair (as named by
+    `schemes.operator_pair`; None takes the product forms) as maps from a full
+    node array to its interior values.
+
+    The splitting pair's mass is its product average: the h_t-dependent
+    residual enters only through the product of the step factors.
+    """
+    averages = _average_factors(meshes)
+    stiffs = _stiffness_factors(meshes, speeds)
+    mass = _additive if pair == "sum_stiffsum" else _product
+    cross = _additive if pair in ("sum_stiffsum", "prod_stiffsum") else _product
+    return (lambda v: mass(v, averages)), (lambda v: _stiffness(v, stiffs, averages, cross))
 
 
 def _check_axis(w: GridFunction, axis: int) -> None:

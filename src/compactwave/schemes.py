@@ -44,14 +44,10 @@ from .operators import (
     RhsTable,
     SpaceDirac,
     TimeDirac,
-    _additive,
-    _average_factors,
-    _product,
-    _stiffness,
-    _stiffness_factors,
     build_rhs_table,
     initial_rhs,
     initial_velocity,
+    pair_appliers,
     step_factor,
 )
 from .solvers import SpectralHandle, SplittingHandle, pair_spectra
@@ -198,13 +194,10 @@ class Scheme:
         self.u1n_mode = u1n_mode
         self.fn0_mode = fn0_mode
 
-        # per-axis stencil rows; one solver handle for the step operator
-        self._averages = _average_factors(meshes)
-        self._stiffness = _stiffness_factors(meshes, self.speeds)
-        additive_stiffness = self.pair in ("sum_stiffsum", "prod_stiffsum")
-        self._cross = _additive if additive_stiffness else _product
-        self._mass = _additive if self.pair == "sum_stiffsum" else _product
+        # B and A from per-axis stencil rows; one solver handle for the step operator
+        self._mass, self._stiffness = pair_appliers(self.pair, meshes, self.speeds)
         self._interior = tuple(slice(1, -1) for _ in meshes)
+        # the one rule for a non-zero trace, kept by boundary_values and solve_step;
         # without boundary data the trace is identically zero: S 0 = 0 needs no lift
         self._traced = problem.exact is not None or (n == 1 and problem.g is not None)
         if n == 1 or kind == SchemeKind.SPLITTING:
@@ -227,14 +220,12 @@ class Scheme:
     # -- operator applications (full array in, interior out) ---------------
 
     def apply_a_interior(self, values: np.ndarray) -> np.ndarray:
-        return _stiffness(values, self._stiffness, self._averages, self._cross)
+        return self._stiffness(values)
 
     def apply_step_operator_interior(self, values: np.ndarray) -> np.ndarray:
         if isinstance(self._solver, SplittingHandle):
             return self._solver.apply(values)
-        return self._mass(values, self._averages) + self.sigma * self.h_t**2 * self.apply_a_interior(
-            values
-        )
+        return self._mass(values) + self.sigma * self.h_t**2 * self.apply_a_interior(values)
 
     # -- boundary handling ---------------------------------------------------
 
@@ -252,16 +243,16 @@ class Scheme:
     def boundary_values(self, values: np.ndarray, t: float) -> None:
         """Impose the Dirichlet trace on every face of a full node array."""
         problem = self.problem
-        if len(self.meshes) == 1 and problem.g is not None:
+        if not self._traced:
+            for _, _, idx, _ in self._faces:
+                values[idx] = 0.0
+        elif problem.g is not None and len(self.meshes) == 1:
             g0, g1 = problem.g
             values[0] = float(np.asarray(g0(t)))
             values[-1] = float(np.asarray(g1(t)))
-            return
-        for _, _, idx, coords in self._faces:
-            if problem.exact is not None:
+        else:
+            for _, _, idx, coords in self._faces:
                 values[idx] = problem.exact(*coords, t)
-            else:
-                values[idx] = 0.0
 
     def solve_step(self, rhs_interior: np.ndarray, t_boundary: float) -> np.ndarray:
         """Solve (B + sigma h_t^2 A) v = rhs with the trace at t_boundary."""
