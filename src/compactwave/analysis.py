@@ -82,13 +82,14 @@ class ErrorObserver:
             self.blew_up = True
             return
         r = self.exact(self.nodes, t) - values
-        self._l2 = max(self._l2, math.sqrt(self.h * float(np.sum(r[1:-1] ** 2))))
+        ri = r[1:-1]
+        self._l2 = max(self._l2, math.sqrt(self.h * float(ri @ ri)))
         self._c = max(self._c, float(np.max(np.abs(r))))
         if level >= 1 and self._prev_r is not None:
-            dt = (r - self._prev_r) / self.h_t
-            e_time = math.sqrt(self.h * float(np.sum(dt[1:-1] ** 2)))
-            dx = np.diff(r) / self.h
-            e_space = math.sqrt(self.h * float(np.sum(dx**2)))
+            dt = (ri - self._prev_r[1:-1]) / self.h_t
+            dx = (r[1:] - r[:-1]) / self.h
+            e_time = math.sqrt(self.h * float(dt @ dt))
+            e_space = math.sqrt(self.h * float(dx @ dx))
             self._e = max(self._e, e_time, e_space)
         self._prev_r = r
 

@@ -343,13 +343,27 @@ def inner_h(u: GridFunction, w: GridFunction) -> float:
 # piecewise data and hat averages
 
 
+def _int_power(y: np.ndarray, m: int) -> np.ndarray:
+    """y**m for an integer m >= 1 by repeated multiplication (no float pow)."""
+    out = y
+    for _ in range(m - 1):
+        out = out * y
+    return out
+
+
+def _odd_power(y: np.ndarray, m: int) -> np.ndarray:
+    """sign(y) |y|**m, the odd extension of y**m."""
+    return np.copysign(_int_power(np.abs(y), m), y)
+
+
 def _signed_power(k: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if k == 0:
         return 0.5 * (np.sign(x) + 1.0)
     if k == 1:
         return 1.0 - 2.0 * np.abs(x)
-    return np.sign(x) * (2.0 * x) ** k
+    # sign(x) (2x)^k: odd for even k, even for odd k
+    return _odd_power(2.0 * x, k) if k % 2 == 0 else _int_power(np.abs(2.0 * x), k)
 
 
 def _signed_power_antideriv(k: int, x: np.ndarray) -> np.ndarray:
@@ -359,9 +373,9 @@ def _signed_power_antideriv(k: int, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
     if k == 1:
         return x - x * np.abs(x)
-    pos = (2.0 * x) ** (k + 1)
-    neg = (-1.0) ** k * (-2.0 * x) ** (k + 1)
-    return np.where(x >= 0, pos, neg) / (2.0 * (k + 1))
+    # |2x|^(k+1) / (2(k+1)), with the sign of x for odd k
+    power = _odd_power(2.0 * x, k + 1) if k % 2 else _int_power(np.abs(2.0 * x), k + 1)
+    return power / (2.0 * (k + 1))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ polynomial forcing in time, and Dirac atoms, together with smooth boundary
 traces and a closed-form exact solution.  A smooth analytic problem drives
 the graded-mesh studies.
 
-The exact solution is reconstructed from the whole-line d'Alembert formula.
+The exact solution is reconstructed from the whole-line d'Alembert formula,
+every part of it in closed form (the forcing convolution included).
 The chosen boundary traces are smooth, which makes them differ from the
 whole-line trace at the right end once the forcing switches on; the exact
 solution of the initial-boundary problem therefore carries one additional
@@ -20,6 +21,7 @@ used here includes that jump.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,6 +36,7 @@ from .operators import (
     TIE_RTOL,
     SpaceDirac,
     TimeDirac,
+    _int_power,
     _signed_power,
     _signed_power_antideriv,
 )
@@ -62,9 +65,6 @@ EXAMPLE_COEFFICIENTS: dict[float, tuple[float, ...]] = {
     4.5: (3.7, 13.0, 31.0),
     5.5: (4.6, 24.0, 51.0),
 }
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -124,53 +124,90 @@ def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.where(np.abs(z) <= TIE_RTOL * scale, 0.0, z)
 
 
-def _forcing_convolution(j: int, degree: int, x: np.ndarray, tau: np.ndarray, a: float) -> np.ndarray:
-    """int_0^tau s^degree [W_j(x + a(tau-s)) - W_j(x - a(tau-s))] ds, exactly.
+@functools.lru_cache(maxsize=None)
+def _convolution_plan(j: int, degree: int):
+    """The x-, tau- and a-free coefficients of _forcing_convolution.
 
-    The integrand is piecewise polynomial in s with breakpoints where the
-    antiderivative arguments cross zero; Gauss quadrature per segment is
-    exact for the degrees in the catalog.
+    W_j = P_antideriv(j, .) is q + c y_+^m with q the polynomial left of 0.
+    For the polynomials left and right of 0, one row per power e of x: pairs
+    (k, f) such that the x^e coefficient of the odd Taylor sum is
+    sum_k f a^k tau^(d+k+1).  `cone` is c d! m!/(d+m+1)!.
     """
-    x, tau = np.broadcast_arrays(x, tau)
-    flat_x = x.reshape(-1)
-    flat_tau = tau.reshape(-1)
-    out = np.zeros_like(flat_x)
-    active = flat_tau > 0
-    if np.any(active):
-        xa = flat_x[active]
-        ta = flat_tau[active]
-        cand = np.stack(
-            [
-                np.zeros_like(xa),
-                ta,
-                np.clip(ta + xa / a, 0.0, ta),
-                np.clip(ta - xa / a, 0.0, ta),
-            ],
-            axis=-1,
+    d = degree
+    if j == 0:
+        left, c, m = (0.0,), 1.0, 1
+    elif j == 1:
+        left, c, m = (0.0, 1.0, 1.0), -2.0, 2
+    else:
+        # sign(y) (2y)^(j+1) / (2(j+1)) = kappa (2 y_+^(j+1) - y^(j+1))
+        kappa = 2.0**j / (j + 1)
+        left, c, m = (0.0,) * (j + 1) + (-kappa,), 2.0 * kappa, j + 1
+    right = list(left) + [0.0] * (m + 1 - len(left))
+    right[m] += c
+    beta = {
+        k: 2.0 * math.factorial(d) * math.factorial(k) / math.factorial(d + k + 1)
+        for k in range(1, m + 1, 2)
+    }
+
+    def odd_taylor(p):
+        return tuple(
+            tuple((k, b * math.comb(e + k, k) * p[e + k]) for k, b in beta.items() if e + k < len(p))
+            for e in range(len(p) - 1)
         )
-        cand.sort(axis=-1)
-        lo = cand[:, :-1]
-        hi = cand[:, 1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        s = mid[..., None] + half[..., None] * _GL_X
-        arg = ta[:, None, None] - s
-        vals = s**degree * (
-            _signed_power_antideriv(j, xa[:, None, None] + a * arg)
-            - _signed_power_antideriv(j, xa[:, None, None] - a * arg)
-        )
-        out[active] = np.sum(half[..., None] * vals * _GL_W, axis=(-1, -2))
-    return out.reshape(x.shape)
+
+    cone = c * math.factorial(d) * math.factorial(m) / math.factorial(d + m + 1)
+    return odd_taylor(left), odd_taylor(right), cone, m
+
+
+def _horner(coefs, x):
+    """sum_e coefs[e] x^e (0 for no coefficients)."""
+    out = coefs[-1] if coefs else 0.0
+    for c in coefs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def _forcing_convolution(j: int, degree: int, x, tau, a: float) -> np.ndarray:
+    """int_0^tau s^degree [W_j(x + a(tau-s)) - W_j(x - a(tau-s))] ds in closed
+    form, W_j = P_antideriv(j, .); zero for tau <= 0.
+
+    With u = tau - s and W_j = q + c y_+^m, let p be the polynomial of W_j on
+    the side of x.  Taylor expansion in a u and the Beta integrals give
+        int_0^tau (tau-u)^d [p(x+au) - p(x-au)] du
+            = 2 sum_{k odd} p^(k)(x)/k! a^k tau^(d+k+1) d! k!/(d+k+1)!,
+    a polynomial in x.  Where the cone |x| < a tau covers the breakpoint, the
+    truncated power adds c s_x B a^-(d+1) (a tau - |x|)_+^(d+m+1), with
+    B = d! m!/(d+m+1)! and s_x = (-1)^m for x >= 0, 1 for x < 0.  No term is
+    scaled up by a power of 1/a, so no digits cancel for slow waves.
+    """
+    left, right, cone, m = _convolution_plan(j, degree)
+    tau = np.maximum(tau, 0.0)
+    scale = {k: a**k * _int_power(tau, degree + k + 1) for k in range(1, m + 1, 2)}
+
+    def odd_sum(rows):
+        return _horner([sum(f * scale[k] for k, f in row) for row in rows], x)
+
+    on_right = x >= 0
+    cone = cone / a ** (degree + 1)
+    if m % 2:
+        cone = np.where(on_right, -cone, cone)
+    reach = np.maximum(a * tau - np.abs(x), 0.0)
+    odd = np.where(on_right, odd_sum(right), odd_sum(left))
+    return odd + cone * _int_power(reach, degree + m + 1)
 
 
 def _dalembert_forcing_part(
     terms: PiecewiseData, x: np.ndarray, t: np.ndarray, a: float
 ) -> np.ndarray:
     total = np.zeros(np.broadcast(x, t).shape)
+    # the latest time asked for, widened past the snap of t - t_* to zero
+    latest = (t + 2.0 * TIE_RTOL * np.abs(t)).max()
     for term in terms:
         space, time = term.space, term.time
+        if latest < time.t_star:
+            continue  # not switched on anywhere yet: the term adds exact zeros
+        tau = t - time.t_star
         if isinstance(time, TimeDirac):
-            tau = t - time.t_star
             if isinstance(space, SpaceDirac):
                 # 1/2 on the cone's sides, 1/4 at its apex (0, t_*)
                 dx = np.abs(x - space.location)
@@ -184,15 +221,14 @@ def _dalembert_forcing_part(
                 )
         elif isinstance(space, SpaceDirac):
             # window where the backward cone covers the atom
-            tau = t - time.t_star
             lo = np.abs(x - space.location) / a
             width = np.maximum(tau - lo, 0.0)
             contrib = np.where(
                 width > 0, QPiece(time.degree + 1, 0.0).eval(width) / (time.degree + 1), 0.0
             )
         else:
-            contrib = _forcing_convolution(space.degree, time.degree, x, t - time.t_star, a)
-        total = total + term.coef * contrib
+            contrib = _forcing_convolution(space.degree, time.degree, x, tau, a)
+        total += term.coef * contrib
     return total / (2.0 * a)
 
 
@@ -220,30 +256,30 @@ def _example_pieces(alpha: float, t_star: float) -> tuple[int, PiecewiseData, Pi
 
 def _smooth_traces(alpha: float, a: float) -> tuple[Callable, Callable]:
     """Smooth boundary traces: (c1 t)^[alpha] for alpha < 2, otherwise the
-    binomial combinations of (1 -/+ 2 a t)^k."""
+    binomial combinations of (1 -/+ 2 a t)^k.  Plain arithmetic, so a float
+    time gives a float and an array of times an array."""
     k = int(alpha)
     c1 = EXAMPLE_COEFFICIENTS[alpha][0]
     if alpha == 0.5:
-        return (lambda t: np.zeros_like(np.asarray(t, float)),
-                lambda t: np.ones_like(np.asarray(t, float)))
+        return (lambda t: 0.0 * t), (lambda t: 0.0 * t + 1.0)
     if alpha == 1.5:
-        return (lambda t: np.zeros_like(np.asarray(t, float)),
-                lambda t: c1 * np.asarray(t, float))
+        return (lambda t: 0.0 * t), (lambda t: c1 * t)
 
-    def g_even(t):
-        t = np.asarray(t, float)
-        return 0.5 * ((1.0 - 2.0 * a * t) ** k + (1.0 + 2.0 * a * t) ** k)
-
-    if k == 2:
-        g_odd = lambda t: np.zeros_like(np.asarray(t, float))
-    else:
-        def g_odd(t):
-            t = np.asarray(t, float)
-            return ((1.0 + 2.0 * a * t) ** k - (1.0 - 2.0 * a * t) ** k) / (4.0 * a * k)
+    def even_odd(t):
+        lo, hi = (1.0 - 2.0 * a * t) ** k, (1.0 + 2.0 * a * t) ** k
+        odd = 0.0 * t if k == 2 else (hi - lo) / (4.0 * a * k)
+        return 0.5 * (lo + hi), c1 * odd
 
     sign = (-1.0) ** k
-    g0 = lambda t: sign * (-g_even(t) + c1 * g_odd(t))
-    g1 = lambda t: g_even(t) + c1 * g_odd(t)
+
+    def g0(t):
+        even, odd = even_odd(t)
+        return sign * (-even + odd)
+
+    def g1(t):
+        even, odd = even_odd(t)
+        return even + odd
+
     return g0, g1
 
 
@@ -287,7 +323,7 @@ def make_example(
     elif alpha == 1.5:
         correction = lambda s: c2 * np.maximum(s, 0.0)
     else:
-        correction = lambda s: c2 * np.maximum(s, 0.0) ** k / (k * (k - 1))
+        correction = lambda s: c2 * _int_power(np.maximum(s, 0.0), k) / (k * (k - 1))
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)

@@ -248,8 +248,8 @@ class Scheme:
                 values[idx] = 0.0
         elif problem.g is not None and len(self.meshes) == 1:
             g0, g1 = problem.g
-            values[0] = float(np.asarray(g0(t)))
-            values[-1] = float(np.asarray(g1(t)))
+            values[0] = g0(t)
+            values[-1] = g1(t)
         else:
             for _, _, idx, coords in self._faces:
                 values[idx] = problem.exact(*coords, t)
@@ -564,7 +564,7 @@ def run_explicit_characteristic(
 
     def boundary(t: float) -> tuple[float, float]:
         if g is not None:
-            return float(np.asarray(g[0](t))), float(np.asarray(g[1](t)))
+            return float(g[0](t)), float(g[1](t))
         if exact is not None:
             return float(exact(nodes[0], t)), float(exact(nodes[-1], t))
         return 0.0, 0.0

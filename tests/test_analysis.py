@@ -86,6 +86,32 @@ def test_error_norms_constant_residual():
     assert triple.Eh == 0.0
 
 
+def test_observer_norms_match_sum_of_squares():
+    # the observer reduces with dot products; the reference sums squares
+    # pairwise, so the two agree to the summation bound n * eps
+    n, m_steps = 800, 6
+    axis = build_uniform_axis(n, 1.0, -0.5)
+    tmesh = build_time_mesh(m_steps, 1.0)
+    rng = np.random.default_rng(5)
+    levels = [rng.standard_normal(n + 1) for _ in range(m_steps + 1)]
+    obs = ErrorObserver(lambda x, t: np.zeros_like(x), axis, tmesh)
+    l2 = c = e = 0.0
+    for level, values in enumerate(levels):
+        obs.observe(level, tmesh.nodes[level], values)
+        r = -values
+        l2 = max(l2, math.sqrt(axis.h * np.sum(r[1:-1] ** 2)))
+        c = max(c, np.max(np.abs(r)))
+        if level >= 1:
+            dt = (r + levels[level - 1]) / tmesh.h_t
+            dx = np.diff(r) / axis.h
+            e = max(e, math.sqrt(axis.h * np.sum(dt[1:-1] ** 2)), math.sqrt(axis.h * np.sum(dx**2)))
+    rtol = (n + 1) * np.finfo(float).eps
+    triple = obs.result()
+    assert triple.L2h == pytest.approx(l2, rel=rtol)
+    assert triple.Ch == c
+    assert triple.Eh == pytest.approx(e, rel=rtol)
+
+
 def test_error_norms_exact_run_is_zero():
     problem = make_example(1.5)
     from compactwave.schemes import run_explicit_characteristic

@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from compactwave.operators import PPiece, QPiece, SpaceDirac, TimeDirac
+from compactwave import problems
+from compactwave.mesh import build_uniform_axis
+from compactwave.operators import (
+    PPiece,
+    QPiece,
+    SpaceDirac,
+    TimeDirac,
+    _signed_power,
+    _signed_power_antideriv,
+)
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     EXAMPLE_COEFFICIENTS,
     P_antideriv,
+    _forcing_convolution,
     catalog,
     eval_P,
     eval_Q,
@@ -15,6 +25,12 @@ from compactwave.problems import (
     make_sine_mode_problem,
     make_smooth_nonuniform_problem,
 )
+from oracles import forcing_convolution_gauss, signed_power_antideriv_pow, signed_power_pow
+
+try:
+    import hypothesis
+except ImportError:  # without the "test" extra only the property test skips
+    hypothesis = None
 
 
 def test_eval_P_pointwise():
@@ -266,3 +282,80 @@ def test_catalog_lookup():
     assert catalog("smooth1d").name == "smooth1d"
     with pytest.raises(KeyError):
         catalog("nope")
+
+
+def test_integer_signed_powers_match_float_pow():
+    rng = np.random.default_rng(6)
+    x = np.concatenate(
+        [np.linspace(-0.75, 0.75, 1201), rng.uniform(-3.0, 3.0, 4000), [1e-300, -1e-300]]
+    )
+    for k in range(2, 7):
+        np.testing.assert_array_max_ulp(_signed_power(k, x), signed_power_pow(k, x), maxulp=4)
+    for k in range(2, 5):
+        np.testing.assert_array_max_ulp(
+            _signed_power_antideriv(k, x), signed_power_antideriv_pow(k, x), maxulp=4
+        )
+    for k in range(2, 7):
+        assert _signed_power(k, 0.0) == 0.0 and _signed_power_antideriv(k, 0.0) == 0.0
+        # scalars in, scalars out: the d'Alembert formula evaluates single points
+        assert np.ndim(_signed_power(k, -0.3)) == 0
+        assert float(_signed_power(k, -0.3)) == pytest.approx(
+            float(signed_power_pow(k, -0.3)), rel=1e-15
+        )
+
+
+@pytest.mark.skipif(hypothesis is None, reason="property test needs hypothesis")
+# hypothesis imports libcst to print a failing example, which warns on import
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_forcing_convolution_matches_gauss_oracle():
+    st = hypothesis.strategies
+    tau = st.one_of(st.just(0.0), st.floats(-1.0, 0.0), st.floats(0.0, 1.0))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        j=st.integers(0, 3),
+        degree=st.integers(0, 3),
+        a=st.floats(0.25, 3.0),
+        tau=tau,
+        xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+    )
+    def check(j, degree, a, tau, xs):
+        # nodes exactly on the cone's sides x = +-a tau and on the breakpoint
+        x = np.array(xs + [a * tau, -a * tau, 0.0])
+        new = _forcing_convolution(j, degree, x, np.asarray(tau), a)
+        ref = forcing_convolution_gauss(j, degree, x, tau, a)
+        assert new.shape == x.shape
+        assert np.all(np.abs(new - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    check()
+
+
+def test_forcing_convolution_broadcasts_like_the_oracle():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, 50)
+    tau = rng.uniform(-0.5, 1.0, 50)
+    for j in range(4):
+        for degree in range(4):
+            for xs, ts in ((x, tau), (x[:, None], tau[None, :7]), (0.1, tau)):
+                new = _forcing_convolution(j, degree, xs, ts, 0.4)
+                ref = forcing_convolution_gauss(j, degree, xs, ts, 0.4)
+                assert new.shape == ref.shape
+                assert np.all(np.abs(new - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+def test_catalog_exact_matches_gauss_convolution_at_scale(monkeypatch):
+    # every level of the N = 800 runs on [0, 1] (time step h, as the studies
+    # use), the closed-form forcing against the quadrature oracle
+    n = 800
+    closed = {}
+    for alpha in EXAMPLE_ALPHAS:
+        spec = make_example(alpha)
+        nodes = build_uniform_axis(n, spec.extents[0], spec.origin[0]).nodes
+        closed[alpha] = (spec, nodes, [spec.exact(nodes, t) for t in np.arange(n + 1) / n])
+    monkeypatch.setattr(problems, "_forcing_convolution", forcing_convolution_gauss)
+    for alpha, (spec, nodes, values) in closed.items():
+        worst = max(
+            float(np.max(np.abs(v - spec.exact(nodes, t))))
+            for v, t in zip(values, np.arange(n + 1) / n)
+        )
+        assert worst <= 1e-13, (alpha, worst)
