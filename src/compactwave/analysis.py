@@ -22,12 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import AxisMesh, TimeMesh
-from .schemes import RunResult, SchemeConfig, assemble, diverged
+from .schemes import SchemeConfig, assemble, diverged
 
 __all__ = [
     "ErrorTriple",
     "ErrorObserver",
-    "error_norms",
     "lockstep_errors",
     "FitResult",
     "fit_order",
@@ -99,20 +98,6 @@ class ErrorObserver:
         if self.blew_up:
             return ErrorTriple(math.inf, math.inf, math.inf)
         return ErrorTriple(self._l2, self._c, self._e)
-
-
-def error_norms(
-    run: RunResult, exact: Callable, axis: AxisMesh, tmesh: TimeMesh
-) -> ErrorTriple:
-    """Norms of a stored-trajectory run (blown-up runs report infinities)."""
-    if run.blew_up:
-        return ErrorTriple(math.inf, math.inf, math.inf)
-    if run.trajectory is None:
-        raise ValueError("run was not stored; use an ErrorObserver during the run")
-    obs = ErrorObserver(exact, axis, tmesh)
-    for level, values in enumerate(run.trajectory):
-        obs.observe(level, tmesh.nodes[level], values)
-    return obs.result()
 
 
 def _last_level(exact: Callable) -> Callable:

@@ -6,8 +6,10 @@ uniform and graded axes alike: `tridiag_second_diff`, `tridiag_axis_average`
 and `step_factor`.  `TridiagonalFactor.apply` applies rows along one axis;
 the averages, the stiffness operators, the splitting residual and the
 compact corrections of the data are products and sums of such applications.
-On one axis each of them is a single row application.  `pair_appliers`
-chooses the sum or product forms of a scheme's operator pair.
+On one axis each of them is a single row application.  One table,
+`PAIR_FORMS`, says which sum and product forms make up each operator pair;
+`pair_appliers` composes the pair's rows by it, and `solvers.pair_spectra`
+composes per-axis sine eigenvalues by the same rule.
 
 The GridFunction operators act on full node arrays (boundary values
 included) and return full-shape arrays whose entries are meaningful on the
@@ -47,6 +49,8 @@ __all__ = [
     "stiffness_sum",
     "stiffness_product",
     "splitting_residual",
+    "PAIR_FORMS",
+    "pair_forms",
     "step_factor",
     "tridiag_second_diff",
     "tridiag_axis_average",
@@ -244,20 +248,56 @@ def _stiffness(values, stiffs, averages, cross) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PairForms:
+    """How an operator pair composes its per-axis operators.
+
+    The mass is the additive average I + sum_i (S_i - I) or the product
+    average prod_i S_i; the stiffness is sum_i a_i^2 (-Lambda_i) times the
+    additive or product average of the other axes (its cross average); the
+    splitting pair adds to its mass the residual of the factored step
+    operator.  c0 is the constant of the pair's time-step condition.
+    """
+
+    additive_mass: bool
+    additive_cross: bool
+    residual: bool
+    c0: float
+
+
+# the pairs named by `schemes.operator_pair`: additive mass, additive cross, residual, C0
+PAIR_FORMS = {
+    "sum_stiffsum": PairForms(True, True, False, 4.0 / 3.0),
+    "prod_stiffsum": PairForms(False, True, False, 1.0),
+    "prod_stiffprod": PairForms(False, False, False, 1.0),
+    "prod_residual_stiffprod": PairForms(False, False, True, 1.0),
+}
+
+
+def pair_forms(pair: str | None) -> PairForms:
+    """The table row of a pair; None (a scheme outside the stability theory,
+    all of them one-dimensional) takes the product forms."""
+    if pair is None:
+        return PairForms(False, False, False, 1.0)
+    if pair not in PAIR_FORMS:
+        raise ValueError(f"unknown operator pair {pair!r}")
+    return PAIR_FORMS[pair]
+
+
 def pair_appliers(
     pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The mass B and the stiffness A of a scheme's operator pair (as named by
-    `schemes.operator_pair`; None takes the product forms) as maps from a full
-    node array to its interior values.
+    """The mass B and the stiffness A of a scheme's operator pair as maps from
+    a full node array to its interior values.
 
     The splitting pair's mass is its product average: the h_t-dependent
     residual enters only through the product of the step factors.
     """
+    forms = pair_forms(pair)
     averages = _average_factors(meshes)
     stiffs = _stiffness_factors(meshes, speeds)
-    mass = _additive if pair == "sum_stiffsum" else _product
-    cross = _additive if pair in ("sum_stiffsum", "prod_stiffsum") else _product
+    mass = _additive if forms.additive_mass else _product
+    cross = _additive if forms.additive_cross else _product
     return (lambda v: mass(v, averages)), (lambda v: _stiffness(v, stiffs, averages, cross))
 
 

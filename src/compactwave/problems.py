@@ -371,7 +371,7 @@ def make_smooth_nonuniform_problem(a: float | None = None) -> ProblemSpec:
     f = lambda x, t: np.exp(x + 0.5 - t)
 
     def forcing_bracket(t):
-        t = np.asarray(t, dtype=float)
+        # plain arithmetic: a float time gives a float, an array of times an array
         return (
             np.exp(a * t) / (a + 1.0)
             + np.exp(-a * t) / (a - 1.0)

@@ -5,7 +5,10 @@ Every implicit scheme step solves a system with the same operator.  A
 factored operator (one per-axis step factor for the 1D schemes, one per axis
 for the splitting form) is solved axis by axis, with one TriSolver per factor
 that factors its rows once.  The spectral solver keeps the eigenvalue tensor
-of an assembled nD operator over the tensor sine basis.
+of an assembled nD operator over the tensor sine basis.  The spectra of an
+operator pair are the compositions of `operators.PAIR_FORMS` (the ones the
+stencil rows follow) applied to per-axis eigenvalues broadcast over the
+tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.fft
 
 from .mesh import AxisMesh, MeshError
-from .operators import TridiagonalFactor
+from .operators import TridiagonalFactor, pair_forms
 
 __all__ = [
     "SingularSystemError",
@@ -93,29 +96,13 @@ class TriSolver:
 # sine transforms and spectra
 
 
-def sine_spectrum(
-    mesh: AxisMesh, kind: str, h_t: float | None = None, speed: float | None = None
-) -> np.ndarray:
-    """Eigenvalues over the sine basis of one uniform axis.
-
-    kind 'neg_second_diff': (4/h^2) sin^2(pi l h / (2 X)), l = 1..N-1;
-    kind 'axis_average':    1 - h^2 lambda / 12;
-    kind 'step_factor':     1 - (h^2 - h_t^2 a^2) lambda / 12.
-    """
+def sine_spectrum(mesh: AxisMesh) -> np.ndarray:
+    """Eigenvalues (4/h^2) sin^2(pi l h / (2 X)), l = 1..N-1, of -Lambda over
+    the sine basis of one uniform axis."""
     if not mesh.uniform:
         raise MeshError("sine spectra require a uniform axis")
     n = mesh.n_intervals
-    h = mesh.h
-    lam = (4.0 / h**2) * np.sin(np.pi * np.arange(1, n) / (2.0 * n)) ** 2
-    if kind == "neg_second_diff":
-        return lam
-    if kind == "axis_average":
-        return 1.0 - h**2 * lam / 12.0
-    if kind == "step_factor":
-        if h_t is None or speed is None:
-            raise ValueError("step_factor spectrum needs h_t and speed")
-        return 1.0 - (h**2 - h_t**2 * speed**2) * lam / 12.0
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+    return (4.0 / mesh.h**2) * np.sin(np.pi * np.arange(1, n) / (2.0 * n)) ** 2
 
 
 def _sine_matrix(n_intervals: int) -> np.ndarray:
@@ -174,82 +161,48 @@ def pair_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue tensors (mu_B, mu_A) of an operator pair over the sine basis.
 
-    Pairs: 'sum_stiffsum' (additive average with sum-form stiffness),
-    'prod_stiffsum', 'prod_stiffprod', 'prod_residual_stiffprod' (splitting;
-    needs h_t), 'identity_stiffness' (unit mass with -a_i^2 Lambda_i).
+    The compositions of `operators.pair_appliers` (and, for the splitting
+    pair, of its residual; it needs h_t) applied to per-axis eigenvalues
+    broadcast over the tensor: lambda_i of -Lambda_i, 1 - d_i with
+    d_i = h_i^2 lambda_i / 12 for the average S_i and a_i^2 lambda_i for the
+    stiffness rows.
     """
+    forms = pair_forms(pair)
     n = len(meshes)
-    lam = [sine_spectrum(m, "neg_second_diff") for m in meshes]
-    shape = tuple(v.size for v in lam)
-    lam_nd = [lam[i].reshape((1,) * i + (-1,) + (1,) * (n - i - 1)) for i in range(n)]
-    s_fac = [1.0 - meshes[i].h ** 2 * lam_nd[i] / 12.0 for i in range(n)]
-    a2 = [speeds[i] ** 2 for i in range(n)]
+    lam = [
+        sine_spectrum(m).reshape((1,) * i + (-1,) + (1,) * (n - i - 1)) for i, m in enumerate(meshes)
+    ]
+    shape = tuple(m.n_intervals - 1 for m in meshes)
+    dev = [m.h**2 * lam_i / 12.0 for m, lam_i in zip(meshes, lam)]
+    stiff = [a**2 * lam_i for a, lam_i in zip(speeds, lam)]
 
-    def stiff_sum() -> np.ndarray:
-        total = np.zeros(shape)
-        for i in range(n):
-            cross = np.ones(shape)
-            for j in range(n):
-                if j != i:
-                    cross = cross - meshes[j].h ** 2 * lam_nd[j] / 12.0
-            total = total + a2[i] * lam_nd[i] * cross
-        return total
-
-    def stiff_prod() -> np.ndarray:
-        total = np.zeros(shape)
-        for i in range(n):
-            cross = np.ones(shape)
-            for j in range(n):
-                if j != i:
-                    cross = cross * s_fac[j]
-            total = total + a2[i] * lam_nd[i] * cross
-        return total
-
-    def mass_prod() -> np.ndarray:
+    def average(axes, additive: bool) -> np.ndarray:
+        # I + sum_j (S_j - I) or prod_j S_j over the given axes
         out = np.ones(shape)
-        for i in range(n):
-            out = out * s_fac[i]
+        for j in axes:
+            out = out - dev[j] if additive else out * (1.0 - dev[j])
         return out
 
-    def residual() -> np.ndarray:
+    others = lambda *axes: [j for j in range(n) if j not in axes]
+    mu_b = average(range(n), forms.additive_mass)
+    mu_a = sum(stiff[i] * average(others(i), forms.additive_cross) for i in range(n))
+    if forms.residual:
         if h_t is None:
             raise ValueError("splitting residual spectrum needs h_t")
         c = h_t**2 / 12.0
-        out = np.zeros(shape)
         for k in range(2, n + 1):
             for combo in itertools.combinations(range(n), k):
                 term = np.full(shape, c**k)
                 for i in combo:
-                    term = term * a2[i] * lam_nd[i]
-                for j in range(n):
-                    if j not in combo:
-                        term = term * s_fac[j]
-                out = out + term
-        return out
-
-    if pair == "sum_stiffsum":
-        mu_b = np.ones(shape)
-        for i in range(n):
-            mu_b = mu_b - meshes[i].h ** 2 * lam_nd[i] / 12.0
-        return mu_b, stiff_sum()
-    if pair == "prod_stiffsum":
-        return mass_prod(), stiff_sum()
-    if pair == "prod_stiffprod":
-        return mass_prod(), stiff_prod()
-    if pair == "prod_residual_stiffprod":
-        return mass_prod() + residual(), stiff_prod()
-    if pair == "identity_stiffness":
-        total = np.zeros(shape)
-        for i in range(n):
-            total = total + a2[i] * lam_nd[i]
-        return np.ones(shape), total
-    raise ValueError(f"unknown operator pair {pair!r}")
+                    term = term * stiff[i]
+                mu_b = mu_b + term * average(others(*combo), False)
+    return mu_b, mu_a
 
 
 def operator_pair_c0(pair: str) -> float:
     """Time-step condition constant of the pair (4/3 for the additive-average
     pair in two dimensions, 1 otherwise)."""
-    return 4.0 / 3.0 if pair == "sum_stiffsum" else 1.0
+    return pair_forms(pair).c0
 
 
 # ---------------------------------------------------------------------------

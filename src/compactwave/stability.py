@@ -8,6 +8,9 @@ with C0 = 4/3 for the additive-average pair in two dimensions and C0 = 1
 otherwise.  The certificates evaluate both sides of the strong and weak
 energy estimates over the tensor sine basis (where every operator pair is
 diagonal), so fractional operator powers reduce to eigenvalue scalings.
+C0 and the pair spectra both come from the one table of pair forms
+(`operators.PAIR_FORMS`); the spectra compose per-axis eigenvalues by the
+rule the stencil rows follow.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def check_cfl(
     threshold = 1.0 - eps0**2
     passed = value <= threshold
     marginal = (not passed) and (value - threshold <= MARGINAL_BAND)
-    alpha2 = sharp_alpha2(meshes, speeds, pair, h_t if pair == "prod_residual_stiffprod" else None)
+    alpha2 = sharp_alpha2(meshes, speeds, pair, h_t)
     return StabilityReport(value, threshold, c0, eps0, alpha2, passed, marginal)
 
 

@@ -10,14 +10,20 @@ from compactwave.analysis import (
     ErrorTriple,
     OrderRangeWarning,
     build_report,
-    error_norms,
     fit_order,
     lockstep_errors,
     theoretical_orders,
 )
 from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.problems import make_example
-from compactwave.schemes import RunResult, SchemeConfig, SchemeKind, assemble, run
+from compactwave.schemes import (
+    SchemeConfig,
+    SchemeKind,
+    assemble,
+    characteristic_meshes,
+    run,
+    run_explicit_characteristic,
+)
 
 
 def test_fit_exact_power_law():
@@ -77,10 +83,10 @@ def test_error_norms_constant_residual():
     axis = build_uniform_axis(n, 1.0)
     tmesh = build_time_mesh(m_steps, 1.0)
     c = -0.7
-    exact = lambda x, t: np.zeros_like(x)
-    trajectory = [np.full(n + 1, -c) for _ in range(m_steps + 1)]
-    result = RunResult(m_steps + 1, trajectory[-2], trajectory[-1], False, trajectory)
-    triple = error_norms(result, exact, axis, tmesh)
+    obs = ErrorObserver(lambda x, t: np.zeros_like(x), axis, tmesh)
+    for level, t in enumerate(tmesh.nodes):
+        obs.observe(level, t, np.full(n + 1, -c))
+    triple = obs.result()
     assert triple.L2h == pytest.approx(abs(c) * math.sqrt(1.0 - axis.h), rel=1e-12)
     assert triple.Ch == pytest.approx(abs(c))
     assert triple.Eh == 0.0
@@ -114,10 +120,10 @@ def test_observer_norms_match_sum_of_squares():
 
 def test_error_norms_exact_run_is_zero():
     problem = make_example(1.5)
-    from compactwave.schemes import run_explicit_characteristic
-
-    result, axis, tmesh = run_explicit_characteristic(problem, 20, 10, store_trajectory=True)
-    triple = error_norms(result, problem.exact, axis, tmesh)
+    axis, tmesh = characteristic_meshes(problem, 20, 10)
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    run_explicit_characteristic(problem, 20, 10, observer=obs)
+    triple = obs.result()
     assert triple.Ch < 1e-13
     assert triple.L2h < 1e-13
 
@@ -143,8 +149,11 @@ def test_observer_prefix_monotonicity():
 def test_blown_up_run_reports_infinite_norms():
     axis = build_uniform_axis(10, 1.0)
     tmesh = build_time_mesh(4, 1.0)
-    result = RunResult(3, None, np.full(11, np.nan), True, None)
-    triple = error_norms(result, lambda x, t: np.zeros_like(x), axis, tmesh)
+    obs = ErrorObserver(lambda x, t: np.zeros_like(x), axis, tmesh)
+    for level, t in enumerate(tmesh.nodes[:3]):
+        obs.observe(level, t, np.zeros(11))
+    obs.observe(3, tmesh.nodes[3], np.full(11, np.nan))
+    triple = obs.result()
     assert math.isinf(triple.Ch)
 
 

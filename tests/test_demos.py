@@ -1,0 +1,26 @@
+"""Smoke runs of the demos that exercise the operator pairs, the stability
+checks and the splitting handle: each must exit 0 and print something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["03_characteristic_mesh.py", "04_stability_certificates.py", "05_multidimensional_splitting.py"],
+)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

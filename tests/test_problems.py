@@ -122,6 +122,21 @@ def test_trace_consistency_smooth():
     assert g0(0.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_smooth_traces_take_scalar_arithmetic_for_a_float_time():
+    spec = make_smooth_nonuniform_problem()
+    ts = np.linspace(0.0, 1.0, 41)
+    for g in spec.g:
+        batch = g(ts)
+        for t, expected in zip(ts, batch):
+            value = g(float(t))
+            assert isinstance(value, float) and np.ndim(value) == 0
+            if t < 0.25:
+                # the bracket cancels O(1) terms to zero at t = 0
+                assert abs(value - expected) <= 4.0 * np.finfo(float).eps
+            else:
+                np.testing.assert_array_max_ulp(value, expected, maxulp=4)
+
+
 def test_g1_vanishing_branch_for_quadratic_data():
     # the odd trace part vanishes when the data degree is two
     spec = make_example(2.5)

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from compactwave.mesh import build_uniform_axis
 from compactwave.operators import (
+    PAIR_FORMS,
     GridFunction,
     TridiagonalFactor,
+    pair_appliers,
+    splitting_residual,
     step_factor,
     stiffness_sum,
     sum_average,
@@ -119,7 +124,7 @@ def test_thomas_zero_pivot():
 
 def test_sine_spectrum_smallest_grid():
     mesh = build_uniform_axis(2, 1.0)
-    lam = sine_spectrum(mesh, "neg_second_diff")
+    lam = sine_spectrum(mesh)
     assert lam.size == 1
     assert lam[0] == pytest.approx(2.0 / mesh.h**2)
 
@@ -127,15 +132,15 @@ def test_sine_spectrum_smallest_grid():
 def test_sine_spectrum_upper_bound():
     for n in (4, 17, 256):
         mesh = build_uniform_axis(n, 1.3)
-        lam = sine_spectrum(mesh, "neg_second_diff")
+        lam = sine_spectrum(mesh)
         assert np.all(lam < 4.0 / mesh.h**2)
-        avg = sine_spectrum(mesh, "axis_average")
+        avg, _ = pair_spectra([mesh], (1.0,), "prod_stiffprod")
         assert np.all(avg > 2.0 / 3.0)
 
 
 def test_sine_spectrum_matches_dense_eigs():
     mesh = build_uniform_axis(7, 1.0)
-    lam = np.sort(sine_spectrum(mesh, "neg_second_diff"))
+    lam = np.sort(sine_spectrum(mesh))
     factor = neg_second_diff_factor(mesh)
     dense = np.sort(np.linalg.eigvalsh(factor.dense()))
     assert np.allclose(lam, dense, rtol=1e-12)
@@ -191,7 +196,7 @@ def test_spectral_solve_recovers_average_input():
     rng = np.random.default_rng(3)
     mesh = build_uniform_axis(12, 1.0)
     b = rng.standard_normal(11)
-    handle = SpectralHandle(sine_spectrum(mesh, "axis_average"))
+    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0])
     full = np.zeros(13)
     full[1:-1] = b
     rhs = sum_average(GridFunction((mesh,), full)).values[1:-1]
@@ -221,9 +226,39 @@ def test_spectral_solve_2d_vs_dense():
     assert np.max(np.abs(got - expected)) < 1e-11
 
 
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("pair", sorted(PAIR_FORMS))
+def test_sine_modes_diagonalize_the_pair_rows(pair, dims):
+    # every tensor sine mode is an eigenvector of the stencil rows of B and A,
+    # with the eigenvalues that pair_spectra composes from the per-axis ones
+    rng = np.random.default_rng(30 + dims)
+    meshes = [
+        build_uniform_axis(int(rng.integers(2, 6)), float(rng.uniform(0.5, 2.0))) for _ in range(dims)
+    ]
+    speeds = tuple(float(v) for v in rng.uniform(0.3, 1.8, dims))
+    h_t = float(rng.uniform(0.05, 0.5)) * min(m.h for m in meshes)
+    mu_b, mu_a = pair_spectra(meshes, speeds, pair, h_t)
+    mass, stiffness = pair_appliers(pair, meshes, speeds)
+    split = SplittingHandle([step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
+    interior = tuple(slice(1, -1) for _ in meshes)
+    for mode in np.ndindex(mu_b.shape):
+        w = functools.reduce(np.multiply.outer, [
+            np.sin(np.pi * (l + 1) * np.arange(m.n_intervals + 1) / m.n_intervals)
+            for l, m in zip(mode, meshes)
+        ])
+        inner = w[interior]
+        b_rows = mass(w)
+        if PAIR_FORMS[pair].residual:
+            b_rows = b_rows + splitting_residual(GridFunction(meshes, w), speeds, h_t).values[interior]
+            step = mu_b[mode] + h_t**2 / 12.0 * mu_a[mode]
+            assert np.max(np.abs(split.apply(w) - step * inner)) <= 1e-12 * abs(step)
+        assert np.max(np.abs(b_rows - mu_b[mode] * inner)) <= 1e-12 * abs(mu_b[mode])
+        assert np.max(np.abs(stiffness(w) - mu_a[mode] * inner)) <= 1e-12 * abs(mu_a[mode])
+
+
 def test_spectral_solve_preserves_symmetry():
     mesh = build_uniform_axis(10, 1.0)
-    handle = SpectralHandle(sine_spectrum(mesh, "axis_average"))
+    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0])
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(9)
     rhs = rhs + rhs[::-1]
@@ -351,8 +386,10 @@ def test_oracle_equivalence_random_instances():
 def test_step_factor_spectrum_matches_dense():
     mesh = build_uniform_axis(9, 1.3)
     h_t, a = 0.07, 1.4
-    spec = np.sort(sine_spectrum(mesh, "step_factor", h_t=h_t, speed=a))
+    # the step factor is B + (h_t^2/12) A of the 1D pair
+    mu_b, mu_a = pair_spectra([mesh], (a,), "prod_stiffprod")
+    spec = np.sort(mu_b + h_t**2 / 12.0 * mu_a)
     dense = np.sort(np.linalg.eigvalsh(step_factor(mesh, h_t, a).dense()))
     assert np.allclose(spec, dense, rtol=1e-12)
     with pytest.raises(ValueError):
-        sine_spectrum(mesh, "step_factor")
+        pair_spectra([mesh], (a,), "prod_residual_stiffprod")
