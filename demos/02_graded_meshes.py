@@ -12,12 +12,14 @@ Run:  python demos/02_graded_meshes.py
 from compactwave import (
     ErrorObserver,
     NODE_DISTRIBUTIONS,
+    SchemeConfig,
+    SchemeKind,
     build_graded_axis,
     build_time_mesh,
     fit_order,
     make_smooth_nonuniform_problem,
     mesh_stats,
-    run_nonuniform,
+    run,
     select_time_step_count,
 )
 
@@ -37,7 +39,7 @@ for name, phi in NODE_DISTRIBUTIONS.items():
         m = select_time_step_count(stats.h_min, a, problem.horizon)
         tmesh = build_time_mesh(m, problem.horizon)
         obs = ErrorObserver(problem.exact, axis, tmesh)
-        run_nonuniform(problem, axis, tmesh, observer=obs)
+        run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
         points.append((n, obs.result().Ch))
     gamma = fit_order(points).gamma
     stats = mesh_stats(build_graded_axis(phi, RESOLUTIONS[-1], 1.0, -0.5))

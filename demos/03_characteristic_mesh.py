@@ -17,16 +17,18 @@ from compactwave.problems import make_sine_mode_problem
 
 problem = make_example(1.5)
 for n, m in ((20, 10), (40, 20), (80, 40)):
-    result, axis, tmesh = run_explicit_characteristic(problem, n, m, store_trajectory=True)
+    levels = []  # (level, t, values) of every level, collected by the observer
+    _, axis, tmesh = run_explicit_characteristic(problem, n, m, observer=lambda *lv: levels.append(lv))
     err = max(
         float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[level]) - v)))
-        for level, v in enumerate(result.trajectory)
+        for level, _, v in levels
     )
     print(f"jump-velocity data, N={n:3d}, M={m:3d}: max nodal error {err:.3E}")
 
 print()
 smooth = make_sine_mode_problem((1.0,), (1.0,), (2,))
-result, axis, tmesh = run_explicit_characteristic(smooth, 32, 24, store_trajectory=True)
+levels = []
+_, axis, tmesh = run_explicit_characteristic(smooth, 32, 24, observer=lambda *lv: levels.append(lv))
 err = max(
     float(
         np.max(
@@ -40,7 +42,7 @@ err = max(
             )
         )
     )
-    for level, v in enumerate(result.trajectory)
+    for level, _, v in levels
 )
 print(f"travelling sine waves, N=32, M=24: max nodal error {err:.3E}")
 print("\nBoth runs agree with the closed-form solution to roundoff: the")

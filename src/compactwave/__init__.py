@@ -25,7 +25,6 @@ from .schemes import (
     assemble,
     run,
     run_explicit_characteristic,
-    run_nonuniform,
 )
 from .stability import check_cfl, sharp_alpha2, verify_energy_bound
 

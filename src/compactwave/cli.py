@@ -294,7 +294,7 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTr
     m = select_time_step_count(stats.h_min, problem.speeds[0], problem.horizon, factor)
     tmesh = build_time_mesh(m, problem.horizon)
     obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
-    schemes.run_nonuniform(problem, axis, tmesh, observer=obs)
+    schemes.run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
     return obs.result(), m / n
 
 

@@ -1,6 +1,6 @@
-"""Time-stepping schemes: compact 4th-order (1D, the three nD variants, the
-factorized splitting form, graded meshes), a weighted 2nd-order reference,
-and the explicit scheme on the characteristic mesh.
+"""Time-stepping schemes: compact 4th-order (1D on uniform or graded axes,
+the three nD variants, the factorized splitting form), a weighted 2nd-order
+reference, and the explicit scheme on the characteristic mesh.
 
 Every implicit scheme advances the symmetric three-level recursion
 
@@ -18,6 +18,9 @@ splitting form solve with the product of their per-axis step factors
 compactnd solve over the tensor sine basis (SpectralHandle) and apply B and A
 as sums and products of the per-axis rows.
 
+Every scheme, the explicit one included, marches through one level loop
+(_march), which applies the blow-up rule to each level it computes.
+
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
     v_k^{m+1} = v_{k-1}^m + v_{k+1}^m - v_k^{m-1} + h_t^2 f_k^m
@@ -32,6 +35,7 @@ in time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -59,7 +63,6 @@ __all__ = [
     "Scheme",
     "assemble",
     "run",
-    "run_nonuniform",
     "run_explicit_characteristic",
     "characteristic_meshes",
     "operator_pair",
@@ -86,7 +89,11 @@ class SchemeKind(str, Enum):
     SPLITTING = "splitting"
     EXPLICIT_CHARACTERISTIC = "characteristic"
     SECOND_ORDER = "second-order"
-    NONUNIFORM_COMPACT = "nonuniform-compact"
+
+    @classmethod
+    def _missing_(cls, value):
+        # the graded-mesh compact scheme is compact1d: its old name is an alias
+        return cls.COMPACT_1D if value == "nonuniform-compact" else None
 
 
 _KIND_DIMENSIONS = {
@@ -97,7 +104,6 @@ _KIND_DIMENSIONS = {
     SchemeKind.SPLITTING: (2, 3),
     SchemeKind.EXPLICIT_CHARACTERISTIC: (1,),
     SchemeKind.SECOND_ORDER: (1,),
-    SchemeKind.NONUNIFORM_COMPACT: (1,),
 }
 
 
@@ -139,7 +145,6 @@ class RunResult:
     v_prev: np.ndarray | None
     v_last: np.ndarray
     blew_up: bool
-    trajectory: list[np.ndarray] | None = None
 
     @property
     def stable(self) -> bool:
@@ -176,7 +181,7 @@ class Scheme:
             raise ValueError(f"{kind.value} does not support dimension {n}")
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             raise ValueError("use run_explicit_characteristic for the explicit scheme")
-        if kind != SchemeKind.NONUNIFORM_COMPACT and not all(m.uniform for m in meshes):
+        if kind != SchemeKind.COMPACT_1D and not all(m.uniform for m in meshes):
             raise MeshError(f"{kind.value} requires uniform spatial meshes")
         if not tmesh.uniform:
             raise MeshError("time stepping requires a uniform time mesh")
@@ -331,61 +336,63 @@ class Scheme:
     def march_data(
         self, v0: np.ndarray, u1n: np.ndarray, forcing: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
-        """Every level v^0 .. v^M of the recursion started from the full array
-        v0 with the given discrete data in place of the problem's: the
+        """The levels v^0, v^1, ... of the recursion started from the full
+        array v0 with the given discrete data in place of the problem's: the
         initial velocity u_1N and the interior forcing f^0 .. f^{M-1}, one
-        entry per step of the time mesh.  The trace is still the problem's;
-        there is no blow-up check."""
+        entry per step of the time mesh.  The trace is still the problem's.
+        The list ends at v^M, or at the level that meets the blow-up rule."""
         if len(forcing) != self.tmesh.n_steps:
             raise ValueError(
                 f"{len(forcing)} forcing levels for {self.tmesh.n_steps} time steps"
             )
-        levels = [v0, self.first_step(v0, u1n, forcing[0])]
-        for level in range(1, self.tmesh.n_steps):
-            levels.append(self.time_step(levels[-2], levels[-1], level, forcing[level]))
-        return levels
+        levels = _march(
+            v0,
+            functools.partial(self.first_step, u1n=u1n, fn0=forcing[0]),
+            lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing[level]),
+            self.tmesh,
+        )
+        return [values for _, _, values in levels]
 
-    def march(self, store_trajectory: bool = False):
-        """Generator over the levels of a run: yields (level, t, values) for
-        every level it computes, the aborting one included, and returns the
-        RunResult.
+    def march(self):
+        """Generator over the levels of a run (see _march): yields (level, t,
+        values) for every level it computes, the aborting one included, and
+        returns the RunResult."""
+        return _march(self.initial_level(), self.first_step, self.time_step, self.tmesh)
 
-        Any non-finite value or magnitude beyond 1e100 aborts the run with the
-        blow-up flag set and a partial result returned.
-        """
-        tmesh = self.tmesh
-        v0 = self.initial_level()
-        trajectory = [v0.copy()] if store_trajectory else None
-        yield 0, 0.0, v0
-        v_prev, v_curr = None, v0
-        for level in range(1, tmesh.n_steps + 1):
-            if level == 1:
-                v_next = self.first_step(v_curr)
-            else:
-                v_next = self.time_step(v_prev, v_curr, level - 1)
-            v_prev, v_curr = v_curr, v_next
-            yield level, tmesh.nodes[level], v_curr
-            if diverged(v_curr):
-                return RunResult(level + 1, v_prev, v_curr, True, trajectory)
-            if store_trajectory:
-                trajectory.append(v_curr.copy())
-        return RunResult(tmesh.n_steps + 1, v_prev, v_curr, False, trajectory)
-
-    def run(
-        self,
-        observer: Callable[[int, float, np.ndarray], None] | None = None,
-        store_trajectory: bool = False,
-    ) -> RunResult:
+    def run(self, observer: Callable[[int, float, np.ndarray], None] | None = None) -> RunResult:
         """March the scheme over the whole time mesh, showing every level to
         the observer (see march)."""
-        levels = self.march(store_trajectory)
-        while True:
-            try:
-                level, t, values = next(levels)
-            except StopIteration as done:
-                return done.value
-            if observer is not None:
-                observer(level, t, values)
+        return _drive(self.march(), observer)
+
+
+def _march(v0: np.ndarray, first, step, tmesh: TimeMesh):
+    """The level loop of every scheme: v^1 = first(v^0) and
+    v^{m+1} = step(v^{m-1}, v^m, m) up to the last node of the time mesh.
+
+    Yields (level, t, values) for every level, v^0 included, and returns the
+    RunResult.  Each computed level is checked by the blow-up rule (diverged)
+    after it is yielded; one that meets it ends the run with the flag set.
+    """
+    yield 0, 0.0, v0
+    v_prev, v_curr = None, v0
+    for level in range(1, tmesh.n_steps + 1):
+        v_next = first(v_curr) if level == 1 else step(v_prev, v_curr, level - 1)
+        v_prev, v_curr = v_curr, v_next
+        yield level, tmesh.nodes[level], v_curr
+        if diverged(v_curr):
+            return RunResult(level + 1, v_prev, v_curr, True)
+    return RunResult(tmesh.n_steps + 1, v_prev, v_curr, False)
+
+
+def _drive(levels, observer: Callable[[int, float, np.ndarray], None] | None) -> RunResult:
+    """Run a level generator to its end, showing every level to the observer."""
+    while True:
+        try:
+            level = next(levels)
+        except StopIteration as done:
+            return done.value
+        if observer is not None:
+            observer(*level)
 
 
 def assemble(
@@ -401,22 +408,8 @@ def run(
     meshes: Sequence[AxisMesh],
     tmesh: TimeMesh,
     observer: Callable[[int, float, np.ndarray], None] | None = None,
-    store_trajectory: bool = False,
 ) -> RunResult:
-    return assemble(problem, config, meshes, tmesh).run(observer, store_trajectory)
-
-
-def run_nonuniform(
-    problem,
-    axis: AxisMesh,
-    tmesh: TimeMesh,
-    observer: Callable[[int, float, np.ndarray], None] | None = None,
-    store_trajectory: bool = False,
-) -> RunResult:
-    """Graded-axis compact run (reduces to the uniform compact scheme when
-    the axis is uniform)."""
-    config = SchemeConfig(kind=SchemeKind.NONUNIFORM_COMPACT)
-    return assemble(problem, config, [axis], tmesh).run(observer, store_trajectory)
+    return assemble(problem, config, meshes, tmesh).run(observer)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +530,6 @@ def run_explicit_characteristic(
     n_intervals: int,
     n_steps: int,
     observer: Callable[[int, float, np.ndarray], None] | None = None,
-    store_trajectory: bool = False,
 ) -> tuple[RunResult, AxisMesh, TimeMesh]:
     """Four-point explicit scheme on the mesh aligned with the characteristics
     (h_t = h/a), with exact cell averages of the data; reproduces the exact
@@ -569,31 +561,19 @@ def run_explicit_characteristic(
             return float(exact(nodes[0], t)), float(exact(nodes[-1], t))
         return 0.0, 0.0
 
-    v0 = np.array(problem.u0(nodes), dtype=float)
-    trajectory = [v0.copy()] if store_trajectory else None
-    if observer is not None:
-        observer(0, 0.0, v0)
+    def first(v0: np.ndarray) -> np.ndarray:
+        f0 = _char_forcing_level(problem.f_data, nodes, 0, h, h_t)
+        v1 = np.empty_like(v0)
+        v1[1:-1] = 0.5 * (v0[:-2] + v0[2:]) + h_t * u1n[1:-1] + 0.5 * h_t**2 * f0
+        v1[0], v1[-1] = boundary(tmesh.nodes[1])
+        return v1
 
-    f0 = _char_forcing_level(problem.f_data, nodes, 0, h, h_t)
-    v1 = np.empty_like(v0)
-    v1[1:-1] = 0.5 * (v0[:-2] + v0[2:]) + h_t * u1n[1:-1] + 0.5 * h_t**2 * f0
-    v1[0], v1[-1] = boundary(tmesh.nodes[1])
-    if store_trajectory:
-        trajectory.append(v1.copy())
-    if observer is not None:
-        observer(1, tmesh.nodes[1], v1)
-
-    v_prev, v_curr = v0, v1
-    for level in range(1, n_steps):
+    def step(v_prev: np.ndarray, v_curr: np.ndarray, level: int) -> np.ndarray:
         f_m = _char_forcing_level(problem.f_data, nodes, level, h, h_t)
         v_next = np.empty_like(v_curr)
         v_next[1:-1] = v_curr[:-2] + v_curr[2:] - v_prev[1:-1] + h_t**2 * f_m
         v_next[0], v_next[-1] = boundary(tmesh.nodes[level + 1])
-        v_prev, v_curr = v_curr, v_next
-        if observer is not None:
-            observer(level + 1, tmesh.nodes[level + 1], v_curr)
-        if diverged(v_curr):
-            return RunResult(level + 2, v_prev, v_curr, True, trajectory), axis, tmesh
-        if store_trajectory:
-            trajectory.append(v_curr.copy())
-    return RunResult(n_steps + 1, v_prev, v_curr, False, trajectory), axis, tmesh
+        return v_next
+
+    v0 = np.array(problem.u0(nodes), dtype=float)
+    return _drive(_march(v0, first, step, tmesh), observer), axis, tmesh

@@ -32,7 +32,7 @@ from compactwave.operators import (
     sum_average,
 )
 from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
-from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, run, run_explicit_characteristic, run_nonuniform
+from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, run, run_explicit_characteristic
 from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
@@ -107,10 +107,13 @@ def test_criterion_1_exact_characteristic_scheme():
         for n in (20, 40, 200):
             m = math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
             start = time.perf_counter()
-            result, axis, tmesh = run_explicit_characteristic(problem, n, m, store_trajectory=True)
+            levels = []
+            _, axis, tmesh = run_explicit_characteristic(
+                problem, n, m, observer=lambda level, t, values: levels.append(values)
+            )
             if n == 20:
                 elapsed = max(elapsed, time.perf_counter() - start)
-            for k, v in enumerate(result.trajectory):
+            for k, v in enumerate(levels):
                 err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v))))
     ok = err <= 1e-12 and elapsed < 0.1
     _report(
@@ -175,7 +178,7 @@ def test_criterion_5_table2_reproduction():
             m = select_time_step_count(mesh_stats(axis).h_min, problem.speeds[0], problem.horizon)
             tmesh = build_time_mesh(m, problem.horizon)
             obs = ErrorObserver(problem.exact, axis, tmesh)
-            run_nonuniform(problem, axis, tmesh, observer=obs)
+            run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
             points.append((n, obs.result().Ch))
         gamma = fit_order(points).gamma
         worst[name] = (gamma, target, tol)

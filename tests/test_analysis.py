@@ -270,7 +270,7 @@ def test_march_yields_every_level_and_returns_the_run_result():
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(20, problem.horizon)
     config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
-    levels = assemble(problem, config, [axis], tmesh).march(store_trajectory=True)
+    levels = assemble(problem, config, [axis], tmesh).march()
     seen = []
     while True:
         try:
@@ -281,8 +281,13 @@ def test_march_yields_every_level_and_returns_the_run_result():
         seen.append((level, t, values.copy()))
     assert [level for level, _, _ in seen] == list(range(tmesh.n_steps + 1))
     assert [t for _, t, _ in seen] == list(tmesh.nodes)
-    reference = run(problem, config, [axis], tmesh, store_trajectory=True)
+    stored = []
+    reference = run(
+        problem, config, [axis], tmesh,
+        observer=lambda level, t, values: stored.append(values.copy()),
+    )
     assert not result.blew_up and result.completed_levels == reference.completed_levels
     np.testing.assert_array_equal(result.v_last, reference.v_last)
-    for (_, _, values), stored in zip(seen, reference.trajectory):
-        np.testing.assert_array_equal(values, stored)
+    assert len(stored) == len(seen)
+    for (_, _, values), expected in zip(seen, stored):
+        np.testing.assert_array_equal(values, expected)

@@ -155,6 +155,32 @@ def test_run_characteristic_rejects_axis_settings(tmp_path, capsys, axis):
     assert "uniform axis" in capsys.readouterr().err
 
 
+GRADED_AXIS = {"axis": {"kind": "graded", "phi": "phi3"}}
+
+
+@pytest.mark.parametrize("scheme", ["second-order", "compactnd"])
+def test_run_rejects_a_graded_axis_for_every_other_1d_kind(tmp_path, capsys, scheme):
+    cfg = tmp_path / "graded.yaml"
+    cfg.write_text(yaml.safe_dump(GRADED_AXIS))
+    code = main(["run", "--problem", "smooth1d", "--scheme", scheme, "--N", "40",
+                 "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "requires uniform spatial meshes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["compact1d", "nonuniform-compact"])
+def test_run_compact1d_on_a_graded_axis(tmp_path, scheme):
+    cfg = tmp_path / "graded.yaml"
+    cfg.write_text(yaml.safe_dump(GRADED_AXIS))
+    out = tmp_path / "run.txt"
+    code = main(["run", "--problem", "smooth1d", "--scheme", scheme, "--N", "40",
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_OK
+    text = out.read_text()
+    assert f"# scheme: {scheme}" in text
+    assert "stable: True" in text
+
+
 def test_table1_rejects_odd_n(capsys):
     code = main(["table1", "--alpha", "1.5", "--N", "41,81,161"])
     assert code == EXIT_CONFIG
@@ -184,6 +210,23 @@ def test_stability_marginal_case(tmp_path):
     text = out.read_text()
     assert "value: 0.5019" in text
     assert "warning" in text
+
+
+def test_stability_nonuniform_compact_is_the_compact1d_report(tmp_path, capsys):
+    reports = {}
+    for scheme in ("compact1d", "nonuniform-compact"):
+        out = tmp_path / f"{scheme}.txt"
+        code = main(["stability", "--problem", "smooth1d", "--scheme", scheme,
+                     "--N", "16", "--M", "200", "--certify", "--seed", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        reports[scheme] = out.read_text().replace(f"# scheme: {scheme}\n", "")
+    assert reports["nonuniform-compact"] == reports["compact1d"]
+    cfg = tmp_path / "graded.yaml"
+    cfg.write_text(yaml.safe_dump(GRADED_AXIS))
+    code = main(["stability", "--problem", "smooth1d", "--scheme", "nonuniform-compact",
+                 "--N", "40", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "stability analysis requires uniform spatial meshes" in capsys.readouterr().err
 
 
 def test_stability_2d_sum_pair_constant(tmp_path):

@@ -1,5 +1,6 @@
-"""Smoke runs of the demos that exercise the operator pairs, the stability
-checks and the splitting handle: each must exit 0 and print something."""
+"""Smoke runs of the demos that exercise graded meshes, the characteristic
+mesh, the operator pairs, the stability checks and the splitting handle:
+each must exit 0 and print something."""
 
 import os
 import subprocess
@@ -13,7 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["03_characteristic_mesh.py", "04_stability_certificates.py", "05_multidimensional_splitting.py"],
+    [
+        "02_graded_meshes.py",
+        "03_characteristic_mesh.py",
+        "04_stability_certificates.py",
+        "05_multidimensional_splitting.py",
+    ],
 )
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -29,9 +29,9 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-# every implicit (kind, ndim) on uniform axes, and the graded-mesh scheme on
-# a phi0..phi6 axis (ndim None)
-BACKEND_CASES = IMPLICIT_KINDS + [(SchemeKind.NONUNIFORM_COMPACT, None)]
+# every implicit (kind, ndim) on uniform axes, and compact1d on a graded
+# phi0..phi6 axis (ndim None)
+BACKEND_CASES = IMPLICIT_KINDS + [(SchemeKind.COMPACT_1D, None)]
 _PROPERTY_SETTINGS = hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 

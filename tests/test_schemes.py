@@ -6,6 +6,7 @@ import pytest
 
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
+    MeshError,
     build_graded_axis,
     build_time_mesh,
     build_uniform_axis,
@@ -42,7 +43,6 @@ from compactwave.schemes import (
     operator_pair,
     run,
     run_explicit_characteristic,
-    run_nonuniform,
 )
 from compactwave.solvers import sine_coefficients
 from oracles import assemble_dense_operator, dense_solve_oracle
@@ -59,10 +59,14 @@ def zero_problem(n):
     )
 
 
+def collect(levels):
+    """Observer appending the values of every level it is shown to `levels`."""
+    return lambda level, t, values: levels.append(values)
+
+
 IMPLICIT_KINDS = [
     (SchemeKind.COMPACT_1D, 1),
     (SchemeKind.SECOND_ORDER, 1),
-    (SchemeKind.NONUNIFORM_COMPACT, 1),
     (SchemeKind.COMPACT_ND, 1),
     (SchemeKind.COMPACT_2D_SUM, 2),
     (SchemeKind.COMPACT_ND, 2),
@@ -78,9 +82,10 @@ def test_zero_data_stays_zero(kind, ndim):
     problem = zero_problem(ndim)
     meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
     tmesh = build_time_mesh(6, 0.05)
-    result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, store_trajectory=True)
+    levels = []
+    result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, observer=collect(levels))
     assert result.stable
-    for level in result.trajectory:
+    for level in levels:
         assert np.max(np.abs(level)) == 0.0
 
 
@@ -177,11 +182,10 @@ def test_boundary_values_imposed():
     problem = make_example(1.5)
     axis = build_uniform_axis(50, 1.0, -0.5)
     tmesh = build_time_mesh(50, 1.0)
-    result = run(
-        problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, store_trajectory=True
-    )
+    levels = []
+    run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=collect(levels))
     g0, g1 = problem.g
-    for level, v in enumerate(result.trajectory[1:], start=1):
+    for level, v in enumerate(levels[1:], start=1):
         t = tmesh.nodes[level]
         assert v[0] == pytest.approx(float(g0(t)), abs=1e-14)
         assert v[-1] == pytest.approx(float(g1(t)), abs=1e-14)
@@ -192,10 +196,11 @@ def test_modal_decoupling_2d():
     meshes = [build_uniform_axis(10, 1.0), build_uniform_axis(8, 0.8)]
     tmesh = build_time_mesh(30, 1.0)
     for kind in (SchemeKind.COMPACT_2D_SUM, SchemeKind.COMPACT_ND, SchemeKind.SPLITTING):
-        result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, store_trajectory=True)
+        levels = []
+        result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, observer=collect(levels))
         assert result.stable
         amp0 = None
-        for v in result.trajectory:
+        for v in levels:
             coeffs = sine_coefficients(v[1:-1, 1:-1])
             on_mode = abs(coeffs[1, 0])
             off = np.abs(coeffs).sum() - on_mode
@@ -210,8 +215,7 @@ def test_reversibility():
     axis = build_uniform_axis(16, 1.0)
     tmesh = build_time_mesh(12, 0.4)
     scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
-    result = scheme.run(store_trajectory=True)
-    traj = result.trajectory
+    traj = [values for _, _, values in scheme.march()]
     # walk the three-level recursion backwards: solve for the older level
     v_next, v_curr = traj[-1], traj[-2]
     for level in range(len(traj) - 2, 0, -1):
@@ -282,12 +286,28 @@ def test_graded_identity_layout_matches_uniform_scheme():
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi0"], n, 1.0, -0.5)
     m = select_time_step_count(mesh_stats(uniform).h_min, problem.speeds[0], 1.0)
     tmesh = build_time_mesh(m, 1.0)
-    r_uniform = run(
-        problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [uniform], tmesh, store_trajectory=True
-    )
-    r_graded = run_nonuniform(problem, graded, tmesh, store_trajectory=True)
-    for v_u, v_g in zip(r_uniform.trajectory, r_graded.trajectory):
+    config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
+    levels_uniform = [values for _, _, values in assemble(problem, config, [uniform], tmesh).march()]
+    levels_graded = [values for _, _, values in assemble(problem, config, [graded], tmesh).march()]
+    for v_u, v_g in zip(levels_uniform, levels_graded):
         assert np.max(np.abs(v_u - v_g)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,ndim", [(kind, ndim) for kind, ndim in IMPLICIT_KINDS if kind != SchemeKind.COMPACT_1D]
+)
+def test_only_compact1d_accepts_a_graded_axis(kind, ndim):
+    graded = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 8, 1.0, -0.5)
+    meshes = [graded] + [build_uniform_axis(6, 1.0) for _ in range(ndim - 1)]
+    tmesh = build_time_mesh(4, 0.1)
+    with pytest.raises(MeshError, match="requires uniform spatial meshes"):
+        assemble(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
+    assemble(zero_problem(1), SchemeConfig(kind=SchemeKind.COMPACT_1D), [graded], tmesh)
+
+
+def test_nonuniform_compact_is_an_alias_of_compact1d():
+    assert SchemeKind("nonuniform-compact") is SchemeKind.COMPACT_1D
+    assert "nonuniform-compact" not in {kind.value for kind in SchemeKind}
 
 
 def test_graded_power_mesh_fourth_order():
@@ -304,7 +324,7 @@ def test_graded_power_mesh_fourth_order():
             nonlocal err
             err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, t) - v))))
 
-        run_nonuniform(problem, axis, tmesh, observer=watch)
+        run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=watch)
         errors[n] = err
     slope = -np.polyfit(np.log10(list(errors)), np.log10(list(errors.values())), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.2)
@@ -373,19 +393,21 @@ def test_operator_pair_mapping():
 
 def test_characteristic_exactness_weak_data():
     problem = make_example(1.5)
-    result, axis, tmesh = run_explicit_characteristic(problem, 20, 10, store_trajectory=True)
+    levels = []
+    _, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
     err = max(
         float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[m]) - v)))
-        for m, v in enumerate(result.trajectory)
+        for m, v in enumerate(levels)
     )
     assert err < 1e-13
 
 
 def test_characteristic_dalembert_sine():
     problem = make_sine_mode_problem((1.0,), (1.0,), (2,))
-    result, axis, tmesh = run_explicit_characteristic(problem, 32, 16, store_trajectory=True)
+    levels = []
+    _, axis, tmesh = run_explicit_characteristic(problem, 32, 16, observer=collect(levels))
     a = 1.0
-    for m, v in enumerate(result.trajectory):
+    for m, v in enumerate(levels):
         t = tmesh.nodes[m]
         expected = 0.5 * (
             np.sin(2 * np.pi * (axis.nodes - a * t)) + np.sin(2 * np.pi * (axis.nodes + a * t))
@@ -428,6 +450,23 @@ def test_characteristic_summed_formula_equals_recursion():
             assert value == pytest.approx(levels[m][k], rel=1e-12, abs=1e-12)
 
 
+def test_blowup_at_level_one_ends_every_runner_there():
+    # a huge initial velocity blows up level 1: the explicit runner stops
+    # there as the implicit schemes do, after showing it to the observer
+    problem = ProblemSpec(
+        name="huge velocity", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=1.0,
+        u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.full_like(x, 1e104),
+        u1n_default="samples",
+    )
+    levels = []
+    explicit, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
+    implicit = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    for result in (explicit, implicit):
+        assert result.blew_up
+        assert result.completed_levels == 2
+    assert len(levels) == 2 and np.max(np.abs(levels[1])) > 1e100
+
+
 def test_characteristic_rejects_smooth_forcing():
     problem = make_smooth_nonuniform_problem()
     with pytest.raises(ValueError):
@@ -460,10 +499,11 @@ def test_characteristic_atom_on_footprint_corners(n):
     # before the initial-velocity front reaches the boundary at t = 0.5
     problem = make_example(0.5, horizon=0.8, a=1.0)
     m = n // 2 - 1
-    result, axis, tmesh = run_explicit_characteristic(problem, n, m, store_trajectory=True)
+    levels = []
+    _, axis, tmesh = run_explicit_characteristic(problem, n, m, observer=collect(levels))
     err = max(
         float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v)))
-        for k, v in enumerate(result.trajectory)
+        for k, v in enumerate(levels)
     )
     assert err <= 1e-12
 

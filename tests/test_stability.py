@@ -240,12 +240,26 @@ def test_march_data_with_own_data_equals_run():
         scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
         forcing = [scheme.fn0] + [scheme.fn_table(level) for level in range(1, 5)]
         levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
-        stored = scheme.run(store_trajectory=True).trajectory
+        stored = []
+        scheme.run(observer=lambda level, t, values: stored.append(values))
         assert len(levels) == len(stored) == 6
         for got, expected in zip(levels, stored):
             assert np.array_equal(got, expected)
         with pytest.raises(ValueError, match="4 forcing levels for 5 time steps"):
             scheme.march_data(scheme.initial_level(), scheme.u1n, forcing[:4])
+
+
+def test_march_data_ends_at_the_aborting_level():
+    scheme = assemble(
+        _forced_sine_problem(), SchemeConfig(kind=SchemeKind.COMPACT_ND), MARCH_MESHES,
+        build_time_mesh(5, 0.2),
+    )
+    forcing = [scheme.fn0] + [scheme.fn_table(level) for level in range(1, 5)]
+    forcing[2] = np.full_like(forcing[2], 1e110)  # v^3 = v^{2+1} blows up
+    levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
+    assert len(levels) == 4
+    assert all(np.max(np.abs(v)) <= 1e100 for v in levels[:3])
+    assert np.max(np.abs(levels[3])) > 1e100
 
 
 @pytest.mark.parametrize("kind,dims", BATCH_KINDS)
