@@ -16,7 +16,7 @@ from .mesh import (
     mesh_stats,
     select_time_step_count,
 )
-from .operators import GridFunction, PiecewiseData
+from .operators import PiecewiseData
 from .problems import ProblemSpec, catalog, make_example, make_smooth_nonuniform_problem
 from .schemes import (
     RunResult,

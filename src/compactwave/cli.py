@@ -151,6 +151,14 @@ def _parse_n_list(raw: str | None, default: Sequence[int]) -> list[int]:
     return values
 
 
+def _cfl_factor(args: argparse.Namespace, config: dict) -> float:
+    """The --cfl-factor flag, else the config's, else sqrt(2); an explicit 0
+    is kept, for the step-count rule to reject."""
+    if args.cfl_factor is not None:
+        return args.cfl_factor
+    return float(config.get("cfl_factor", math.sqrt(2.0)))
+
+
 # ---------------------------------------------------------------------------
 # single run
 
@@ -174,7 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "of the axis settings only N may be given"
         )
     axis = _axis_from_config(axis_cfg, n)
-    factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
+    factor = _cfl_factor(args, config)
     m_entry = args.M or config.get("M", "auto")
     if m_entry != "auto":
         m = int(m_entry)
@@ -305,7 +313,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     if args.full:
         n_list = list(range(50, 1001, 50))
     n_list = sorted(set(n_list))
-    factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
+    factor = _cfl_factor(args, config)
     jobs = args.jobs or int(config.get("jobs", 1))
     for phi_name in phis:
         if phi_name not in NODE_DISTRIBUTIONS:
@@ -356,14 +364,14 @@ def cmd_stability(args: argparse.Namespace) -> int:
     problem = _problem_from_config(problem_entry) if len(meshes) == 1 else None
     speeds = problem.speeds if problem else tuple(config.get("speeds", [1.0] * len(meshes)))
     horizon = problem.horizon if problem else float(config.get("T", 1.0))
-    factor = args.cfl_factor or float(config.get("cfl_factor", math.sqrt(2.0)))
+    factor = _cfl_factor(args, config)
     h_min = min(mesh_stats(m).h_min for m in meshes)
     m_entry = args.M or config.get("M", "auto")
     if m_entry == "auto":
         m = select_time_step_count(h_min, max(speeds), horizon, factor)
     else:
         m = int(m_entry)
-    h_t = horizon / m
+    h_t = build_time_mesh(m, horizon).h_t
     pair = schemes.operator_pair(sconfig.kind, len(meshes))
     if pair is None:
         raise ConfigError(f"no step condition is attached to scheme {scheme_name!r}")
@@ -434,24 +442,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool]] = []
     rng = np.random.default_rng(args.seed or 0)
 
-    from .operators import GridFunction, product_average, splitting_residual, stiffness_product
+    from .operators import pair_appliers, step_factor
     from .solvers import SplittingHandle
 
     meshes = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.8)]
     h_t = 0.05
     values = np.zeros((7, 6))
     values[1:-1, 1:-1] = rng.standard_normal((5, 4))
-    gf = GridFunction(meshes, values)
     speeds = (1.0, 1.3)
-    from .operators import step_factor as _sf
-
-    handle = SplittingHandle([_sf(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
+    mass, stiffness = pair_appliers("prod_residual_stiffprod", meshes, speeds, h_t)
+    handle = SplittingHandle([step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
     lhs = handle.apply(values)
-    rhs = (
-        product_average(gf).values
-        + h_t**2 / 12.0 * stiffness_product(gf, speeds).values
-        + splitting_residual(gf, speeds, h_t).values
-    )[1:-1, 1:-1]
+    rhs = mass(values) + h_t**2 / 12.0 * stiffness(values)
     checks.append(("splitting identity", float(np.max(np.abs(lhs - rhs))) < 1e-13))
 
     problem = problems.make_example(1.5)

@@ -8,14 +8,10 @@ the averages, the stiffness operators, the splitting residual and the
 compact corrections of the data are products and sums of such applications.
 On one axis each of them is a single row application.  One table,
 `PAIR_FORMS`, says which sum and product forms make up each operator pair;
-`pair_appliers` composes the pair's rows by it, and `solvers.pair_spectra`
-composes per-axis sine eigenvalues by the same rule.
-
-The GridFunction operators act on full node arrays (boundary values
-included) and return full-shape arrays whose entries are meaningful on the
-interior node set: the averages keep their input on the boundary faces, and
-the stiffness operators return zero on every face (their codomain is the
-zero-boundary space).
+`pair_appliers` is the one place that composes the pair's rows by it (the
+splitting pair's residual included), and `solvers.pair_spectra` composes
+per-axis sine eigenvalues by the same rule.  The composed operators map a
+full node array (boundary values included) to its interior values.
 
 Averaging conventions for non-smooth data follow the exact hat-function
 averages: piecewise polynomials are integrated analytically (Gauss rules of
@@ -31,10 +27,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .mesh import AxisMesh, MeshError, TimeMesh
+from .mesh import AxisMesh, TimeMesh
 
 __all__ = [
-    "GridFunction",
     "TridiagonalFactor",
     "PPiece",
     "QPiece",
@@ -42,19 +37,12 @@ __all__ = [
     "TimeDirac",
     "SeparableTerm",
     "PiecewiseData",
-    "second_diff",
-    "axis_average",
-    "sum_average",
-    "product_average",
-    "stiffness_sum",
-    "stiffness_product",
-    "splitting_residual",
     "PAIR_FORMS",
     "pair_forms",
+    "pair_appliers",
     "step_factor",
     "tridiag_second_diff",
     "tridiag_axis_average",
-    "inner_h",
     "hat_average_x",
     "hat_average_t",
     "hat_average_t0",
@@ -69,31 +57,6 @@ NODE_SNAP_TOL = 1e-12
 # relative distance below which a point counts as lying on a singular line
 # or on the end of an integration window (a few units in the last place)
 TIE_RTOL = 8.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Values at every node of a tensor-product spatial mesh."""
-
-    meshes: tuple[AxisMesh, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        meshes = tuple(self.meshes)
-        values = np.asarray(self.values, dtype=float)
-        expected = tuple(m.nodes.size for m in meshes)
-        if values.shape != expected:
-            raise ValueError(f"value shape {values.shape} does not match mesh shape {expected}")
-        object.__setattr__(self, "meshes", meshes)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.meshes)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[tuple(slice(1, -1) for _ in self.meshes)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +161,6 @@ def _trim(values: np.ndarray, axes) -> np.ndarray:
     return values[tuple(slice(1, -1) if a in axes else slice(None) for a in range(values.ndim))]
 
 
-def _embed(part: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """A copy of the full array `base` with `part` written over its interior
-    along every axis on which `part` is two nodes shorter."""
-    out = base.copy()
-    out[tuple(slice(1, -1) if p < b else slice(None) for p, b in zip(part.shape, base.shape))] = part
-    return out
-
-
 def _average_factors(meshes: Sequence[AxisMesh]) -> list[TridiagonalFactor]:
     return [TridiagonalFactor(axis, *tridiag_axis_average(m)) for axis, m in enumerate(meshes)]
 
@@ -285,98 +240,35 @@ def pair_forms(pair: str | None) -> PairForms:
 
 
 def pair_appliers(
-    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float]
+    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float], h_t: float | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """The mass B and the stiffness A of a scheme's operator pair as maps from
     a full node array to its interior values.
 
-    The splitting pair's mass is its product average: the h_t-dependent
-    residual enters only through the product of the step factors.
+    The splitting pair's mass adds to its product average the residual of the
+    factored step operator, c^|K| prod_{i in K} (-a_i^2 Lambda_i)
+    prod_{j not in K} S_j over the axis sets K with |K| >= 2, c = h_t^2/12
+    (the composition of `solvers.pair_spectra`); it needs h_t.
     """
     forms = pair_forms(pair)
     averages = _average_factors(meshes)
     stiffs = _stiffness_factors(meshes, speeds)
     mass = _additive if forms.additive_mass else _product
     cross = _additive if forms.additive_cross else _product
-    return (lambda v: mass(v, averages)), (lambda v: _stiffness(v, stiffs, averages, cross))
-
-
-def _check_axis(w: GridFunction, axis: int) -> None:
-    if not 0 <= axis < w.ndim:
-        raise ValueError(f"axis {axis} out of range for dimension {w.ndim}")
-
-
-def second_diff(w: GridFunction, axis: int) -> GridFunction:
-    """Three-point second difference along one axis (zero on its own faces)."""
-    _check_axis(w, axis)
-    lam = TridiagonalFactor(axis, *tridiag_second_diff(w.meshes[axis]))
-    return GridFunction(w.meshes, _embed(lam.apply(w.values), np.zeros_like(w.values)))
-
-
-def axis_average(w: GridFunction, axis: int) -> GridFunction:
-    """Compact single-axis average with weights (alpha, 10*gamma, beta)/12.
-
-    Uniform steps give the (1, 10, 1)/12 stencil exactly; identity on the
-    axis' own boundary faces.
-    """
-    _check_axis(w, axis)
-    avg = TridiagonalFactor(axis, *tridiag_axis_average(w.meshes[axis]))
-    return GridFunction(w.meshes, _embed(avg.apply(w.values), w.values))
-
-
-def sum_average(w: GridFunction) -> GridFunction:
-    """Additive compact average I + sum_i (h_i^2/12) Lambda_i (uniform axes)."""
-    if not all(mesh.uniform for mesh in w.meshes):
-        raise MeshError("additive compact average requires uniform axes")
-    return GridFunction(w.meshes, _embed(_additive(w.values, _average_factors(w.meshes)), w.values))
-
-
-def product_average(w: GridFunction) -> GridFunction:
-    """Tensor-product compact average (factors commute on tensor grids)."""
-    return GridFunction(w.meshes, _embed(_product(w.values, _average_factors(w.meshes)), w.values))
-
-
-def _stiffness_grid(w: GridFunction, speeds: Sequence[float], cross) -> GridFunction:
-    if w.ndim > 3:
-        raise ValueError("supported for dimensions 1..3 only")
-    stiff = _stiffness(w.values, _stiffness_factors(w.meshes, speeds), _average_factors(w.meshes), cross)
-    return GridFunction(w.meshes, _embed(stiff, np.zeros_like(w.values)))
-
-
-def stiffness_sum(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
-    """-sum_i a_i^2 (cross additive average) Lambda_i w, zero on all faces."""
-    return _stiffness_grid(w, speeds, _additive)
-
-
-def stiffness_product(w: GridFunction, speeds: Sequence[float]) -> GridFunction:
-    """-sum_i a_i^2 (cross product average) Lambda_i w, zero on all faces."""
-    return _stiffness_grid(w, speeds, _product)
-
-
-def splitting_residual(w: GridFunction, speeds: Sequence[float], h_t: float) -> GridFunction:
-    """Difference between the factorized step operator and its unsplit form:
-    the terms of order h_t^4 and up of prod_i (S_i - (h_t^2/12) a_i^2 Lambda_i),
-    zero on all faces (and everywhere in one dimension)."""
-    n = w.ndim
-    if n > 3:
-        raise ValueError("supported for dimensions 1..3 only")
-    averages = _average_factors(w.meshes)
-    stiffs = _stiffness_factors(w.meshes, speeds)
+    stiffness = lambda v: _stiffness(v, stiffs, averages, cross)
+    if not forms.residual:
+        return (lambda v: mass(v, averages)), stiffness
+    if h_t is None:
+        raise ValueError("splitting residual needs h_t")
     c = h_t**2 / 12.0
-    out = np.zeros(tuple(m.nodes.size - 2 for m in w.meshes))
-    for k in range(2, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            factors = [stiffs[i] if i in combo else averages[i] for i in range(n)]
-            out += c**k * _product(w.values, factors)
-    return GridFunction(w.meshes, _embed(out, np.zeros_like(w.values)))
-
-
-def inner_h(u: GridFunction, w: GridFunction) -> float:
-    """Mesh inner product h_1...h_n * sum over interior nodes (uniform axes)."""
-    weight = 1.0
-    for mesh in u.meshes:
-        weight *= mesh.h
-    return float(weight * np.sum(u.interior * w.interior))
+    n = len(meshes)
+    residual = [
+        (c**k, [stiffs[i] if i in combo else averages[i] for i in range(n)])
+        for k in range(2, n + 1)
+        for combo in itertools.combinations(range(n), k)
+    ]
+    split_mass = lambda v: sum((coef * _product(v, f) for coef, f in residual), _product(v, averages))
+    return split_mass, stiffness
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +538,9 @@ def initial_velocity(
             out += c * _trim(lam.apply(samples), set(axes) - {axis})
     else:
         raise ValueError(f"unknown initial-velocity mode {mode!r}")
-    return _embed(out, np.zeros(shape))
+    full = np.zeros(shape)
+    full[_interior_slices(len(meshes))] = out
+    return full
 
 
 class RhsTable:

@@ -200,7 +200,7 @@ class Scheme:
         self.fn0_mode = fn0_mode
 
         # B and A from per-axis stencil rows; one solver handle for the step operator
-        self._mass, self._stiffness = pair_appliers(self.pair, meshes, self.speeds)
+        self._mass, self._stiffness = pair_appliers(self.pair, meshes, self.speeds, self.h_t)
         self._interior = tuple(slice(1, -1) for _ in meshes)
         # the one rule for a non-zero trace, kept by boundary_values and solve_step;
         # without boundary data the trace is identically zero: S 0 = 0 needs no lift

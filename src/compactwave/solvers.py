@@ -161,8 +161,8 @@ def pair_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue tensors (mu_B, mu_A) of an operator pair over the sine basis.
 
-    The compositions of `operators.pair_appliers` (and, for the splitting
-    pair, of its residual; it needs h_t) applied to per-axis eigenvalues
+    The compositions of `operators.pair_appliers` (the splitting pair's
+    residual included; it needs h_t) applied to per-axis eigenvalues
     broadcast over the tensor: lambda_i of -Lambda_i, 1 - d_i with
     d_i = h_i^2 lambda_i / 12 for the average S_i and a_i^2 lambda_i for the
     stiffness rows.
@@ -223,10 +223,6 @@ class SpectralHandle:
             raise ValueError("rhs shape does not match the spectrum table")
         coeffs = sine_coefficients(rhs)
         return sine_synthesis(coeffs / self.eigenvalues)
-
-    def apply(self, interior: np.ndarray) -> np.ndarray:
-        coeffs = sine_coefficients(interior)
-        return sine_synthesis(coeffs * self.eigenvalues)
 
 
 class SplittingHandle:

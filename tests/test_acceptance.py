@@ -21,16 +21,7 @@ from compactwave.mesh import (
     mesh_stats,
     select_time_step_count,
 )
-from compactwave.operators import (
-    GridFunction,
-    product_average,
-    second_diff,
-    splitting_residual,
-    step_factor,
-    stiffness_product,
-    stiffness_sum,
-    sum_average,
-)
+from compactwave.operators import TridiagonalFactor, pair_appliers, step_factor, tridiag_second_diff
 from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
 from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, run, run_explicit_characteristic
 from compactwave.solvers import (
@@ -239,14 +230,12 @@ def test_criterion_7_oracle_equivalence():
         mu_b, mu_a = pair_spectra(meshes, speeds, pair)
         handle = SpectralHandle(mu_b + h_t**2 / 12.0 * mu_a)
         interior_shape = tuple(m.nodes.size - 2 for m in meshes)
+        mass, stiffness = pair_appliers(pair, meshes, speeds)
 
         def apply(interior):
             full = np.zeros(tuple(m.nodes.size for m in meshes))
             full[tuple(slice(1, -1) for _ in meshes)] = interior
-            gf = GridFunction(tuple(meshes), full)
-            mass = sum_average(gf) if pair == "sum_stiffsum" else product_average(gf)
-            stiff = stiffness_sum(gf, speeds) if pair == "sum_stiffsum" else stiffness_product(gf, speeds)
-            return (mass.values + h_t**2 / 12.0 * stiff.values)[tuple(slice(1, -1) for _ in meshes)]
+            return mass(full) + h_t**2 / 12.0 * stiffness(full)
 
         dense = assemble_dense_operator(apply, interior_shape)
         rhs = rng.standard_normal(interior_shape)
@@ -303,8 +292,8 @@ def test_criterion_8_spectral_sharpness():
             ]
             speeds = tuple(rng.uniform(0.4, 1.6, size=dims))
             h_t = 0.3 * min(m.h for m in meshes)
-            h_t_arg = h_t if pair == "prod_residual_stiffprod" else None
-            alpha2 = sharp_alpha2(meshes, speeds, pair, h_t_arg)
+            alpha2 = sharp_alpha2(meshes, speeds, pair, h_t)
+            apply_b, apply_a = pair_appliers(pair, meshes, speeds, h_t)
             # brute force over every tensor sine eigenvector
             grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
             best = 0.0
@@ -314,20 +303,9 @@ def test_criterion_8_spectral_sharpness():
                     vec = vec * np.sin(
                         np.pi * (mode[axis] + 1) * (grids[axis] - m.nodes[0]) / m.extent
                     )
-                gf = GridFunction(tuple(meshes), vec)
-                if pair in ("sum_stiffsum", "prod_stiffsum"):
-                    a_val = stiffness_sum(gf, speeds).values
-                else:
-                    a_val = stiffness_product(gf, speeds).values
-                if pair == "sum_stiffsum":
-                    b_val = sum_average(gf).values
-                else:
-                    b_val = product_average(gf).values
-                    if pair == "prod_residual_stiffprod":
-                        b_val = b_val + splitting_residual(gf, speeds, h_t).values
                 interior = tuple(slice(1, -1) for _ in meshes)
-                ratio = float(np.sum(a_val[interior] * vec[interior])) / float(
-                    np.sum(b_val[interior] * vec[interior])
+                ratio = float(np.sum(apply_a(vec) * vec[interior])) / float(
+                    np.sum(apply_b(vec) * vec[interior])
                 )
                 best = max(best, ratio)
             worst_dev = max(worst_dev, abs(alpha2 - best) / best)
@@ -419,33 +397,38 @@ def test_criterion_10_operator_identities():
             speeds = tuple(rng.uniform(0.4, 1.6, size=dims))
             h_t = float(rng.uniform(0.05, 0.4)) * min(m.h for m in meshes)
             shape = tuple(m.nodes.size for m in meshes)
-            gf = GridFunction(tuple(meshes), rng.standard_normal(shape))
+            w = rng.standard_normal(shape)
             interior = tuple(slice(1, -1) for _ in meshes)
 
             factors = [step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)]
-            lhs = SplittingHandle(factors).apply(gf.values)
-            rhs = (
-                product_average(gf).values
-                + h_t**2 / 12.0 * stiffness_product(gf, speeds).values
-                + splitting_residual(gf, speeds, h_t).values
-            )[interior]
+            lhs = SplittingHandle(factors).apply(w)
+            split_mass, stiffness = pair_appliers("prod_residual_stiffprod", meshes, speeds, h_t)
+            rhs = split_mass(w) + h_t**2 / 12.0 * stiffness(w)
             worst_split = max(worst_split, float(np.max(np.abs(lhs - rhs))))
 
             # product-minus-sum mass identity
-            delta = (product_average(gf).values - sum_average(gf).values)[interior]
+            delta = pair_appliers("prod_stiffprod", meshes, speeds)[0](w) - pair_appliers(
+                "sum_stiffsum", meshes, speeds
+            )[0](w)
             h2 = [m.h**2 / 12.0 for m in meshes]
+            lam = [TridiagonalFactor(i, *tridiag_second_diff(m)) for i, m in enumerate(meshes)]
+
+            def mixed(*axes):
+                # prod_{i in axes} Lambda_i w on the interior nodes
+                out = w
+                for i in axes:
+                    out = lam[i].apply(out)
+                return out[tuple(slice(None) if i in axes else slice(1, -1) for i in range(dims))]
+
             if dims == 2:
-                expected = h2[0] * h2[1] * second_diff(second_diff(gf, 0), 1).values[interior]
+                expected = h2[0] * h2[1] * mixed(0, 1)
             else:
-                l01 = second_diff(second_diff(gf, 0), 1)
-                l02 = second_diff(second_diff(gf, 0), 2)
-                l12 = second_diff(second_diff(gf, 1), 2)
                 expected = (
-                    h2[0] * h2[1] * l01.values
-                    + h2[0] * h2[2] * l02.values
-                    + h2[1] * h2[2] * l12.values
-                    + h2[0] * h2[1] * h2[2] * second_diff(l01, 2).values
-                )[interior]
+                    h2[0] * h2[1] * mixed(0, 1)
+                    + h2[0] * h2[2] * mixed(0, 2)
+                    + h2[1] * h2[2] * mixed(1, 2)
+                    + h2[0] * h2[1] * h2[2] * mixed(0, 1, 2)
+                )
             worst_mass = max(worst_mass, float(np.max(np.abs(delta - expected))))
     ok = worst_split <= 1e-13 and worst_mass <= 1e-13
     _report(

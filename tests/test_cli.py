@@ -229,6 +229,23 @@ def test_stability_nonuniform_compact_is_the_compact1d_report(tmp_path, capsys):
     assert "stability analysis requires uniform spatial meshes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_stability_needs_a_positive_step_count(capsys, steps):
+    code = main(["stability", "--problem", "smooth1d", "--N", "16", "--M", steps])
+    assert code == EXIT_CONFIG
+    assert "need at least one time step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["stability", "--problem", "smooth1d", "--N", "16"],
+    ["table2", "--phi", "phi0", "--N", "50,100,200"],
+])
+def test_explicit_zero_cfl_factor_is_rejected(capsys, command):
+    # an explicit 0 reaches the step-count rule instead of the default factor
+    assert main(command + ["--cfl-factor", "0"]) == EXIT_CONFIG
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_stability_2d_sum_pair_constant(tmp_path):
     config = tmp_path / "conf.yaml"
     config.write_text(yaml.safe_dump({

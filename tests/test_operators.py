@@ -6,43 +6,36 @@ import pytest
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     AxisMesh,
-    MeshError,
     build_graded_axis,
     build_time_mesh,
     build_uniform_axis,
 )
 from compactwave.operators import (
-    GridFunction,
-    axis_average,
     PPiece,
     PiecewiseData,
     QPiece,
     SeparableTerm,
     SpaceDirac,
     TimeDirac,
+    TridiagonalFactor,
     build_rhs_table,
     hat_average_t,
     hat_average_t0,
     hat_average_x,
     initial_rhs,
     initial_velocity,
-    inner_h,
-    product_average,
-    second_diff,
-    splitting_residual,
+    pair_appliers,
     step_factor,
-    stiffness_product,
-    stiffness_sum,
-    sum_average,
     tridiag_axis_average,
+    tridiag_second_diff,
 )
 from compactwave.problems import make_example
 from oracles import assemble_dense_operator
 
 
-def grid1(nodes_or_axis, values):
-    axis = nodes_or_axis if isinstance(nodes_or_axis, AxisMesh) else AxisMesh(np.asarray(nodes_or_axis, float))
-    return GridFunction((axis,), np.asarray(values, float))
+def second_diff(mesh, values, axis=0):
+    """The second-difference rows of `mesh` applied along `axis`."""
+    return TridiagonalFactor(axis, *tridiag_second_diff(mesh)).apply(np.asarray(values, float))
 
 
 def random_grid(meshes, rng, zero_boundary=True):
@@ -55,7 +48,17 @@ def random_grid(meshes, rng, zero_boundary=True):
             values[tuple(idx)] = 0.0
             idx[axis] = -1
             values[tuple(idx)] = 0.0
-    return GridFunction(tuple(meshes), values)
+    return values
+
+
+def sum_pair(meshes, speeds=None):
+    """(B, A) of the additive-average pair."""
+    return pair_appliers("sum_stiffsum", meshes, speeds or (1.0,) * len(meshes))
+
+
+def prod_pair(meshes, speeds=None):
+    """(B, A) of the tensor-product pair."""
+    return pair_appliers("prod_stiffprod", meshes, speeds or (1.0,) * len(meshes))
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +67,20 @@ def random_grid(meshes, rng, zero_boundary=True):
 
 def test_second_diff_annihilates_affine():
     axis = build_uniform_axis(8, 2.0, -1.0)
-    w = grid1(axis, 3.0 * axis.nodes + 1.0)
-    out = second_diff(w, 0).values
-    assert np.max(np.abs(out[1:-1])) < 1e-13
+    out = second_diff(axis, 3.0 * axis.nodes + 1.0)
+    assert np.max(np.abs(out)) < 1e-13
 
 
 def test_second_diff_exact_on_quadratic():
     axis = build_uniform_axis(10, 1.0)
-    w = grid1(axis, axis.nodes**2)
-    out = second_diff(w, 0).values
-    assert np.allclose(out[1:-1], 2.0, atol=1e-11)
+    out = second_diff(axis, axis.nodes**2)
+    assert np.allclose(out, 2.0, atol=1e-11)
 
 
 def test_second_diff_nonuniform_hand_value():
     # steps 1 and 2 around the middle node; w = x^2 gives exactly 2
-    w = grid1([0.0, 1.0, 3.0], [0.0, 1.0, 9.0])
-    out = second_diff(w, 0).values
-    assert out[1] == pytest.approx(2.0, rel=1e-14)
-
-
-def test_second_diff_axis_range():
-    axis = build_uniform_axis(4, 1.0)
-    with pytest.raises(ValueError):
-        second_diff(grid1(axis, axis.nodes), 1)
+    out = second_diff(AxisMesh(np.array([0.0, 1.0, 3.0])), [0.0, 1.0, 9.0])
+    assert out[0] == pytest.approx(2.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +89,26 @@ def test_second_diff_axis_range():
 
 def test_sum_average_preserves_constants():
     meshes = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.7)]
-    w = GridFunction(tuple(meshes), np.ones((7, 6)))
-    assert np.allclose(sum_average(w).values, 1.0, atol=1e-15)
-    assert np.allclose(product_average(w).values, 1.0, atol=1e-15)
+    w = np.ones((7, 6))
+    assert np.allclose(sum_pair(meshes)[0](w), 1.0, atol=1e-15)
+    assert np.allclose(prod_pair(meshes)[0](w), 1.0, atol=1e-15)
 
 
 def test_sum_average_stencil_readout():
     axis = build_uniform_axis(8, 1.0)
     values = np.zeros(9)
     values[4] = 1.0
-    out = sum_average(grid1(axis, values)).values
-    assert out[4] == pytest.approx(10.0 / 12.0)
-    assert out[3] == pytest.approx(1.0 / 12.0)
-    assert out[5] == pytest.approx(1.0 / 12.0)
+    out = sum_pair([axis])[0](values)
+    assert out[3] == pytest.approx(10.0 / 12.0)
+    assert out[2] == pytest.approx(1.0 / 12.0)
+    assert out[4] == pytest.approx(1.0 / 12.0)
 
 
 def test_sum_average_on_quadratic():
     axis = build_uniform_axis(16, 1.0)
     h = axis.h
-    out = sum_average(grid1(axis, axis.nodes**2)).values
-    assert np.allclose(out[1:-1], axis.nodes[1:-1] ** 2 + h * h / 6.0, atol=1e-13)
+    out = sum_pair([axis])[0](axis.nodes**2)
+    assert np.allclose(out, axis.nodes[1:-1] ** 2 + h * h / 6.0, atol=1e-13)
 
 
 def test_axis_average_uniform_limit_and_row_sum():
@@ -140,7 +134,7 @@ def test_product_equals_sum_in_1d():
     axis = build_uniform_axis(9, 1.0)
     rng = np.random.default_rng(0)
     w = random_grid([axis], rng)
-    assert np.allclose(product_average(w).values[1:-1], sum_average(w).values[1:-1], atol=1e-14)
+    assert np.allclose(prod_pair([axis])[0](w), sum_pair([axis])[0](w), atol=1e-14)
 
 
 def test_product_minus_sum_identity_2d():
@@ -148,10 +142,10 @@ def test_product_minus_sum_identity_2d():
     rng = np.random.default_rng(1)
     meshes = [build_uniform_axis(7, 1.0), build_uniform_axis(6, 0.9)]
     w = random_grid(meshes, rng, zero_boundary=False)
-    delta = product_average(w).values - sum_average(w).values
-    mixed = second_diff(second_diff(w, 0), 1).values
+    delta = prod_pair(meshes)[0](w) - sum_pair(meshes)[0](w)
+    mixed = second_diff(meshes[1], second_diff(meshes[0], w, 0), 1)
     expected = meshes[0].h ** 2 * meshes[1].h ** 2 / 144.0 * mixed
-    assert np.max(np.abs((delta - expected)[1:-1, 1:-1])) < 1e-13
+    assert np.max(np.abs(delta - expected)) < 1e-13
 
 
 def test_product_average_eigenvector_scaling():
@@ -159,12 +153,11 @@ def test_product_average_eigenvector_scaling():
     p, q = 3, 2
     x, y = np.meshgrid(meshes[0].nodes, meshes[1].nodes, indexing="ij")
     mode = np.sin(np.pi * p * x / 1.0) * np.sin(np.pi * q * y / 1.3)
-    w = GridFunction(tuple(meshes), mode)
     lam1 = 4.0 / meshes[0].h ** 2 * math.sin(math.pi * p / (2 * 8)) ** 2
     lam2 = 4.0 / meshes[1].h ** 2 * math.sin(math.pi * q / (2 * 6)) ** 2
     factor = (1.0 - meshes[0].h ** 2 * lam1 / 12.0) * (1.0 - meshes[1].h ** 2 * lam2 / 12.0)
-    out = product_average(w).values
-    assert np.max(np.abs((out - factor * mode)[1:-1, 1:-1])) < 1e-12
+    out = prod_pair(meshes)[0](mode)
+    assert np.max(np.abs(out - factor * mode[1:-1, 1:-1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +166,8 @@ def test_product_average_eigenvector_scaling():
 
 def test_stiffness_sum_1d_quadratic():
     axis = build_uniform_axis(10, 1.0)
-    w = grid1(axis, axis.nodes * (1.0 - axis.nodes))
-    out = stiffness_sum(w, (1.0,)).values
-    assert np.allclose(out[1:-1], 2.0, atol=1e-11)
+    out = sum_pair([axis], (1.0,))[1](axis.nodes * (1.0 - axis.nodes))
+    assert np.allclose(out, 2.0, atol=1e-11)
 
 
 def test_stiffness_sum_eigenvalue_2d():
@@ -189,16 +181,16 @@ def test_stiffness_sum_eigenvalue_2d():
     mu = speeds[0] ** 2 * lam1 * (1 - meshes[1].h ** 2 * lam2 / 12.0) + speeds[1] ** 2 * lam2 * (
         1 - meshes[0].h ** 2 * lam1 / 12.0
     )
-    out = stiffness_sum(GridFunction(tuple(meshes), mode), speeds).values
-    assert np.max(np.abs((out - mu * mode)[1:-1, 1:-1])) < 1e-11
+    out = sum_pair(meshes, speeds)[1](mode)
+    assert np.max(np.abs(out - mu * mode[1:-1, 1:-1])) < 1e-11
 
 
 def test_stiffness_sum_equals_product_2d():
     rng = np.random.default_rng(2)
     meshes = [build_uniform_axis(6, 1.0), build_uniform_axis(7, 1.2)]
     w = random_grid(meshes, rng, zero_boundary=False)
-    a = stiffness_sum(w, (1.0, 2.0)).values
-    b = stiffness_product(w, (1.0, 2.0)).values
+    a = sum_pair(meshes, (1.0, 2.0))[1](w)
+    b = prod_pair(meshes, (1.0, 2.0))[1](w)
     assert np.max(np.abs(a - b)) < 1e-14 * np.max(np.abs(a))
 
 
@@ -207,10 +199,14 @@ def test_operator_symmetry():
     meshes = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.8)]
     u = random_grid(meshes, rng)
     w = random_grid(meshes, rng)
-    for op in (sum_average, product_average):
-        assert inner_h(op(u), w) == pytest.approx(inner_h(u, op(w)), abs=1e-13)
-    for op in (lambda g: stiffness_sum(g, (1.0, 1.5)), lambda g: stiffness_product(g, (1.0, 1.5))):
-        assert inner_h(op(u), w) == pytest.approx(inner_h(u, op(w)), abs=1e-13)
+    weight = meshes[0].h * meshes[1].h
+
+    def inner_h(op_values, grid):
+        # mesh inner product over the interior nodes
+        return float(weight * np.sum(op_values * grid[1:-1, 1:-1]))
+
+    for op in (*sum_pair(meshes, (1.0, 1.5)), *prod_pair(meshes, (1.0, 1.5))):
+        assert inner_h(op(u), w) == pytest.approx(inner_h(op(w), u), abs=1e-13)
 
 
 def test_product_average_positive_definite_small_grids():
@@ -223,13 +219,12 @@ def test_product_average_positive_definite_small_grids():
     ):
         n = len(meshes)
         shape = tuple(m.nodes.size - 2 for m in meshes)
+        mass = prod_pair(meshes)[0]
 
         def apply(interior):
             full = np.zeros(tuple(m.nodes.size for m in meshes))
             full[tuple(slice(1, -1) for _ in meshes)] = interior
-            return product_average(GridFunction(tuple(meshes), full)).values[
-                tuple(slice(1, -1) for _ in meshes)
-            ]
+            return mass(full)
 
         mat = assemble_dense_operator(apply, shape)
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -256,34 +251,41 @@ def test_splitting_residual_zero_in_1d():
     axis = build_uniform_axis(8, 1.0)
     rng = np.random.default_rng(5)
     w = random_grid([axis], rng)
-    assert np.max(np.abs(splitting_residual(w, (1.0,), 0.3).values)) == 0.0
+    split_mass = pair_appliers("prod_residual_stiffprod", [axis], (1.0,), 0.3)[0]
+    assert np.max(np.abs(split_mass(w) - prod_pair([axis])[0](w))) == 0.0
 
 
 @pytest.mark.parametrize("dims", [2, 3])
 def test_splitting_identity(dims):
-    # product of step factors = tensor average + (h_t^2/12) stiffness + residual
+    # product of step factors = tensor average + (h_t^2/12) stiffness + residual,
+    # on uniform and on phi3-graded axes
     rng = np.random.default_rng(6)
-    meshes = [build_uniform_axis(5 + i, 1.0 + 0.2 * i) for i in range(dims)]
     speeds = tuple(0.8 + 0.3 * i for i in range(dims))
     h_t = 0.07
-    w = random_grid(meshes, rng, zero_boundary=False)
-    lhs = w.values
-    for axis, mesh in enumerate(meshes):
-        factor = step_factor(mesh, h_t, speeds[axis], axis)
-        moved = np.moveaxis(lhs, axis, 0)
-        out = moved.copy()
-        lo = factor.lower.reshape((-1,) + (1,) * (moved.ndim - 1))
-        di = factor.diag.reshape((-1,) + (1,) * (moved.ndim - 1))
-        hi = factor.upper.reshape((-1,) + (1,) * (moved.ndim - 1))
-        out[1:-1] = lo * moved[:-2] + di * moved[1:-1] + hi * moved[2:]
-        lhs = np.moveaxis(out, 0, axis)
-    rhs = (
-        product_average(w).values
-        + h_t**2 / 12.0 * stiffness_product(w, speeds).values
-        + splitting_residual(w, speeds, h_t).values
-    )
-    inner = tuple(slice(1, -1) for _ in meshes)
-    assert np.max(np.abs((lhs - rhs)[inner])) < 1e-13
+    for graded in (False, True):
+        meshes = [
+            build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 5 + i, 1.0 + 0.2 * i)
+            if graded
+            else build_uniform_axis(5 + i, 1.0 + 0.2 * i)
+            for i in range(dims)
+        ]
+        w = random_grid(meshes, rng, zero_boundary=False)
+        lhs = w
+        for axis, mesh in enumerate(meshes):
+            factor = step_factor(mesh, h_t, speeds[axis], axis)
+            moved = np.moveaxis(lhs, axis, 0)
+            out = moved.copy()
+            lo = factor.lower.reshape((-1,) + (1,) * (moved.ndim - 1))
+            di = factor.diag.reshape((-1,) + (1,) * (moved.ndim - 1))
+            hi = factor.upper.reshape((-1,) + (1,) * (moved.ndim - 1))
+            out[1:-1] = lo * moved[:-2] + di * moved[1:-1] + hi * moved[2:]
+            lhs = np.moveaxis(out, 0, axis)
+        mass, stiffness = pair_appliers("prod_residual_stiffprod", meshes, speeds, h_t)
+        rhs = mass(w) + h_t**2 / 12.0 * stiffness(w)
+        inner = tuple(slice(1, -1) for _ in meshes)
+        assert np.max(np.abs(lhs[inner] - rhs)) < 1e-13
+        with pytest.raises(ValueError):
+            pair_appliers("prod_residual_stiffprod", meshes, speeds)
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +545,10 @@ def test_initial_rhs_time_part_linear():
         assert np.allclose(out, h_t / 3.0, atol=1e-14), mode
 
 
-def test_sum_average_requires_uniform():
-    graded = AxisMesh(np.array([0.0, 0.1, 0.4, 1.0]))
-    w = GridFunction((graded,), np.zeros(4))
-    with pytest.raises(MeshError):
-        sum_average(w)
-
-
 def test_axis_average_preserves_constants_on_graded_mesh():
     graded = AxisMesh(np.array([0.0, 0.07, 0.2, 0.55, 0.72, 1.0]))
-    w = GridFunction((graded,), np.full(6, 3.7))
-    assert np.allclose(axis_average(w, 0).values, 3.7, atol=1e-13)
+    average = TridiagonalFactor(0, *tridiag_axis_average(graded))
+    assert np.allclose(average.apply(np.full(6, 3.7)), 3.7, atol=1e-13)
     out = hat_average_x(lambda x: np.full_like(x, 3.7), graded)
     assert np.allclose(out[1:-1], 3.7, atol=1e-12)
 

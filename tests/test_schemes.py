@@ -14,16 +14,13 @@ from compactwave.mesh import (
     select_time_step_count,
 )
 from compactwave.operators import (
-    GridFunction,
     PPiece,
     QPiece,
     SeparableTerm,
     SpaceDirac,
     TimeDirac,
-    product_average,
-    splitting_residual,
+    pair_appliers,
     step_factor,
-    stiffness_product,
 )
 from compactwave.analysis import ErrorObserver
 from compactwave.problems import (
@@ -246,17 +243,12 @@ def test_splitting_step_matches_unsplit_solve():
     from compactwave.solvers import SplittingHandle
 
     handle = SplittingHandle(factors)
+    mass, stiffness = pair_appliers("prod_residual_stiffprod", meshes, speeds, h_t)
 
     def unsplit_apply(interior):
         full = np.zeros((8, 7))
         full[1:-1, 1:-1] = interior
-        gf = GridFunction(tuple(meshes), full)
-        out = (
-            product_average(gf).values
-            + h_t**2 / 12.0 * stiffness_product(gf, speeds).values
-            + splitting_residual(gf, speeds, h_t).values
-        )
-        return out[1:-1, 1:-1]
+        return mass(full) + h_t**2 / 12.0 * stiffness(full)
 
     dense = assemble_dense_operator(unsplit_apply, (6, 5))
     rhs = rng.standard_normal((6, 5))
