@@ -106,7 +106,8 @@ def _axis_from_config(entry: dict | None, n_default: int | None):
 
 
 def _scheme_config(name: str, options: dict | None) -> SchemeConfig:
-    options = dict(options or {})
+    """The scheme kind and its options; sigma (the weight of second-order)
+    is the only option."""
     try:
         kind = SchemeKind(name)
     except ValueError:
@@ -114,13 +115,16 @@ def _scheme_config(name: str, options: dict | None) -> SchemeConfig:
             f"unknown scheme {name!r}; choose from "
             + ", ".join(k.value for k in SchemeKind)
         ) from None
-    return SchemeConfig(
-        kind=kind,
-        sigma=float(options.get("sigma", 0.5)),
-        rhs_mode=options.get("rhs_mode", "auto"),
-        u1n_mode=options.get("u1n_mode", "auto"),
-        fn0_mode=options.get("fn0_mode", "auto"),
-    )
+    options = options or {}
+    if not isinstance(options, dict):
+        raise ConfigError("scheme_options must be a mapping")
+    unknown = [key for key in options if key != "sigma"]
+    if unknown:
+        raise ConfigError(
+            "unknown scheme option " + ", ".join(repr(key) for key in unknown)
+            + "; sigma is the only one"
+        )
+    return SchemeConfig(kind, float(options.get("sigma", 0.5)))
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:

@@ -13,10 +13,12 @@ splitting pair's residual included), and `solvers.pair_spectra` composes
 per-axis sine eigenvalues by the same rule.  The composed operators map a
 full node array (boundary values included) to its interior values.
 
-Averaging conventions for non-smooth data follow the exact hat-function
-averages: piecewise polynomials are integrated analytically (Gauss rules of
-sufficient order per smooth piece) and Dirac atoms located at mesh nodes get
-the weight 1/h_*.
+The discrete forcing follows the type of the data, in `build_rhs_table` and
+`initial_rhs` alike: piecewise data (`PiecewiseData`, one axis) gets the
+exact hat averages, a callable the compact sampling formulas, None zeros;
+anything else is a TypeError.  The hat averages integrate piecewise
+polynomials analytically (Gauss rules of sufficient order per smooth piece)
+and give Dirac atoms located at mesh nodes the weight 1/h_*.
 """
 
 from __future__ import annotations
@@ -505,7 +507,6 @@ def initial_velocity(
     mode 'compact': S u1 + sum_i (h_t^2 a_i^2/12) Lambda_i u1 from samples, with
                     S the additive compact average (on uniform axes
                     u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).
-    mode 'samples': plain nodal samples (second-order reference choice).
     """
     meshes = list(meshes)
     shape = tuple(m.nodes.size for m in meshes)
@@ -518,6 +519,8 @@ def initial_velocity(
         for term in u1:
             out += term.coef * hat_average_x(term.space, meshes[0])
         return out
+    if mode != "compact":
+        raise ValueError(f"unknown initial-velocity mode {mode!r}")
     if isinstance(u1, PiecewiseData):
         if u1.has_space_atom:
             raise ValueError("sample-based initial velocity undefined for Dirac data")
@@ -528,19 +531,30 @@ def initial_velocity(
         raise TypeError(f"unsupported initial-velocity data {type(u1)!r}")
     samples = fn(*_meshgrid(meshes))
     axes = range(len(meshes))
-    if mode == "samples":
-        out = _trim(samples, axes)
-    elif mode == "compact":
-        out = _additive(samples, _average_factors(meshes))
-        for axis, mesh in enumerate(meshes):
-            lam = TridiagonalFactor(axis, *tridiag_second_diff(mesh))
-            c = h_t**2 * speeds[axis] ** 2 / 12.0
-            out += c * _trim(lam.apply(samples), set(axes) - {axis})
-    else:
-        raise ValueError(f"unknown initial-velocity mode {mode!r}")
+    out = _additive(samples, _average_factors(meshes))
+    for axis, mesh in enumerate(meshes):
+        lam = TridiagonalFactor(axis, *tridiag_second_diff(mesh))
+        c = h_t**2 * speeds[axis] ** 2 / 12.0
+        out += c * _trim(lam.apply(samples), set(axes) - {axis})
     full = np.zeros(shape)
     full[_interior_slices(len(meshes))] = out
     return full
+
+
+def _averaged_axis(f, meshes: list[AxisMesh]) -> AxisMesh | None:
+    """The axis on which piecewise forcing gets its exact hat averages, None
+    for a callable forcing, which is sampled; other data raise TypeError."""
+    if isinstance(f, PiecewiseData):
+        if len(meshes) != 1:
+            raise ValueError("averaged forcing is one-dimensional")
+        if any(term.time is None for term in f):
+            raise ValueError("forcing terms need a temporal factor")
+        return meshes[0]
+    if not callable(f):
+        raise TypeError(
+            f"unsupported forcing data {type(f)!r}: piecewise data, a callable or None"
+        )
+    return None
 
 
 class RhsTable:
@@ -556,107 +570,68 @@ class RhsTable:
         return self._getter(level)
 
 
-def build_rhs_table(
-    f,
-    meshes: Sequence[AxisMesh],
-    tmesh: TimeMesh,
-    mode: str,
-) -> RhsTable:
-    """Compact forcing construction for the interior time levels.
+def build_rhs_table(f, meshes: Sequence[AxisMesh], tmesh: TimeMesh) -> RhsTable:
+    """Compact forcing f_N^m at the interior time levels, built as the type
+    of f asks.
 
-    mode 'smooth' evaluates f + (h_t^2/12) Lambda_t f + sum_i (h_i^2/12)
-    Lambda_i f pointwise from samples of a callable f(x..., t); mode
-    'averaged' composes the exact spatial and temporal hat averages of
-    separable piecewise data.
+    Piecewise data (one axis) composes the exact spatial and temporal hat
+    averages of its separable terms.  A callable f(x..., t) is sampled:
+    S f + (h_t^2/12) Lambda_t f with S the additive compact average (on
+    uniform axes f + sum_i (h_i^2/12) Lambda_i f).  None is zero forcing.
     """
     meshes = list(meshes)
-    interior = _interior_slices(len(meshes))
     if f is None:
         shape = tuple(m.nodes.size - 2 for m in meshes)
         return RhsTable(lambda m: np.zeros(shape), tmesh.n_steps)
-    if mode == "averaged":
-        if not isinstance(f, PiecewiseData):
-            raise TypeError("averaged mode requires separable piecewise data")
-        if len(meshes) != 1:
-            raise ValueError("averaged forcing is one-dimensional")
-        parts = []
-        for term in f:
-            if term.time is None:
-                raise ValueError("forcing terms need a temporal factor")
-            qx = hat_average_x(term.space, meshes[0])[1:-1]
-            parts.append((term.coef, qx, _hat_weights_t(term.time, tmesh)))
+    axis = _averaged_axis(f, meshes)
+    if axis is not None:
+        parts = [
+            (term.coef, hat_average_x(term.space, axis)[1:-1], _hat_weights_t(term.time, tmesh))
+            for term in f
+        ]
 
         def averaged(level: int) -> np.ndarray:
-            out = np.zeros(meshes[0].nodes.size - 2)
+            out = np.zeros(axis.nodes.size - 2)
             for coef, qx, qt in parts:
                 out += coef * qt[level] * qx
             return out
 
         return RhsTable(averaged, tmesh.n_steps)
-    if mode == "smooth":
-        if not callable(f):
-            raise TypeError("smooth mode requires a callable forcing; "
-                            "use averaged mode for distributional data")
-        grids = _meshgrid(meshes)
-        h_t = tmesh.h_t
-        averages = _average_factors(meshes)
+    interior = _interior_slices(len(meshes))
+    grids = _meshgrid(meshes)
+    h_t = tmesh.h_t
+    averages = _average_factors(meshes)
 
-        def smooth(level: int) -> np.ndarray:
-            t = tmesh.nodes[level]
-            fm = f(*grids, t)
-            lam_t = f(*grids, t + h_t) - 2.0 * fm + f(*grids, t - h_t)
-            return _additive(fm, averages) + lam_t[interior] / 12.0
+    def sampled(level: int) -> np.ndarray:
+        t = tmesh.nodes[level]
+        fm = f(*grids, t)
+        lam_t = f(*grids, t + h_t) - 2.0 * fm + f(*grids, t - h_t)
+        return _additive(fm, averages) + lam_t[interior] / 12.0
 
-        return RhsTable(smooth, tmesh.n_steps)
-    raise ValueError(f"unknown forcing mode {mode!r}")
+    return RhsTable(sampled, tmesh.n_steps)
 
 
-def initial_rhs(
-    f,
-    meshes: Sequence[AxisMesh],
-    h_t: float,
-    mode: str,
-) -> np.ndarray:
-    """Forcing value entering the first-step equation (interior nodes).
+def initial_rhs(f, meshes: Sequence[AxisMesh], h_t: float) -> np.ndarray:
+    """Forcing f_N^0 of the first-step equation on the interior nodes, built
+    as the type of f asks.
 
-    Smooth modes combine a third-order one-sided time approximation with the
-    compact spatial correction:
-
-    'three_level'    (7/12) f^0 + (1/2) f^1 - (1/12) f^2
-    'two_level_half' (1/3) f^0 + (2/3) f(h_t/2)
-    'centered'       -(1/12) f^{-1} + (5/6) f^0 + (1/4) f^1
-    'graded'         product-average f^0 + (1/3)(f^1 - f^0)
-    'averaged'       exact one-sided hat average of piecewise data
+    Piecewise data (one axis) takes the exact one-sided hat average
+    (2/h_t) int_0^{h_t} f (1 - t/h_t) dt of each term's temporal factor times
+    its spatial hat average.  A callable f(x..., t) takes the third-order
+    (1/3) f^0 + (2/3) f(h_t/2) with the compact correction S f^0 - f^0 of
+    f^0.  None is zero forcing.
     """
     meshes = list(meshes)
-    interior = _interior_slices(len(meshes))
     if f is None:
         return np.zeros(tuple(m.nodes.size - 2 for m in meshes))
-    if mode == "averaged":
-        if not isinstance(f, PiecewiseData):
-            raise TypeError("averaged mode requires separable piecewise data")
-        if len(meshes) != 1:
-            raise ValueError("averaged forcing is one-dimensional")
-        out = np.zeros(meshes[0].nodes.size - 2)
+    axis = _averaged_axis(f, meshes)
+    if axis is not None:
+        out = np.zeros(axis.nodes.size - 2)
         for term in f:
-            qx = hat_average_x(term.space, meshes[0])[1:-1]
+            qx = hat_average_x(term.space, axis)[1:-1]
             out += term.coef * hat_average_t0(term.time, h_t) * qx
         return out
-    if not callable(f):
-        raise TypeError(f"mode {mode!r} requires a callable forcing")
     grids = _meshgrid(meshes)
-    f_at = lambda t: f(*grids, t)
-    f0 = f_at(0.0)
-    averages = _average_factors(meshes)
-    if mode == "three_level":
-        time_part = (7.0 * f0 + 6.0 * f_at(h_t) - f_at(2.0 * h_t)) / 12.0
-    elif mode == "two_level_half":
-        # (1/3) f^0 + (2/3) f(h_t/2) with the compact correction of f^0
-        return _additive(f0, averages) + (2.0 / 3.0) * (f_at(0.5 * h_t) - f0)[interior]
-    elif mode == "centered":
-        time_part = -f_at(-h_t) / 12.0 + 5.0 * f0 / 6.0 + f_at(h_t) / 4.0
-    elif mode == "graded":
-        return _product(f0, averages) + ((f_at(h_t) - f0) / 3.0)[interior]
-    else:
-        raise ValueError(f"unknown initial forcing mode {mode!r}")
-    return time_part[interior] + (_additive(f0, averages) - f0[interior])
+    f0 = f(*grids, 0.0)
+    half = f(*grids, 0.5 * h_t) - f0
+    return _additive(f0, _average_factors(meshes)) + (2.0 / 3.0) * half[_interior_slices(len(meshes))]

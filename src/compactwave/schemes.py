@@ -45,7 +45,6 @@ import numpy as np
 from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis
 from .operators import (
     TIE_RTOL,
-    RhsTable,
     SpaceDirac,
     TimeDirac,
     build_rhs_table,
@@ -123,18 +122,12 @@ def operator_pair(kind: SchemeKind, ndim: int) -> str | None:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection plus the data-construction modes.
-
-    'auto' resolves the right-hand-side mode from the problem data (exact
-    averaging for piecewise data, the compact sampling formulas for smooth
-    forcing) and the initial-velocity mode from the catalog default.
-    """
+    """Scheme selection: the kind and the weight sigma of the second-order
+    scheme (the compact kinds use sigma = 1/12).  The discrete data follow
+    the problem's data, not the config: see Scheme."""
 
     kind: SchemeKind
     sigma: float = 0.5
-    rhs_mode: str = "auto"
-    u1n_mode: str = "auto"
-    fn0_mode: str = "auto"
 
 
 @dataclass
@@ -151,21 +144,14 @@ class RunResult:
         return not self.blew_up
 
 
-def _resolve_modes(config: SchemeConfig, problem) -> tuple[str, str, str]:
-    rhs_mode = config.rhs_mode
-    if rhs_mode == "auto":
-        rhs_mode = "averaged" if problem.f_data is not None else "smooth"
-    u1n_mode = config.u1n_mode
-    if u1n_mode == "auto":
-        u1n_mode = problem.u1n_default
-    fn0_mode = config.fn0_mode
-    if fn0_mode == "auto":
-        fn0_mode = "averaged" if problem.f_data is not None else "two_level_half"
-    return rhs_mode, u1n_mode, fn0_mode
-
-
 class Scheme:
-    """Assembled scheme: step operators, data constructions, and solvers."""
+    """Assembled scheme: step operators, data constructions, and solvers.
+
+    The discrete data follow the problem's data.  The forcing is its
+    piecewise f_data, averaged exactly, or else its callable f_fn, sampled
+    by the compact formulas (operators.build_rhs_table, initial_rhs); the
+    initial velocity follows the problem's u1n_default.
+    """
 
     def __init__(
         self,
@@ -194,10 +180,6 @@ class Scheme:
         self.speeds = problem.speeds
         self.sigma = config.sigma if kind == SchemeKind.SECOND_ORDER else COMPACT_SIGMA
         self.pair = operator_pair(kind, n)
-        rhs_mode, u1n_mode, fn0_mode = _resolve_modes(config, problem)
-        self.rhs_mode = rhs_mode
-        self.u1n_mode = u1n_mode
-        self.fn0_mode = fn0_mode
 
         # B and A from per-axis stencil rows; one solver handle for the step operator
         self._mass, self._stiffness = pair_appliers(self.pair, meshes, self.speeds, self.h_t)
@@ -219,8 +201,9 @@ class Scheme:
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
         self.u1n = self._build_u1n()
-        self.fn_table = self._build_fn_table()
-        self.fn0 = self._build_fn0()
+        forcing = problem.f_data if problem.f_data is not None else problem.f_fn
+        self.fn_table = build_rhs_table(forcing, meshes, tmesh)
+        self.fn0 = initial_rhs(forcing, meshes, self.h_t)
 
     # -- operator applications (full array in, interior out) ---------------
 
@@ -275,33 +258,16 @@ class Scheme:
     # -- data constructions ----------------------------------------------------
 
     def _build_u1n(self) -> np.ndarray:
+        """The initial velocity by the problem's u1n_default: 'qx' averages
+        its piecewise data, 'compact' samples its callable (else its data)."""
         problem = self.problem
         if problem.u1_data is None and problem.u1_fn is None:
             return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
-        if self.u1n_mode == "qx":
-            source = problem.u1_data
-            if source is None:
-                raise ValueError("averaging mode needs piecewise initial velocity data")
-        else:
-            source = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
-        velocity = initial_velocity(source, self.meshes, self.h_t, self.speeds, self.u1n_mode)
+        mode = problem.u1n_default
+        sampled = mode != "qx" and problem.u1_fn is not None
+        source = problem.u1_fn if sampled else problem.u1_data
+        velocity = initial_velocity(source, self.meshes, self.h_t, self.speeds, mode)
         return velocity[self._interior]
-
-    def _build_fn_table(self) -> RhsTable:
-        problem = self.problem
-        if problem.f_data is None and problem.f_fn is None:
-            return build_rhs_table(None, self.meshes, self.tmesh, "smooth")
-        if self.rhs_mode == "averaged":
-            return build_rhs_table(problem.f_data, self.meshes, self.tmesh, "averaged")
-        return build_rhs_table(problem.f_fn, self.meshes, self.tmesh, "smooth")
-
-    def _build_fn0(self) -> np.ndarray:
-        problem = self.problem
-        if problem.f_data is None and problem.f_fn is None:
-            return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
-        if self.fn0_mode == "averaged":
-            return initial_rhs(problem.f_data, self.meshes, self.h_t, "averaged")
-        return initial_rhs(problem.f_fn, self.meshes, self.h_t, self.fn0_mode)
 
     # -- stepping ----------------------------------------------------------------
 
@@ -427,6 +393,8 @@ def _atom_weight(gap, scale: float):
 def characteristic_meshes(problem, n_intervals: int, n_steps: int) -> tuple[AxisMesh, TimeMesh]:
     """Uniform axis over the problem's interval and the time mesh with
     h_t = h/a on which the explicit scheme runs."""
+    if n_steps < 1:
+        raise MeshError("need at least one time step")
     axis = build_uniform_axis(n_intervals, problem.extents[0], problem.origin[0])
     h_t = axis.h / problem.speeds[0]
     return axis, TimeMesh(np.arange(n_steps + 1) * h_t)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -310,3 +312,40 @@ def test_bad_config_file(tmp_path, capsys):
     config = tmp_path / "conf.yaml"
     config.write_text("problem: [unclosed")
     assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("options, problem, named", [
+    ({"rhs_mode": "smooth"}, "E_2.5", ["'rhs_mode'"]),
+    ({"sigm": 0.3}, "smooth1d", ["'sigm'"]),
+    ({"sigma": 0.3, "u1n_mode": "qx", "fn0_mode": "averaged"}, "smooth1d",
+     ["'u1n_mode'", "'fn0_mode'"]),
+    (3, "smooth1d", ["must be a mapping"]),
+])
+def test_run_rejects_unknown_scheme_options(tmp_path, capsys, options, problem, named):
+    # sigma is the only scheme option; the discrete data follow the problem
+    cfg = tmp_path / "opts.yaml"
+    cfg.write_text(yaml.safe_dump({"scheme_options": options}))
+    code = main(["run", "--problem", problem, "--N", "40", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in named)
+    assert "'sigma'" not in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_run_characteristic_needs_a_positive_step_count(capsys, steps):
+    code = main(["run", "--scheme", "characteristic", "--problem", "E_2.5",
+                 "--N", "40", "--M", steps])
+    assert code == EXIT_CONFIG
+    assert "need at least one time step" in capsys.readouterr().err
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    # the YAML config example of the README is a config that runs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(blocks[0])
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert "stable: True" in capsys.readouterr().out

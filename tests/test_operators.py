@@ -381,7 +381,7 @@ def test_rhs_table_averaged_equals_per_level_composition(alpha):
     problem = make_example(alpha)
     meshes = [build_uniform_axis(20, 1.0, -0.5)]
     tmesh = build_time_mesh(20, problem.horizon)
-    table = build_rhs_table(problem.f_data, meshes, tmesh, "averaged")
+    table = build_rhs_table(problem.f_data, meshes, tmesh)
     for level in range(1, tmesh.n_steps):
         expected = np.zeros(19)
         for term in problem.f_data:
@@ -482,7 +482,7 @@ def test_initial_velocity_compact_rejects_dirac():
 def test_rhs_table_smooth_constant():
     meshes = [build_uniform_axis(8, 1.0)]
     tmesh = build_time_mesh(6, 1.0)
-    table = build_rhs_table(lambda x, t: np.full_like(x, 3.0), meshes, tmesh, "smooth")
+    table = build_rhs_table(lambda x, t: np.full_like(x, 3.0), meshes, tmesh)
     assert np.allclose(table(2), 3.0, atol=1e-13)
 
 
@@ -490,7 +490,7 @@ def test_rhs_table_smooth_matches_direct_stencil():
     meshes = [build_uniform_axis(10, 1.0, -0.5)]
     tmesh = build_time_mesh(10, 1.0)
     f = lambda x, t: np.exp(x + 0.5 - t)
-    table = build_rhs_table(f, meshes, tmesh, "smooth")
+    table = build_rhs_table(f, meshes, tmesh)
     h = meshes[0].h
     h_t = tmesh.h_t
     x = meshes[0].nodes
@@ -512,37 +512,43 @@ def test_rhs_table_averaged_composition():
     tmesh = build_time_mesh(10, 1.0)
     c2 = 1.1
     data = PiecewiseData((SeparableTerm(c2, PPiece(0), TimeDirac(0.5)),))
-    table = build_rhs_table(data, meshes, tmesh, "averaged")
+    table = build_rhs_table(data, meshes, tmesh)
     assert np.max(np.abs(table(3))) == 0.0
     x = meshes[0].nodes[1:-1]
     expected = c2 * PPiece(0).eval(x) / tmesh.h_t
     assert np.allclose(table(5), expected, atol=1e-12)
 
 
-def test_rhs_table_smooth_rejects_data():
-    meshes = [build_uniform_axis(8, 1.0, -0.5)]
+@pytest.mark.parametrize("build", [
+    lambda f, meshes, tmesh: build_rhs_table(f, meshes, tmesh),
+    lambda f, meshes, tmesh: initial_rhs(f, meshes, tmesh.h_t),
+], ids=["build_rhs_table", "initial_rhs"])
+def test_forcing_constructors_reject_unsupported_data(build):
+    # the construction follows the data type: neither piecewise nor callable
+    # is a TypeError, piecewise forcing on a 2D mesh a ValueError
+    mesh = build_uniform_axis(8, 1.0, -0.5)
     tmesh = build_time_mesh(4, 1.0)
-    data = PiecewiseData((SeparableTerm(1.0, SpaceDirac(0.0), TimeDirac(0.5)),))
     with pytest.raises(TypeError):
-        build_rhs_table(data, meshes, tmesh, "smooth")
+        build(np.ones(7), [mesh], tmesh)
+    data = PiecewiseData((SeparableTerm(1.0, SpaceDirac(0.0), TimeDirac(0.5)),))
+    with pytest.raises(ValueError):
+        build(data, [mesh, mesh], tmesh)
 
 
-def test_initial_rhs_modes_on_constant():
+def test_initial_rhs_on_constant():
     meshes = [build_uniform_axis(8, 1.0)]
     f = lambda x, t: np.full_like(x, 4.0)
-    for mode in ("three_level", "two_level_half", "centered", "graded"):
-        out = initial_rhs(f, meshes, 0.1, mode)
-        assert np.allclose(out, 4.0, atol=1e-13), mode
+    out = initial_rhs(f, meshes, 0.1)
+    assert np.allclose(out, 4.0, atol=1e-13)
 
 
 def test_initial_rhs_time_part_linear():
-    # f = t: every third-order formula reduces to h_t/3
+    # f = t: (1/3) f^0 + (2/3) f(h_t/2) reduces to h_t/3
     meshes = [build_uniform_axis(8, 1.0)]
     h_t = 0.3
     f = lambda x, t: np.full_like(x, t)
-    for mode in ("three_level", "two_level_half", "centered", "graded"):
-        out = initial_rhs(f, meshes, h_t, mode)
-        assert np.allclose(out, h_t / 3.0, atol=1e-14), mode
+    out = initial_rhs(f, meshes, h_t)
+    assert np.allclose(out, h_t / 3.0, atol=1e-14)
 
 
 def test_axis_average_preserves_constants_on_graded_mesh():

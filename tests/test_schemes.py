@@ -448,7 +448,7 @@ def test_blowup_at_level_one_ends_every_runner_there():
     problem = ProblemSpec(
         name="huge velocity", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=1.0,
         u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.full_like(x, 1e104),
-        u1n_default="samples",
+        u1n_default="compact",
     )
     levels = []
     explicit, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
