@@ -194,14 +194,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         # h_t = h/a is fixed: the last level inside the horizon, floor(a T / h)
         h = problem.extents[0] / axis.n_intervals
         m = select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
-    elif problem.t_star is not None:
-        # the averaged data needs the switch-on time on the mesh: tie the
-        # step to the (uniform) spatial one
-        m = axis.n_intervals
     else:
         m = select_time_step_count(
             mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, factor
         )
+        if problem.t_star is not None:
+            # the averaged data needs the switch-on time on the time mesh, as
+            # on the M = N one: round up to a multiple of N (N itself on a
+            # uniform axis at the default factor)
+            m = -(-m // axis.n_intervals) * axis.n_intervals
 
     if characteristic:
         axis_c, tmesh_c = schemes.characteristic_meshes(problem, axis.n_intervals, m)
@@ -268,7 +269,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     jobs = args.jobs or int(config.get("jobs", 1))
     n_lists = {}
     for alpha in alphas:
-        if alpha not in problems.EXAMPLE_COEFFICIENTS:
+        if alpha not in problems.EXAMPLE_ALPHAS:
             raise ConfigError(f"alpha {alpha} is not in the catalog")
         n_lists[alpha] = sorted(set(_FULL_N_BY_ALPHA[alpha] if args.full else args.N or TABLE1_N))
         if any(n % 2 for n in n_lists[alpha]):
@@ -426,16 +427,12 @@ def _certify_random_instance(kind, meshes, speeds, rng) -> list[str]:
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
     scheme = schemes.assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
     traj = scheme.march_data(full0, u1n, forcing)
-    lines = []
-    for which in ("strong", "weak"):
-        cert = stability.verify_energy_bound(
-            traj, meshes, speeds, h_t, pair, u1n, forcing, which, eps0
-        )
-        lines.append(
-            f"certificate_{which}: lhs={cert.lhs:.6E} rhs={cert.rhs:.6E} "
-            f"satisfied={cert.satisfied}"
-        )
-    return lines
+    certs = stability.verify_energy_bound(scheme, traj, u1n, forcing, eps0)
+    return [
+        f"certificate_{which}: lhs={certs[which].lhs:.6E} rhs={certs[which].rhs:.6E} "
+        f"satisfied={certs[which].satisfied}"
+        for which in ("strong", "weak")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "tridiag_second_diff",
     "tridiag_axis_average",
     "hat_average_x",
-    "hat_average_t",
     "hat_average_t0",
     "initial_velocity",
     "initial_rhs",
@@ -439,7 +438,13 @@ def hat_average_x(
 
 
 def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
-    """hat_average_t of one profile at every time level (0 at both ends)."""
+    """Hat averages of a temporal profile at every time level (0 at both ends).
+
+    One-sided power profiles with the breakpoint on the mesh use the exact
+    values: nodal samples for degree 0, the three-point (1, 10, 1)/12 sample
+    average away from the hit level for degree >= 1, and
+    h_t^degree / ((degree+1)(degree+2)) at the hit level.
+    """
     h_t = tmesh.h_t
     idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
     out = np.zeros(tmesh.nodes.size)
@@ -453,19 +458,6 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
         out[idx] = h_t**profile.degree / ((profile.degree + 1) * (profile.degree + 2))
     out[[0, -1]] = 0.0
     return out
-
-
-def hat_average_t(profile: TimeProfile, tmesh: TimeMesh, level: int) -> float:
-    """Hat average of a temporal profile at an interior time level.
-
-    One-sided power profiles with the breakpoint on the mesh use the exact
-    values: nodal samples for degree 0, the three-point (1, 10, 1)/12 sample
-    average away from the hit level for degree >= 1, and
-    h_t^degree / ((degree+1)(degree+2)) at the hit level.
-    """
-    if not 1 <= level <= tmesh.n_steps - 1:
-        raise ValueError(f"level {level} is not an interior time level")
-    return float(_hat_weights_t(profile, tmesh)[level])
 
 
 def hat_average_t0(profile: TimeProfile, h_t: float) -> float:

@@ -43,9 +43,6 @@ from .operators import (
 
 __all__ = [
     "ProblemSpec",
-    "eval_P",
-    "eval_Q",
-    "P_antideriv",
     "make_example",
     "make_smooth_nonuniform_problem",
     "make_sine_mode_problem",
@@ -91,29 +88,6 @@ class ProblemSpec:
         return len(self.extents)
 
 
-def eval_P(k: int, x):
-    """Signed-power spatial pieces; k = -1 returns the Dirac atom at 0."""
-    if k < -1:
-        raise ValueError("index must be >= -1")
-    if k == -1:
-        return SpaceDirac(0.0)
-    return _signed_power(k, x)
-
-
-def eval_Q(l: int, t, t_star: float):
-    """One-sided temporal pieces; l = -1 returns the Dirac atom at t_*."""
-    if l < -1:
-        raise ValueError("index must be >= -1")
-    if l == -1:
-        return TimeDirac(t_star)
-    return QPiece(l, t_star).eval(t)
-
-
-def P_antideriv(k: int, x):
-    """Antiderivative of the signed-power piece, vanishing at x = 0."""
-    return _signed_power_antideriv(k, x)
-
-
 def _step(z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(z) + 1.0)
 
@@ -128,7 +102,7 @@ def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
 def _convolution_plan(j: int, degree: int):
     """The x-, tau- and a-free coefficients of _forcing_convolution.
 
-    W_j = P_antideriv(j, .) is q + c y_+^m with q the polynomial left of 0.
+    W_j = PPiece(j).antideriv is q + c y_+^m with q the polynomial left of 0.
     For the polynomials left and right of 0, one row per power e of x: pairs
     (k, f) such that the x^e coefficient of the odd Taylor sum is
     sum_k f a^k tau^(d+k+1).  `cone` is c d! m!/(d+m+1)!.
@@ -169,7 +143,7 @@ def _horner(coefs, x):
 
 def _forcing_convolution(j: int, degree: int, x, tau, a: float) -> np.ndarray:
     """int_0^tau s^degree [W_j(x + a(tau-s)) - W_j(x - a(tau-s))] ds in closed
-    form, W_j = P_antideriv(j, .); zero for tau <= 0.
+    form, W_j = PPiece(j).antideriv; zero for tau <= 0.
 
     With u = tau - s and W_j = q + c y_+^m, let p be the polynomial of W_j on
     the side of x.  Taylor expansion in a u and the Beta integrals give
@@ -453,6 +427,6 @@ def catalog(name: str) -> ProblemSpec:
             alpha = float(name[2:])
         except ValueError:
             raise KeyError(f"unknown problem {name!r}") from None
-        if alpha in EXAMPLE_COEFFICIENTS:
+        if alpha in EXAMPLE_ALPHAS:
             return make_example(alpha)
     raise KeyError(f"unknown problem {name!r}")

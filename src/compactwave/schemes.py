@@ -195,7 +195,7 @@ class Scheme:
                 for axis, mesh in enumerate(meshes)
             ])
         else:
-            mu_b, mu_a = pair_spectra(meshes, self.speeds, self.pair, self.h_t)
+            mu_b, mu_a = self.spectra
             self._solver = SpectralHandle(mu_b + self.sigma * self.h_t**2 * mu_a)
 
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
@@ -204,6 +204,15 @@ class Scheme:
         forcing = problem.f_data if problem.f_data is not None else problem.f_fn
         self.fn_table = build_rhs_table(forcing, meshes, tmesh)
         self.fn0 = initial_rhs(forcing, meshes, self.h_t)
+
+    @functools.cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalue tensors (mu_B, mu_A) of the scheme's operator pair over
+        the sine basis (solvers.pair_spectra); the spectral kinds solve with
+        them, the energy certificates weigh with them.  Computed on first
+        use: the factored kinds never need them to step, and a graded axis
+        has none."""
+        return pair_spectra(self.meshes, self.speeds, self.pair, self.h_t)
 
     # -- operator applications (full array in, interior out) ---------------
 

@@ -30,7 +30,6 @@ __all__ = [
     "TriSolver",
     "sine_spectrum",
     "dst1",
-    "idst1",
     "sine_coefficients",
     "sine_synthesis",
     "pair_spectra",
@@ -127,12 +126,6 @@ def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarra
         # the sine matrix is symmetric: a right product on the swapped view
         return (values.swapaxes(axis, -1) @ _sine_matrix(n_int + 1)).swapaxes(axis, -1)
     return scipy.fft.dst(values, type=1, axis=axis) / 2.0
-
-
-def idst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarray:
-    """Inverse of dst1 (the sine matrix squares to (N/2) I)."""
-    n_int = values.shape[axis]
-    return dst1(values, axis, direct) * (2.0 / (n_int + 1))
 
 
 def sine_coefficients(interior: np.ndarray, batch: int = 0) -> np.ndarray:

@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from compactwave.operators import TridiagonalFactor
+from compactwave.operators import TridiagonalFactor, _hat_weights_t
 from compactwave.solvers import SingularSystemError, pair_spectra, sine_coefficients
 
 _PIVOT_RTOL = 1e-14
@@ -67,6 +67,14 @@ def assemble_dense_operator(
         matrix[:, j] = np.asarray(apply_fn(basis)).reshape(-1)
         flat[j] = 0.0
     return matrix
+
+
+def hat_average_t(profile, tmesh, level: int) -> float:
+    """Hat average of a temporal profile at one interior time level: the
+    entry of the library's per-level weights, looked up one level at a time."""
+    if not 1 <= level <= tmesh.n_steps - 1:
+        raise ValueError(f"level {level} is not an interior time level")
+    return float(_hat_weights_t(profile, tmesh)[level])
 
 
 def energy_bound_per_level(trajectory, meshes, speeds, h_t, pair, u1n, forcing, which, eps0):

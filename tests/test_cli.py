@@ -56,6 +56,34 @@ def test_run_characteristic_auto_steps_stop_at_horizon(tmp_path):
     assert ch <= 1e-12
 
 
+def test_run_auto_steps_of_a_switch_on_problem_on_a_graded_axis(tmp_path):
+    # the step rule floor(sqrt(2) a T / h_min) = 5059, rounded up to a
+    # multiple of N so that the switch-on time stays on the time mesh
+    cfg = tmp_path / "graded.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "problem": "E_2.5", "scheme": "compact1d", "M": "auto",
+        "axis": {"kind": "graded", "phi": "phi3", "N": 400, "X": 1.0, "origin": -0.5},
+    }))
+    out = tmp_path / "run.txt"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert "# M: 5200" in lines and "stable: True" in lines
+    ch = float(lines[-1].split("Ch=")[1].split()[0])
+    assert ch == pytest.approx(2.744e-05, rel=1e-3)
+
+
+@pytest.mark.parametrize("factor, steps", [(None, 200), ("4", 400)])
+def test_run_auto_steps_of_a_switch_on_problem_on_a_uniform_axis(tmp_path, factor, steps):
+    # at the default factor the step rule stays below N, so M = N; a larger
+    # factor takes the next multiple of N
+    out = tmp_path / "run.txt"
+    argv = ["run", "--problem", "E_2.5", "--N", "200", "--out", str(out)]
+    if factor is not None:
+        argv += ["--cfl-factor", factor]
+    assert main(argv) == EXIT_OK
+    assert f"# M: {steps}" in out.read_text().splitlines()
+
+
 def test_run_degenerate_mesh_is_config_error(capsys):
     code = main(["run", "--problem", "smooth1d", "--scheme", "compact1d", "--N", "1"])
     assert code == EXIT_CONFIG
@@ -277,6 +305,31 @@ def test_stability_certify(tmp_path):
     assert code == EXIT_OK
     text = out.read_text()
     assert "certificate_strong" in text and "satisfied=True" in text
+
+
+@pytest.mark.parametrize("config", [
+    {"scheme": "compact1d", "axes": [{"N": 6, "X": 1.0}], "speeds": [0.8]},
+    {"scheme": "compact2d", "axes": [{"N": 4, "X": 1.0}, {"N": 5, "X": 0.7}], "speeds": [1.0, 1.3]},
+    {"scheme": "splitting", "axes": [{"N": 4, "X": 1.0}] * 3, "speeds": [1.0, 0.6, 1.2]},
+])
+def test_stability_certify_builds_the_pair_spectra_twice(tmp_path, monkeypatch, config):
+    # once for the step-condition report, once for the certified scheme
+    from compactwave import schemes, solvers, stability
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solvers.pair_spectra(*args, **kwargs)
+
+    for module in (schemes, stability):
+        monkeypatch.setattr(module, "pair_spectra", counted)
+    cfg = tmp_path / "cert.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "st.txt"
+    assert main(["stability", "--config", str(cfg), "--certify", "--out", str(out)]) == EXIT_OK
+    assert "certificate_weak" in out.read_text()
+    assert len(calls) == 2
 
 
 def test_markdown_format(tmp_path):

@@ -1,5 +1,6 @@
-"""Every exported name resolves: the `__all__` list of each compactwave
-module and the names the package re-exports from its modules."""
+"""Every exported name resolves and has a caller: the `__all__` list of
+each compactwave module and the names the package re-exports from its
+modules."""
 
 import ast
 import importlib
@@ -11,6 +12,8 @@ import pytest
 import compactwave
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(compactwave.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_INIT = ROOT / "src" / "compactwave" / "__init__.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +34,34 @@ def test_package_reexports_resolve():
             assert hasattr(compactwave, name), name
             if source is not None:
                 assert getattr(compactwave, name) is getattr(source, alias.name), name
+
+
+def _used_names() -> set[str]:
+    """Names read, attributes taken and names imported anywhere in the
+    library, the demos and the benchmark; a name's own definition (an
+    assignment, a def or a class) and the package re-exports are no use."""
+    used = set()
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == PACKAGE_INIT:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    # an export only the tests call belongs in the tests (tests/oracles.py)
+    used = _used_names()
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"compactwave.{name}"), "__all__", [])
+        if export not in used
+    ]
+    assert unused == []

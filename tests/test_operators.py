@@ -19,7 +19,6 @@ from compactwave.operators import (
     TimeDirac,
     TridiagonalFactor,
     build_rhs_table,
-    hat_average_t,
     hat_average_t0,
     hat_average_x,
     initial_rhs,
@@ -30,7 +29,7 @@ from compactwave.operators import (
     tridiag_second_diff,
 )
 from compactwave.problems import make_example
-from oracles import assemble_dense_operator
+from oracles import assemble_dense_operator, hat_average_t
 
 
 def second_diff(mesh, values, axis=0):

@@ -16,11 +16,8 @@ from compactwave.operators import (
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     EXAMPLE_COEFFICIENTS,
-    P_antideriv,
     _forcing_convolution,
     catalog,
-    eval_P,
-    eval_Q,
     make_example,
     make_sine_mode_problem,
     make_smooth_nonuniform_problem,
@@ -34,33 +31,35 @@ except ImportError:  # without the "test" extra only the property test skips
 
 
 def test_eval_P_pointwise():
-    assert eval_P(0, -0.3) == 0.0
-    assert eval_P(0, 0.3) == 1.0
-    assert eval_P(0, 0.0) == 0.5
-    assert eval_P(2, 0.25) == pytest.approx(0.25)
-    assert eval_P(2, -0.25) == pytest.approx(-0.25)
-    assert eval_P(1, 0.25) == pytest.approx(0.5)
-    assert isinstance(eval_P(-1, 0.1), SpaceDirac)
+    assert PPiece(0).eval(-0.3) == 0.0
+    assert PPiece(0).eval(0.3) == 1.0
+    assert PPiece(0).eval(0.0) == 0.5
+    assert PPiece(2).eval(0.25) == pytest.approx(0.25)
+    assert PPiece(2).eval(-0.25) == pytest.approx(-0.25)
+    assert PPiece(1).eval(0.25) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="SpaceDirac"):
+        PPiece(-1)  # the degree -1 piece is the atom
 
 
 def test_eval_Q_pointwise():
     t_star = 0.4
-    assert eval_Q(1, t_star + 0.2, t_star) == pytest.approx(0.2)
-    assert eval_Q(1, t_star - 0.1, t_star) == 0.0
-    assert eval_Q(0, t_star + 0.1, t_star) == 1.0
-    assert eval_Q(0, t_star, t_star) == 0.5
-    assert isinstance(eval_Q(-1, 0.0, t_star), TimeDirac)
+    assert QPiece(1, t_star).eval(t_star + 0.2) == pytest.approx(0.2)
+    assert QPiece(1, t_star).eval(t_star - 0.1) == 0.0
+    assert QPiece(0, t_star).eval(t_star + 0.1) == 1.0
+    assert QPiece(0, t_star).eval(t_star) == 0.5
+    with pytest.raises(ValueError, match="TimeDirac"):
+        QPiece(-1, t_star)  # the degree -1 piece is the atom
 
 
 def test_antiderivative_matches_quadrature():
     from scipy.integrate import quad
 
-    assert P_antideriv(0, -0.8) == 0.0
-    assert P_antideriv(0, 0.8) == pytest.approx(0.8)
+    assert PPiece(0).antideriv(-0.8) == 0.0
+    assert PPiece(0).antideriv(0.8) == pytest.approx(0.8)
     for k in range(1, 5):
         for x in np.linspace(-0.8, 0.8, 9):
-            oracle, _ = quad(lambda s: float(eval_P(k, s)), 0.0, x, limit=200)
-            assert P_antideriv(k, x) == pytest.approx(oracle, abs=1e-10), (k, x)
+            oracle, _ = quad(lambda s: float(PPiece(k).eval(s)), 0.0, x, limit=200)
+            assert PPiece(k).antideriv(x) == pytest.approx(oracle, abs=1e-10), (k, x)
 
 
 def test_catalog_construction():
@@ -158,8 +157,8 @@ def test_strong_solution_pde_residual():
         c1, c2, c3 = EXAMPLE_COEFFICIENTS[alpha]
 
         def f_value(x, t):
-            total = c2 * eval_P(0, x) * eval_Q(k - 2, t, spec.t_star)
-            total += c3 * eval_P(1, x) * eval_Q(k - 3, t, spec.t_star)
+            total = c2 * PPiece(0).eval(x) * QPiece(k - 2, spec.t_star).eval(t)
+            total += c3 * PPiece(1).eval(x) * QPiece(k - 3, spec.t_star).eval(t)
             return total
 
         rng = np.random.default_rng(int(alpha * 10))
@@ -212,9 +211,9 @@ def test_forcing_part_against_triangle_quadrature():
     k = 3
 
     def u_from_quadrature(x, t):
-        u0p = 0.5 * (eval_P(k, x - a * t) + eval_P(k, x + a * t))
+        u0p = 0.5 * (PPiece(k).eval(x - a * t) + PPiece(k).eval(x + a * t))
         u1_breaks = [p for p in (0.0,) if x - a * t < p < x + a * t]
-        u1p, _ = quad(lambda s: float(eval_P(k - 1, s)), x - a * t, x + a * t,
+        u1p, _ = quad(lambda s: float(PPiece(k - 1).eval(s)), x - a * t, x + a * t,
                       points=u1_breaks or None, limit=200)
         u1p *= c1 / (2 * a)
 
@@ -223,8 +222,8 @@ def test_forcing_part_against_triangle_quadrature():
             breaks = [p for p in (0.0,) if lo < p < hi]
             val, _ = quad(
                 lambda xi: float(
-                    c2 * eval_P(0, xi) * (s - spec.t_star)
-                    + c3 * eval_P(1, xi) * eval_Q(0, s, spec.t_star)
+                    c2 * PPiece(0).eval(xi) * (s - spec.t_star)
+                    + c3 * PPiece(1).eval(xi) * QPiece(0, spec.t_star).eval(s)
                 ),
                 lo,
                 hi,

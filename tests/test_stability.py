@@ -8,14 +8,8 @@ from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.operators import pair_appliers
 from compactwave.problems import ProblemSpec, make_sine_mode_problem
 from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair
-from compactwave.solvers import operator_pair_c0, pair_spectra, sine_coefficients
-from compactwave.stability import (
-    check_cfl,
-    initial_velocity_term_eps0_zero,
-    norm_0h,
-    sharp_alpha2,
-    verify_energy_bound,
-)
+from compactwave.solvers import operator_pair_c0
+from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
 
 from oracles import energy_bound_per_level
 
@@ -120,7 +114,12 @@ def test_sharp_alpha2_matches_bruteforce_rayleigh(pair, dims):
 # energy certificates
 
 
-def random_run(kind, dims, rng, step_fraction=None):
+DEFAULT_ESTIMATES = {"strong", "strong_delta_f", "weak"}
+
+
+def random_run(kind, dims, rng, step_fraction=None, m_steps=None):
+    """(scheme, trajectory, u1n, forcing) of a random run marched with random
+    data, at a step inside the step condition."""
     n_list = [int(rng.integers(4, 8)) for _ in range(dims)]
     extents = [float(rng.uniform(0.5, 2.0)) for _ in range(dims)]
     speeds = tuple(float(rng.uniform(0.3, 1.8)) for _ in range(dims))
@@ -130,7 +129,8 @@ def random_run(kind, dims, rng, step_fraction=None):
     bound = c0 * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
     frac = step_fraction if step_fraction is not None else float(rng.uniform(0.2, 0.999))
     h_t = frac * math.sqrt((1.0 - EPS0**2) / bound)
-    m_steps = int(rng.integers(3, 9))
+    if m_steps is None:
+        m_steps = int(rng.integers(3, 9))
     shape = tuple(m.nodes.size for m in meshes)
     interior_shape = tuple(s - 2 for s in shape)
     problem = ProblemSpec(
@@ -148,7 +148,14 @@ def random_run(kind, dims, rng, step_fraction=None):
     full0 = np.zeros(shape)
     full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior_shape)
     trajectory = scheme.march_data(full0, u1n, forcing)
-    return trajectory, meshes, speeds, h_t, pair, u1n, forcing
+    return scheme, trajectory, u1n, forcing
+
+
+def oracle_bound(scheme, trajectory, u1n, forcing, which):
+    return energy_bound_per_level(
+        trajectory, scheme.meshes, scheme.speeds, scheme.h_t, scheme.pair, u1n, forcing,
+        which, EPS0,
+    )
 
 
 CERT_KINDS = [
@@ -165,12 +172,9 @@ CERT_KINDS = [
 def test_energy_bounds_random_instances(kind, dims):
     rng = np.random.default_rng(42 + dims)
     for _ in range(20):
-        trajectory, meshes, speeds, h_t, pair, u1n, forcing = random_run(kind, dims, rng)
+        certs = verify_energy_bound(*random_run(kind, dims, rng), EPS0)
         for which in ("strong", "weak"):
-            cert = verify_energy_bound(
-                trajectory, meshes, speeds, h_t, pair, u1n, forcing, which, EPS0
-            )
-            assert cert.satisfied, (kind, which)
+            assert certs[which].satisfied, (kind, which)
 
 
 BATCH_KINDS = [
@@ -189,9 +193,10 @@ def test_batched_energy_bound_matches_per_level_oracle(kind, dims):
     rng = np.random.default_rng(70 + dims)
     for _ in range(10):
         run_data = random_run(kind, dims, rng)
+        certs = verify_energy_bound(*run_data, EPS0)
         for which in ("strong", "weak"):
-            cert = verify_energy_bound(*run_data, which, EPS0)
-            lhs, rhs = energy_bound_per_level(*run_data, which, EPS0)
+            cert = certs[which]
+            lhs, rhs = oracle_bound(*run_data, which)
             assert cert.lhs == pytest.approx(lhs, rel=1e-14, abs=0.0), (kind, which)
             assert cert.rhs == pytest.approx(rhs, rel=1e-14, abs=0.0), (kind, which)
 
@@ -242,17 +247,10 @@ def test_march_data_levels_satisfy_the_recursion_with_given_data(kind, dims):
     # residuals of (B + h_t^2/12 A)(v^1 - v^0)/h_t = u1n + (h_t/2)(f^0 - A v^0)
     # and (B + h_t^2/12 A)(v^{m+1} - 2v^m + v^{m-1}) = h_t^2 (f^m - A v^m)
     rng = np.random.default_rng(90 + dims)
-    levels, meshes, speeds, h_t, _, u1n, forcing = random_run(kind, dims, rng)
-    m_steps = len(forcing)
-    problem = ProblemSpec(
-        name="random", speeds=speeds, origin=(0.0,) * dims,
-        extents=tuple(m.extent for m in meshes), horizon=m_steps * h_t,
-        u0=lambda *xs: np.zeros_like(xs[0]),
-    )
-    tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    scheme, levels, u1n, forcing = random_run(kind, dims, rng)
+    h_t = scheme.h_t
     s_op, a_op = scheme.apply_step_operator_interior, scheme.apply_a_interior
-    inner = tuple(slice(1, -1) for _ in meshes)
+    inner = tuple(slice(1, -1) for _ in scheme.meshes)
     first = s_op(levels[1] - levels[0]) / h_t - u1n - 0.5 * h_t * (forcing[0] - a_op(levels[0]))
     assert np.max(np.abs(first)) < 1e-10 * max(1.0, np.max(np.abs(levels[1][inner])) / h_t)
     for m in range(1, len(forcing)):
@@ -265,34 +263,50 @@ def test_march_data_levels_satisfy_the_recursion_with_given_data(kind, dims):
 @pytest.mark.parametrize("which", ["strong", "weak"])
 def test_energy_bound_non_finite_level_is_not_satisfied(which):
     rng = np.random.default_rng(6)
-    trajectory, *rest = random_run(SchemeKind.COMPACT_ND, 2, rng)
+    scheme, trajectory, u1n, forcing = random_run(SchemeKind.COMPACT_ND, 2, rng)
     trajectory[2] = trajectory[2].copy()
     trajectory[2][1, 1] = np.nan
-    cert = verify_energy_bound(trajectory, *rest, which, EPS0)
-    assert math.isnan(cert.lhs) and not cert.satisfied
+    certs = verify_energy_bound(scheme, trajectory, u1n, forcing, EPS0)
+    assert math.isnan(certs[which].lhs) and not certs[which].satisfied
+    assert not any(cert.satisfied for cert in certs.values())
 
 
 def test_energy_bound_zero_data():
-    rng = np.random.default_rng(0)
     axis = build_uniform_axis(8, 1.0)
-    tmesh_levels = [np.zeros(9) for _ in range(5)]
-    cert = verify_energy_bound(
-        tmesh_levels, [axis], (1.0,), 0.01, "prod_stiffprod",
-        np.zeros(7), [np.zeros(7)] * 4, "strong", EPS0,
+    problem = ProblemSpec(
+        name="zero", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=0.04,
+        u0=lambda x: np.zeros_like(x),
     )
-    assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.satisfied
+    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
+                      build_time_mesh(4, 0.04))
+    levels = [np.zeros(9) for _ in range(5)]
+    certs = verify_energy_bound(scheme, levels, np.zeros(7), [np.zeros(7)] * 4, EPS0)
+    assert set(certs) == DEFAULT_ESTIMATES
+    for cert in certs.values():
+        assert cert.lhs == 0.0 and cert.rhs == 0.0 and cert.satisfied
 
 
 def test_energy_bound_alt_forcing_variant():
     rng = np.random.default_rng(3)
-    trajectory, meshes, speeds, h_t, pair, u1n, forcing = random_run(
-        SchemeKind.COMPACT_1D, 1, rng
-    )
-    cert = verify_energy_bound(
-        trajectory, meshes, speeds, h_t, pair, u1n, forcing, "strong", EPS0,
-        f_variant="delta_f",
-    )
-    assert cert.satisfied
+    certs = verify_energy_bound(*random_run(SchemeKind.COMPACT_1D, 1, rng), EPS0)
+    assert certs["strong_delta_f"].satisfied
+    # the same left side as the default strong estimate, another free-term part
+    assert certs["strong_delta_f"].lhs == certs["strong"].lhs
+
+
+@pytest.mark.parametrize("kind,dims", BATCH_KINDS)
+def test_single_step_run_gets_every_default_estimate(kind, dims):
+    # one step: no forcing differences, so the delta_f sum is empty
+    rng = np.random.default_rng(110 + dims)
+    for _ in range(3):
+        run_data = random_run(kind, dims, rng, m_steps=1)
+        certs = verify_energy_bound(*run_data, EPS0)
+        assert set(certs) == DEFAULT_ESTIMATES
+        assert all(cert.satisfied for cert in certs.values()), kind
+        for which in ("strong", "weak"):
+            lhs, rhs = oracle_bound(*run_data, which)
+            assert certs[which].lhs == pytest.approx(lhs, rel=1e-14, abs=0.0)
+            assert certs[which].rhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
 
 
 def test_energy_bound_telescoped_forcing_variant():
@@ -303,7 +317,6 @@ def test_energy_bound_telescoped_forcing_variant():
     n = 10
     meshes = [build_uniform_axis(n, 1.0)]
     speeds = (1.0,)
-    pair = operator_pair(kind, dims)
     bound = sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
     h_t = 0.5 * math.sqrt((1.0 - EPS0**2) / bound)
     m_steps = 6
@@ -319,35 +332,17 @@ def test_energy_bound_telescoped_forcing_variant():
     full0 = np.zeros(n + 1)
     full0[1:-1] = rng.standard_normal(n - 1)
     trajectory = scheme.march_data(full0, u1n, forcing)
-    cert = verify_energy_bound(
-        trajectory, meshes, speeds, h_t, pair, u1n, forcing, "weak", EPS0,
-        f_variant="delta_g", g_series=g_series,
-    )
-    assert cert.satisfied
+    certs = verify_energy_bound(scheme, trajectory, u1n, forcing, EPS0, g_series=g_series)
+    assert certs["weak_delta_g"].satisfied
+    assert certs["weak_delta_g"].lhs == certs["weak"].lhs
+    # the telescoped estimate is there only when the g levels are given
+    assert set(certs) == DEFAULT_ESTIMATES | {"weak_delta_g"}
+    assert set(verify_energy_bound(scheme, trajectory, u1n, forcing, EPS0)) == DEFAULT_ESTIMATES
 
 
-def test_step_weighted_norm_bounds():
-    rng = np.random.default_rng(5)
-    axis = build_uniform_axis(12, 1.0)
-    speeds = (1.0,)
-    pair = "prod_stiffprod"
-    sigma = 1.0 / 12.0
-    bound = sharp_alpha2([axis], speeds, pair)
-    # (1/4 - sigma) h_t^2 alpha^2 <= 1 - eps0^2
-    h_t = math.sqrt((1.0 - EPS0**2) / ((0.25 - sigma) * bound))
-    w = rng.standard_normal(11)
-    mu_b, _ = pair_spectra([axis], speeds, pair)
-    coeffs = sine_coefficients(w)
-    norm_b = math.sqrt(0.5 * float(np.sum(coeffs**2 * mu_b)))
-    value = norm_0h(w, [axis], speeds, pair, sigma, h_t)
-    assert EPS0 * norm_b <= value + 1e-12
-    assert value <= norm_b + 1e-12  # sigma < 1/4
-
-
-def test_eps0_zero_diagnostic_runs():
-    rng = np.random.default_rng(6)
-    axis = build_uniform_axis(10, 1.0)
-    value = initial_velocity_term_eps0_zero(
-        rng.standard_normal(9), [axis], (1.0,), "prod_stiffprod", 1.0 / 12.0, 0.05
-    )
-    assert value > 0.0 and math.isfinite(value)
+def test_energy_bound_rejects_bad_eps0():
+    rng = np.random.default_rng(8)
+    run_data = random_run(SchemeKind.COMPACT_1D, 1, rng)
+    for eps0 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eps0"):
+            verify_energy_bound(*run_data, eps0)
