@@ -35,11 +35,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SINGULAR = 4
 
-TABLE1_ALPHAS = (1.5, 2.5, 3.5)
-TABLE1_N = (200, 400, 800)
-TABLE2_N = (200, 400, 800)
-TABLE2_PHIS = tuple(NODE_DISTRIBUTIONS)
-
 _FULL_N_BY_ALPHA = {
     0.5: range(200, 3201, 200),
     1.5: range(200, 3201, 200),
@@ -54,8 +49,8 @@ _FULL_N_BY_ALPHA = {
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A setting that cannot be used (exit code 2), also as an argparse type."""
 
 
 def _load_config(path: str | None) -> dict:
@@ -89,12 +84,15 @@ def _problem_from_config(entry) -> problems.ProblemSpec:
     raise ConfigError(f"cannot interpret problem entry {entry!r}")
 
 
-def _axis_from_config(entry: dict | None, n_default: int | None):
-    entry = dict(entry or {})
-    n = int(entry.get("N", n_default or 0))
+def _axis_from_config(entry: dict):
+    n = int(entry.get("N", 0))
     extent = float(entry.get("X", 1.0))
     origin = float(entry.get("origin", -extent / 2.0))
     kind = entry.get("kind", "uniform")
+    read = {"N", "X", "origin", "kind"} | ({"phi"} if kind == "graded" else set())
+    unread = ", ".join(repr(key) for key in entry if key not in read)
+    if unread:
+        raise ConfigError(f"unread axis key {unread}")
     if kind == "uniform":
         return build_uniform_axis(n, extent, origin)
     if kind == "graded":
@@ -111,28 +109,20 @@ def _scheme_config(name: str, options: dict | None) -> SchemeConfig:
     try:
         kind = SchemeKind(name)
     except ValueError:
-        raise ConfigError(
-            f"unknown scheme {name!r}; choose from "
-            + ", ".join(k.value for k in SchemeKind)
-        ) from None
+        choices = ", ".join(k.value for k in SchemeKind)
+        raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
     options = options or {}
     if not isinstance(options, dict):
         raise ConfigError("scheme_options must be a mapping")
-    unknown = [key for key in options if key != "sigma"]
+    unknown = ", ".join(repr(key) for key in options if key != "sigma")
     if unknown:
-        raise ConfigError(
-            "unknown scheme option " + ", ".join(repr(key) for key in unknown)
-            + "; sigma is the only one"
-        )
+        raise ConfigError(f"unknown scheme option {unknown}; sigma is the only one")
     return SchemeConfig(kind, float(options.get("sigma", 0.5)))
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:
     prefix = "#" if fmt == "csv" else ">"
-    lines = []
-    for key in sorted(config):
-        lines.append(f"{prefix} {key}: {config[key]}")
-    return lines
+    return [f"{prefix} {key}: {config[key]}" for key in sorted(config)]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -143,24 +133,54 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_n_list(raw: str | None, default: Sequence[int]) -> list[int]:
-    if raw is None:
-        return list(default)
+def _n_list(raw) -> list[int]:
+    """A resolution list: '200,400,800' (or space separated) on the command
+    line, a list in a config file."""
+    parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
     try:
-        values = [int(part) for part in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad N list {raw!r}") from exc
+        values = [int(part) for part in parts]
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad N list {raw!r}") from None
     if not values:
         raise ConfigError("N list must not be empty")
     return values
 
 
-def _cfl_factor(args: argparse.Namespace, config: dict) -> float:
-    """The --cfl-factor flag, else the config's, else sqrt(2); an explicit 0
-    is kept, for the step-count rule to reject."""
-    if args.cfl_factor is not None:
-        return args.cfl_factor
-    return float(config.get("cfl_factor", math.sqrt(2.0)))
+# The config keys of each command, with their defaults; stability resolves
+# its None entries by dimension (cmd_stability).
+_SQRT2 = math.sqrt(2.0)
+COMMAND_DEFAULTS = {
+    "run": {"problem": "smooth1d", "scheme": "compact1d", "scheme_options": None, "N": 100,
+            "axis": None, "M": "auto", "cfl_factor": _SQRT2, "format": "csv"},
+    "table1": {"alpha": (1.5, 2.5, 3.5), "N": (200, 400, 800), "jobs": 1, "format": "csv"},
+    "table2": {"phi": tuple(NODE_DISTRIBUTIONS), "N": (200, 400, 800), "cfl_factor": _SQRT2,
+               "jobs": 1, "format": "csv"},
+    "stability": {"problem": None, "scheme": "compact1d", "scheme_options": None, "N": None,
+                  "axis": None, "axes": None, "speeds": None, "T": None, "M": "auto",
+                  "cfl_factor": _SQRT2},
+}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's settings: its defaults, then the config file, then the
+    flags given (an explicit --cfl-factor 0 is kept, for the step-count rule
+    to reject).  A config key the command does not read is a ConfigError."""
+    defaults = COMMAND_DEFAULTS[args.command]
+    config = _load_config(args.config)
+    unknown = ", ".join(repr(key) for key in config if key not in defaults)
+    if unknown:
+        known = ", ".join(defaults)
+        raise ConfigError(f"unknown config key {unknown}; {args.command} reads {known}")
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None or key not in defaults}
+    return {**defaults, **config, **flags}
+
+
+def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
+    """ConfigError naming the keys among `keys` that are set but unread."""
+    given = ", ".join(repr(key) for key in keys if settings[key] is not None)
+    if given:
+        raise ConfigError(f"unread setting {given} {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +188,12 @@ def _cfl_factor(args: argparse.Namespace, config: dict) -> float:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    problem_entry = args.problem or config.get("problem", "smooth1d")
-    scheme_name = args.scheme or config.get("scheme", "compact1d")
-    problem = _problem_from_config(problem_entry)
-    sconfig = _scheme_config(scheme_name, config.get("scheme_options"))
-    n = args.N[0] if args.N else int(config.get("N", 100))
-    axis_cfg = dict(config.get("axis") or {})
-    axis_cfg.setdefault("N", n)
-    axis_cfg.setdefault("X", problem.extents[0])
-    axis_cfg.setdefault("origin", problem.origin[0])
+    s = _settings(args)
+    problem = _problem_from_config(s["problem"])
+    sconfig = _scheme_config(s["scheme"], s["scheme_options"])
+    # N intervals on the problem's interval, unless the config's axis says otherwise
+    axis_cfg = {"N": int(s["N"]), "X": problem.extents[0], "origin": problem.origin[0],
+                **(s["axis"] or {})}
     characteristic = sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC
     given = (axis_cfg.get("kind", "uniform"), float(axis_cfg["X"]), float(axis_cfg["origin"]))
     if characteristic and given != ("uniform", problem.extents[0], problem.origin[0]):
@@ -185,18 +201,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             "the characteristic-mesh scheme runs on the problem's uniform axis; "
             "of the axis settings only N may be given"
         )
-    axis = _axis_from_config(axis_cfg, n)
-    factor = _cfl_factor(args, config)
-    m_entry = args.M or config.get("M", "auto")
-    if m_entry != "auto":
-        m = int(m_entry)
+    axis = _axis_from_config(axis_cfg)
+    if s["M"] != "auto":
+        m = int(s["M"])
     elif characteristic:
         # h_t = h/a is fixed: the last level inside the horizon, floor(a T / h)
         h = problem.extents[0] / axis.n_intervals
         m = select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
     else:
         m = select_time_step_count(
-            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, factor
+            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, float(s["cfl_factor"])
         )
         if problem.t_star is not None:
             # the averaged data needs the switch-on time on the time mesh, as
@@ -207,9 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if characteristic:
         axis_c, tmesh_c = schemes.characteristic_meshes(problem, axis.n_intervals, m)
         obs = analysis.ErrorObserver(problem.exact, axis_c, tmesh_c)
-        result, _, _ = schemes.run_explicit_characteristic(
-            problem, axis.n_intervals, m, observer=obs
-        )
+        result, _, _ = schemes.run_explicit_characteristic(problem, axis.n_intervals, m, obs)
         triple = obs.result()
     else:
         tmesh = build_time_mesh(m, problem.horizon)
@@ -217,17 +229,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = schemes.run(problem, sconfig, [axis], tmesh, observer=obs)
         triple = obs.result() if obs else None
 
-    fmt = args.format or config.get("format", "csv")
-    lines = _echo_header(
-        {"problem": problem.name, "scheme": scheme_name, "N": axis.n_intervals, "M": m},
-        fmt,
-    )
-    lines.append(f"stable: {result.stable}")
+    header = {"problem": problem.name, "scheme": s["scheme"], "N": axis.n_intervals, "M": m}
+    lines = _echo_header(header, s["format"]) + [f"stable: {result.stable}"]
     if triple is not None:
-        lines.append(
-            f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}")
+    _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_BLOWUP if result.blew_up else EXIT_OK
 
 
@@ -264,20 +270,17 @@ def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    alphas = [float(a) for a in (args.alpha or config.get("alpha", TABLE1_ALPHAS))]
-    jobs = args.jobs or int(config.get("jobs", 1))
+    s = _settings(args)
+    alphas = [float(a) for a in s["alpha"]]
     n_lists = {}
     for alpha in alphas:
         if alpha not in problems.EXAMPLE_ALPHAS:
             raise ConfigError(f"alpha {alpha} is not in the catalog")
-        n_lists[alpha] = sorted(set(_FULL_N_BY_ALPHA[alpha] if args.full else args.N or TABLE1_N))
+        n_lists[alpha] = sorted(set(_FULL_N_BY_ALPHA[alpha] if s["full"] else _n_list(s["N"])))
         if any(n % 2 for n in n_lists[alpha]):
-            raise ConfigError(
-                "odd N places the data singularity between nodes; use even N"
-            )
+            raise ConfigError("odd N places the data singularity between nodes; use even N")
     cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
-    triples = _run_cases(_table1_case, cases, jobs)
+    triples = _run_cases(_table1_case, cases, int(s["jobs"]))
     reports: list[analysis.ConvergenceReport] = []
     for alpha in alphas:
         for k, scheme_name in enumerate(TABLE1_SCHEMES):
@@ -288,10 +291,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
             rep.fit()
             rep.attach_theory()
             reports.append(rep)
-    fmt = args.format or config.get("format", "csv")
-    text = "\n".join(_echo_header({"alphas": alphas, "command": "table1"}, fmt))
-    text += "\n" + analysis.build_report(reports, fmt)
-    _emit(text, args.out)
+    text = "\n".join(_echo_header({"alphas": alphas, "command": "table1"}, s["format"]))
+    text += "\n" + analysis.build_report(reports, s["format"])
+    _emit(text, s["out"])
     return _study_exit(t for pair in triples.values() for t in pair)
 
 
@@ -312,30 +314,25 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTr
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    phis = list(args.phi or config.get("phi", TABLE2_PHIS))
-    n_list = list(args.N) if args.N else list(TABLE2_N)
-    if args.full:
-        n_list = list(range(50, 1001, 50))
-    n_list = sorted(set(n_list))
-    factor = _cfl_factor(args, config)
-    jobs = args.jobs or int(config.get("jobs", 1))
+    s = _settings(args)
+    phis = list(s["phi"])
+    n_list = sorted(set(range(50, 1001, 50) if s["full"] else _n_list(s["N"])))
+    factor = float(s["cfl_factor"])
     for phi_name in phis:
         if phi_name not in NODE_DISTRIBUTIONS:
             raise ConfigError(f"unknown node distribution {phi_name!r}")
-    outcomes = _run_cases(_table2_case, [(phi, n, factor) for phi in phis for n in n_list], jobs)
+    cases = [(phi, n, factor) for phi in phis for n in n_list]
+    outcomes = _run_cases(_table2_case, cases, int(s["jobs"]))
     reports: list[analysis.ConvergenceReport] = []
     for phi_name in phis:
         results = [(n, outcomes[phi_name, n, factor][0]) for n in n_list]
         n_big = n_list[-1]
-        stats = mesh_stats(
-            build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n_big, 1.0, -0.5)
-        )
+        stats = mesh_stats(build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n_big, 1.0, -0.5))
         rep = analysis.ConvergenceReport(
             problem=phi_name, scheme="nonuniform-compact", alpha=None, results=results
         )
         # coarse resolutions are too rough for the strongly graded layouts
-        drop = 200 if (args.full and phi_name in ("phi2", "phi6")) else None
+        drop = 200 if (s["full"] and phi_name in ("phi2", "phi6")) else None
         rep.fit(drop_below=drop)
         rep.extras = {
             "h_ratio": stats.ratio,
@@ -344,10 +341,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
             "M_over_N": outcomes[phi_name, n_big, factor][1],
         }
         reports.append(rep)
-    fmt = args.format or config.get("format", "csv")
-    text = "\n".join(_echo_header({"phis": phis, "command": "table2"}, fmt))
-    text += "\n" + analysis.build_report(reports, fmt)
-    _emit(text, args.out)
+    text = "\n".join(_echo_header({"phis": phis, "command": "table2"}, s["format"]))
+    text += "\n" + analysis.build_report(reports, s["format"])
+    _emit(text, s["out"])
     return _study_exit(triple for triple, _ in outcomes.values())
 
 
@@ -356,33 +352,37 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    scheme_name = args.scheme or config.get("scheme", "compact1d")
-    sconfig = _scheme_config(scheme_name, config.get("scheme_options"))
-    axes_cfg = config.get("axes")
-    if axes_cfg:
-        meshes = [_axis_from_config(a, None) for a in axes_cfg]
+    s = _settings(args)
+    sconfig = _scheme_config(s["scheme"], s["scheme_options"])
+    # the meshes: N (default 800) and axis, or else a list of axes
+    if s["axes"]:
+        _reject(s, ("N", "axis"), "next to axes")
+        meshes = [_axis_from_config(entry) for entry in s["axes"]]
     else:
-        n = args.N[0] if args.N else int(config.get("N", 800))
-        meshes = [_axis_from_config(config.get("axis"), n)]
-    problem_entry = args.problem or config.get("problem", "smooth1d")
-    problem = _problem_from_config(problem_entry) if len(meshes) == 1 else None
-    speeds = problem.speeds if problem else tuple(config.get("speeds", [1.0] * len(meshes)))
-    horizon = problem.horizon if problem else float(config.get("T", 1.0))
-    factor = _cfl_factor(args, config)
+        n = 800 if s["N"] is None else s["N"]
+        meshes = [_axis_from_config({"N": n, **(s["axis"] or {})})]
+    # speeds and horizon: the problem's (default smooth1d) on one axis, else
+    # the config's (default 1 each)
+    if len(meshes) == 1:
+        _reject(s, ("speeds", "T"), "on one axis, where the problem sets them")
+        problem = _problem_from_config(s["problem"] or "smooth1d")
+        speeds, horizon = problem.speeds, problem.horizon
+    else:
+        _reject(s, ("problem",), "on two or more axes")
+        speeds = tuple(s["speeds"] or [1.0] * len(meshes))
+        horizon = 1.0 if s["T"] is None else float(s["T"])
     h_min = min(mesh_stats(m).h_min for m in meshes)
-    m_entry = args.M or config.get("M", "auto")
-    if m_entry == "auto":
-        m = select_time_step_count(h_min, max(speeds), horizon, factor)
+    if s["M"] == "auto":
+        m = select_time_step_count(h_min, max(speeds), horizon, float(s["cfl_factor"]))
     else:
-        m = int(m_entry)
+        m = int(s["M"])
     h_t = build_time_mesh(m, horizon).h_t
     pair = schemes.operator_pair(sconfig.kind, len(meshes))
     if pair is None:
-        raise ConfigError(f"no step condition is attached to scheme {scheme_name!r}")
+        raise ConfigError(f"no step condition is attached to scheme {s['scheme']!r}")
     eps0 = math.sqrt(0.5)
     report = stability.check_cfl(pair, meshes, speeds, h_t, eps0)
-    lines = _echo_header({"scheme": scheme_name, "M": m, "pair": pair}, "csv")
+    lines = _echo_header({"scheme": s["scheme"], "M": m, "pair": pair}, "csv")
     lines.append(f"value: {report.value:.6f}")
     lines.append(f"threshold: {report.threshold:.6f}")
     lines.append(f"margin: {report.margin:.6f}")
@@ -392,11 +392,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if report.marginal:
         lines.append("warning: step condition marginally violated; runs are "
                      "routinely stable in this band")
-    if args.certify:
-        rng = np.random.default_rng(args.seed or 0)
-        cert_lines = _certify_random_instance(sconfig.kind, meshes, speeds, rng)
-        lines.extend(cert_lines)
-    _emit("\n".join(lines) + "\n", args.out)
+    if s["certify"]:
+        rng = np.random.default_rng(s["seed"])
+        lines.extend(_certify_random_instance(sconfig.kind, meshes, speeds, rng))
+    _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_OK
 
 
@@ -441,7 +440,7 @@ def _certify_random_instance(kind, meshes, speeds, rng) -> list[str]:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool]] = []
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
 
     from .operators import pair_appliers, step_factor
     from .solvers import SplittingHandle
@@ -479,43 +478,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compact 4th-order finite-difference wave-equation solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--problem", help="catalog problem name")
-        p.add_argument("--scheme", help="scheme name")
-        p.add_argument("--N", help="resolution list, e.g. '200,400,800'")
-        p.add_argument("--M", help="time steps or 'auto'")
-        p.add_argument("--cfl-factor", dest="cfl_factor", type=float)
-        p.add_argument("--format", choices=("csv", "md"))
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--seed", type=int)
-
-    p_run = sub.add_parser("run", help="single simulation with error report")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run, post_n=True)
-
-    p_t1 = sub.add_parser("table1", help="uniform-mesh convergence study")
-    common(p_t1)
-    p_t1.add_argument("--alpha", nargs="*", type=float)
-    p_t1.add_argument("--full", action="store_true", help="full-scale N lists (roundoff-limited at the top end)")
-    p_t1.set_defaults(func=cmd_table1, post_n=True)
-
-    p_t2 = sub.add_parser("table2", help="graded-mesh convergence study")
-    common(p_t2)
-    p_t2.add_argument("--phi", nargs="*")
-    p_t2.add_argument("--full", action="store_true", help="full-scale N lists (roundoff-limited at the top end)")
-    p_t2.set_defaults(func=cmd_table2, post_n=True)
-
-    p_st = sub.add_parser("stability", help="time-step condition report")
-    common(p_st)
-    p_st.add_argument("--certify", action="store_true")
-    p_st.set_defaults(func=cmd_stability, post_n=True)
-
-    p_self = sub.add_parser("selftest", help="fast internal consistency checks")
-    common(p_self)
-    p_self.set_defaults(func=cmd_selftest, post_n=False)
+    # each subcommand takes the flags it reads; a flag left at None falls
+    # back to the config file, then to COMMAND_DEFAULTS.  "N list" is the
+    # --N of the two studies.
+    flags = {
+        "config": dict(help="YAML configuration (flags override it)"),
+        "problem": dict(help="catalog problem name"),
+        "scheme": dict(help="scheme name"),
+        "N": dict(type=int, help="intervals"),
+        "N list": dict(dest="N", type=_n_list, help="resolution list, e.g. '200,400,800'"),
+        "M": dict(help="time steps or 'auto'"),
+        "cfl-factor": dict(dest="cfl_factor", type=float),
+        "format": dict(choices=("csv", "md")),
+        "out": dict(help="output path (default stdout)"),
+        "jobs": dict(type=int, help="worker processes"),
+        "seed": dict(type=int, default=0),
+        "alpha": dict(nargs="+", type=float),
+        "phi": dict(nargs="+"),
+        "full": dict(action="store_true", help="full-scale N lists (roundoff-limited at the top)"),
+        "certify": dict(action="store_true"),
+    }
+    commands = (
+        ("run", cmd_run, "single simulation with error report",
+         ("config", "problem", "scheme", "N", "M", "cfl-factor", "format", "out")),
+        ("table1", cmd_table1, "uniform-mesh convergence study",
+         ("config", "alpha", "N list", "full", "jobs", "format", "out")),
+        ("table2", cmd_table2, "graded-mesh convergence study",
+         ("config", "phi", "N list", "full", "cfl-factor", "jobs", "format", "out")),
+        ("stability", cmd_stability, "time-step condition report",
+         ("config", "problem", "scheme", "N", "M", "cfl-factor", "certify", "seed", "out")),
+        ("selftest", cmd_selftest, "fast internal consistency checks", ("seed",)),
+    )
+    for name, func, help_text, names in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in names:
+            p.add_argument("--" + flag.split()[0], **flags[flag])
+        p.set_defaults(func=func)
 
     return parser
 
@@ -523,12 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "N", None) is not None and getattr(args, "post_n", False):
-        try:
-            args.N = _parse_n_list(args.N, [])
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
         return args.func(args)
     except (ConfigError, MeshError, KeyError, ValueError) as exc:

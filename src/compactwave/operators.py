@@ -16,9 +16,10 @@ full node array (boundary values included) to its interior values.
 The discrete forcing follows the type of the data, in `build_rhs_table` and
 `initial_rhs` alike: piecewise data (`PiecewiseData`, one axis) gets the
 exact hat averages, a callable the compact sampling formulas, None zeros;
-anything else is a TypeError.  The hat averages integrate piecewise
-polynomials analytically (Gauss rules of sufficient order per smooth piece)
-and give Dirac atoms located at mesh nodes the weight 1/h_*.
+anything else is a TypeError.  `initial_velocity` chooses by type the same
+way.  The hat averages integrate piecewise polynomials analytically (Gauss
+rules of sufficient order per smooth piece) and give Dirac atoms located at
+mesh nodes the weight 1/h_*.
 """
 
 from __future__ import annotations
@@ -389,10 +390,6 @@ class PiecewiseData:
     def __iter__(self):
         return iter(self.terms)
 
-    @property
-    def has_space_atom(self) -> bool:
-        return any(isinstance(t.space, SpaceDirac) for t in self.terms)
-
 
 def _nearest_node(nodes: np.ndarray, x: float, scale: float) -> int:
     idx = int(np.argmin(np.abs(nodes - x)))
@@ -491,37 +488,29 @@ def initial_velocity(
     meshes: Sequence[AxisMesh],
     h_t: float,
     speeds: Sequence[float],
-    mode: str,
 ) -> np.ndarray:
-    """Discrete initial-velocity data (full-shape array, faces zero).
+    """Discrete initial-velocity data (full-shape array, faces zero), chosen
+    by the data type.
 
-    mode 'qx': exact hat average of piecewise data.
-    mode 'compact': S u1 + sum_i (h_t^2 a_i^2/12) Lambda_i u1 from samples, with
-                    S the additive compact average (on uniform axes
-                    u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).
+    Piecewise data: the exact hat average (one-dimensional).
+    A callable: S u1 + sum_i (h_t^2 a_i^2/12) Lambda_i u1 from samples, with
+    S the additive compact average (on uniform axes
+    u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).
     """
     meshes = list(meshes)
     shape = tuple(m.nodes.size for m in meshes)
-    if mode == "qx":
-        if not isinstance(u1, PiecewiseData):
-            raise TypeError("hat averaging requires piecewise data")
+    if isinstance(u1, PiecewiseData):
         if len(meshes) != 1:
             raise ValueError("hat averaging of data is one-dimensional")
         out = np.zeros(shape)
         for term in u1:
             out += term.coef * hat_average_x(term.space, meshes[0])
         return out
-    if mode != "compact":
-        raise ValueError(f"unknown initial-velocity mode {mode!r}")
-    if isinstance(u1, PiecewiseData):
-        if u1.has_space_atom:
-            raise ValueError("sample-based initial velocity undefined for Dirac data")
-        fn = lambda *xs: sum(t.coef * t.space.eval(xs[0]) for t in u1)
-    elif callable(u1):
-        fn = u1
-    else:
-        raise TypeError(f"unsupported initial-velocity data {type(u1)!r}")
-    samples = fn(*_meshgrid(meshes))
+    if not callable(u1):
+        raise TypeError(
+            f"unsupported initial-velocity data {type(u1)!r}: piecewise data or a callable"
+        )
+    samples = u1(*_meshgrid(meshes))
     axes = range(len(meshes))
     out = _additive(samples, _average_factors(meshes))
     for axis, mesh in enumerate(meshes):

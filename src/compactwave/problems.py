@@ -81,7 +81,6 @@ class ProblemSpec:
     exact: Callable | None = None
     alpha: float | None = None
     t_star: float | None = None
-    u1n_default: str = "qx"
 
     @property
     def ndim(self) -> int:
@@ -283,12 +282,13 @@ def make_example(
     # d'Alembert velocity term from the antiderivative of u1 at x -+ a t
     if k == 0:
         u1_part = lambda left, right: (c1 / (2.0 * a)) * (_step(right) - _step(left))
-        u1_fn = None
     else:
         u1_part = lambda left, right: (c1 / (2.0 * a)) * (
             _signed_power_antideriv(k - 1, right) - _signed_power_antideriv(k - 1, left)
         )
-        u1_fn = lambda x: c1 * _signed_power(k - 1, x)
+    # the schemes sample a continuous velocity (alpha >= 3.5) and average
+    # the rougher ones from u1_data
+    u1_fn = (lambda x: c1 * _signed_power(k - 1, x)) if alpha >= 3.5 else None
 
     # left-moving correction emitted where the smooth trace departs from the
     # whole-line trace (the Heaviside-in-x forcing term)
@@ -328,7 +328,6 @@ def make_example(
         exact=exact,
         alpha=alpha,
         t_star=t_star,
-        u1n_default="qx" if alpha <= 2.5 else "compact",
     )
 
 
@@ -375,7 +374,6 @@ def make_smooth_nonuniform_problem(a: float | None = None) -> ProblemSpec:
         f_fn=f,
         g=(g0, g1),
         exact=exact,
-        u1n_default="compact",
     )
 
 
@@ -414,7 +412,6 @@ def make_sine_mode_problem(
         u0=u0,
         u1_fn=lambda *xs: 0.0 * shape(*xs),
         exact=exact,
-        u1n_default="compact",
     )
 
 

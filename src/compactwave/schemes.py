@@ -149,8 +149,9 @@ class Scheme:
 
     The discrete data follow the problem's data.  The forcing is its
     piecewise f_data, averaged exactly, or else its callable f_fn, sampled
-    by the compact formulas (operators.build_rhs_table, initial_rhs); the
-    initial velocity follows the problem's u1n_default.
+    by the compact formulas (operators.build_rhs_table, initial_rhs).  The
+    initial velocity is its callable u1_fn, sampled, when it has one, and
+    otherwise its piecewise u1_data, averaged (operators.initial_velocity).
     """
 
     def __init__(
@@ -267,16 +268,13 @@ class Scheme:
     # -- data constructions ----------------------------------------------------
 
     def _build_u1n(self) -> np.ndarray:
-        """The initial velocity by the problem's u1n_default: 'qx' averages
-        its piecewise data, 'compact' samples its callable (else its data)."""
+        """The initial velocity: the problem's u1_fn sampled, else its u1_data
+        averaged, else zero."""
         problem = self.problem
-        if problem.u1_data is None and problem.u1_fn is None:
+        source = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
+        if source is None:
             return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
-        mode = problem.u1n_default
-        sampled = mode != "qx" and problem.u1_fn is not None
-        source = problem.u1_fn if sampled else problem.u1_data
-        velocity = initial_velocity(source, self.meshes, self.h_t, self.speeds, mode)
-        return velocity[self._interior]
+        return initial_velocity(source, self.meshes, self.h_t, self.speeds)[self._interior]
 
     # -- stepping ----------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 from pathlib import Path
@@ -5,7 +6,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from compactwave.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
+from compactwave.cli import (
+    COMMAND_DEFAULTS,
+    EXIT_BLOWUP,
+    EXIT_CONFIG,
+    EXIT_OK,
+    _build_parser,
+    main,
+)
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -109,7 +117,7 @@ def test_run_blowup_exit_code(tmp_path):
 def test_table1_smoke_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["table1", "--alpha", "1.5", "--N", "40,80,160", "--seed", "0"]
+    args = ["table1", "--alpha", "1.5", "--N", "40,80,160"]
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     text = out1.read_text()
@@ -308,7 +316,7 @@ def test_stability_certify(tmp_path):
 
 
 @pytest.mark.parametrize("config", [
-    {"scheme": "compact1d", "axes": [{"N": 6, "X": 1.0}], "speeds": [0.8]},
+    {"scheme": "compact1d", "axes": [{"N": 6, "X": 1.0}]},
     {"scheme": "compact2d", "axes": [{"N": 4, "X": 1.0}, {"N": 5, "X": 0.7}], "speeds": [1.0, 1.3]},
     {"scheme": "splitting", "axes": [{"N": 4, "X": 1.0}] * 3, "speeds": [1.0, 0.6, 1.2]},
 ])
@@ -402,3 +410,107 @@ def test_readme_config_example_runs(tmp_path, capsys):
     cfg.write_text(blocks[0])
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
     assert "stable: True" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# every setting is read or rejected
+
+REMOVED_FLAGS = {
+    "run": ["--jobs", "--seed"],
+    "table1": ["--problem", "--scheme", "--M", "--cfl-factor", "--seed"],
+    "table2": ["--problem", "--scheme", "--M", "--seed"],
+    "stability": ["--format", "--jobs"],
+    "selftest": ["--config", "--problem", "--scheme", "--N", "--M", "--cfl-factor",
+                 "--format", "--out", "--jobs"],
+}
+FLAG_VALUES = {
+    "--config": "c.yaml", "--problem": "E_1.5", "--scheme": "splitting", "--N": "40",
+    "--M": "7", "--cfl-factor": "0.1", "--format": "md", "--out": "x.txt", "--jobs": "2",
+    "--seed": "3",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_run_takes_one_resolution(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--N", "100,200"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid int value: '100,200'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "table2", "stability"])
+def test_unknown_config_key_is_named(tmp_path, capsys, command):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(yaml.safe_dump({"schem": "splitting", "cfl_facter": 0.3}))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown config key 'cfl_facter', 'schem'" in err  # safe_dump sorts the keys
+    assert f"; {command} reads " in err
+
+
+@pytest.mark.parametrize("config", [
+    {"alpha": [1.5], "N": [40, 80, 160]},
+    {"phi": ["phi0"], "N": [40, 80, 160]},
+])
+def test_studies_read_the_resolutions_of_the_config(tmp_path, config):
+    command = "table1" if "alpha" in config else "table2"
+    cfg = tmp_path / "study.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "study.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    header = next(ln for ln in out.read_text().splitlines() if not ln.startswith("#"))
+    assert "err_40,err_80,err_160" in header and "err_200" not in header
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    # one axis: the problem gives the speeds and the horizon
+    ({"axis": {"N": 16}, "speeds": [0.8], "T": 3.0}, [], "'speeds', 'T'"),
+    ({"axes": [{"N": 16}], "T": 3.0}, [], "'T'"),
+    # two axes: no problem; the axes replace N and axis
+    ({"axes": [{"N": 4}, {"N": 5}]}, ["--problem", "E_2.5"], "'problem'"),
+    ({"axes": [{"N": 4}, {"N": 5}]}, ["--N", "40"], "'N'"),
+    ({"axes": [{"N": 4}, {"N": 5}], "N": 40}, [], "'N'"),
+    ({"axes": [{"N": 4}, {"N": 5}], "axis": {"N": 4}}, [], "'axis'"),
+])
+def test_stability_rejects_settings_its_dimension_does_not_read(tmp_path, capsys, config,
+                                                                argv, named):
+    cfg = tmp_path / "st.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    assert main(["stability", "--config", str(cfg), *argv]) == EXIT_CONFIG
+    assert f"unread setting {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, named", [
+    ({"N": 40, "phi": "phi3"}, "'phi'"),
+    ({"kind": "graded", "phi": "phi3", "n": 40}, "'n'"),
+])
+def test_run_rejects_unknown_axis_keys(tmp_path, capsys, axis, named):
+    cfg = tmp_path / "axis.yaml"
+    cfg.write_text(yaml.safe_dump({"axis": axis}))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"unread axis key {named}" in capsys.readouterr().err
+
+
+def test_readme_lists_the_flags_and_config_keys_of_every_subcommand():
+    # the README's per-subcommand table against the parser and COMMAND_DEFAULTS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | flags | config keys |\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, flags=re.MULTILINE))
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(rows) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        flags_cell, keys_cell = rows[name].split(" | ")
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[\w-]+", flags_cell)) == flags - {"-h", "--help"}, name
+        assert set(re.findall(r"`(\w+)`", keys_cell)) == set(COMMAND_DEFAULTS.get(name, ())), name

@@ -451,14 +451,14 @@ def test_one_sided_average():
 
 def test_initial_velocity_zero():
     meshes = [build_uniform_axis(10, 1.0, -0.5)]
-    out = initial_velocity(lambda x: np.zeros_like(x), meshes, 0.1, (1.0,), "compact")
+    out = initial_velocity(lambda x: np.zeros_like(x), meshes, 0.1, (1.0,))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_initial_velocity_dirac():
     meshes = [build_uniform_axis(10, 1.0, -0.5)]
     data = PiecewiseData((SeparableTerm(0.4, SpaceDirac(0.0)),))
-    out = initial_velocity(data, meshes, 0.1, (1.0,), "qx")
+    out = initial_velocity(data, meshes, 0.1, (1.0,))
     assert out[5] == pytest.approx(0.4 * 10.0)
 
 
@@ -466,16 +466,9 @@ def test_initial_velocity_compact_quadratic():
     meshes = [build_uniform_axis(10, 1.0)]
     h = meshes[0].h
     h_t, a = 0.05, 2.0
-    out = initial_velocity(lambda x: x**2, meshes, h_t, (a,), "compact")
+    out = initial_velocity(lambda x: x**2, meshes, h_t, (a,))
     x = meshes[0].nodes[1:-1]
     assert np.allclose(out[1:-1], x**2 + (h * h + h_t * h_t * a * a) / 6.0, atol=1e-12)
-
-
-def test_initial_velocity_compact_rejects_dirac():
-    meshes = [build_uniform_axis(10, 1.0, -0.5)]
-    data = PiecewiseData((SeparableTerm(1.0, SpaceDirac(0.0)),))
-    with pytest.raises(ValueError):
-        initial_velocity(data, meshes, 0.1, (1.0,), "compact")
 
 
 def test_rhs_table_smooth_constant():

@@ -19,6 +19,7 @@ from compactwave.operators import (
     SeparableTerm,
     SpaceDirac,
     TimeDirac,
+    initial_velocity,
     pair_appliers,
     step_factor,
 )
@@ -448,7 +449,6 @@ def test_blowup_at_level_one_ends_every_runner_there():
     problem = ProblemSpec(
         name="huge velocity", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=1.0,
         u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.full_like(x, 1e104),
-        u1n_default="compact",
     )
     levels = []
     explicit, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
@@ -457,6 +457,24 @@ def test_blowup_at_level_one_ends_every_runner_there():
         assert result.blew_up
         assert result.completed_levels == 2
     assert len(levels) == 2 and np.max(np.abs(levels[1])) > 1e100
+
+
+def test_problem_with_only_a_velocity_callable_assembles_and_runs():
+    # the initial velocity follows its data type: u1_fn alone is sampled by
+    # the compact formula; u = sin(pi x) sin(pi t) / pi
+    problem = ProblemSpec(
+        name="velocity only", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=0.5,
+        u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.sin(np.pi * x),
+        exact=lambda x, t: np.sin(np.pi * x) * np.sin(np.pi * t) / np.pi,
+    )
+    axis = build_uniform_axis(20, 1.0)
+    tmesh = build_time_mesh(10, 0.5)
+    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    sampled = initial_velocity(problem.u1_fn, [axis], tmesh.h_t, problem.speeds)
+    assert np.array_equal(scheme.u1n, sampled[1:-1])
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    assert scheme.run(observer=obs).stable
+    assert obs.result().Ch < 1e-5
 
 
 def test_characteristic_rejects_smooth_forcing():
