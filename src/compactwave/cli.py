@@ -146,25 +146,30 @@ def _n_list(raw) -> list[int]:
     return values
 
 
-# The config keys of each command, with their defaults; stability resolves
-# its None entries by dimension (cmd_stability).
+# The config keys of each command, with their defaults.  A None entry is
+# resolved where it is read (stability's by dimension, cfl_factor when M is
+# auto, the studies' N without --full), so a given setting that goes unread
+# can be told from a default.
 _SQRT2 = math.sqrt(2.0)
+_STUDY_N = (200, 400, 800)
+_FORMATS = ("csv", "md")
 COMMAND_DEFAULTS = {
     "run": {"problem": "smooth1d", "scheme": "compact1d", "scheme_options": None, "N": 100,
-            "axis": None, "M": "auto", "cfl_factor": _SQRT2, "format": "csv"},
-    "table1": {"alpha": (1.5, 2.5, 3.5), "N": (200, 400, 800), "jobs": 1, "format": "csv"},
-    "table2": {"phi": tuple(NODE_DISTRIBUTIONS), "N": (200, 400, 800), "cfl_factor": _SQRT2,
+            "axis": None, "M": "auto", "cfl_factor": None, "format": "csv"},
+    "table1": {"alpha": (1.5, 2.5, 3.5), "N": None, "jobs": 1, "format": "csv"},
+    "table2": {"phi": tuple(NODE_DISTRIBUTIONS), "N": None, "cfl_factor": _SQRT2,
                "jobs": 1, "format": "csv"},
     "stability": {"problem": None, "scheme": "compact1d", "scheme_options": None, "N": None,
                   "axis": None, "axes": None, "speeds": None, "T": None, "M": "auto",
-                  "cfl_factor": _SQRT2},
+                  "cfl_factor": None},
 }
 
 
 def _settings(args: argparse.Namespace) -> dict:
     """The command's settings: its defaults, then the config file, then the
     flags given (an explicit --cfl-factor 0 is kept, for the step-count rule
-    to reject).  A config key the command does not read is a ConfigError."""
+    to reject).  A config key the command does not read, and a format other
+    than csv or md, are ConfigErrors."""
     defaults = COMMAND_DEFAULTS[args.command]
     config = _load_config(args.config)
     unknown = ", ".join(repr(key) for key in config if key not in defaults)
@@ -173,7 +178,10 @@ def _settings(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown config key {unknown}; {args.command} reads {known}")
     flags = {key: value for key, value in vars(args).items()
              if value is not None or key not in defaults}
-    return {**defaults, **config, **flags}
+    settings = {**defaults, **config, **flags}
+    if settings.get("format", "csv") not in _FORMATS:
+        raise ConfigError(f"unknown format {settings['format']!r}; choose from csv, md")
+    return settings
 
 
 def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
@@ -181,6 +189,11 @@ def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
     given = ", ".join(repr(key) for key in keys if settings[key] is not None)
     if given:
         raise ConfigError(f"unread setting {given} {where}")
+
+
+def _cfl_factor(settings: dict) -> float:
+    """The factor of the step-count rule, sqrt(2) unless given."""
+    return _SQRT2 if settings["cfl_factor"] is None else float(settings["cfl_factor"])
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +216,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     axis = _axis_from_config(axis_cfg)
     if s["M"] != "auto":
+        _reject(s, ("cfl_factor",), "with an explicit M")
         m = int(s["M"])
     elif characteristic:
+        _reject(s, ("cfl_factor",), "with the characteristic scheme, whose h_t is h/a")
         # h_t = h/a is fixed: the last level inside the horizon, floor(a T / h)
         h = problem.extents[0] / axis.n_intervals
         m = select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
     else:
         m = select_time_step_count(
-            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, float(s["cfl_factor"])
+            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, _cfl_factor(s)
         )
         if problem.t_star is not None:
             # the averaged data needs the switch-on time on the time mesh, as
@@ -269,6 +284,16 @@ def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
     return analysis.lockstep_errors(problem, configs, axis, tmesh)
 
 
+def _study_n(settings: dict, full) -> list[int]:
+    """The resolution list of a study: the full-scale list with --full, which
+    an N given next to it would contradict, else N (200, 400, 800 unless
+    given)."""
+    if settings["full"]:
+        _reject(settings, ("N",), "with --full, which sets the full-scale lists")
+        return list(full)
+    return _n_list(_STUDY_N if settings["N"] is None else settings["N"])
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
     s = _settings(args)
     alphas = [float(a) for a in s["alpha"]]
@@ -276,7 +301,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for alpha in alphas:
         if alpha not in problems.EXAMPLE_ALPHAS:
             raise ConfigError(f"alpha {alpha} is not in the catalog")
-        n_lists[alpha] = sorted(set(_FULL_N_BY_ALPHA[alpha] if s["full"] else _n_list(s["N"])))
+        n_lists[alpha] = sorted(set(_study_n(s, _FULL_N_BY_ALPHA[alpha])))
         if any(n % 2 for n in n_lists[alpha]):
             raise ConfigError("odd N places the data singularity between nodes; use even N")
     cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
@@ -316,7 +341,7 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTr
 def cmd_table2(args: argparse.Namespace) -> int:
     s = _settings(args)
     phis = list(s["phi"])
-    n_list = sorted(set(range(50, 1001, 50) if s["full"] else _n_list(s["N"])))
+    n_list = sorted(set(_study_n(s, range(50, 1001, 50))))
     factor = float(s["cfl_factor"])
     for phi_name in phis:
         if phi_name not in NODE_DISTRIBUTIONS:
@@ -373,8 +398,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
         horizon = 1.0 if s["T"] is None else float(s["T"])
     h_min = min(mesh_stats(m).h_min for m in meshes)
     if s["M"] == "auto":
-        m = select_time_step_count(h_min, max(speeds), horizon, float(s["cfl_factor"]))
+        m = select_time_step_count(h_min, max(speeds), horizon, _cfl_factor(s))
     else:
+        _reject(s, ("cfl_factor",), "with an explicit M")
         m = int(s["M"])
     h_t = build_time_mesh(m, horizon).h_t
     pair = schemes.operator_pair(sconfig.kind, len(meshes))
@@ -489,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "N list": dict(dest="N", type=_n_list, help="resolution list, e.g. '200,400,800'"),
         "M": dict(help="time steps or 'auto'"),
         "cfl-factor": dict(dest="cfl_factor", type=float),
-        "format": dict(choices=("csv", "md")),
+        "format": dict(choices=_FORMATS),
         "out": dict(help="output path (default stdout)"),
         "jobs": dict(type=int, help="worker processes"),
         "seed": dict(type=int, default=0),

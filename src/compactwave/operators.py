@@ -8,10 +8,10 @@ the averages, the stiffness operators, the splitting residual and the
 compact corrections of the data are products and sums of such applications.
 On one axis each of them is a single row application.  One table,
 `PAIR_FORMS`, says which sum and product forms make up each operator pair;
-`pair_appliers` is the one place that composes the pair's rows by it (the
-splitting pair's residual included), and `solvers.pair_spectra` composes
-per-axis sine eigenvalues by the same rule.  The composed operators map a
-full node array (boundary values included) to its interior values.
+`compose_pair` is the one composer by it (the splitting residual included):
+`pair_appliers` over the stencil rows, mapping a full node array (boundary
+values included) to its interior values, and `solvers.pair_spectra` over
+per-axis sine eigenvalues.
 
 The discrete forcing follows the type of the data, in `build_rhs_table` and
 `initial_rhs` alike: piecewise data (`PiecewiseData`, one axis) gets the
@@ -42,6 +42,7 @@ __all__ = [
     "PiecewiseData",
     "PAIR_FORMS",
     "pair_forms",
+    "compose_pair",
     "pair_appliers",
     "step_factor",
     "tridiag_second_diff",
@@ -175,23 +176,24 @@ def _stiffness_factors(meshes: Sequence[AxisMesh], speeds: Sequence[float]) -> l
     ]
 
 
-def _product(values: np.ndarray, factors: Sequence[TridiagonalFactor]) -> np.ndarray:
+def _product(values: np.ndarray, factors: Sequence) -> np.ndarray:
     """The factors applied in turn, each along its own axis."""
     for factor in factors:
         values = factor.apply(values)
     return values
 
 
-def _additive(values: np.ndarray, factors: Sequence[TridiagonalFactor]) -> np.ndarray:
+def _additive(values: np.ndarray, factors: Sequence) -> np.ndarray:
     """I + sum_j (F_j - I) over factors on distinct axes: the additive
-    compact average (F_0 itself for one factor), interior along their axes."""
+    compact average (F_0 itself for one factor), interior along their axes;
+    added out of place, so that terms of broadcast shapes add."""
     if not factors:
         return values
     axes = {f.axis for f in factors}
     out = _trim(factors[0].apply(values), axes - {factors[0].axis})
     base = _trim(values, axes)
     for factor in factors[1:]:
-        out += _trim(factor.apply(values), axes - {factor.axis}) - base
+        out = out + (_trim(factor.apply(values), axes - {factor.axis}) - base)
     return out
 
 
@@ -241,20 +243,17 @@ def pair_forms(pair: str | None) -> PairForms:
     return PAIR_FORMS[pair]
 
 
-def pair_appliers(
-    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float], h_t: float | None = None
+def compose_pair(
+    pair: str | None, averages: Sequence, stiffs: Sequence, h_t: float | None = None
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The mass B and the stiffness A of a scheme's operator pair as maps from
-    a full node array to its interior values.
-
-    The splitting pair's mass adds to its product average the residual of the
-    factored step operator, c^|K| prod_{i in K} (-a_i^2 Lambda_i)
-    prod_{j not in K} S_j over the axis sets K with |K| >= 2, c = h_t^2/12
-    (the composition of `solvers.pair_spectra`); it needs h_t.
-    """
+    """The mass B and the stiffness A of an operator pair, composed by
+    `PAIR_FORMS` from per-axis factors in axis order: the averages S_i and
+    the stiffness rows -a_i^2 Lambda_i.  A factor has an `axis` and an
+    `apply` that keeps only the interior nodes of that axis.  The splitting
+    pair's mass adds the residual of its factored step operator,
+    c^|K| prod_{i in K} (-a_i^2 Lambda_i) prod_{j not in K} S_j over the axis
+    sets K with |K| >= 2, c = h_t^2/12; it needs h_t."""
     forms = pair_forms(pair)
-    averages = _average_factors(meshes)
-    stiffs = _stiffness_factors(meshes, speeds)
     mass = _additive if forms.additive_mass else _product
     cross = _additive if forms.additive_cross else _product
     stiffness = lambda v: _stiffness(v, stiffs, averages, cross)
@@ -263,14 +262,23 @@ def pair_appliers(
     if h_t is None:
         raise ValueError("splitting residual needs h_t")
     c = h_t**2 / 12.0
-    n = len(meshes)
+    n = len(averages)
     residual = [
         (c**k, [stiffs[i] if i in combo else averages[i] for i in range(n)])
         for k in range(2, n + 1)
         for combo in itertools.combinations(range(n), k)
     ]
-    split_mass = lambda v: sum((coef * _product(v, f) for coef, f in residual), _product(v, averages))
+    split_mass = lambda v: sum((_product(coef * v, f) for coef, f in residual), _product(v, averages))
     return split_mass, stiffness
+
+
+def pair_appliers(
+    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float], h_t: float | None = None
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The mass B and the stiffness A of a scheme's operator pair as maps from
+    a full node array to its interior values: `compose_pair` over the
+    stencil rows (the splitting pair needs h_t)."""
+    return compose_pair(pair, _average_factors(meshes), _stiffness_factors(meshes, speeds), h_t)
 
 
 # ---------------------------------------------------------------------------

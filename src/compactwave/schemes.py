@@ -95,29 +95,22 @@ class SchemeKind(str, Enum):
         return cls.COMPACT_1D if value == "nonuniform-compact" else None
 
 
-_KIND_DIMENSIONS = {
-    SchemeKind.COMPACT_1D: (1,),
-    SchemeKind.COMPACT_2D_SUM: (2,),
-    SchemeKind.COMPACT_3D_PROD_MASS: (3,),
-    SchemeKind.COMPACT_ND: (1, 2, 3),
-    SchemeKind.SPLITTING: (2, 3),
-    SchemeKind.EXPLICIT_CHARACTERISTIC: (1,),
-    SchemeKind.SECOND_ORDER: (1,),
+# each kind: the dimensions it runs in and its operator pair (operator_pair)
+_KINDS = {
+    SchemeKind.COMPACT_1D: ((1,), "prod_stiffprod"),
+    SchemeKind.COMPACT_2D_SUM: ((2,), "sum_stiffsum"),
+    SchemeKind.COMPACT_3D_PROD_MASS: ((3,), "prod_stiffsum"),
+    SchemeKind.COMPACT_ND: ((1, 2, 3), "prod_stiffprod"),
+    SchemeKind.SPLITTING: ((2, 3), "prod_residual_stiffprod"),
+    SchemeKind.EXPLICIT_CHARACTERISTIC: ((1,), None),
+    SchemeKind.SECOND_ORDER: ((1,), None),
 }
 
 
 def operator_pair(kind: SchemeKind, ndim: int) -> str | None:
     """Mass/stiffness pair entering the stability condition, None when the
     scheme falls outside the conditional-stability theory."""
-    if kind in (SchemeKind.COMPACT_1D, SchemeKind.COMPACT_ND):
-        return "prod_stiffprod"
-    if kind == SchemeKind.COMPACT_2D_SUM:
-        return "sum_stiffsum"
-    if kind == SchemeKind.COMPACT_3D_PROD_MASS:
-        return "prod_stiffsum"
-    if kind == SchemeKind.SPLITTING:
-        return "prod_residual_stiffprod"
-    return None
+    return _KINDS[SchemeKind(kind)][1]
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class Scheme:
         kind = config.kind
         meshes = tuple(meshes)
         n = len(meshes)
-        if n not in _KIND_DIMENSIONS[kind]:
+        if n not in _KINDS[kind][0]:
             raise ValueError(f"{kind.value} does not support dimension {n}")
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             raise ValueError("use run_explicit_characteristic for the explicit scheme")

@@ -6,9 +6,8 @@ factored operator (one per-axis step factor for the 1D schemes, one per axis
 for the splitting form) is solved axis by axis, with one TriSolver per factor
 that factors its rows once.  The spectral solver keeps the eigenvalue tensor
 of an assembled nD operator over the tensor sine basis.  The spectra of an
-operator pair are the compositions of `operators.PAIR_FORMS` (the ones the
-stencil rows follow) applied to per-axis eigenvalues broadcast over the
-tensor.
+operator pair are `operators.compose_pair`, the composer of the stencil
+rows, over per-axis eigenvalue factors broadcast over the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
@@ -16,14 +15,14 @@ axes each transform is one matrix product with the symmetric sine matrix.
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.fft
 
 from .mesh import AxisMesh, MeshError
-from .operators import TridiagonalFactor, pair_forms
+from .operators import TridiagonalFactor, compose_pair, pair_forms
 
 __all__ = [
     "SingularSystemError",
@@ -146,6 +145,20 @@ def sine_synthesis(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _SineFactor:
+    """Per-axis sine eigenvalues as an operator factor: `apply` keeps the
+    interior of its axis and scales it mode by mode (a one-node interior
+    broadcasts to every mode)."""
+
+    axis: int
+    eigenvalues: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        w = values.swapaxes(self.axis, -1)
+        return (w[..., 1:-1] * self.eigenvalues).swapaxes(-1, self.axis)
+
+
 def pair_spectra(
     meshes: Sequence[AxisMesh],
     speeds: Sequence[float],
@@ -154,42 +167,17 @@ def pair_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue tensors (mu_B, mu_A) of an operator pair over the sine basis.
 
-    The compositions of `operators.pair_appliers` (the splitting pair's
-    residual included; it needs h_t) applied to per-axis eigenvalues
-    broadcast over the tensor: lambda_i of -Lambda_i, 1 - d_i with
-    d_i = h_i^2 lambda_i / 12 for the average S_i and a_i^2 lambda_i for the
-    stiffness rows.
+    `operators.compose_pair` over per-axis eigenvalue factors (lambda_i of
+    -Lambda_i; 1 - h_i^2 lambda_i / 12 for S_i, a_i^2 lambda_i for the
+    stiffness rows), applied to an array with one interior node per axis,
+    which they broadcast over the tensor.  The splitting pair needs h_t.
     """
-    forms = pair_forms(pair)
-    n = len(meshes)
-    lam = [
-        sine_spectrum(m).reshape((1,) * i + (-1,) + (1,) * (n - i - 1)) for i, m in enumerate(meshes)
-    ]
-    shape = tuple(m.n_intervals - 1 for m in meshes)
-    dev = [m.h**2 * lam_i / 12.0 for m, lam_i in zip(meshes, lam)]
-    stiff = [a**2 * lam_i for a, lam_i in zip(speeds, lam)]
-
-    def average(axes, additive: bool) -> np.ndarray:
-        # I + sum_j (S_j - I) or prod_j S_j over the given axes
-        out = np.ones(shape)
-        for j in axes:
-            out = out - dev[j] if additive else out * (1.0 - dev[j])
-        return out
-
-    others = lambda *axes: [j for j in range(n) if j not in axes]
-    mu_b = average(range(n), forms.additive_mass)
-    mu_a = sum(stiff[i] * average(others(i), forms.additive_cross) for i in range(n))
-    if forms.residual:
-        if h_t is None:
-            raise ValueError("splitting residual spectrum needs h_t")
-        c = h_t**2 / 12.0
-        for k in range(2, n + 1):
-            for combo in itertools.combinations(range(n), k):
-                term = np.full(shape, c**k)
-                for i in combo:
-                    term = term * stiff[i]
-                mu_b = mu_b + term * average(others(*combo), False)
-    return mu_b, mu_a
+    lam = [sine_spectrum(m) for m in meshes]
+    averages = [_SineFactor(i, 1.0 - m.h**2 * l / 12.0) for i, (m, l) in enumerate(zip(meshes, lam))]
+    stiffs = [_SineFactor(i, a**2 * l) for i, (a, l) in enumerate(zip(speeds, lam))]
+    mass, stiffness = compose_pair(pair, averages, stiffs, h_t)
+    node = np.ones((3,) * len(meshes))
+    return mass(node), stiffness(node)
 
 
 def operator_pair_c0(pair: str) -> float:

@@ -6,8 +6,8 @@ The sufficient stability condition for the compact family (weight 1/12) is
 
 with C0 = 4/3 for the additive-average pair in two dimensions and C0 = 1
 otherwise.  C0 and the pair spectra both come from the one table of pair
-forms (`operators.PAIR_FORMS`); the spectra compose per-axis eigenvalues by
-the rule the stencil rows follow.
+forms (`operators.PAIR_FORMS`); the spectra are the one composer of the
+stencil rows (`operators.compose_pair`) over per-axis eigenvalues.
 
 The conditional stability theorem bounds a run in a strong and a weak energy
 norm, each with respect to the initial data and the free term, and admits

@@ -275,6 +275,7 @@ def test_stability_needs_a_positive_step_count(capsys, steps):
 
 
 @pytest.mark.parametrize("command", [
+    ["run", "--problem", "smooth1d", "--N", "16"],
     ["stability", "--problem", "smooth1d", "--N", "16"],
     ["table2", "--phi", "phi0", "--N", "50,100,200"],
 ])
@@ -282,6 +283,62 @@ def test_explicit_zero_cfl_factor_is_rejected(capsys, command):
     # an explicit 0 reaches the step-count rule instead of the default factor
     assert main(command + ["--cfl-factor", "0"]) == EXIT_CONFIG
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, where", [
+    (["run", "--problem", "smooth1d", "--N", "40", "--M", "60", "--cfl-factor", "0.3"], None,
+     "with an explicit M"),
+    (["run", "--problem", "smooth1d", "--N", "40"], {"M": 60, "cfl_factor": 0.3},
+     "with an explicit M"),
+    (["run", "--scheme", "characteristic", "--problem", "E_2.5", "--N", "40",
+      "--cfl-factor", "0.3"], None, "with the characteristic scheme"),
+    (["run", "--scheme", "characteristic", "--problem", "E_2.5", "--N", "40"],
+     {"cfl_factor": 1.4142135623730951}, "with the characteristic scheme"),
+    (["stability", "--problem", "smooth1d", "--N", "16", "--M", "200", "--cfl-factor", "0.3"],
+     None, "with an explicit M"),
+    (["stability", "--problem", "smooth1d", "--N", "16"], {"M": 200, "cfl_factor": 0.3},
+     "with an explicit M"),
+])
+def test_a_cfl_factor_the_step_count_does_not_read_exits_2(tmp_path, capsys, argv, config,
+                                                           where):
+    # the factor only enters the step-count rule of M: auto
+    if config is not None:
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"unread setting 'cfl_factor' {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("table1", None, ["--alpha", "5.5", "--N", "40,80"]),
+    ("table1", {"alpha": [5.5], "N": [40, 80]}, []),
+    ("table2", None, ["--phi", "phi0", "--N", "50,100"]),
+    ("table2", {"phi": ["phi0"], "N": [50, 100]}, []),
+])
+def test_full_studies_reject_a_given_resolution_list(tmp_path, capsys, monkeypatch, command,
+                                                     config, argv):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    if config is not None:
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main([command, "--full", *argv]) == EXIT_CONFIG
+    assert "unread setting 'N' with --full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "table1", "table2"])
+def test_config_format_is_checked_before_any_run(tmp_path, capsys, monkeypatch, command):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.schemes, "run", lambda *a, **k: pytest.fail("a scheme ran"))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"format": "html"}))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown format 'html'; choose from csv, md" in capsys.readouterr().err
 
 
 def test_stability_2d_sum_pair_constant(tmp_path):

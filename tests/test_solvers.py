@@ -233,6 +233,8 @@ def test_sine_modes_diagonalize_the_pair_rows(pair, dims):
     speeds = tuple(float(v) for v in rng.uniform(0.3, 1.8, dims))
     h_t = float(rng.uniform(0.05, 0.5)) * min(m.h for m in meshes)
     mu_b, mu_a = pair_spectra(meshes, speeds, pair, h_t)
+    # a broadcast axis left at length 1 would shrink the loop over the modes
+    assert mu_b.shape == mu_a.shape == tuple(m.n_intervals - 1 for m in meshes)
     mass, stiffness = pair_appliers(pair, meshes, speeds, h_t)
     split = SplittingHandle([step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
     interior = tuple(slice(1, -1) for _ in meshes)
