@@ -34,7 +34,7 @@ def study(alpha, kind):
         axis = build_uniform_axis(n, 1.0, -0.5)
         tmesh = build_time_mesh(n, 1.0)  # time step equal to the spatial one
         obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=kind, sigma=0.5), [axis], tmesh, observer=obs)
+        run(problem, SchemeConfig(kind=kind), [axis], tmesh, observer=obs)
         triple = obs.result().as_dict()
         for norm in NORM_NAMES:
             points[norm].append((n, triple[norm]))

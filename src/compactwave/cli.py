@@ -28,7 +28,7 @@ from .mesh import (
     select_time_step_count,
 )
 from .schemes import SchemeConfig, SchemeKind
-from .solvers import SingularSystemError, operator_pair_c0
+from .solvers import SingularSystemError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,21 +103,13 @@ def _axis_from_config(entry: dict):
     raise ConfigError(f"unknown axis kind {kind!r}")
 
 
-def _scheme_config(name: str, options: dict | None) -> SchemeConfig:
-    """The scheme kind and its options; sigma (the weight of second-order)
-    is the only option."""
+def _scheme_config(name: str) -> SchemeConfig:
+    """The scheme kind, which fixes everything else about the scheme."""
     try:
-        kind = SchemeKind(name)
+        return SchemeConfig(SchemeKind(name))
     except ValueError:
         choices = ", ".join(k.value for k in SchemeKind)
         raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
-    options = options or {}
-    if not isinstance(options, dict):
-        raise ConfigError("scheme_options must be a mapping")
-    unknown = ", ".join(repr(key) for key in options if key != "sigma")
-    if unknown:
-        raise ConfigError(f"unknown scheme option {unknown}; sigma is the only one")
-    return SchemeConfig(kind, float(options.get("sigma", 0.5)))
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:
@@ -154,14 +146,13 @@ _SQRT2 = math.sqrt(2.0)
 _STUDY_N = (200, 400, 800)
 _FORMATS = ("csv", "md")
 COMMAND_DEFAULTS = {
-    "run": {"problem": "smooth1d", "scheme": "compact1d", "scheme_options": None, "N": 100,
-            "axis": None, "M": "auto", "cfl_factor": None, "format": "csv"},
+    "run": {"problem": "smooth1d", "scheme": "compact1d", "N": 100, "axis": None, "M": "auto",
+            "cfl_factor": None, "format": "csv"},
     "table1": {"alpha": (1.5, 2.5, 3.5), "N": None, "jobs": 1, "format": "csv"},
     "table2": {"phi": tuple(NODE_DISTRIBUTIONS), "N": None, "cfl_factor": _SQRT2,
                "jobs": 1, "format": "csv"},
-    "stability": {"problem": None, "scheme": "compact1d", "scheme_options": None, "N": None,
-                  "axis": None, "axes": None, "speeds": None, "T": None, "M": "auto",
-                  "cfl_factor": None},
+    "stability": {"problem": None, "scheme": "compact1d", "N": None, "axis": None, "axes": None,
+                  "speeds": None, "T": None, "M": "auto", "cfl_factor": None},
 }
 
 
@@ -203,7 +194,7 @@ def _cfl_factor(settings: dict) -> float:
 def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(args)
     problem = _problem_from_config(s["problem"])
-    sconfig = _scheme_config(s["scheme"], s["scheme_options"])
+    sconfig = _scheme_config(s["scheme"])
     # N intervals on the problem's interval, unless the config's axis says otherwise
     axis_cfg = {"N": int(s["N"]), "X": problem.extents[0], "origin": problem.origin[0],
                 **(s["axis"] or {})}
@@ -280,7 +271,7 @@ def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
     problem = problems.make_example(alpha)
     axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(n, problem.horizon)  # time step equal to h
-    configs = [_scheme_config(name, {"sigma": 0.5}) for name in TABLE1_SCHEMES]
+    configs = [_scheme_config(name) for name in TABLE1_SCHEMES]
     return analysis.lockstep_errors(problem, configs, axis, tmesh)
 
 
@@ -378,7 +369,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     s = _settings(args)
-    sconfig = _scheme_config(s["scheme"], s["scheme_options"])
+    sconfig = _scheme_config(s["scheme"])
     # the meshes: N (default 800) and axis, or else a list of axes
     if s["axes"]:
         _reject(s, ("N", "axis"), "next to axes")
@@ -420,18 +411,16 @@ def cmd_stability(args: argparse.Namespace) -> int:
                      "routinely stable in this band")
     if s["certify"]:
         rng = np.random.default_rng(s["seed"])
-        lines.extend(_certify_random_instance(sconfig.kind, meshes, speeds, rng))
+        lines.extend(_certify_random_instance(sconfig.kind, report.c0, meshes, speeds, rng))
     _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_OK
 
 
-def _certify_random_instance(kind, meshes, speeds, rng) -> list[str]:
+def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
     from .problems import ProblemSpec
 
     shape = tuple(m.nodes.size for m in meshes)
     interior = tuple(s - 2 for s in shape)
-    pair = schemes.operator_pair(kind, len(meshes))
-    c0 = operator_pair_c0(pair)
     eps0 = math.sqrt(0.5)
     bound = c0 * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
     h_t = 0.9 * math.sqrt((1.0 - eps0**2) / bound)

@@ -233,11 +233,8 @@ PAIR_FORMS = {
 }
 
 
-def pair_forms(pair: str | None) -> PairForms:
-    """The table row of a pair; None (a scheme outside the stability theory,
-    all of them one-dimensional) takes the product forms."""
-    if pair is None:
-        return PairForms(False, False, False, 1.0)
+def pair_forms(pair: str) -> PairForms:
+    """The table row of a pair."""
     if pair not in PAIR_FORMS:
         raise ValueError(f"unknown operator pair {pair!r}")
     return PAIR_FORMS[pair]
@@ -252,7 +249,11 @@ def compose_pair(
     `apply` that keeps only the interior nodes of that axis.  The splitting
     pair's mass adds the residual of its factored step operator,
     c^|K| prod_{i in K} (-a_i^2 Lambda_i) prod_{j not in K} S_j over the axis
-    sets K with |K| >= 2, c = h_t^2/12; it needs h_t."""
+    sets K with |K| >= 2, c = h_t^2/12; it needs h_t.  No pair (second-order)
+    has the identity mass, and no average in its stiffness."""
+    if pair is None:
+        identity = lambda v, factors: _trim(v, {f.axis for f in factors})
+        return (lambda v: identity(v, averages)), lambda v: _stiffness(v, stiffs, averages, identity)
     forms = pair_forms(pair)
     mass = _additive if forms.additive_mass else _product
     cross = _additive if forms.additive_cross else _product

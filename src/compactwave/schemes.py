@@ -11,12 +11,13 @@ right-hand side, and starts from
 
     (B + sigma h_t^2 A) (v^1 - v^0) / h_t = u_1N + (h_t/2) (f_N^0 - A v^0).
 
-A scheme holds per-axis stencil rows (the compact averages and the
-stiffness rows -a_i^2 Lambda_i) and one solver handle.  The 1D kinds and the
-splitting form solve with the product of their per-axis step factors
-(SplittingHandle; 1D is the one-factor case).  compact2d, compact3d and nD
-compactnd solve over the tensor sine basis (SpectralHandle) and apply B and A
-as sums and products of the per-axis rows.
+A kind fixes its dimensions, operator pair, sigma and meshes (_KINDS).  A
+scheme holds per-axis stencil rows (the compact averages and the stiffness
+rows -a_i^2 Lambda_i) and one solver handle, which applies the step operator
+and solves with it.  The 1D kinds and the splitting form use the product of
+their per-axis step factors (SplittingHandle; 1D is the one-factor case).
+compact2d, compact3d and nD compactnd solve over the tensor sine basis
+(SpectralHandle) and apply B and A as sums and products of the per-axis rows.
 
 Every scheme, the explicit one included, marches through one level loop
 (_march), which applies the blow-up rule to each level it computes.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,32 +96,42 @@ class SchemeKind(str, Enum):
         return cls.COMPACT_1D if value == "nonuniform-compact" else None
 
 
-# each kind: the dimensions it runs in and its operator pair (operator_pair)
+class _Kind(NamedTuple):
+    """A kind's dimensions, operator pair (None outside the stability theory),
+    sigma and graded-axis support (characteristic: the compact recursion at h_t = h/a)."""
+
+    dims: tuple[int, ...]
+    pair: str | None
+    sigma: float = COMPACT_SIGMA
+    graded: bool = False
+
+
 _KINDS = {
-    SchemeKind.COMPACT_1D: ((1,), "prod_stiffprod"),
-    SchemeKind.COMPACT_2D_SUM: ((2,), "sum_stiffsum"),
-    SchemeKind.COMPACT_3D_PROD_MASS: ((3,), "prod_stiffsum"),
-    SchemeKind.COMPACT_ND: ((1, 2, 3), "prod_stiffprod"),
-    SchemeKind.SPLITTING: ((2, 3), "prod_residual_stiffprod"),
-    SchemeKind.EXPLICIT_CHARACTERISTIC: ((1,), None),
-    SchemeKind.SECOND_ORDER: ((1,), None),
+    SchemeKind.COMPACT_1D: _Kind((1,), "prod_stiffprod", graded=True),
+    SchemeKind.COMPACT_2D_SUM: _Kind((2,), "sum_stiffsum"),
+    SchemeKind.COMPACT_3D_PROD_MASS: _Kind((3,), "prod_stiffsum"),
+    SchemeKind.COMPACT_ND: _Kind((1, 2, 3), "prod_stiffprod"),
+    SchemeKind.SPLITTING: _Kind((2, 3), "prod_residual_stiffprod"),
+    SchemeKind.EXPLICIT_CHARACTERISTIC: _Kind((1,), None),
+    SchemeKind.SECOND_ORDER: _Kind((1,), None, sigma=0.5),
 }
 
 
 def operator_pair(kind: SchemeKind, ndim: int) -> str | None:
-    """Mass/stiffness pair entering the stability condition, None when the
-    scheme falls outside the conditional-stability theory."""
-    return _KINDS[SchemeKind(kind)][1]
+    """Mass/stiffness pair entering the stability condition, None outside the
+    conditional-stability theory; a ValueError in a dimension the kind lacks."""
+    kind = SchemeKind(kind)
+    if ndim not in _KINDS[kind].dims:
+        raise ValueError(f"{kind.value} does not support dimension {ndim}")
+    return _KINDS[kind].pair
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection: the kind and the weight sigma of the second-order
-    scheme (the compact kinds use sigma = 1/12).  The discrete data follow
-    the problem's data, not the config: see Scheme."""
+    """Scheme selection: the kind, which fixes the rest (_KINDS).  The
+    discrete data follow the problem's data, not the config: see Scheme."""
 
     kind: SchemeKind
-    sigma: float = 0.5
 
 
 @dataclass
@@ -157,11 +168,10 @@ class Scheme:
         kind = config.kind
         meshes = tuple(meshes)
         n = len(meshes)
-        if n not in _KINDS[kind][0]:
-            raise ValueError(f"{kind.value} does not support dimension {n}")
+        self.pair = operator_pair(kind, n)
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             raise ValueError("use run_explicit_characteristic for the explicit scheme")
-        if kind != SchemeKind.COMPACT_1D and not all(m.uniform for m in meshes):
+        if not _KINDS[kind].graded and not all(m.uniform for m in meshes):
             raise MeshError(f"{kind.value} requires uniform spatial meshes")
         if not tmesh.uniform:
             raise MeshError("time stepping requires a uniform time mesh")
@@ -172,25 +182,26 @@ class Scheme:
         self.tmesh = tmesh
         self.h_t = tmesh.h_t
         self.speeds = problem.speeds
-        self.sigma = config.sigma if kind == SchemeKind.SECOND_ORDER else COMPACT_SIGMA
-        self.pair = operator_pair(kind, n)
+        self.sigma = _KINDS[kind].sigma
 
         # B and A from per-axis stencil rows; one solver handle for the step operator
-        self._mass, self._stiffness = pair_appliers(self.pair, meshes, self.speeds, self.h_t)
+        mass, stiffness = pair_appliers(self.pair, meshes, self.speeds, self.h_t)
+        self._stiffness = stiffness
         self._interior = tuple(slice(1, -1) for _ in meshes)
         # the one rule for a non-zero trace, kept by boundary_values and solve_step;
         # without boundary data the trace is identically zero: S 0 = 0 needs no lift
         self._traced = problem.exact is not None or (n == 1 and problem.g is not None)
         if n == 1 or kind == SchemeKind.SPLITTING:
-            # the step operator is the product of its per-axis factors
-            sigma = self.sigma if kind == SchemeKind.SECOND_ORDER else None
+            # the product of the per-axis step factors, weighted ones when B = I (no pair)
+            sigma = self.sigma if self.pair is None else None
             self._solver = SplittingHandle([
                 step_factor(mesh, self.h_t, self.speeds[axis], axis, sigma)
                 for axis, mesh in enumerate(meshes)
             ])
         else:
             mu_b, mu_a = self.spectra
-            self._solver = SpectralHandle(mu_b + self.sigma * self.h_t**2 * mu_a)
+            c = self.sigma * self.h_t**2
+            self._solver = SpectralHandle(mu_b + c * mu_a, lambda v: mass(v) + c * stiffness(v))
 
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
@@ -214,9 +225,7 @@ class Scheme:
         return self._stiffness(values)
 
     def apply_step_operator_interior(self, values: np.ndarray) -> np.ndarray:
-        if isinstance(self._solver, SplittingHandle):
-            return self._solver.apply(values)
-        return self._mass(values) + self.sigma * self.h_t**2 * self.apply_a_interior(values)
+        return self._solver.apply(values)
 
     # -- boundary handling ---------------------------------------------------
 
@@ -249,13 +258,7 @@ class Scheme:
         """Solve (B + sigma h_t^2 A) v = rhs with the trace at t_boundary."""
         out = np.zeros(tuple(m.nodes.size for m in self.meshes))
         self.boundary_values(out, t_boundary)
-        if isinstance(self._solver, SplittingHandle):
-            boundary = out if self._traced else None
-            out[self._interior] = self._solver.solve(rhs_interior, boundary=boundary)
-            return out
-        if self._traced:
-            rhs_interior = rhs_interior - self.apply_step_operator_interior(out)
-        out[self._interior] = self._solver.solve(rhs_interior)
+        out[self._interior] = self._solver.solve(rhs_interior, out if self._traced else None)
         return out
 
     # -- data constructions ----------------------------------------------------

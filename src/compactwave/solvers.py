@@ -5,7 +5,8 @@ Every implicit scheme step solves a system with the same operator.  A
 factored operator (one per-axis step factor for the 1D schemes, one per axis
 for the splitting form) is solved axis by axis, with one TriSolver per factor
 that factors its rows once.  The spectral solver keeps the eigenvalue tensor
-of an assembled nD operator over the tensor sine basis.  The spectra of an
+of an assembled nD operator over the tensor sine basis.  Both handles apply
+their operator and solve with it, lifting a given trace.  The spectra of an
 operator pair are `operators.compose_pair`, the composer of the stencil
 rows, over per-axis eigenvalue factors broadcast over the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
@@ -16,7 +17,7 @@ axes each transform is one matrix product with the symmetric sine matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -162,7 +163,7 @@ class _SineFactor:
 def pair_spectra(
     meshes: Sequence[AxisMesh],
     speeds: Sequence[float],
-    pair: str,
+    pair: str | None,
     h_t: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue tensors (mu_B, mu_A) of an operator pair over the sine basis.
@@ -170,14 +171,15 @@ def pair_spectra(
     `operators.compose_pair` over per-axis eigenvalue factors (lambda_i of
     -Lambda_i; 1 - h_i^2 lambda_i / 12 for S_i, a_i^2 lambda_i for the
     stiffness rows), applied to an array with one interior node per axis,
-    which they broadcast over the tensor.  The splitting pair needs h_t.
+    which they broadcast over the tensor (mu_B = 1 of no pair too).  The
+    splitting pair needs h_t.
     """
     lam = [sine_spectrum(m) for m in meshes]
     averages = [_SineFactor(i, 1.0 - m.h**2 * l / 12.0) for i, (m, l) in enumerate(zip(meshes, lam))]
     stiffs = [_SineFactor(i, a**2 * l) for i, (a, l) in enumerate(zip(speeds, lam))]
     mass, stiffness = compose_pair(pair, averages, stiffs, h_t)
     node = np.ones((3,) * len(meshes))
-    return mass(node), stiffness(node)
+    return np.broadcast_arrays(mass(node), stiffness(node))
 
 
 def operator_pair_c0(pair: str) -> float:
@@ -191,17 +193,22 @@ def operator_pair_c0(pair: str) -> float:
 
 
 class SpectralHandle:
-    """Diagonal solve over the tensor sine basis for an assembled operator."""
+    """Diagonal solve over the tensor sine basis for an assembled operator,
+    given by its eigenvalue tensor and its applier (full array in, interior out)."""
 
-    def __init__(self, eigenvalues: np.ndarray):
+    def __init__(self, eigenvalues: np.ndarray, apply: Callable[[np.ndarray], np.ndarray]):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if np.any(eigenvalues == 0.0) or not np.all(np.isfinite(eigenvalues)):
             raise SingularSystemError("assembled operator has a zero eigenvalue")
         self.eigenvalues = eigenvalues
+        self.apply = apply
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
+        """Solve on the interior; `boundary` as for SplittingHandle.solve."""
         if rhs.shape != self.eigenvalues.shape:
             raise ValueError("rhs shape does not match the spectrum table")
+        if boundary is not None:
+            rhs = rhs - self.apply(boundary)
         coeffs = sine_coefficients(rhs)
         return sine_synthesis(coeffs / self.eigenvalues)
 

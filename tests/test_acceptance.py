@@ -73,7 +73,7 @@ def _uniform_study(alpha: float, kind: SchemeKind):
         axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
         tmesh = build_time_mesh(n, problem.horizon)
         obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=kind, sigma=0.5), [axis], tmesh, observer=obs)
+        run(problem, SchemeConfig(kind=kind), [axis], tmesh, observer=obs)
         triples.append((n, obs.result()))
     return triples
 
@@ -228,9 +228,11 @@ def test_criterion_7_oracle_equivalence():
         bound = operator_pair_c0(pair) * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
         h_t = 0.8 * math.sqrt(0.5 / bound)
         mu_b, mu_a = pair_spectra(meshes, speeds, pair)
-        handle = SpectralHandle(mu_b + h_t**2 / 12.0 * mu_a)
-        interior_shape = tuple(m.nodes.size - 2 for m in meshes)
         mass, stiffness = pair_appliers(pair, meshes, speeds)
+        handle = SpectralHandle(
+            mu_b + h_t**2 / 12.0 * mu_a, lambda v: mass(v) + h_t**2 / 12.0 * stiffness(v)
+        )
+        interior_shape = tuple(m.nodes.size - 2 for m in meshes)
 
         def apply(interior):
             full = np.zeros(tuple(m.nodes.size for m in meshes))

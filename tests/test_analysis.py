@@ -225,8 +225,8 @@ def test_lockstep_errors_equal_separate_runs_with_one_exact_call_per_level():
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(40, problem.horizon)
     configs = [
-        SchemeConfig(kind=SchemeKind.COMPACT_1D, sigma=0.5),
-        SchemeConfig(kind=SchemeKind.SECOND_ORDER, sigma=0.5),
+        SchemeConfig(kind=SchemeKind.COMPACT_1D),
+        SchemeConfig(kind=SchemeKind.SECOND_ORDER),
     ]
     shared = lockstep_errors(dataclasses.replace(problem, exact=counted), configs, axis, tmesh)
     assert shared == _separate_triples(problem, configs, axis, tmesh)
@@ -241,7 +241,7 @@ def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first)
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(200, 20.0)
     unstable = SchemeConfig(kind=SchemeKind.COMPACT_1D)
-    stable = SchemeConfig(kind=SchemeKind.SECOND_ORDER, sigma=0.5)
+    stable = SchemeConfig(kind=SchemeKind.SECOND_ORDER)
     configs = [unstable, stable] if unstable_first else [stable, unstable]
     shared = dict(zip(configs, lockstep_errors(problem, configs, axis, tmesh)))
     separate = dict(zip(configs, _separate_triples(problem, configs, axis, tmesh)))

@@ -433,21 +433,35 @@ def test_bad_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("options, problem, named", [
-    ({"rhs_mode": "smooth"}, "E_2.5", ["'rhs_mode'"]),
-    ({"sigm": 0.3}, "smooth1d", ["'sigm'"]),
+    ({"rhs_mode": "smooth"}, "E_2.5", ["'scheme_options'"]),
+    ({"sigm": 0.3}, "smooth1d", ["'scheme_options'"]),
     ({"sigma": 0.3, "u1n_mode": "qx", "fn0_mode": "averaged"}, "smooth1d",
-     ["'u1n_mode'", "'fn0_mode'"]),
-    (3, "smooth1d", ["must be a mapping"]),
+     ["'scheme_options'"]),
+    (3, "smooth1d", ["'scheme_options'"]),
 ])
 def test_run_rejects_unknown_scheme_options(tmp_path, capsys, options, problem, named):
-    # sigma is the only scheme option; the discrete data follow the problem
+    # the kind fixes sigma and the discrete data follow the problem: there
+    # are no scheme options, so the key is unknown to run and stability
     cfg = tmp_path / "opts.yaml"
     cfg.write_text(yaml.safe_dump({"scheme_options": options}))
-    code = main(["run", "--problem", problem, "--N", "40", "--config", str(cfg)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert all(key in err for key in named)
-    assert "'sigma'" not in err
+    for argv in (["run", "--scheme", "compact1d"], ["run", "--scheme", "second-order"],
+                 ["stability"]):
+        code = main(argv + ["--problem", problem, "--N", "40", "--config", str(cfg)])
+        assert code == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert all(key in err for key in named), argv
+
+
+@pytest.mark.parametrize("scheme, axes", [("compact2d", 3), ("compact1d", 2)])
+def test_stability_rejects_a_dimension_the_kind_does_not_run(tmp_path, capsys, scheme, axes):
+    cfg = tmp_path / "dim.yaml"
+    cfg.write_text(yaml.safe_dump(
+        {"scheme": scheme, "axes": [{"N": 4}] * axes, "speeds": [1] * axes}
+    ))
+    assert main(["stability", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"does not support dimension {axes}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

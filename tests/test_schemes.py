@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from compactwave.schemes import (
     run,
     run_explicit_characteristic,
 )
-from compactwave.solvers import sine_coefficients
+from compactwave.solvers import sine_coefficients, sine_spectrum
 from oracles import assemble_dense_operator, dense_solve_oracle
 
 
@@ -347,7 +348,7 @@ def test_second_order_scheme_runs_state():
 
     result = run(
         problem,
-        SchemeConfig(kind=SchemeKind.SECOND_ORDER, sigma=0.5),
+        SchemeConfig(kind=SchemeKind.SECOND_ORDER),
         [axis],
         tmesh,
         observer=watch,
@@ -378,6 +379,75 @@ def test_operator_pair_mapping():
     assert operator_pair(SchemeKind.COMPACT_3D_PROD_MASS, 3) == "prod_stiffsum"
     assert operator_pair(SchemeKind.SPLITTING, 2) == "prod_residual_stiffprod"
     assert operator_pair(SchemeKind.SECOND_ORDER, 1) is None
+    # a dimension the kind does not run in has no pair
+    for kind, ndim in [
+        (SchemeKind.COMPACT_1D, 2),
+        (SchemeKind.COMPACT_2D_SUM, 3),
+        (SchemeKind.COMPACT_3D_PROD_MASS, 2),
+        (SchemeKind.SPLITTING, 1),
+        (SchemeKind.SECOND_ORDER, 2),
+        (SchemeKind.EXPLICIT_CHARACTERISTIC, 3),
+    ]:
+        with pytest.raises(ValueError, match=f"does not support dimension {ndim}"):
+            operator_pair(kind, ndim)
+
+
+def test_second_order_spectra_are_the_identity_mass_and_the_stiffness():
+    # second-order's B is the identity; its A is -a^2 Lambda
+    problem = make_smooth_nonuniform_problem()
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    scheme = assemble(
+        problem, SchemeConfig(kind=SchemeKind.SECOND_ORDER), [axis], build_time_mesh(40, 1.0)
+    )
+    mu_b, mu_a = scheme.spectra
+    assert mu_b.shape == mu_a.shape == (39,)
+    assert np.all(mu_b == 1.0)
+    assert np.max(np.abs(mu_a - problem.speeds[0] ** 2 * sine_spectrum(axis))) <= 1e-12 * mu_a.max()
+
+
+# kind: (dimensions, graded axes), as the README's sentence on scheme names gives them
+README_KIND_SUPPORT = {
+    "compact1d": ((1,), True),
+    "compact2d": ((2,), False),
+    "compact3d": ((3,), False),
+    "compactnd": ((1, 2, 3), False),
+    "splitting": ((2, 3), False),
+    "characteristic": ((1,), False),
+    "second-order": ((1,), False),
+}
+
+
+def test_every_kind_runs_where_the_readme_says():
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    for name, (dims, graded) in README_KIND_SUPPORT.items():
+        where = ", ".join(f"{d}D" for d in dims) + (", uniform or graded axes" if graded else "")
+        assert f"`{name}` ({where})" in readme
+    tmesh = build_time_mesh(2, 0.01)
+    for kind in SchemeKind:
+        dims, graded = README_KIND_SUPPORT[kind.value]
+        for ndim in (1, 2, 3):
+            problem = zero_problem(ndim)
+            if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
+                # it builds its own axis, uniform on the problem's interval
+                try:
+                    run_explicit_characteristic(problem, 4, 2)
+                    ran = True
+                except ValueError:
+                    ran = False
+                assert ran == (ndim in dims), (kind, ndim)
+                continue
+            for layout in ("uniform", "graded"):
+                meshes = [
+                    build_uniform_axis(6, 1.0) if layout == "uniform"
+                    else build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 6, 1.0)
+                    for _ in range(ndim)
+                ]
+                try:
+                    assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+                    ran = True
+                except (ValueError, MeshError):
+                    ran = False
+                assert ran == (ndim in dims and (graded or layout == "uniform")), (kind, ndim, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,8 @@ def test_spectral_solve_recovers_average_input():
     rng = np.random.default_rng(3)
     mesh = build_uniform_axis(12, 1.0)
     b = rng.standard_normal(11)
-    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0])
+    mass = pair_appliers("prod_stiffprod", [mesh], (1.0,))[0]
+    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0], mass)
     full = np.zeros(13)
     full[1:-1] = b
     rhs = pair_appliers("sum_stiffsum", [mesh], (1.0,))[0](full)
@@ -206,13 +207,15 @@ def test_spectral_solve_2d_vs_dense():
     speeds = (1.0, 1.4)
     h_t = 0.04
     mu_b, mu_a = pair_spectra(meshes, speeds, "sum_stiffsum")
-    handle = SpectralHandle(mu_b + h_t**2 / 12.0 * mu_a)
     mass, stiffness = pair_appliers("sum_stiffsum", meshes, speeds)
+    handle = SpectralHandle(
+        mu_b + h_t**2 / 12.0 * mu_a, lambda v: mass(v) + h_t**2 / 12.0 * stiffness(v)
+    )
 
     def apply(interior):
         full = np.zeros((9, 7))
         full[1:-1, 1:-1] = interior
-        return mass(full) + h_t**2 / 12.0 * stiffness(full)
+        return handle.apply(full)
 
     rhs = rng.standard_normal((7, 5))
     dense = assemble_dense_operator(apply, (7, 5))
@@ -253,7 +256,8 @@ def test_sine_modes_diagonalize_the_pair_rows(pair, dims):
 
 def test_spectral_solve_preserves_symmetry():
     mesh = build_uniform_axis(10, 1.0)
-    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0])
+    mass = pair_appliers("prod_stiffprod", [mesh], (1.0,))[0]
+    handle = SpectralHandle(pair_spectra([mesh], (1.0,), "prod_stiffprod")[0], mass)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(9)
     rhs = rhs + rhs[::-1]
@@ -261,9 +265,32 @@ def test_spectral_solve_preserves_symmetry():
     assert np.max(np.abs(x - x[::-1])) < 1e-13
 
 
+@pytest.mark.parametrize("spectral", [True, False])
+def test_handles_solve_with_a_boundary_trace(spectral):
+    # both handles: x = solve(rhs, boundary) on the interior of the trace
+    # array gives apply(x) = rhs, the trace lifted by the handle itself
+    rng = np.random.default_rng(8)
+    meshes = [build_uniform_axis(7, 1.0), build_uniform_axis(5, 0.8)]
+    speeds = (1.0, 1.4)
+    h_t = 0.04
+    if spectral:
+        mu_b, mu_a = pair_spectra(meshes, speeds, "sum_stiffsum")
+        mass, stiffness = pair_appliers("sum_stiffsum", meshes, speeds)
+        handle = SpectralHandle(
+            mu_b + h_t**2 / 12.0 * mu_a, lambda v: mass(v) + h_t**2 / 12.0 * stiffness(v)
+        )
+    else:
+        handle = SplittingHandle([step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
+    full = rng.standard_normal((8, 6))
+    full[1:-1, 1:-1] = 0.0
+    rhs = rng.standard_normal((6, 4))
+    full[1:-1, 1:-1] = handle.solve(rhs, boundary=full)
+    assert np.max(np.abs(handle.apply(full) - rhs)) < 1e-12
+
+
 def test_spectral_zero_eigenvalue_rejected():
     with pytest.raises(SingularSystemError):
-        SpectralHandle(np.array([1.0, 0.0, 2.0]))
+        SpectralHandle(np.array([1.0, 0.0, 2.0]), lambda v: v[1:-1])
 
 
 def test_sine_coefficients_roundtrip():
