@@ -228,17 +228,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         axis_c, tmesh_c = schemes.characteristic_meshes(problem, axis.n_intervals, m)
         obs = analysis.ErrorObserver(problem.exact, axis_c, tmesh_c)
         result, _, _ = schemes.run_explicit_characteristic(problem, axis.n_intervals, m, obs)
-        triple = obs.result()
     else:
         tmesh = build_time_mesh(m, problem.horizon)
-        obs = analysis.ErrorObserver(problem.exact, axis, tmesh) if problem.exact else None
+        obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
         result = schemes.run(problem, sconfig, [axis], tmesh, observer=obs)
-        triple = obs.result() if obs else None
+    triple = obs.result()
 
     header = {"problem": problem.name, "scheme": s["scheme"], "N": axis.n_intervals, "M": m}
-    lines = _echo_header(header, s["format"]) + [f"stable: {result.stable}"]
-    if triple is not None:
-        lines.append(f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}")
+    lines = _echo_header(header, s["format"]) + [
+        f"stable: {result.stable}",
+        f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}",
+    ]
     _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_BLOWUP if result.blew_up else EXIT_OK
 

@@ -13,13 +13,14 @@ On one axis each of them is a single row application.  One table,
 values included) to its interior values, and `solvers.pair_spectra` over
 per-axis sine eigenvalues.
 
-The discrete forcing follows the type of the data, in `build_rhs_table` and
-`initial_rhs` alike: piecewise data (`PiecewiseData`, one axis) gets the
-exact hat averages, a callable the compact sampling formulas, None zeros;
-anything else is a TypeError.  `initial_velocity` chooses by type the same
-way.  The hat averages integrate piecewise polynomials analytically (Gauss
-rules of sufficient order per smooth piece) and give Dirac atoms located at
-mesh nodes the weight 1/h_*.
+The discrete data are built as their type asks: piecewise data
+(`PiecewiseData`, one axis) gets the exact hat averages, a callable the
+compact sampling formulas, None zeros; anything else is a TypeError.
+`build_rhs_table` makes the one forcing table f_N^0 .. f_N^{M-1}, one entry
+per time step, whose level 0 is the forcing of the first-step equation;
+`initial_velocity` makes u_1N.  The hat averages integrate piecewise
+polynomials analytically (Gauss rules of sufficient order per smooth piece)
+and give Dirac atoms located at mesh nodes the weight 1/h_*.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "hat_average_x",
     "hat_average_t0",
     "initial_velocity",
-    "initial_rhs",
     "RhsTable",
     "build_rhs_table",
 ]
@@ -153,10 +153,6 @@ def step_factor(
 
 # ---------------------------------------------------------------------------
 # operator compositions
-
-
-def _interior_slices(n: int) -> tuple[slice, ...]:
-    return tuple(slice(1, -1) for _ in range(n))
 
 
 def _trim(values: np.ndarray, axes) -> np.ndarray:
@@ -444,7 +440,9 @@ def hat_average_x(
 
 
 def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
-    """Hat averages of a temporal profile at every time level (0 at both ends).
+    """Hat averages of a temporal profile at every time step: the one-sided
+    average hat_average_t0 at level 0, the two-sided ones at the interior
+    levels (0 at the last node).
 
     One-sided power profiles with the breakpoint on the mesh use the exact
     values: nodal samples for degree 0, the three-point (1, 10, 1)/12 sample
@@ -462,7 +460,8 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
     else:
         out[1:-1] = (profile.eval(t - h_t) + 10.0 * profile.eval(t) + profile.eval(t + h_t)) / 12.0
         out[idx] = h_t**profile.degree / ((profile.degree + 1) * (profile.degree + 2))
-    out[[0, -1]] = 0.0
+    out[0] = hat_average_t0(profile, h_t)
+    out[-1] = 0.0
     return out
 
 
@@ -498,26 +497,27 @@ def initial_velocity(
     h_t: float,
     speeds: Sequence[float],
 ) -> np.ndarray:
-    """Discrete initial-velocity data (full-shape array, faces zero), chosen
-    by the data type.
+    """Discrete initial velocity u_1N on the interior nodes, chosen by the
+    data type.
 
     Piecewise data: the exact hat average (one-dimensional).
     A callable: S u1 + sum_i (h_t^2 a_i^2/12) Lambda_i u1 from samples, with
     S the additive compact average (on uniform axes
-    u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).
+    u1 + sum_i ((h_i^2 + h_t^2 a_i^2)/12) Lambda_i u1).  None: zero data.
     """
     meshes = list(meshes)
-    shape = tuple(m.nodes.size for m in meshes)
+    if u1 is None:
+        return np.zeros(tuple(m.nodes.size - 2 for m in meshes))
     if isinstance(u1, PiecewiseData):
         if len(meshes) != 1:
             raise ValueError("hat averaging of data is one-dimensional")
-        out = np.zeros(shape)
+        out = np.zeros(meshes[0].nodes.size - 2)
         for term in u1:
-            out += term.coef * hat_average_x(term.space, meshes[0])
+            out += term.coef * hat_average_x(term.space, meshes[0])[1:-1]
         return out
     if not callable(u1):
         raise TypeError(
-            f"unsupported initial-velocity data {type(u1)!r}: piecewise data or a callable"
+            f"unsupported initial-velocity data {type(u1)!r}: piecewise data, a callable or None"
         )
     samples = u1(*_meshgrid(meshes))
     axes = range(len(meshes))
@@ -526,55 +526,46 @@ def initial_velocity(
         lam = TridiagonalFactor(axis, *tridiag_second_diff(mesh))
         c = h_t**2 * speeds[axis] ** 2 / 12.0
         out += c * _trim(lam.apply(samples), set(axes) - {axis})
-    full = np.zeros(shape)
-    full[_interior_slices(len(meshes))] = out
-    return full
-
-
-def _averaged_axis(f, meshes: list[AxisMesh]) -> AxisMesh | None:
-    """The axis on which piecewise forcing gets its exact hat averages, None
-    for a callable forcing, which is sampled; other data raise TypeError."""
-    if isinstance(f, PiecewiseData):
-        if len(meshes) != 1:
-            raise ValueError("averaged forcing is one-dimensional")
-        if any(term.time is None for term in f):
-            raise ValueError("forcing terms need a temporal factor")
-        return meshes[0]
-    if not callable(f):
-        raise TypeError(
-            f"unsupported forcing data {type(f)!r}: piecewise data, a callable or None"
-        )
-    return None
+    return out
 
 
 class RhsTable:
-    """Per-level compact right-hand side f_N^m on the interior nodes."""
+    """Compact forcing f_N^m on the interior nodes, one entry per time step
+    m = 0 .. n_steps - 1; level 0 is the forcing of the first-step equation."""
 
-    def __init__(self, getter: Callable[[int], np.ndarray], n_levels: int):
+    def __init__(self, getter: Callable[[int], np.ndarray], n_steps: int):
         self._getter = getter
-        self.n_levels = n_levels
+        self.n_steps = n_steps
 
     def __call__(self, level: int) -> np.ndarray:
-        if not 1 <= level <= self.n_levels - 1:
-            raise ValueError(f"level {level} outside 1..{self.n_levels - 1}")
+        if not 0 <= level < self.n_steps:
+            raise ValueError(f"level {level} outside 0..{self.n_steps - 1}")
         return self._getter(level)
 
 
 def build_rhs_table(f, meshes: Sequence[AxisMesh], tmesh: TimeMesh) -> RhsTable:
-    """Compact forcing f_N^m at the interior time levels, built as the type
-    of f asks.
+    """The compact forcing f_N^0 .. f_N^{M-1} of the time mesh's M steps,
+    built as the type of f asks; level 0 is the forcing of the first-step
+    equation.
 
     Piecewise data (one axis) composes the exact spatial and temporal hat
-    averages of its separable terms.  A callable f(x..., t) is sampled:
-    S f + (h_t^2/12) Lambda_t f with S the additive compact average (on
-    uniform axes f + sum_i (h_i^2/12) Lambda_i f).  None is zero forcing.
+    averages of its separable terms, the one-sided temporal average at
+    level 0 (_hat_weights_t).  A callable f(x..., t) is sampled: at level
+    m >= 1, S f + (h_t^2/12) Lambda_t f with S the additive compact average
+    (on uniform axes f + sum_i (h_i^2/12) Lambda_i f); at level 0, the
+    third-order (1/3) f^0 + (2/3) f(h_t/2) with the compact correction
+    S f^0 - f^0 of f^0.  None is zero forcing; other data raise TypeError.
     """
     meshes = list(meshes)
     if f is None:
         shape = tuple(m.nodes.size - 2 for m in meshes)
         return RhsTable(lambda m: np.zeros(shape), tmesh.n_steps)
-    axis = _averaged_axis(f, meshes)
-    if axis is not None:
+    if isinstance(f, PiecewiseData):
+        if len(meshes) != 1:
+            raise ValueError("averaged forcing is one-dimensional")
+        if any(term.time is None for term in f):
+            raise ValueError("forcing terms need a temporal factor")
+        axis = meshes[0]
         parts = [
             (term.coef, hat_average_x(term.space, axis)[1:-1], _hat_weights_t(term.time, tmesh))
             for term in f
@@ -587,41 +578,23 @@ def build_rhs_table(f, meshes: Sequence[AxisMesh], tmesh: TimeMesh) -> RhsTable:
             return out
 
         return RhsTable(averaged, tmesh.n_steps)
-    interior = _interior_slices(len(meshes))
+    if not callable(f):
+        raise TypeError(
+            f"unsupported forcing data {type(f)!r}: piecewise data, a callable or None"
+        )
+    interior = tuple(slice(1, -1) for _ in meshes)
     grids = _meshgrid(meshes)
     h_t = tmesh.h_t
     averages = _average_factors(meshes)
 
     def sampled(level: int) -> np.ndarray:
+        if level == 0:
+            f0 = f(*grids, 0.0)
+            half = f(*grids, 0.5 * h_t) - f0
+            return _additive(f0, averages) + (2.0 / 3.0) * half[interior]
         t = tmesh.nodes[level]
         fm = f(*grids, t)
         lam_t = f(*grids, t + h_t) - 2.0 * fm + f(*grids, t - h_t)
         return _additive(fm, averages) + lam_t[interior] / 12.0
 
     return RhsTable(sampled, tmesh.n_steps)
-
-
-def initial_rhs(f, meshes: Sequence[AxisMesh], h_t: float) -> np.ndarray:
-    """Forcing f_N^0 of the first-step equation on the interior nodes, built
-    as the type of f asks.
-
-    Piecewise data (one axis) takes the exact one-sided hat average
-    (2/h_t) int_0^{h_t} f (1 - t/h_t) dt of each term's temporal factor times
-    its spatial hat average.  A callable f(x..., t) takes the third-order
-    (1/3) f^0 + (2/3) f(h_t/2) with the compact correction S f^0 - f^0 of
-    f^0.  None is zero forcing.
-    """
-    meshes = list(meshes)
-    if f is None:
-        return np.zeros(tuple(m.nodes.size - 2 for m in meshes))
-    axis = _averaged_axis(f, meshes)
-    if axis is not None:
-        out = np.zeros(axis.nodes.size - 2)
-        for term in f:
-            qx = hat_average_x(term.space, axis)[1:-1]
-            out += term.coef * hat_average_t0(term.time, h_t) * qx
-        return out
-    grids = _meshgrid(meshes)
-    f0 = f(*grids, 0.0)
-    half = f(*grids, 0.5 * h_t) - f0
-    return _additive(f0, _average_factors(meshes)) + (2.0 / 3.0) * half[_interior_slices(len(meshes))]

@@ -49,7 +49,6 @@ from .operators import (
     SpaceDirac,
     TimeDirac,
     build_rhs_table,
-    initial_rhs,
     initial_velocity,
     pair_appliers,
     step_factor,
@@ -151,10 +150,13 @@ class RunResult:
 class Scheme:
     """Assembled scheme: step operators, data constructions, and solvers.
 
-    The discrete data follow the problem's data.  The forcing is its
-    piecewise f_data, averaged exactly, or else its callable f_fn, sampled
-    by the compact formulas (operators.build_rhs_table, initial_rhs).  The
-    initial velocity is its callable u1_fn, sampled, when it has one, and
+    The discrete data follow the problem's data.  The forcing is one table
+    fn_table of f_N^0 .. f_N^{M-1}, one entry per time step (level 0 is the
+    forcing of the first-step equation), made from the problem's piecewise
+    f_data, averaged exactly, or else from its callable f_fn, sampled by the
+    compact formulas (operators.build_rhs_table); march_data and the energy
+    certificates take the forcing in the same form.  The initial velocity
+    u1n is the problem's callable u1_fn, sampled, when it has one, and
     otherwise its piecewise u1_data, averaged (operators.initial_velocity).
     """
 
@@ -205,10 +207,10 @@ class Scheme:
 
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
-        self.u1n = self._build_u1n()
+        velocity = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
+        self.u1n = initial_velocity(velocity, meshes, self.h_t, self.speeds)
         forcing = problem.f_data if problem.f_data is not None else problem.f_fn
         self.fn_table = build_rhs_table(forcing, meshes, tmesh)
-        self.fn0 = initial_rhs(forcing, meshes, self.h_t)
 
     @functools.cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -261,46 +263,41 @@ class Scheme:
         out[self._interior] = self._solver.solve(rhs_interior, out if self._traced else None)
         return out
 
-    # -- data constructions ----------------------------------------------------
-
-    def _build_u1n(self) -> np.ndarray:
-        """The initial velocity: the problem's u1_fn sampled, else its u1_data
-        averaged, else zero."""
-        problem = self.problem
-        source = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
-        if source is None:
-            return np.zeros(tuple(m.nodes.size - 2 for m in self.meshes))
-        return initial_velocity(source, self.meshes, self.h_t, self.speeds)[self._interior]
-
     # -- stepping ----------------------------------------------------------------
 
     def initial_level(self) -> np.ndarray:
         values = self.problem.u0(*self._grids)
         return np.array(values, dtype=float)
 
-    def first_step(
-        self, v0: np.ndarray, u1n: np.ndarray | None = None, fn0: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Level 1 from the full array v0; u1n and fn0 default to the
-        scheme's own data constructions."""
+    def first_step(self, v0: np.ndarray, u1n: np.ndarray, fn0: np.ndarray) -> np.ndarray:
+        """Level 1 from the full array v0, the interior initial velocity u1n
+        and the interior forcing fn0 = f_N^0 of the first-step equation."""
         h_t = self.h_t
-        u1n = self.u1n if u1n is None else u1n
-        fn0 = self.fn0 if fn0 is None else fn0
         rhs = self.apply_step_operator_interior(v0) + h_t * (
             u1n + 0.5 * h_t * fn0 - 0.5 * h_t * self.apply_a_interior(v0)
         )
         return self.solve_step(rhs, self.tmesh.nodes[1])
 
     def time_step(
-        self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray | None = None
+        self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray
     ) -> np.ndarray:
-        """Level `level` + 1; the interior forcing fn defaults to the
-        scheme's table entry f_N^level."""
+        """Level `level` + 1 from the two levels before it and the interior
+        forcing fn = f_N^level."""
         h_t = self.h_t
-        fn = self.fn_table(level) if fn is None else fn
         rhs = h_t**2 * (fn - self.apply_a_interior(v_curr))
         rhs += self.apply_step_operator_interior(2.0 * v_curr - v_prev)
         return self.solve_step(rhs, self.tmesh.nodes[level + 1])
+
+    def _levels(self, v0: np.ndarray, u1n: np.ndarray, forcing: Callable[[int], np.ndarray]):
+        """The level generator (_march) of the recursion started from the
+        full array v0 with the initial velocity u1n and the forcing f^m =
+        forcing(m) of each step m = 0 .. M-1."""
+        return _march(
+            v0,
+            lambda v: self.first_step(v, u1n, forcing(0)),
+            lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing(level)),
+            self.tmesh,
+        )
 
     def march_data(
         self, v0: np.ndarray, u1n: np.ndarray, forcing: Sequence[np.ndarray]
@@ -308,25 +305,20 @@ class Scheme:
         """The levels v^0, v^1, ... of the recursion started from the full
         array v0 with the given discrete data in place of the problem's: the
         initial velocity u_1N and the interior forcing f^0 .. f^{M-1}, one
-        entry per step of the time mesh.  The trace is still the problem's.
-        The list ends at v^M, or at the level that meets the blow-up rule."""
+        entry per step of the time mesh, as in fn_table.  The trace is still
+        the problem's.  The list ends at v^M, or at the level that meets the
+        blow-up rule."""
         if len(forcing) != self.tmesh.n_steps:
             raise ValueError(
                 f"{len(forcing)} forcing levels for {self.tmesh.n_steps} time steps"
             )
-        levels = _march(
-            v0,
-            functools.partial(self.first_step, u1n=u1n, fn0=forcing[0]),
-            lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing[level]),
-            self.tmesh,
-        )
-        return [values for _, _, values in levels]
+        return [values for _, _, values in self._levels(v0, u1n, forcing.__getitem__)]
 
     def march(self):
-        """Generator over the levels of a run (see _march): yields (level, t,
-        values) for every level it computes, the aborting one included, and
-        returns the RunResult."""
-        return _march(self.initial_level(), self.first_step, self.time_step, self.tmesh)
+        """Generator over the levels of a run (see _march) with the scheme's
+        own data u1n and fn_table: yields (level, t, values) for every level
+        it computes, the aborting one included, and returns the RunResult."""
+        return self._levels(self.initial_level(), self.u1n, self.fn_table)
 
     def run(self, observer: Callable[[int, float, np.ndarray], None] | None = None) -> RunResult:
         """March the scheme over the whole time mesh, showing every level to

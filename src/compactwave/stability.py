@@ -159,8 +159,9 @@ def verify_energy_bound(
 
     `trajectory` holds the full node arrays of the levels the scheme marched
     (homogeneous boundary), `u1n` the interior initial velocity and
-    `forcing` the interior arrays f^0 .. f^{M-1} it marched with.  The
-    meshes, h_t and the pair spectra are the scheme's own.
+    `forcing` the interior arrays f^0 .. f^{M-1} it marched with, in the
+    form of Scheme.march_data and Scheme.fn_table (f^0 the first-step
+    forcing).  The meshes, h_t and the pair spectra are the scheme's own.
 
     The estimates, by name:
 

@@ -21,7 +21,6 @@ from compactwave.operators import (
     build_rhs_table,
     hat_average_t0,
     hat_average_x,
-    initial_rhs,
     initial_velocity,
     pair_appliers,
     step_factor,
@@ -443,6 +442,17 @@ def test_one_sided_average():
     ts = np.linspace(0.0, h_t, 200001)
     oracle = 2.0 / h_t * np.trapezoid(prof.eval(ts) * (1.0 - ts / h_t), ts)
     assert hat_average_t0(prof, h_t) == pytest.approx(oracle, rel=1e-8)
+    # level 0 of a piecewise table: the one-sided averages times the spatial ones
+    mesh = build_uniform_axis(10, 1.0, -0.5)
+    tmesh = build_time_mesh(10, 1.0)
+    data = PiecewiseData((
+        SeparableTerm(1.3, PPiece(1), QPiece(1, 0.0)),
+        SeparableTerm(0.7, PPiece(0), TimeDirac(0.5)),
+    ))
+    one_sided = hat_average_t0(QPiece(1, 0.0), tmesh.h_t)
+    assert one_sided == pytest.approx(tmesh.h_t / 3.0, rel=1e-14)
+    expected = 1.3 * one_sided * hat_average_x(PPiece(1), mesh)[1:-1]
+    assert np.array_equal(build_rhs_table(data, [mesh], tmesh)(0), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +462,16 @@ def test_one_sided_average():
 def test_initial_velocity_zero():
     meshes = [build_uniform_axis(10, 1.0, -0.5)]
     out = initial_velocity(lambda x: np.zeros_like(x), meshes, 0.1, (1.0,))
-    assert np.max(np.abs(out)) == 0.0
+    assert out.shape == (9,) and np.max(np.abs(out)) == 0.0
+    assert np.array_equal(initial_velocity(None, meshes, 0.1, (1.0,)), np.zeros(9))
 
 
 def test_initial_velocity_dirac():
     meshes = [build_uniform_axis(10, 1.0, -0.5)]
     data = PiecewiseData((SeparableTerm(0.4, SpaceDirac(0.0)),))
     out = initial_velocity(data, meshes, 0.1, (1.0,))
-    assert out[5] == pytest.approx(0.4 * 10.0)
+    assert out.shape == (9,)
+    assert out[4] == pytest.approx(0.4 * 10.0)
 
 
 def test_initial_velocity_compact_quadratic():
@@ -468,7 +480,7 @@ def test_initial_velocity_compact_quadratic():
     h_t, a = 0.05, 2.0
     out = initial_velocity(lambda x: x**2, meshes, h_t, (a,))
     x = meshes[0].nodes[1:-1]
-    assert np.allclose(out[1:-1], x**2 + (h * h + h_t * h_t * a * a) / 6.0, atol=1e-12)
+    assert np.allclose(out, x**2 + (h * h + h_t * h_t * a * a) / 6.0, atol=1e-12)
 
 
 def test_rhs_table_smooth_constant():
@@ -513,8 +525,8 @@ def test_rhs_table_averaged_composition():
 
 @pytest.mark.parametrize("build", [
     lambda f, meshes, tmesh: build_rhs_table(f, meshes, tmesh),
-    lambda f, meshes, tmesh: initial_rhs(f, meshes, tmesh.h_t),
-], ids=["build_rhs_table", "initial_rhs"])
+    lambda f, meshes, tmesh: build_rhs_table(f, meshes, tmesh)(0),
+], ids=["build_rhs_table", "level_0"])
 def test_forcing_constructors_reject_unsupported_data(build):
     # the construction follows the data type: neither piecewise nor callable
     # is a TypeError, piecewise forcing on a 2D mesh a ValueError
@@ -530,16 +542,17 @@ def test_forcing_constructors_reject_unsupported_data(build):
 def test_initial_rhs_on_constant():
     meshes = [build_uniform_axis(8, 1.0)]
     f = lambda x, t: np.full_like(x, 4.0)
-    out = initial_rhs(f, meshes, 0.1)
+    out = build_rhs_table(f, meshes, build_time_mesh(10, 1.0))(0)
     assert np.allclose(out, 4.0, atol=1e-13)
 
 
 def test_initial_rhs_time_part_linear():
     # f = t: (1/3) f^0 + (2/3) f(h_t/2) reduces to h_t/3
     meshes = [build_uniform_axis(8, 1.0)]
-    h_t = 0.3
+    tmesh = build_time_mesh(4, 1.2)
+    h_t = tmesh.h_t
     f = lambda x, t: np.full_like(x, t)
-    out = initial_rhs(f, meshes, h_t)
+    out = build_rhs_table(f, meshes, tmesh)(0)
     assert np.allclose(out, h_t / 3.0, atol=1e-14)
 
 

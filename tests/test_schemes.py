@@ -154,7 +154,7 @@ def test_first_step_fourth_order():
         axis = build_uniform_axis(n, 1.0, -0.5)
         tmesh = build_time_mesh(n, 1.0)
         scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
-        v1 = scheme.first_step(scheme.initial_level())
+        v1 = scheme.first_step(scheme.initial_level(), scheme.u1n, scheme.fn_table(0))
         errors[n] = np.max(np.abs(problem.exact(axis.nodes, tmesh.h_t) - v1))
     assert errors[40] / errors[80] > 12.0
 
@@ -218,7 +218,7 @@ def test_reversibility():
     # walk the three-level recursion backwards: solve for the older level
     v_next, v_curr = traj[-1], traj[-2]
     for level in range(len(traj) - 2, 0, -1):
-        v_prev = scheme.time_step(v_next, v_curr, level)
+        v_prev = scheme.time_step(v_next, v_curr, level, scheme.fn_table(level))
         v_next, v_curr = v_curr, v_prev
     assert np.max(np.abs(v_curr - traj[0])) < 1e-10
 
@@ -541,10 +541,43 @@ def test_problem_with_only_a_velocity_callable_assembles_and_runs():
     tmesh = build_time_mesh(10, 0.5)
     scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
     sampled = initial_velocity(problem.u1_fn, [axis], tmesh.h_t, problem.speeds)
-    assert np.array_equal(scheme.u1n, sampled[1:-1])
+    assert np.array_equal(scheme.u1n, sampled)
     obs = ErrorObserver(problem.exact, axis, tmesh)
     assert scheme.run(observer=obs).stable
     assert obs.result().Ch < 1e-5
+
+
+def test_forcing_table_level_0_is_the_first_step_forcing():
+    # f_N^0 = (1/3) f^0 + (2/3) f(h_t/2) + (S - I) f^0, with S the additive
+    # compact average, S - I = sum_i (h_i^2/12) Lambda_i on uniform axes
+    f = lambda x, y, t: np.exp(0.7 * x - t) * np.cos(2.0 * y + 3.0 * t)
+    problem = dataclasses.replace(
+        make_sine_mode_problem((1.0, 1.3), (1.0, 0.8), (2, 1)), f_fn=f
+    )
+    meshes = [build_uniform_axis(10, 1.0), build_uniform_axis(8, 0.8)]
+    tmesh = build_time_mesh(6, 0.3)
+    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
+    x, y = np.meshgrid(meshes[0].nodes, meshes[1].nodes, indexing="ij")
+    h_t = tmesh.h_t
+    f0 = f(x, y, 0.0)
+    lam_x = (f0[2:, 1:-1] - 2.0 * f0[1:-1, 1:-1] + f0[:-2, 1:-1]) / meshes[0].h**2
+    lam_y = (f0[1:-1, 2:] - 2.0 * f0[1:-1, 1:-1] + f0[1:-1, :-2]) / meshes[1].h**2
+    direct = (f0[1:-1, 1:-1] / 3.0 + 2.0 / 3.0 * f(x, y, 0.5 * h_t)[1:-1, 1:-1]
+              + meshes[0].h**2 / 12.0 * lam_x + meshes[1].h**2 / 12.0 * lam_y)
+    assert np.max(np.abs(scheme.fn_table(0) - direct)) < 1e-14
+
+
+def test_forcing_table_covers_the_steps_0_to_m_minus_1():
+    problem = make_smooth_nonuniform_problem()
+    axis = build_uniform_axis(10, 1.0, -0.5)
+    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
+                      build_time_mesh(5, 1.0))
+    assert scheme.fn_table.n_steps == 5
+    for level in range(5):
+        assert scheme.fn_table(level).shape == (9,)
+    for level in (-1, 5):
+        with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+            scheme.fn_table(level)
 
 
 def test_characteristic_rejects_smooth_forcing():

@@ -4,9 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from compactwave.mesh import build_time_mesh, build_uniform_axis
+from compactwave.mesh import (
+    NODE_DISTRIBUTIONS,
+    build_graded_axis,
+    build_time_mesh,
+    build_uniform_axis,
+)
 from compactwave.operators import pair_appliers
-from compactwave.problems import ProblemSpec, make_sine_mode_problem
+from compactwave.problems import (
+    ProblemSpec,
+    make_example,
+    make_sine_mode_problem,
+    make_smooth_nonuniform_problem,
+)
 from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair
 from compactwave.solvers import operator_pair_c0
 from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
@@ -212,21 +222,44 @@ def _forced_sine_problem():
 MARCH_MESHES = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.8)]
 
 
+def _own_data_cases():
+    """(problem, kind, meshes, time mesh) of every data type: piecewise
+    (E_2.5), callable (smooth1d on a graded axis, the forced 2D sine mode)
+    and none (the free 2D sine mode)."""
+    example = make_example(2.5)
+    uniform = build_uniform_axis(20, example.extents[0], example.origin[0])
+    smooth = make_smooth_nonuniform_problem()
+    graded = build_graded_axis(
+        NODE_DISTRIBUTIONS["phi3"], 20, smooth.extents[0], smooth.origin[0]
+    )
+    forced = _forced_sine_problem()
+    free = make_sine_mode_problem((1.0, 1.3), (1.0, 0.8), (2, 1))
+    return [
+        (example, SchemeKind.COMPACT_1D, [uniform], build_time_mesh(20, example.horizon)),
+        (example, SchemeKind.SECOND_ORDER, [uniform], build_time_mesh(20, example.horizon)),
+        (smooth, SchemeKind.COMPACT_1D, [graded], build_time_mesh(30, smooth.horizon)),
+        (forced, SchemeKind.COMPACT_ND, MARCH_MESHES, build_time_mesh(5, 0.2)),
+        (forced, SchemeKind.SPLITTING, MARCH_MESHES, build_time_mesh(5, 0.2)),
+        (free, SchemeKind.COMPACT_2D_SUM, MARCH_MESHES, build_time_mesh(5, 0.2)),
+    ]
+
+
 def test_march_data_with_own_data_equals_run():
-    problem = _forced_sine_problem()
-    meshes = MARCH_MESHES
-    tmesh = build_time_mesh(5, 0.2)
-    for kind in (SchemeKind.COMPACT_ND, SchemeKind.SPLITTING):
+    # run marches the scheme's own u1n and forcing table f^0 .. f^{M-1}
+    # through the path of march_data, for every data type
+    for problem, kind, meshes, tmesh in _own_data_cases():
         scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
-        forcing = [scheme.fn0] + [scheme.fn_table(level) for level in range(1, 5)]
+        m_steps = tmesh.n_steps
+        forcing = [scheme.fn_table(m) for m in range(m_steps)]
         levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
         stored = []
-        scheme.run(observer=lambda level, t, values: stored.append(values))
-        assert len(levels) == len(stored) == 6
+        result = scheme.run(observer=lambda level, t, values: stored.append(values))
+        assert result.stable, (problem.name, kind)
+        assert len(levels) == len(stored) == m_steps + 1
         for got, expected in zip(levels, stored):
-            assert np.array_equal(got, expected)
-        with pytest.raises(ValueError, match="4 forcing levels for 5 time steps"):
-            scheme.march_data(scheme.initial_level(), scheme.u1n, forcing[:4])
+            assert np.array_equal(got, expected), (problem.name, kind)
+        with pytest.raises(ValueError, match=f"{m_steps - 1} forcing levels for {m_steps} time"):
+            scheme.march_data(scheme.initial_level(), scheme.u1n, forcing[:-1])
 
 
 def test_march_data_ends_at_the_aborting_level():
@@ -234,7 +267,7 @@ def test_march_data_ends_at_the_aborting_level():
         _forced_sine_problem(), SchemeConfig(kind=SchemeKind.COMPACT_ND), MARCH_MESHES,
         build_time_mesh(5, 0.2),
     )
-    forcing = [scheme.fn0] + [scheme.fn_table(level) for level in range(1, 5)]
+    forcing = [scheme.fn_table(m) for m in range(5)]
     forcing[2] = np.full_like(forcing[2], 1e110)  # v^3 = v^{2+1} blows up
     levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
     assert len(levels) == 4
