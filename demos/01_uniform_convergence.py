@@ -9,43 +9,38 @@ predictions (4/5 alpha rates, capped at 4) and beat the classical weighted
 Run:  python demos/01_uniform_convergence.py
 """
 
-import numpy as np
-
 from compactwave import (
-    ErrorObserver,
-    SchemeConfig,
     SchemeKind,
-    build_time_mesh,
     build_uniform_axis,
     fit_order,
     make_example,
-    run,
+    run_errors,
+    step_count,
     theoretical_orders,
 )
 from compactwave.analysis import NORM_NAMES
 
 RESOLUTIONS = (100, 200, 400)
+KINDS = (SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER)
 
 
-def study(alpha, kind):
+def study(alpha):
+    """(norm -> [(N, error)]) per kind; both kinds march in lockstep."""
     problem = make_example(alpha)
-    points = {norm: [] for norm in NORM_NAMES}
+    points = {kind: {norm: [] for norm in NORM_NAMES} for kind in KINDS}
     for n in RESOLUTIONS:
         axis = build_uniform_axis(n, 1.0, -0.5)
-        tmesh = build_time_mesh(n, 1.0)  # time step equal to the spatial one
-        obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=kind), [axis], tmesh, observer=obs)
-        triple = obs.result().as_dict()
-        for norm in NORM_NAMES:
-            points[norm].append((n, triple[norm]))
+        m = step_count(problem, axis, KINDS[0])  # M = N: time step equal to h
+        for kind, (_, triple) in zip(KINDS, run_errors(problem, KINDS, axis, m)):
+            for norm, err in triple.as_dict().items():
+                points[kind][norm].append((n, err))
     return points
 
 
 print(f"{'alpha':>6} {'norm':>4} {'order(4th)':>11} {'theory':>7} "
       f"{'order(2nd)':>11} {'theory':>7} {'err4th(400)':>12} {'err2nd(400)':>12}")
 for alpha in (1.5, 2.5, 3.5):
-    fourth = study(alpha, SchemeKind.COMPACT_1D)
-    second = study(alpha, SchemeKind.SECOND_ORDER)
+    fourth, second = study(alpha).values()
     th4 = dict(zip(NORM_NAMES, theoretical_orders(alpha, 4)))
     th2 = dict(zip(NORM_NAMES, theoretical_orders(alpha, 2)))
     for norm in NORM_NAMES:

@@ -10,23 +10,20 @@ Run:  python demos/02_graded_meshes.py
 """
 
 from compactwave import (
-    ErrorObserver,
     NODE_DISTRIBUTIONS,
-    SchemeConfig,
     SchemeKind,
     build_graded_axis,
-    build_time_mesh,
     fit_order,
     make_smooth_nonuniform_problem,
     mesh_stats,
-    run,
-    select_time_step_count,
+    run_errors,
+    step_count,
 )
 
 RESOLUTIONS = (100, 200, 400)
+KIND = SchemeKind.COMPACT_1D
 
 problem = make_smooth_nonuniform_problem()
-a = problem.speeds[0]
 
 print(f"{'phi':>5} {'order':>6} {'err(400)':>10} {'h_max/h_min':>12} "
       f"{'rho_min':>8} {'rho_max':>8} {'M/N':>6}")
@@ -34,13 +31,10 @@ for name, phi in NODE_DISTRIBUTIONS.items():
     points = []
     for n in RESOLUTIONS:
         axis = build_graded_axis(phi, n, 1.0, -0.5)
-        stats = mesh_stats(axis)
         # practical rule: M = floor(sqrt(2) a T / h_min)
-        m = select_time_step_count(stats.h_min, a, problem.horizon)
-        tmesh = build_time_mesh(m, problem.horizon)
-        obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
-        points.append((n, obs.result().Ch))
+        m = step_count(problem, axis, KIND)
+        [(_, triple)] = run_errors(problem, [KIND], axis, m)
+        points.append((n, triple.Ch))
     gamma = fit_order(points).gamma
     stats = mesh_stats(build_graded_axis(phi, RESOLUTIONS[-1], 1.0, -0.5))
     print(

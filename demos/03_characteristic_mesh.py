@@ -10,40 +10,31 @@ atoms.
 Run:  python demos/03_characteristic_mesh.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from compactwave import make_example, run_explicit_characteristic
+from compactwave import SchemeKind, build_uniform_axis, make_example, run_errors
 from compactwave.problems import make_sine_mode_problem
+
+
+def max_nodal_error(problem, n, m):
+    """Ch, the largest error over every node and level of the run."""
+    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    [(_, triple)] = run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, m)
+    return triple.Ch
+
 
 problem = make_example(1.5)
 for n, m in ((20, 10), (40, 20), (80, 40)):
-    levels = []  # (level, t, values) of every level, collected by the observer
-    _, axis, tmesh = run_explicit_characteristic(problem, n, m, observer=lambda *lv: levels.append(lv))
-    err = max(
-        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[level]) - v)))
-        for level, _, v in levels
-    )
+    err = max_nodal_error(problem, n, m)
     print(f"jump-velocity data, N={n:3d}, M={m:3d}: max nodal error {err:.3E}")
 
 print()
-smooth = make_sine_mode_problem((1.0,), (1.0,), (2,))
-levels = []
-_, axis, tmesh = run_explicit_characteristic(smooth, 32, 24, observer=lambda *lv: levels.append(lv))
-err = max(
-    float(
-        np.max(
-            np.abs(
-                0.5
-                * (
-                    np.sin(2 * np.pi * (axis.nodes - tmesh.nodes[level]))
-                    + np.sin(2 * np.pi * (axis.nodes + tmesh.nodes[level]))
-                )
-                - v
-            )
-        )
-    )
-    for level, _, v in levels
-)
+# the sine mode measured against its travelling-wave form
+travelling = lambda x, t: 0.5 * (np.sin(2 * np.pi * (x - t)) + np.sin(2 * np.pi * (x + t)))
+smooth = dataclasses.replace(make_sine_mode_problem((1.0,), (1.0,), (2,)), exact=travelling)
+err = max_nodal_error(smooth, 32, 24)
 print(f"travelling sine waves, N=32, M=24: max nodal error {err:.3E}")
 print("\nBoth runs agree with the closed-form solution to roundoff: the")
 print("errors above are pure floating-point noise, not discretization error.")

@@ -23,9 +23,10 @@ from compactwave import (
     check_cfl,
     make_smooth_nonuniform_problem,
     mesh_stats,
-    run,
+    run_errors,
     select_time_step_count,
     sharp_alpha2,
+    step_count,
     verify_energy_bound,
 )
 from compactwave.problems import ProblemSpec
@@ -68,8 +69,7 @@ for which in ("strong", "weak"):
 
 # relaxing the rule by a factor 2 in the condition is catastrophic
 problem = make_smooth_nonuniform_problem()
-m_bad = select_time_step_count(mesh_stats(axis).h_min, a, 1.0, 1.0 / math.sqrt(2.0))
-tmesh = build_time_mesh(m_bad, 1.0)
-result = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+m_bad = step_count(problem, axis, SchemeKind.COMPACT_1D, 1.0 / math.sqrt(2.0))
+[(result, _)] = run_errors(problem, [SchemeKind.COMPACT_1D], axis, m_bad)
 print(f"\nhalved step rule (M = {m_bad}): blew_up={result.blew_up} after "
       f"{result.completed_levels} levels (exponential growth)")

@@ -3,7 +3,7 @@ uniform and graded rectangular meshes, with stability certification and a
 convergence-order harness."""
 
 from . import analysis, mesh, operators, problems, schemes, solvers, stability
-from .analysis import ErrorObserver, ErrorTriple, fit_order, theoretical_orders
+from .analysis import ErrorObserver, ErrorTriple, fit_order, run_errors, theoretical_orders
 from .mesh import (
     AxisMesh,
     MeshStats,
@@ -25,6 +25,7 @@ from .schemes import (
     assemble,
     run,
     run_explicit_characteristic,
+    step_count,
 )
 from .stability import check_cfl, sharp_alpha2, verify_energy_bound
 

@@ -21,13 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mesh import AxisMesh, TimeMesh
-from .schemes import SchemeConfig, assemble, diverged
+from . import schemes
+from .mesh import AxisMesh, TimeMesh, build_time_mesh
+from .schemes import RunResult, SchemeConfig, SchemeKind
 
 __all__ = [
     "ErrorTriple",
     "ErrorObserver",
-    "lockstep_errors",
+    "run_errors",
     "FitResult",
     "fit_order",
     "theoretical_orders",
@@ -61,8 +62,9 @@ class ErrorObserver:
 
     The quadrature weight is the mean spatial step, so on graded axes only
     the Ch norm is layout-independent (the graded-mesh studies report Ch).
-    A level that meets the blow-up rule (schemes.diverged) makes all three
-    norms infinite.
+    The observer passes no verdict on the levels it is shown: the march
+    judges each level by the blow-up rule, and run_errors turns a run that
+    blew up into the infinite triple.
     """
 
     def __init__(self, exact: Callable, axis: AxisMesh, tmesh: TimeMesh):
@@ -74,12 +76,8 @@ class ErrorObserver:
         self._l2 = 0.0
         self._c = 0.0
         self._e = 0.0
-        self.blew_up = False
 
     def observe(self, level: int, t: float, values: np.ndarray) -> None:
-        if diverged(values):
-            self.blew_up = True
-            return
         r = self.exact(self.nodes, t) - values
         ri = r[1:-1]
         self._l2 = max(self._l2, math.sqrt(self.h * float(ri @ ri)))
@@ -95,8 +93,6 @@ class ErrorObserver:
     __call__ = observe
 
     def result(self) -> ErrorTriple:
-        if self.blew_up:
-            return ErrorTriple(math.inf, math.inf, math.inf)
         return ErrorTriple(self._l2, self._c, self._e)
 
 
@@ -113,29 +109,44 @@ def _last_level(exact: Callable) -> Callable:
     return evaluate
 
 
-def lockstep_errors(
-    problem, configs: Sequence[SchemeConfig], axis: AxisMesh, tmesh: TimeMesh
-) -> list[ErrorTriple]:
-    """Error triples of several 1D schemes on one mesh and time mesh.
-
-    The schemes march level by level together and their observers share one
-    exact evaluation per level; no trajectory is stored.  A scheme that blows
-    up stops with the infinite triple, the others run to the end.
+def run_errors(
+    problem, kinds: Sequence[SchemeKind | str], axis: AxisMesh, n_steps: int
+) -> list[tuple[RunResult, ErrorTriple]]:
+    """The run and its error triple for each 1D kind on `axis` with
+    `n_steps` steps (the rule is schemes.step_count): the recipe of every 1D
+    run.  The implicit kinds march level by level together over the horizon,
+    their observers sharing one exact evaluation per level; characteristic
+    runs on the problem's uniform axis with h_t = h/a.  A run that blew up
+    reports the infinite triple; the others run to the end.
     """
+    kinds = [SchemeKind(kind) for kind in kinds]
     exact = _last_level(problem.exact)
-    runs = [
-        (assemble(problem, config, [axis], tmesh).march(), ErrorObserver(exact, axis, tmesh))
-        for config in configs
-    ]
-    active = list(runs)
+    explicit = SchemeKind.EXPLICIT_CHARACTERISTIC
+    done = {}
+    if explicit in kinds:
+        n = axis.n_intervals
+        axis_c, tmesh_c = schemes.characteristic_meshes(problem, n, n_steps)
+        if not np.array_equal(axis.nodes, axis_c.nodes):
+            raise ValueError("the characteristic-mesh scheme runs on the problem's uniform axis")
+        obs = ErrorObserver(exact, axis_c, tmesh_c)
+        done[explicit] = schemes.run_explicit_characteristic(problem, n, n_steps, obs)[0], obs
+    tmesh = build_time_mesh(n_steps, problem.horizon)
+    active = {
+        kind: (schemes.assemble(problem, SchemeConfig(kind), [axis], tmesh).march(),
+               ErrorObserver(exact, axis, tmesh))
+        for kind in kinds if kind != explicit
+    }
     while active:
-        for run in tuple(active):
-            levels, obs = run
+        for kind, (levels, obs) in tuple(active.items()):
             try:
                 obs.observe(*next(levels))
-            except StopIteration:
-                active.remove(run)
-    return [obs.result() for _, obs in runs]
+            except StopIteration as stop:
+                done[kind] = stop.value, obs
+                del active[kind]
+    return [
+        (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else obs.result())
+        for result, obs in map(done.get, kinds)
+    ]
 
 
 @dataclass(frozen=True)

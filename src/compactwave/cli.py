@@ -103,10 +103,10 @@ def _axis_from_config(entry: dict):
     raise ConfigError(f"unknown axis kind {kind!r}")
 
 
-def _scheme_config(name: str) -> SchemeConfig:
+def _scheme_kind(name: str) -> SchemeKind:
     """The scheme kind, which fixes everything else about the scheme."""
     try:
-        return SchemeConfig(SchemeKind(name))
+        return SchemeKind(name)
     except ValueError:
         choices = ", ".join(k.value for k in SchemeKind)
         raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
@@ -194,45 +194,19 @@ def _cfl_factor(settings: dict) -> float:
 def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(args)
     problem = _problem_from_config(s["problem"])
-    sconfig = _scheme_config(s["scheme"])
+    kind = _scheme_kind(s["scheme"])
     # N intervals on the problem's interval, unless the config's axis says otherwise
     axis_cfg = {"N": int(s["N"]), "X": problem.extents[0], "origin": problem.origin[0],
                 **(s["axis"] or {})}
-    characteristic = sconfig.kind == SchemeKind.EXPLICIT_CHARACTERISTIC
-    given = (axis_cfg.get("kind", "uniform"), float(axis_cfg["X"]), float(axis_cfg["origin"]))
-    if characteristic and given != ("uniform", problem.extents[0], problem.origin[0]):
-        raise ConfigError(
-            "the characteristic-mesh scheme runs on the problem's uniform axis; "
-            "of the axis settings only N may be given"
-        )
     axis = _axis_from_config(axis_cfg)
     if s["M"] != "auto":
         _reject(s, ("cfl_factor",), "with an explicit M")
         m = int(s["M"])
-    elif characteristic:
-        _reject(s, ("cfl_factor",), "with the characteristic scheme, whose h_t is h/a")
-        # h_t = h/a is fixed: the last level inside the horizon, floor(a T / h)
-        h = problem.extents[0] / axis.n_intervals
-        m = select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
     else:
-        m = select_time_step_count(
-            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, _cfl_factor(s)
-        )
-        if problem.t_star is not None:
-            # the averaged data needs the switch-on time on the time mesh, as
-            # on the M = N one: round up to a multiple of N (N itself on a
-            # uniform axis at the default factor)
-            m = -(-m // axis.n_intervals) * axis.n_intervals
-
-    if characteristic:
-        axis_c, tmesh_c = schemes.characteristic_meshes(problem, axis.n_intervals, m)
-        obs = analysis.ErrorObserver(problem.exact, axis_c, tmesh_c)
-        result, _, _ = schemes.run_explicit_characteristic(problem, axis.n_intervals, m, obs)
-    else:
-        tmesh = build_time_mesh(m, problem.horizon)
-        obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
-        result = schemes.run(problem, sconfig, [axis], tmesh, observer=obs)
-    triple = obs.result()
+        if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
+            _reject(s, ("cfl_factor",), "with the characteristic scheme, whose h_t is h/a")
+        m = schemes.step_count(problem, axis, kind, _cfl_factor(s))
+    [(result, triple)] = analysis.run_errors(problem, [kind], axis, m)
 
     header = {"problem": problem.name, "scheme": s["scheme"], "N": axis.n_intervals, "M": m}
     lines = _echo_header(header, s["format"]) + [
@@ -267,12 +241,11 @@ def _study_exit(triples) -> int:
 
 def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
     """Error triples of both schemes (TABLE1_SCHEMES order) on E_alpha at N,
-    marched in lockstep against one exact evaluation per level."""
+    marched in lockstep at the step rule's M = N."""
     problem = problems.make_example(alpha)
     axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
-    tmesh = build_time_mesh(n, problem.horizon)  # time step equal to h
-    configs = [_scheme_config(name) for name in TABLE1_SCHEMES]
-    return analysis.lockstep_errors(problem, configs, axis, tmesh)
+    m = schemes.step_count(problem, axis, TABLE1_SCHEMES[0])
+    return [triple for _, triple in analysis.run_errors(problem, TABLE1_SCHEMES, axis, m)]
 
 
 def _study_n(settings: dict, full) -> list[int]:
@@ -319,14 +292,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTriple, float]:
     problem = problems.make_smooth_nonuniform_problem()
-    phi = NODE_DISTRIBUTIONS[phi_name]
-    axis = build_graded_axis(phi, n, problem.extents[0], problem.origin[0])
-    stats = mesh_stats(axis)
-    m = select_time_step_count(stats.h_min, problem.speeds[0], problem.horizon, factor)
-    tmesh = build_time_mesh(m, problem.horizon)
-    obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
-    schemes.run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
-    return obs.result(), m / n
+    axis = build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n, problem.extents[0], problem.origin[0])
+    m = schemes.step_count(problem, axis, SchemeKind.COMPACT_1D, factor)
+    [(_, triple)] = analysis.run_errors(problem, [SchemeKind.COMPACT_1D], axis, m)
+    return triple, m / n
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
@@ -369,7 +338,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     s = _settings(args)
-    sconfig = _scheme_config(s["scheme"])
+    kind = _scheme_kind(s["scheme"])
     # the meshes: N (default 800) and axis, or else a list of axes
     if s["axes"]:
         _reject(s, ("N", "axis"), "next to axes")
@@ -394,7 +363,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         _reject(s, ("cfl_factor",), "with an explicit M")
         m = int(s["M"])
     h_t = build_time_mesh(m, horizon).h_t
-    pair = schemes.operator_pair(sconfig.kind, len(meshes))
+    pair = schemes.operator_pair(kind, len(meshes))
     if pair is None:
         raise ConfigError(f"no step condition is attached to scheme {s['scheme']!r}")
     eps0 = math.sqrt(0.5)
@@ -411,14 +380,12 @@ def cmd_stability(args: argparse.Namespace) -> int:
                      "routinely stable in this band")
     if s["certify"]:
         rng = np.random.default_rng(s["seed"])
-        lines.extend(_certify_random_instance(sconfig.kind, report.c0, meshes, speeds, rng))
+        lines.extend(_certify_random_instance(kind, report.c0, meshes, speeds, rng))
     _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_OK
 
 
 def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
-    from .problems import ProblemSpec
-
     shape = tuple(m.nodes.size for m in meshes)
     interior = tuple(s - 2 for s in shape)
     eps0 = math.sqrt(0.5)
@@ -430,7 +397,7 @@ def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
     full0 = np.zeros(shape)
     full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior)
 
-    problem = ProblemSpec(
+    problem = problems.ProblemSpec(
         name="random",
         speeds=tuple(speeds),
         origin=tuple(m.nodes[0] for m in meshes),
@@ -472,10 +439,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     checks.append(("splitting identity", float(np.max(np.abs(lhs - rhs))) < 1e-13))
 
     problem = problems.make_example(1.5)
-    axis, tmesh = schemes.characteristic_meshes(problem, 20, 10)
-    obs = analysis.ErrorObserver(problem.exact, axis, tmesh)
-    schemes.run_explicit_characteristic(problem, 20, 10, observer=obs)
-    checks.append(("characteristic-mesh exactness", obs.result().Ch < 1e-12))
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    [(_, triple)] = analysis.run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, 10)
+    checks.append(("characteristic-mesh exactness", triple.Ch < 1e-12))
 
     ok = all(flag for _, flag in checks)
     for name, flag in checks:

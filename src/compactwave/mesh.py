@@ -1,9 +1,10 @@
-"""Spatial and temporal meshes: uniform, graded, and the time-step count rule.
+"""Spatial and temporal meshes: uniform, graded, and the practical step rule.
 
 Spatial axes are built either uniformly or from an increasing node
 distribution function mapping [0, 1] onto [0, 1] (scaled to the axis extent).
-The time-step count for graded runs follows the practical rule
-M = floor(factor * a * T / h_min) with factor = sqrt(2) by default.
+select_time_step_count, M = floor(factor * a * T / h_min) with factor = sqrt(2)
+by default, is the primitive of schemes.step_count, the step rule of every
+run; only the `stability` command also calls it directly.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def select_time_step_count(
     """Step count M = floor(factor * speed * horizon / h_min).
 
     The default factor sqrt(2) corresponds to h_t^2 a^2 / h_min^2 <= 1/2 up to
-    the flooring, which may leave the quotient marginally above 1/2.
+    the flooring, which may leave the quotient marginally above 1/2.  The
+    primitive of schemes.step_count; only `stability` also calls it directly.
     """
     if h_min <= 0 or speed <= 0 or horizon <= 0 or factor <= 0:
         raise MeshError("all arguments must be positive")

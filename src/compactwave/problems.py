@@ -304,9 +304,10 @@ def make_example(
         t = np.asarray(t, dtype=float)
         left, right = x - a * t, x + a * t
         if k == 0:
-            # the jumps travel along x = +-a t: nodes on them take the average
-            scale = np.abs(x) + a * np.abs(t)
-            left, right = _snap(left, scale), _snap(right, scale)
+            # the jumps travel along x = +-a t: nodes on them take the
+            # average, judged on the axis scale |origin| + X that the nodes'
+            # rounding follows (as the characteristic runner's atom weights)
+            left, right = _snap(left, half + extent), _snap(right, half + extent)
         u0_part = 0.5 * (_signed_power(k, left) + _signed_power(k, right))
         total = u0_part + u1_part(left, right) + _dalembert_forcing_part(f, x, t, a)
         if correction is not None:

@@ -20,7 +20,8 @@ compact2d, compact3d and nD compactnd solve over the tensor sine basis
 (SpectralHandle) and apply B and A as sums and products of the per-axis rows.
 
 Every scheme, the explicit one included, marches through one level loop
-(_march), which applies the blow-up rule to each level it computes.
+(_march), which applies the blow-up rule to each level it computes; every
+1D run takes its step count from one rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
@@ -37,13 +38,15 @@ in time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis
+from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis, mesh_stats
+from .mesh import select_time_step_count
 from .operators import (
     TIE_RTOL,
     SpaceDirac,
@@ -65,6 +68,7 @@ __all__ = [
     "run_explicit_characteristic",
     "characteristic_meshes",
     "operator_pair",
+    "step_count",
     "BLOWUP_ABORT",
     "diverged",
 ]
@@ -123,6 +127,21 @@ def operator_pair(kind: SchemeKind, ndim: int) -> str | None:
     if ndim not in _KINDS[kind].dims:
         raise ValueError(f"{kind.value} does not support dimension {ndim}")
     return _KINDS[kind].pair
+
+
+def step_count(problem, axis: AxisMesh, kind, factor: float = math.sqrt(2.0)) -> int:
+    """The step count M of every 1D run of `kind` on `axis`: floor(a T / h)
+    for characteristic (h_t = h/a), else the practical rule
+    floor(factor a T / h_min) rounded up to a multiple of N when the problem
+    switches on at t_*, which keeps t_* on the time mesh (M = N for every
+    E_alpha on its uniform axis at the default factor)."""
+    if SchemeKind(kind) == SchemeKind.EXPLICIT_CHARACTERISTIC:
+        h = problem.extents[0] / axis.n_intervals
+        return select_time_step_count(h, problem.speeds[0], problem.horizon, 1.0)
+    m = select_time_step_count(mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, factor)
+    if problem.t_star is not None:
+        m = -(-m // axis.n_intervals) * axis.n_intervals
+    return m
 
 
 @dataclass(frozen=True)
@@ -399,7 +418,9 @@ def _char_velocity_table(problem, nodes: np.ndarray, h: float) -> np.ndarray:
     """(1/(2h)) * integral of the initial velocity over (x_{k-1}, x_{k+1})."""
     out = np.zeros(nodes.size)
     if problem.u1_data is not None:
-        scale = float(np.max(np.abs(nodes)))
+        # ties on the axis scale |origin| + X, as in the exact solutions:
+        # the nodes origin + k X/N carry the rounding of the origin
+        scale = abs(nodes[0]) + (nodes[-1] - nodes[0])
         for term in problem.u1_data:
             space = term.space
             if isinstance(space, SpaceDirac):
@@ -417,13 +438,14 @@ def _char_velocity_table(problem, nodes: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _footprint_integrals(term, x: np.ndarray, t_c: float, t_lo: float, t_hi: float,
-                         h: float, h_t: float):
+def _footprint_integrals(term, x: np.ndarray, scale: float, t_c: float, t_lo: float,
+                         t_hi: float, h: float, h_t: float):
     """Integral of one separable forcing term over the footprint of every
     node x_k: the part t_lo <= t <= t_hi of the rhomb |x' - x_k| <= w(t),
     w(t) = h (1 - |t - t_c| / h_t) (a triangle when t_lo = t_c).
 
-    Dirac atoms in time are integrated in closed form.  Otherwise the
+    Dirac atoms in time are integrated in closed form, spatial ones on the
+    axis scale `scale` (see _char_velocity_table).  Otherwise the
     integrand f2(t) [A(x_k + w(t)) - A(x_k - w(t))] is a piecewise
     polynomial in t whose pieces end at t_lo, t_c, t_hi, the switch-on time
     t_* (shared by all nodes) and, for nodes within h of the spatial
@@ -442,7 +464,7 @@ def _footprint_integrals(term, x: np.ndarray, t_c: float, t_lo: float, t_hi: flo
             return 0.0
         w = h * (1.0 - abs(t_s - t_c) / h_t)
         if atom:
-            value = _atom_weight(w - d, float(np.max(np.abs(x))))
+            value = _atom_weight(w - d, scale)
             if t_lo < t_c < t_hi and abs(t_s - t_c) <= TIE_RTOL * t_hi:
                 # a side corner of the rhomb is shared by four footprints:
                 # weight 1/4, as at the top and bottom corners
@@ -484,7 +506,8 @@ def _char_forcing_level(f_data, nodes: np.ndarray, level: int, h: float, h_t: fl
         t_lo, t_hi, area = 0.0, h_t, h * h_t
     else:
         t_lo, t_hi, area = t_m - h_t, t_m + h_t, 2.0 * h * h_t
-    total = sum(_footprint_integrals(term, x, t_m, t_lo, t_hi, h, h_t) for term in f_data)
+    scale = abs(nodes[0]) + (nodes[-1] - nodes[0])
+    total = sum(_footprint_integrals(term, x, scale, t_m, t_lo, t_hi, h, h_t) for term in f_data)
     return np.broadcast_to(total / area, x.shape)
 
 

@@ -117,13 +117,6 @@ def sharp_alpha2(
     return float(np.max(mu_a / mu_b))
 
 
-def _norm_scale(meshes: Sequence[AxisMesh]) -> float:
-    scale = 1.0
-    for m in meshes:
-        scale *= m.extent / 2.0
-    return scale
-
-
 def _sums(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum c^2 w over each array of a stack (leading axis) of coefficients;
     an empty stack gives no sums."""
@@ -185,7 +178,7 @@ def verify_energy_bound(
     _check_uniform(meshes)
     interior = (slice(None),) + tuple(slice(1, -1) for _ in meshes)
     mu_b, mu_a = scheme.spectra
-    scale = _norm_scale(meshes)
+    scale = math.prod(m.extent / 2.0 for m in meshes)
     levels = sine_coefficients(np.asarray(trajectory, dtype=float)[interior], batch=1)
     data = sine_coefficients(np.asarray([u1n, *forcing], dtype=float), batch=1)
     u1_coeffs, f_coeffs = data[:1], data[1:]

@@ -12,18 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from compactwave.analysis import NORM_NAMES, ErrorObserver, fit_order
+from compactwave.analysis import NORM_NAMES, fit_order, run_errors
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     build_graded_axis,
     build_time_mesh,
     build_uniform_axis,
     mesh_stats,
-    select_time_step_count,
 )
 from compactwave.operators import TridiagonalFactor, pair_appliers, step_factor, tridiag_second_diff
 from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
-from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, run, run_explicit_characteristic
+from compactwave.schemes import SchemeConfig, SchemeKind, assemble, operator_pair, step_count
 from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
@@ -66,15 +65,19 @@ def _report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def _errors(problem, kind, axis, factor=math.sqrt(2.0)):
+    """The run and error triple of one kind at the step rule's M."""
+    [(result, triple)] = run_errors(problem, [kind], axis, step_count(problem, axis, kind, factor))
+    return result, triple
+
+
 def _uniform_study(alpha: float, kind: SchemeKind):
+    # the step rule gives M = N: the time step equal to h
     problem = make_example(alpha)
     triples = []
     for n in ACCEPT_N:
         axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
-        tmesh = build_time_mesh(n, problem.horizon)
-        obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=kind), [axis], tmesh, observer=obs)
-        triples.append((n, obs.result()))
+        triples.append((n, _errors(problem, kind, axis)[1]))
     return triples
 
 
@@ -90,22 +93,19 @@ def table1_second():
 
 def test_criterion_1_exact_characteristic_scheme():
     # every catalog problem up to the last level inside the horizon,
-    # M = floor(N a T / X); the timing bound is on the N = 20 runs
+    # M = floor(N a T / X); the timing bound is on the N = 20 runs, error
+    # norms included
     err = 0.0
     elapsed = 0.0
     for alpha in EXAMPLE_ALPHAS:
         problem = make_example(alpha)
         for n in (20, 40, 200):
-            m = math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
+            axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
             start = time.perf_counter()
-            levels = []
-            _, axis, tmesh = run_explicit_characteristic(
-                problem, n, m, observer=lambda level, t, values: levels.append(values)
-            )
+            _, triple = _errors(problem, SchemeKind.EXPLICIT_CHARACTERISTIC, axis)
             if n == 20:
                 elapsed = max(elapsed, time.perf_counter() - start)
-            for k, v in enumerate(levels):
-                err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v))))
+            err = max(err, triple.Ch)
     ok = err <= 1e-12 and elapsed < 0.1
     _report(
         1, ok,
@@ -166,11 +166,7 @@ def test_criterion_5_table2_reproduction():
         points = []
         for n in ACCEPT_N:
             axis = build_graded_axis(phi, n, problem.extents[0], problem.origin[0])
-            m = select_time_step_count(mesh_stats(axis).h_min, problem.speeds[0], problem.horizon)
-            tmesh = build_time_mesh(m, problem.horizon)
-            obs = ErrorObserver(problem.exact, axis, tmesh)
-            run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
-            points.append((n, obs.result().Ch))
+            points.append((n, _errors(problem, SchemeKind.COMPACT_1D, axis)[1].Ch))
         gamma = fit_order(points).gamma
         worst[name] = (gamma, target, tol)
     stats = mesh_stats(build_graded_axis(NODE_DISTRIBUTIONS["phi6"], 800, 1.0, -0.5))
@@ -189,13 +185,8 @@ def test_criterion_5_table2_reproduction():
 def test_criterion_6_instability_reproduction():
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(800, 1.0, -0.5)
-    m = select_time_step_count(
-        mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, 1.0 / math.sqrt(2.0)
-    )
-    tmesh = build_time_mesh(m, problem.horizon)
-    obs = ErrorObserver(problem.exact, axis, tmesh)
-    result = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=obs)
-    final_norm = obs.result().Ch
+    result, triple = _errors(problem, SchemeKind.COMPACT_1D, axis, 1.0 / math.sqrt(2.0))
+    final_norm = triple.Ch
     ok = result.blew_up and final_norm > 1e10
     _report(6, ok, f"halved step rule: blow-up flag {result.blew_up}, Ch {final_norm:.2E} (> 1e10)")
     assert result.blew_up

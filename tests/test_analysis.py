@@ -11,18 +11,17 @@ from compactwave.analysis import (
     OrderRangeWarning,
     build_report,
     fit_order,
-    lockstep_errors,
+    run_errors,
     theoretical_orders,
 )
 from compactwave.mesh import build_time_mesh, build_uniform_axis
-from compactwave.problems import make_example
+from compactwave.problems import ProblemSpec, make_example
 from compactwave.schemes import (
     SchemeConfig,
     SchemeKind,
     assemble,
-    characteristic_meshes,
     run,
-    run_explicit_characteristic,
+    step_count,
 )
 
 
@@ -120,10 +119,8 @@ def test_observer_norms_match_sum_of_squares():
 
 def test_error_norms_exact_run_is_zero():
     problem = make_example(1.5)
-    axis, tmesh = characteristic_meshes(problem, 20, 10)
-    obs = ErrorObserver(problem.exact, axis, tmesh)
-    run_explicit_characteristic(problem, 20, 10, observer=obs)
-    triple = obs.result()
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    [(_, triple)] = run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, 10)
     assert triple.Ch < 1e-13
     assert triple.L2h < 1e-13
 
@@ -147,14 +144,20 @@ def test_observer_prefix_monotonicity():
 
 
 def test_blown_up_run_reports_infinite_norms():
+    # level 1 is NaN, or beyond 1e100: the march's verdict ends the run
+    # there, and the recipe reports the infinite triple for it (the observer
+    # passes no verdict of its own)
     axis = build_uniform_axis(10, 1.0)
-    tmesh = build_time_mesh(4, 1.0)
-    obs = ErrorObserver(lambda x, t: np.zeros_like(x), axis, tmesh)
-    for level, t in enumerate(tmesh.nodes[:3]):
-        obs.observe(level, t, np.zeros(11))
-    obs.observe(3, tmesh.nodes[3], np.full(11, np.nan))
-    triple = obs.result()
-    assert math.isinf(triple.Ch)
+    for velocity in (math.nan, 1e104):
+        problem = ProblemSpec(
+            name="bad velocity", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=1.0,
+            u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.full_like(x, velocity),
+            exact=lambda x, t: np.zeros_like(x),
+        )
+        kinds = ["compact1d", "second-order", "characteristic"]
+        for result, triple in run_errors(problem, kinds, axis, 4):
+            assert result.blew_up and result.completed_levels == 2
+            assert triple == ErrorTriple(math.inf, math.inf, math.inf)
 
 
 def test_build_report_formats():
@@ -214,7 +217,7 @@ def _separate_triples(problem, configs, axis, tmesh):
     return triples
 
 
-def test_lockstep_errors_equal_separate_runs_with_one_exact_call_per_level():
+def test_run_errors_equal_separate_runs_with_one_exact_call_per_level():
     problem = make_example(2.5)
     calls = []
 
@@ -224,30 +227,49 @@ def test_lockstep_errors_equal_separate_runs_with_one_exact_call_per_level():
 
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(40, problem.horizon)
-    configs = [
-        SchemeConfig(kind=SchemeKind.COMPACT_1D),
-        SchemeConfig(kind=SchemeKind.SECOND_ORDER),
-    ]
-    shared = lockstep_errors(dataclasses.replace(problem, exact=counted), configs, axis, tmesh)
-    assert shared == _separate_triples(problem, configs, axis, tmesh)
+    kinds = [SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER]
+    shared = run_errors(dataclasses.replace(problem, exact=counted), kinds, axis, 40)
+    configs = [SchemeConfig(kind=kind) for kind in kinds]
+    assert [triple for _, triple in shared] == _separate_triples(problem, configs, axis, tmesh)
+    assert all(result.completed_levels == 41 and not result.blew_up for result, _ in shared)
     assert calls == list(tmesh.nodes)
+
+
+def test_run_errors_of_the_characteristic_kind_keeps_its_own_time_mesh():
+    # h_t = h/a on the problem's axis, next to an implicit kind on h_t = T/M;
+    # M = 16 < floor(a T / h) = 17 puts the switch-on time t_* = T/2 on the
+    # implicit kind's time mesh
+    problem = make_example(2.5)
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    assert step_count(problem, axis, SchemeKind.EXPLICIT_CHARACTERISTIC) == 17
+    m = 16
+    (explicit, exact_triple), (implicit, triple) = run_errors(
+        problem, ["characteristic", "compact1d"], axis, m
+    )
+    assert explicit.completed_levels == implicit.completed_levels == m + 1
+    assert exact_triple.Ch <= 1e-12 < triple.Ch
+    assert [triple] == _separate_triples(
+        problem, [SchemeConfig(SchemeKind.COMPACT_1D)], axis, build_time_mesh(m, problem.horizon)
+    )
 
 
 @pytest.mark.parametrize("unstable_first", [True, False])
 def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first):
     # Courant number a h_t / h = 1.79: compact1d (sigma = 1/12) blows up,
     # the sigma = 1/2 second-order scheme is unconditionally stable
-    problem = make_example(1.5)
+    problem = dataclasses.replace(make_example(1.5), horizon=20.0)
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    unstable, stable = SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER
+    kinds = [unstable, stable] if unstable_first else [stable, unstable]
+    shared = dict(zip(kinds, run_errors(problem, kinds, axis, 200)))
+    separate = {kind: run_errors(problem, [kind], axis, 200)[0] for kind in kinds}
+    assert shared[unstable][0].blew_up and separate[unstable][0].blew_up
+    assert shared[unstable][1] == separate[unstable][1] == ErrorTriple(math.inf, math.inf, math.inf)
+    assert shared[stable][1] == separate[stable][1]
+    assert math.isfinite(shared[stable][1].Ch)
     tmesh = build_time_mesh(200, 20.0)
-    unstable = SchemeConfig(kind=SchemeKind.COMPACT_1D)
-    stable = SchemeConfig(kind=SchemeKind.SECOND_ORDER)
-    configs = [unstable, stable] if unstable_first else [stable, unstable]
-    shared = dict(zip(configs, lockstep_errors(problem, configs, axis, tmesh)))
-    separate = dict(zip(configs, _separate_triples(problem, configs, axis, tmesh)))
-    assert shared[unstable] == separate[unstable] == ErrorTriple(math.inf, math.inf, math.inf)
-    assert shared[stable] == separate[stable]
-    assert math.isfinite(shared[stable].Ch)
+    [expected] = _separate_triples(problem, [SchemeConfig(stable)], axis, tmesh)
+    assert shared[stable][1] == expected
 
 
 def test_run_shows_the_aborting_level_to_the_observer():

@@ -1,6 +1,11 @@
-"""Smoke runs of the demos that exercise graded meshes, the characteristic
-mesh, the operator pairs, the stability checks and the splitting handle:
-each must exit 0 and print something."""
+"""Runs of the demos, which exercise uniform and graded meshes, the
+characteristic mesh, the operator pairs, the stability checks and the
+splitting handle: each must exit 0 and print, byte for byte, its golden
+output under `golden/demos/`.
+
+A change that moves a printed figure updates the golden file and lists the
+figure in CHANGES.md.
+"""
 
 import os
 import subprocess
@@ -10,11 +15,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize(
     "demo",
     [
+        "01_uniform_convergence.py",
         "02_graded_meshes.py",
         "03_characteristic_mesh.py",
         "04_stability_certificates.py",
@@ -29,4 +36,4 @@ def test_demo_runs(demo):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == (GOLDEN / demo).with_suffix(".txt").read_text()

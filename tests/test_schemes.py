@@ -24,7 +24,7 @@ from compactwave.operators import (
     pair_appliers,
     step_factor,
 )
-from compactwave.analysis import ErrorObserver
+from compactwave.analysis import ErrorTriple, run_errors
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     ProblemSpec,
@@ -42,6 +42,7 @@ from compactwave.schemes import (
     operator_pair,
     run,
     run_explicit_characteristic,
+    step_count,
 )
 from compactwave.solvers import sine_coefficients, sine_spectrum
 from oracles import assemble_dense_operator, dense_solve_oracle
@@ -278,8 +279,7 @@ def test_graded_identity_layout_matches_uniform_scheme():
     n = 64
     uniform = build_uniform_axis(n, 1.0, -0.5)
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi0"], n, 1.0, -0.5)
-    m = select_time_step_count(mesh_stats(uniform).h_min, problem.speeds[0], 1.0)
-    tmesh = build_time_mesh(m, 1.0)
+    tmesh = build_time_mesh(step_count(problem, uniform, SchemeKind.COMPACT_1D), 1.0)
     config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
     levels_uniform = [values for _, _, values in assemble(problem, config, [uniform], tmesh).march()]
     levels_graded = [values for _, _, values in assemble(problem, config, [graded], tmesh).march()]
@@ -307,19 +307,12 @@ def test_nonuniform_compact_is_an_alias_of_compact1d():
 def test_graded_power_mesh_fourth_order():
     problem = make_smooth_nonuniform_problem()
     phi = NODE_DISTRIBUTIONS["phi3"]
+    kind = SchemeKind.COMPACT_1D
     errors = {}
     for n in (100, 200, 400):
         axis = build_graded_axis(phi, n, 1.0, -0.5)
-        m = select_time_step_count(mesh_stats(axis).h_min, problem.speeds[0], 1.0)
-        tmesh = build_time_mesh(m, 1.0)
-        err = 0.0
-
-        def watch(level, t, v):
-            nonlocal err
-            err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, t) - v))))
-
-        run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=watch)
-        errors[n] = err
+        [(_, triple)] = run_errors(problem, [kind], axis, step_count(problem, axis, kind))
+        errors[n] = triple.Ch
     slope = -np.polyfit(np.log10(list(errors)), np.log10(list(errors.values())), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.2)
 
@@ -327,49 +320,74 @@ def test_graded_power_mesh_fourth_order():
 def test_halved_step_rule_blows_up():
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(800, 1.0, -0.5)
-    m = select_time_step_count(
-        mesh_stats(axis).h_min, problem.speeds[0], 1.0, 1.0 / math.sqrt(2.0)
-    )
-    tmesh = build_time_mesh(m, 1.0)
-    result = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    kind = SchemeKind.COMPACT_1D
+    m = step_count(problem, axis, kind, 1.0 / math.sqrt(2.0))
+    [(result, triple)] = run_errors(problem, [kind], axis, m)
     assert result.blew_up
     assert not result.stable
+    assert triple == ErrorTriple(math.inf, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("kind", ["compact1d", "second-order", "compactnd"])
+def test_step_count_is_the_practical_rule_on_one_axis(kind):
+    # no switch-on time: floor(factor a T / h_min), bit for bit
+    problem = make_smooth_nonuniform_problem()
+    for phi in ("phi0", "phi3", "phi6"):
+        for n in (50, 400, 1000):
+            axis = build_graded_axis(NODE_DISTRIBUTIONS[phi], n, 1.0, -0.5)
+            h_min = mesh_stats(axis).h_min
+            for factor in (math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.3):
+                rule = select_time_step_count(h_min, problem.speeds[0], problem.horizon, factor)
+                assert step_count(problem, axis, kind, factor) == rule
+
+
+def test_step_count_gives_m_equal_n_for_every_example():
+    # the switch-on time t_* = T/2 rounds the rule up to a multiple of N:
+    # N itself on the example's uniform axis at the default factor
+    for alpha in EXAMPLE_ALPHAS:
+        problem = make_example(alpha)
+        for n in (2, 20, 200, 400, 800, 1000, 1600, 3200):
+            axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+            for kind in ("compact1d", "second-order"):
+                assert step_count(problem, axis, kind) == n
+        graded = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 400, 1.0, -0.5)
+        assert step_count(problem, graded, "compact1d") == 5200
+        assert step_count(problem, graded, "compact1d", 0.1) == 400
+
+
+def test_step_count_of_the_characteristic_kind_is_the_last_level_inside_the_horizon():
+    for alpha in EXAMPLE_ALPHAS:
+        problem = make_example(alpha)
+        for n in (20, 40, 41, 200, 1000):
+            axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+            m = step_count(problem, axis, SchemeKind.EXPLICIT_CHARACTERISTIC)
+            assert m == _horizon_steps(problem, n)
+            # the factor does not enter: h_t = h/a is fixed
+            assert step_count(problem, axis, "characteristic", 0.3) == m
+    with pytest.raises(MeshError, match="single time step"):
+        step_count(make_example(1.5), build_uniform_axis(2, 1.0, -0.5), "characteristic")
 
 
 def test_second_order_scheme_runs_state():
     problem = make_example(1.5)
     axis = build_uniform_axis(100, 1.0, -0.5)
-    tmesh = build_time_mesh(100, 1.0)
-    err = 0.0
-
-    def watch(level, t, v):
-        nonlocal err
-        err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, t) - v))))
-
-    result = run(
-        problem,
-        SchemeConfig(kind=SchemeKind.SECOND_ORDER),
-        [axis],
-        tmesh,
-        observer=watch,
-    )
+    kind = SchemeKind.SECOND_ORDER
+    m = step_count(problem, axis, kind)
+    assert m == 100
+    [(result, triple)] = run_errors(problem, [kind], axis, m)
     assert result.stable
-    assert 0.0 < err < 0.2
+    assert 0.0 < triple.Ch < 0.2
 
 
 def test_second_order_smooth_forcing_second_order_halving():
     # the 2nd-order scheme with a smooth forcing table (sqrt(2) step rule)
     problem = make_smooth_nonuniform_problem()
     errors = {}
+    kind = SchemeKind.SECOND_ORDER
     for n in (40, 80):
         axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
-        m = select_time_step_count(
-            mesh_stats(axis).h_min, problem.speeds[0], problem.horizon, math.sqrt(2.0)
-        )
-        tmesh = build_time_mesh(m, problem.horizon)
-        obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, SchemeConfig(kind=SchemeKind.SECOND_ORDER), [axis], tmesh, observer=obs)
-        errors[n] = obs.result().Ch
+        [(_, triple)] = run_errors(problem, [kind], axis, step_count(problem, axis, kind))
+        errors[n] = triple.Ch
     assert 3.5 < errors[40] / errors[80] < 4.5
 
 
@@ -454,28 +472,29 @@ def test_every_kind_runs_where_the_readme_says():
 # explicit scheme on the characteristic mesh
 
 
+def _characteristic_errors(problem, n, m):
+    """The run and error triple of the characteristic kind at N = n, M = m."""
+    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    [(result, triple)] = run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, m)
+    return result, triple
+
+
 def test_characteristic_exactness_weak_data():
-    problem = make_example(1.5)
-    levels = []
-    _, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
-    err = max(
-        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[m]) - v)))
-        for m, v in enumerate(levels)
-    )
-    assert err < 1e-13
+    _, triple = _characteristic_errors(make_example(1.5), 20, 10)
+    assert triple.Ch < 1e-13
 
 
 def test_characteristic_dalembert_sine():
-    problem = make_sine_mode_problem((1.0,), (1.0,), (2,))
-    levels = []
-    _, axis, tmesh = run_explicit_characteristic(problem, 32, 16, observer=collect(levels))
+    # the travelling-wave form of the sine mode, against which the run (and
+    # its trace) is measured
     a = 1.0
-    for m, v in enumerate(levels):
-        t = tmesh.nodes[m]
-        expected = 0.5 * (
-            np.sin(2 * np.pi * (axis.nodes - a * t)) + np.sin(2 * np.pi * (axis.nodes + a * t))
-        )
-        assert np.max(np.abs(v - expected)) < 1e-12
+    travelling = lambda x, t: 0.5 * (
+        np.sin(2 * np.pi * (x - a * t)) + np.sin(2 * np.pi * (x + a * t))
+    )
+    problem = dataclasses.replace(make_sine_mode_problem((a,), (1.0,), (2,)), exact=travelling)
+    result, triple = _characteristic_errors(problem, 32, 16)
+    assert result.completed_levels == 17
+    assert triple.Ch < 1e-12
 
 
 def test_characteristic_summed_formula_equals_recursion():
@@ -542,9 +561,9 @@ def test_problem_with_only_a_velocity_callable_assembles_and_runs():
     scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
     sampled = initial_velocity(problem.u1_fn, [axis], tmesh.h_t, problem.speeds)
     assert np.array_equal(scheme.u1n, sampled)
-    obs = ErrorObserver(problem.exact, axis, tmesh)
-    assert scheme.run(observer=obs).stable
-    assert obs.result().Ch < 1e-5
+    [(result, triple)] = run_errors(problem, [SchemeKind.COMPACT_1D], axis, tmesh.n_steps)
+    assert result.stable
+    assert triple.Ch < 1e-5
 
 
 def test_forcing_table_level_0_is_the_first_step_forcing():
@@ -591,18 +610,20 @@ def _horizon_steps(problem, n):
     return math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
 
 
-@pytest.mark.parametrize("n", [20, 40, 41, 200])
+@pytest.mark.parametrize("n", [20, 40, 41, 200, 400, 800])
 @pytest.mark.parametrize("alpha", EXAMPLE_ALPHAS)
 def test_characteristic_exact_on_catalog(alpha, n):
     # odd N puts the data breakpoints between nodes, so the footprints of the
-    # nodes next to them get their own crossing times
+    # nodes next to them get their own crossing times; at N = 400 and 800 the
+    # nodes next to the E_0.5 fronts carry the rounding of the origin, and
+    # the exact solution and the runner judge that tie on one scale
     problem = make_example(alpha)
-    m = _horizon_steps(problem, n)
-    axis, tmesh = characteristic_meshes(problem, n, m)
-    obs = ErrorObserver(problem.exact, axis, tmesh)
-    result, _, _ = run_explicit_characteristic(problem, n, m, observer=obs)
+    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    m = step_count(problem, axis, SchemeKind.EXPLICIT_CHARACTERISTIC)
+    assert m == _horizon_steps(problem, n)
+    result, triple = _characteristic_errors(problem, n, m)
     assert result.stable
-    assert obs.result().Ch <= 1e-12
+    assert triple.Ch <= 1e-12
 
 
 @pytest.mark.parametrize("n", [20, 40])
@@ -610,15 +631,8 @@ def test_characteristic_atom_on_footprint_corners(n):
     # with a = 1 the switch-on time t_* = 0.4 is a mesh level and the Dirac
     # atom at (0, t_*) sits on footprint corners and edges; the run stops
     # before the initial-velocity front reaches the boundary at t = 0.5
-    problem = make_example(0.5, horizon=0.8, a=1.0)
-    m = n // 2 - 1
-    levels = []
-    _, axis, tmesh = run_explicit_characteristic(problem, n, m, observer=collect(levels))
-    err = max(
-        float(np.max(np.abs(problem.exact(axis.nodes, tmesh.nodes[k]) - v)))
-        for k, v in enumerate(levels)
-    )
-    assert err <= 1e-12
+    _, triple = _characteristic_errors(make_example(0.5, horizon=0.8, a=1.0), n, n // 2 - 1)
+    assert triple.Ch <= 1e-12
 
 
 # scalar oracle of the cell averages: one node, one term at a time
