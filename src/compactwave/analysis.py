@@ -109,6 +109,12 @@ def _last_level(exact: Callable) -> Callable:
     return evaluate
 
 
+# a level past ~1e154 overflows the observers' squares: the march's verdict
+# ends such a run, which reports the infinite triple, so the warning is moot.
+# One errstate per call covers the marches too, on purpose: an overflow in a
+# step gives an infinite or NaN level, which the same verdict ends, and an
+# errstate around each observe call would cost every level.
+@np.errstate(over="ignore")
 def run_errors(
     problem, kinds: Sequence[SchemeKind | str], axis: AxisMesh, n_steps: int
 ) -> list[tuple[RunResult, ErrorTriple]]:

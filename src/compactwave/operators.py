@@ -270,12 +270,26 @@ def compose_pair(
 
 
 def pair_appliers(
-    pair: str | None, meshes: Sequence[AxisMesh], speeds: Sequence[float], h_t: float | None = None
+    pair: str | None,
+    meshes: Sequence[AxisMesh],
+    speeds: Sequence[float],
+    h_t: float | None = None,
+    face: tuple[int, int] | None = None,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """The mass B and the stiffness A of a scheme's operator pair as maps from
     a full node array to its interior values: `compose_pair` over the
-    stencil rows (the splitting pair needs h_t)."""
-    return compose_pair(pair, _average_factors(meshes), _stiffness_factors(meshes, speeds), h_t)
+    stencil rows (the splitting pair needs h_t).
+
+    face = (axis, side) keeps only the row next to that face (side 0 or -1)
+    on its axis: the maps take the 3-node slab at the face and give the
+    interior layer next to it, element for element as the full maps do."""
+    averages, stiffs = _average_factors(meshes), _stiffness_factors(meshes, speeds)
+    if face is not None:
+        axis, side = face
+        rows = slice(0, 1) if side == 0 else slice(-1, None)
+        cut = lambda f: TridiagonalFactor(axis, f.lower[rows], f.diag[rows], f.upper[rows])
+        averages[axis], stiffs[axis] = cut(averages[axis]), cut(stiffs[axis])
+    return compose_pair(pair, averages, stiffs, h_t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,17 @@ right-hand side, and starts from
 
     (B + sigma h_t^2 A) (v^1 - v^0) / h_t = u_1N + (h_t/2) (f_N^0 - A v^0).
 
+Both are solved in increment form, for v^1 - v^0 and for the second
+difference v^{m+1} - 2 v^m + v^{m-1}: one A apply and one solve per level.
+
 A kind fixes its dimensions, operator pair, sigma and meshes (_KINDS).  A
 scheme holds per-axis stencil rows (the compact averages and the stiffness
 rows -a_i^2 Lambda_i) and one solver handle, which applies the step operator
 and solves with it.  The 1D kinds and the splitting form use the product of
 their per-axis step factors (SplittingHandle; 1D is the one-factor case).
 compact2d, compact3d and nD compactnd solve over the tensor sine basis
-(SpectralHandle) and apply B and A as sums and products of the per-axis rows.
+(SpectralHandle) and apply B and A as sums and products of the per-axis rows;
+they lift a trace with the step operator's rows next to each face.
 
 Every scheme, the explicit one included, marches through one level loop
 (_march), which applies the blow-up rule to each level it computes; every
@@ -206,7 +210,8 @@ class Scheme:
         self.sigma = _KINDS[kind].sigma
 
         # B and A from per-axis stencil rows; one solver handle for the step operator
-        mass, stiffness = pair_appliers(self.pair, meshes, self.speeds, self.h_t)
+        appliers = functools.partial(pair_appliers, self.pair, meshes, self.speeds, self.h_t)
+        mass, stiffness = appliers()
         self._stiffness = stiffness
         self._interior = tuple(slice(1, -1) for _ in meshes)
         # the one rule for a non-zero trace, kept by boundary_values and solve_step;
@@ -222,8 +227,15 @@ class Scheme:
         else:
             mu_b, mu_a = self.spectra
             c = self.sigma * self.h_t**2
-            self._solver = SpectralHandle(mu_b + c * mu_a, lambda v: mass(v) + c * stiffness(v))
+            step = lambda b, a: lambda v: b(v) + c * a(v)
+            # the face maps lift a trace; the handle builds them on its first lift
+            self._solver = SpectralHandle(
+                mu_b + c * mu_a,
+                step(mass, stiffness),
+                lambda axis, side: step(*appliers(face=(axis, side))),
+            )
 
+        self._shape = tuple(m.nodes.size for m in meshes)
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
         velocity = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
@@ -275,11 +287,23 @@ class Scheme:
             for _, _, idx, coords in self._faces:
                 values[idx] = problem.exact(*coords, t)
 
-    def solve_step(self, rhs_interior: np.ndarray, t_boundary: float) -> np.ndarray:
-        """Solve (B + sigma h_t^2 A) v = rhs with the trace at t_boundary."""
-        out = np.zeros(tuple(m.nodes.size for m in self.meshes))
-        self.boundary_values(out, t_boundary)
-        out[self._interior] = self._solver.solve(rhs_interior, out if self._traced else None)
+    def solve_step(
+        self, rhs_interior: np.ndarray, t_boundary: float, base: np.ndarray
+    ) -> np.ndarray:
+        """The full array with the trace at t_boundary on its faces and
+        base + w inside, S w = rhs - lift, S = B + sigma h_t^2 A (a zero base
+        gives S v = rhs).  The lift is S applied to w's trace, the trace
+        minus base's faces, which the solver handle takes from the nodes next
+        to a face.  Without a trace (zero faces, no boundary_values call) the
+        lift is left out when base's faces are zero too, as they are in every
+        step whose base does not hold v^0."""
+        out = np.zeros(self._shape)
+        if self._traced:
+            self.boundary_values(out, t_boundary)
+        trace = out - base
+        trace[self._interior] = 0.0
+        inner = self._solver.solve(rhs_interior, trace if self._traced or trace.any() else None)
+        out[self._interior] = base[self._interior] + inner
         return out
 
     # -- stepping ----------------------------------------------------------------
@@ -290,22 +314,24 @@ class Scheme:
 
     def first_step(self, v0: np.ndarray, u1n: np.ndarray, fn0: np.ndarray) -> np.ndarray:
         """Level 1 from the full array v0, the interior initial velocity u1n
-        and the interior forcing fn0 = f_N^0 of the first-step equation."""
+        and the interior forcing fn0 = f_N^0 of the first-step equation, in
+        increment form: one A apply and one solve,
+        S (v^1 - v^0) = h_t u1n + (h_t^2/2) (fn0 - A v^0), with the trace
+        of v^1 - v^0 on the faces."""
         h_t = self.h_t
-        rhs = self.apply_step_operator_interior(v0) + h_t * (
-            u1n + 0.5 * h_t * fn0 - 0.5 * h_t * self.apply_a_interior(v0)
-        )
-        return self.solve_step(rhs, self.tmesh.nodes[1])
+        rhs = h_t * (u1n + 0.5 * h_t * fn0 - 0.5 * h_t * self.apply_a_interior(v0))
+        return self.solve_step(rhs, self.tmesh.nodes[1], base=v0)
 
     def time_step(
         self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray
     ) -> np.ndarray:
         """Level `level` + 1 from the two levels before it and the interior
-        forcing fn = f_N^level."""
-        h_t = self.h_t
-        rhs = h_t**2 * (fn - self.apply_a_interior(v_curr))
-        rhs += self.apply_step_operator_interior(2.0 * v_curr - v_prev)
-        return self.solve_step(rhs, self.tmesh.nodes[level + 1])
+        forcing fn = f_N^level, in increment form: one A apply and one solve
+        for the second difference w = v^{m+1} - 2 v^m + v^{m-1},
+        S w = h_t^2 (fn - A v^m), with the second difference of the trace
+        on the faces."""
+        rhs = self.h_t**2 * (fn - self.apply_a_interior(v_curr))
+        return self.solve_step(rhs, self.tmesh.nodes[level + 1], base=2.0 * v_curr - v_prev)
 
     def _levels(self, v0: np.ndarray, u1n: np.ndarray, forcing: Callable[[int], np.ndarray]):
         """The level generator (_march) of the recursion started from the

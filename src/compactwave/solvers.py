@@ -6,7 +6,8 @@ factored operator (one per-axis step factor for the 1D schemes, one per axis
 for the splitting form) is solved axis by axis, with one TriSolver per factor
 that factors its rows once.  The spectral solver keeps the eigenvalue tensor
 of an assembled nD operator over the tensor sine basis.  Both handles apply
-their operator and solve with it, lifting a given trace.  The spectra of an
+their operator and solve with it, lifting a given trace (the spectral one
+from the operator's rows next to each face).  The spectra of an
 operator pair are `operators.compose_pair`, the composer of the stencil
 rows, over per-axis eigenvalue factors broadcast over the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
@@ -16,6 +17,7 @@ axes each transform is one matrix product with the symmetric sine matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -194,21 +196,58 @@ def operator_pair_c0(pair: str) -> float:
 
 class SpectralHandle:
     """Diagonal solve over the tensor sine basis for an assembled operator,
-    given by its eigenvalue tensor and its applier (full array in, interior out)."""
+    given by its eigenvalue tensor and its applier (full array in, interior out).
 
-    def __init__(self, eigenvalues: np.ndarray, apply: Callable[[np.ndarray], np.ndarray]):
+    A trace is lifted face by face: face_apply(axis, side) is the operator
+    with the rows of `axis` cut to the one next to that face (side 0 or -1;
+    `operators.pair_appliers` with `face`).  The 2n face maps are built on
+    the first solve with a trace, so a run that never lifts one never builds
+    them.  Without face_apply the handle solves homogeneous systems only.
+    """
+
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        apply: Callable[[np.ndarray], np.ndarray],
+        face_apply: Callable[[int, int], Callable[[np.ndarray], np.ndarray]] | None = None,
+    ):
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if np.any(eigenvalues == 0.0) or not np.all(np.isfinite(eigenvalues)):
             raise SingularSystemError("assembled operator has a zero eigenvalue")
         self.eigenvalues = eigenvalues
         self.apply = apply
+        self._face_apply = face_apply
+
+    @functools.cached_property
+    def _faces(self) -> list[tuple[tuple, tuple, Callable[[np.ndarray], np.ndarray]]]:
+        """(slab, layer, map) of each face: the 3-node slab at the face, the
+        interior layer next to it and the face's map from one to the other."""
+        if self._face_apply is None:
+            raise ValueError("a trace needs the face appliers of the operator")
+        n = self.eigenvalues.ndim
+        faces = []
+        for axis in range(n):
+            for side in (0, -1):
+                slab, layer = [slice(None)] * n, [slice(None)] * n
+                slab[axis] = slice(0, 3) if side == 0 else slice(-3, None)
+                layer[axis] = slice(0, 1) if side == 0 else slice(-1, None)
+                faces.append((tuple(slab), tuple(layer), self._face_apply(axis, side)))
+        return faces
 
     def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
-        """Solve on the interior; `boundary` as for SplittingHandle.solve."""
+        """Solve on the interior; `boundary` as for SplittingHandle.solve.
+
+        Its lift apply(boundary) is nonzero only on the interior layers next
+        to a face.  Each face's map takes the 3-node slab at the face to its
+        layer, and the layers are assigned, not added: a node next to two
+        faces gets the full apply's value bit for bit, in O(N^{n-1}) work."""
         if rhs.shape != self.eigenvalues.shape:
             raise ValueError("rhs shape does not match the spectrum table")
         if boundary is not None:
-            rhs = rhs - self.apply(boundary)
+            lift = np.zeros(rhs.shape)
+            for slab, layer, applier in self._faces:
+                lift[layer] = applier(boundary[slab])
+            rhs = rhs - lift
         coeffs = sine_coefficients(rhs)
         return sine_synthesis(coeffs / self.eigenvalues)
 

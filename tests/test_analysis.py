@@ -160,6 +160,22 @@ def test_blown_up_run_reports_infinite_norms():
             assert triple == ErrorTriple(math.inf, math.inf, math.inf)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_past_the_square_range_reports_inf_without_warnings():
+    # level 1 near 1e200 is past the range of the observers' squares (~1e154):
+    # the run still reports the infinite triple, and no overflow warning
+    axis = build_uniform_axis(10, 1.0)
+    problem = ProblemSpec(
+        name="huge velocity", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=1.0,
+        u0=lambda x: np.zeros_like(x), u1_fn=lambda x: np.full_like(x, 1e200),
+        exact=lambda x, t: np.zeros_like(x),
+    )
+    for kind in ("compact1d", "second-order", "characteristic"):
+        [(result, triple)] = run_errors(problem, [kind], axis, 4)
+        assert result.blew_up and result.completed_levels == 2
+        assert triple == ErrorTriple(math.inf, math.inf, math.inf)
+
+
 def test_build_report_formats():
     rep = ConvergenceReport(
         problem="E_2.5",

@@ -99,7 +99,7 @@ def _solve_with_full_lift(scheme, rhs, t):
     untraced = dataclasses.replace(scheme.problem, exact=None, g=None)
     homogeneous = assemble(untraced, scheme.config, scheme.meshes, scheme.tmesh)
     lifted = rhs - scheme.apply_step_operator_interior(out)
-    out[interior] = homogeneous.solve_step(lifted, t)[interior]
+    out[interior] = homogeneous.solve_step(lifted, t, np.zeros(out.shape))[interior]
     return out
 
 
@@ -114,7 +114,7 @@ def test_zero_trace_shortcut_equals_full_lift_bitwise(kind, ndim):
     )
     for problem, zero_trace in ((zero_problem(ndim), True), (traced, False)):
         scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
-        got = scheme.solve_step(rhs, 0.1)
+        got = scheme.solve_step(rhs, 0.1, np.zeros(tuple(m.nodes.size for m in meshes)))
         full = _solve_with_full_lift(scheme, rhs, 0.1)
         if zero_trace or (ndim > 1 and kind != SchemeKind.SPLITTING):
             # the spectral solves lift the trace exactly as the reference does
@@ -123,6 +123,34 @@ def test_zero_trace_shortcut_equals_full_lift_bitwise(kind, ndim):
             # the factored solves fold the trace in axis by axis
             np.testing.assert_allclose(got, full, rtol=1e-12, atol=1e-12)
         assert (np.count_nonzero(got) == rhs.size) == zero_trace
+
+
+@pytest.mark.parametrize("kind,ndim", IMPLICIT_KINDS)
+def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind, ndim):
+    # a problem without a trace whose u0 is nonzero on the faces: the
+    # increment steps equal the recursion that applies S to the whole level,
+    # S v^1 = S v^0 + h_t (u1n + (h_t/2)(f^0 - A v^0)) and
+    # S v^{m+1} = S (2 v^m - v^{m-1}) + h_t^2 (f^m - A v^m), zero faces
+    problem = dataclasses.replace(zero_problem(ndim), u0=lambda *xs: 1.0 + np.prod(xs, axis=0))
+    meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
+    scheme = assemble(problem, SchemeConfig(kind=kind), meshes, build_time_mesh(6, 0.05))
+    levels = []
+    assert scheme.run(collect(levels)).stable
+    shape, h_t = levels[0].shape, scheme.h_t
+    zero = np.zeros(shape)
+    S, A = scheme.apply_step_operator_interior, scheme.apply_a_interior
+    want = [levels[0]]
+    for m in range(scheme.tmesh.n_steps):
+        fn = scheme.fn_table(m)
+        if m == 0:
+            rhs = S(want[0]) + h_t * (scheme.u1n + 0.5 * h_t * (fn - A(want[0])))
+        else:
+            rhs = S(2.0 * want[m] - want[m - 1]) + h_t**2 * (fn - A(want[m]))
+        want.append(scheme.solve_step(rhs, scheme.tmesh.nodes[m + 1], zero))
+    assert len(levels) == len(want)
+    scale = max(np.max(np.abs(v)) for v in want)
+    for got, ref in zip(levels, want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 def test_kind_dimension_compatibility():

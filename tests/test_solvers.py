@@ -275,9 +275,11 @@ def test_handles_solve_with_a_boundary_trace(spectral):
     h_t = 0.04
     if spectral:
         mu_b, mu_a = pair_spectra(meshes, speeds, "sum_stiffsum")
-        mass, stiffness = pair_appliers("sum_stiffsum", meshes, speeds)
+        step = lambda b, a: lambda v: b(v) + h_t**2 / 12.0 * a(v)
         handle = SpectralHandle(
-            mu_b + h_t**2 / 12.0 * mu_a, lambda v: mass(v) + h_t**2 / 12.0 * stiffness(v)
+            mu_b + h_t**2 / 12.0 * mu_a,
+            step(*pair_appliers("sum_stiffsum", meshes, speeds)),
+            lambda axis, side: step(*pair_appliers("sum_stiffsum", meshes, speeds, face=(axis, side))),
         )
     else:
         handle = SplittingHandle([step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)])
@@ -415,3 +417,40 @@ def test_step_factor_spectrum_matches_dense():
     assert np.allclose(spec, dense, rtol=1e-12)
     with pytest.raises(ValueError):
         pair_spectra([mesh], (a,), "prod_residual_stiffprod")
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("pair", sorted(PAIR_FORMS))
+def test_face_rows_give_the_full_apply_of_a_trace_bitwise(pair, dims):
+    # the maps of one face take the slab at the face to the layer next to
+    # it exactly as the full maps do; off those layers a zero-interior
+    # trace maps to zero
+    rng = np.random.default_rng(40 + dims)
+    meshes = [
+        build_uniform_axis(int(rng.integers(2, 6)), float(rng.uniform(0.5, 2.0))) for _ in range(dims)
+    ]
+    speeds = tuple(float(v) for v in rng.uniform(0.3, 1.8, dims))
+    h_t = 0.3 * min(m.h for m in meshes)
+    trace = rng.standard_normal(tuple(m.nodes.size for m in meshes))
+    trace[tuple(slice(1, -1) for _ in meshes)] = 0.0
+    full = pair_appliers(pair, meshes, speeds, h_t)
+    near_face = np.zeros(tuple(m.nodes.size - 2 for m in meshes), dtype=bool)
+    for axis in range(dims):
+        for side in (0, -1):
+            slab, layer = [slice(None)] * dims, [slice(None)] * dims
+            slab[axis] = slice(0, 3) if side == 0 else slice(-3, None)
+            layer[axis] = slice(0, 1) if side == 0 else slice(-1, None)
+            face = pair_appliers(pair, meshes, speeds, h_t, face=(axis, side))
+            for got, want in zip(face, full):
+                assert np.array_equal(got(trace[tuple(slab)]), want(trace)[tuple(layer)])
+            near_face[tuple(layer)] = True
+    for want in full:
+        assert not np.any(want(trace)[~near_face])
+
+
+def test_spectral_trace_needs_face_appliers():
+    mesh = build_uniform_axis(6, 1.0)
+    mass = pair_appliers("prod_stiffprod", [mesh, mesh], (1.0, 1.0))[0]
+    handle = SpectralHandle(pair_spectra([mesh, mesh], (1.0, 1.0), "prod_stiffprod")[0], mass)
+    with pytest.raises(ValueError, match="face appliers"):
+        handle.solve(np.zeros((5, 5)), boundary=np.ones((7, 7)))
