@@ -25,7 +25,7 @@ KINDS = (SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER)
 
 
 def study(alpha):
-    """(norm -> [(N, error)]) per kind; both kinds march in lockstep."""
+    """(norm -> [(N, error)]) per kind; both kinds march as one stack."""
     problem = make_example(alpha)
     points = {kind: {norm: [] for norm in NORM_NAMES} for kind in KINDS}
     for n in RESOLUTIONS:

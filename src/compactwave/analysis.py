@@ -1,5 +1,7 @@
-"""Error norms, least-squares order fitting, theoretical order formulas, and
-report assembly for convergence studies.
+"""Error norms, the recipe of a 1D run (run_errors: the implicit kinds of a
+study marched as one stack, each column watched by its own error observer),
+least-squares order fitting, theoretical order formulas, and report assembly
+for convergence studies.
 
 Three uniform-in-time mesh norms of the error r = u - v are tracked:
 
@@ -97,8 +99,8 @@ class ErrorObserver:
 
 
 def _last_level(exact: Callable) -> Callable:
-    """exact(x, t) remembered for the last (x, t) asked for: observers that
-    march in lockstep over one mesh evaluate each level once."""
+    """exact(x, t) remembered for the last (x, t) asked for: the observers of
+    a stack's columns, shown one level in turn, evaluate each level once."""
     last = [None, None, None]
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
@@ -120,10 +122,12 @@ def run_errors(
 ) -> list[tuple[RunResult, ErrorTriple]]:
     """The run and its error triple for each 1D kind on `axis` with
     `n_steps` steps (the rule is schemes.step_count): the recipe of every 1D
-    run.  The implicit kinds march level by level together over the horizon,
-    their observers sharing one exact evaluation per level; characteristic
-    runs on the problem's uniform axis with h_t = h/a.  A run that blew up
-    reports the infinite triple; the others run to the end.
+    run.  The implicit kinds, one scheme each, march over the horizon as one
+    stack with one column per kind (schemes.run_stacked: one A apply,
+    forcing entry, trace and block-diagonal solve per level), each run equal
+    to the kind's own bit for bit (a lone kind runs on its own); their
+    observers share one exact evaluation per level.  characteristic runs on the problem's uniform axis with h_t = h/a.  A run
+    that blew up reports the infinite triple; the others run to the end.
     """
     kinds = [SchemeKind(kind) for kind in kinds]
     exact = _last_level(problem.exact)
@@ -136,19 +140,13 @@ def run_errors(
             raise ValueError("the characteristic-mesh scheme runs on the problem's uniform axis")
         obs = ErrorObserver(exact, axis_c, tmesh_c)
         done[explicit] = schemes.run_explicit_characteristic(problem, n, n_steps, obs)[0], obs
-    tmesh = build_time_mesh(n_steps, problem.horizon)
-    active = {
-        kind: (schemes.assemble(problem, SchemeConfig(kind), [axis], tmesh).march(),
-               ErrorObserver(exact, axis, tmesh))
-        for kind in kinds if kind != explicit
-    }
-    while active:
-        for kind, (levels, obs) in tuple(active.items()):
-            try:
-                obs.observe(*next(levels))
-            except StopIteration as stop:
-                done[kind] = stop.value, obs
-                del active[kind]
+    implicit = [kind for kind in kinds if kind != explicit]
+    if implicit:
+        tmesh = build_time_mesh(n_steps, problem.horizon)
+        stack = [schemes.assemble(problem, SchemeConfig(kind), [axis], tmesh) for kind in implicit]
+        observers = [ErrorObserver(exact, axis, tmesh) for _ in implicit]
+        results = schemes.run_stacked(stack, observers)
+        done.update(zip(implicit, zip(results, observers)))
     return [
         (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else obs.result())
         for result, obs in map(done.get, kinds)

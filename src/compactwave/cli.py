@@ -241,7 +241,7 @@ def _study_exit(triples) -> int:
 
 def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
     """Error triples of both schemes (TABLE1_SCHEMES order) on E_alpha at N,
-    marched in lockstep at the step rule's M = N."""
+    marched as one stack at the step rule's M = N."""
     problem = problems.make_example(alpha)
     axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
     m = schemes.step_count(problem, axis, TABLE1_SCHEMES[0])

@@ -17,15 +17,22 @@ difference v^{m+1} - 2 v^m + v^{m-1}: one A apply and one solve per level.
 A kind fixes its dimensions, operator pair, sigma and meshes (_KINDS).  A
 scheme holds per-axis stencil rows (the compact averages and the stiffness
 rows -a_i^2 Lambda_i) and one solver handle, which applies the step operator
-and solves with it.  The 1D kinds and the splitting form use the product of
-their per-axis step factors (SplittingHandle; 1D is the one-factor case).
-compact2d, compact3d and nD compactnd solve over the tensor sine basis
-(SpectralHandle) and apply B and A as sums and products of the per-axis rows;
-they lift a trace with the step operator's rows next to each face.
+and solves with it.  A 1D kind solves with its one step factor
+(StackHandle), the splitting form with the product of its per-axis step
+factors (SplittingHandle).  compact2d, compact3d and nD compactnd solve over
+the tensor sine basis (SpectralHandle) and apply B and A as sums and
+products of the per-axis rows; they lift a trace with the step operator's
+rows next to each face.
 
-Every scheme, the explicit one included, marches through one level loop
-(_march), which applies the blow-up rule to each level it computes; every
-1D run takes its step count from one rule (step_count).
+A scheme's own march, the explicit one included, runs through one level
+loop (_march), which applies the blow-up rule to each level it computes.
+The recipe of a 1D run (analysis.run_errors) marches two or more implicit
+kinds as one stack instead (run_stacked), a (N+1, K) array with one column
+per kind: on one axis every 1D kind has the same A, so a level is one
+first_step or time_step of the stack, with one A apply, one forcing entry,
+one trace and one block-diagonal solve for all columns, and the blow-up
+rule takes each column out of the stack on its own.  Every 1D run takes its
+step count from one rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
@@ -60,7 +67,7 @@ from .operators import (
     pair_appliers,
     step_factor,
 )
-from .solvers import SpectralHandle, SplittingHandle, pair_spectra
+from .solvers import SpectralHandle, SplittingHandle, StackHandle, pair_spectra
 
 __all__ = [
     "SchemeKind",
@@ -69,6 +76,7 @@ __all__ = [
     "Scheme",
     "assemble",
     "run",
+    "run_stacked",
     "run_explicit_characteristic",
     "characteristic_meshes",
     "operator_pair",
@@ -83,9 +91,11 @@ COMPACT_SIGMA = 1.0 / 12.0
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
 
 
-def diverged(values: np.ndarray) -> bool:
-    """The blow-up rule: a non-finite value or a magnitude beyond 1e100."""
-    return not np.abs(values).max() <= BLOWUP_ABORT
+def diverged(values: np.ndarray, axis: int | None = None):
+    """The blow-up rule: a non-finite value or a magnitude beyond 1e100; one
+    verdict for the array, or one per slice along `axis` (axis=0 of a stack:
+    one per column)."""
+    return ~(np.abs(values).max(axis=axis) <= BLOWUP_ABORT)
 
 
 class SchemeKind(str, Enum):
@@ -218,12 +228,13 @@ class Scheme:
         # without boundary data the trace is identically zero: S 0 = 0 needs no lift
         self._traced = problem.exact is not None or (n == 1 and problem.g is not None)
         if n == 1 or kind == SchemeKind.SPLITTING:
-            # the product of the per-axis step factors, weighted ones when B = I (no pair)
+            # the per-axis step factors, weighted ones when B = I (no pair)
             sigma = self.sigma if self.pair is None else None
-            self._solver = SplittingHandle([
+            factors = [
                 step_factor(mesh, self.h_t, self.speeds[axis], axis, sigma)
                 for axis, mesh in enumerate(meshes)
-            ])
+            ]
+            self._solver = StackHandle(factors) if n == 1 else SplittingHandle(factors)
         else:
             mu_b, mu_a = self.spectra
             c = self.sigma * self.h_t**2
@@ -235,13 +246,19 @@ class Scheme:
                 lambda axis, side: step(*appliers(face=(axis, side))),
             )
 
-        self._shape = tuple(m.nodes.size for m in meshes)
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
         velocity = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
         self.u1n = initial_velocity(velocity, meshes, self.h_t, self.speeds)
         forcing = problem.f_data if problem.f_data is not None else problem.f_fn
         self.fn_table = build_rhs_table(forcing, meshes, tmesh)
+
+    @property
+    def step_factor(self):
+        """The step operator S of a 1D scheme: its one tridiagonal factor."""
+        if len(self.meshes) != 1:
+            raise ValueError("only a 1D scheme's step operator is one tridiagonal factor")
+        return self._solver.factors[0]
 
     @functools.cached_property
     def spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +291,8 @@ class Scheme:
         return faces
 
     def boundary_values(self, values: np.ndarray, t: float) -> None:
-        """Impose the Dirichlet trace on every face of a full node array."""
+        """Impose the Dirichlet trace on every face of a full node array (on
+        every column of a 1D stack)."""
         problem = self.problem
         if not self._traced:
             for _, _, idx, _ in self._faces:
@@ -288,7 +306,7 @@ class Scheme:
                 values[idx] = problem.exact(*coords, t)
 
     def solve_step(
-        self, rhs_interior: np.ndarray, t_boundary: float, base: np.ndarray
+        self, rhs_interior: np.ndarray, t_boundary: float, base: np.ndarray, solver=None
     ) -> np.ndarray:
         """The full array with the trace at t_boundary on its faces and
         base + w inside, S w = rhs - lift, S = B + sigma h_t^2 A (a zero base
@@ -296,13 +314,18 @@ class Scheme:
         minus base's faces, which the solver handle takes from the nodes next
         to a face.  Without a trace (zero faces, no boundary_values call) the
         lift is left out when base's faces are zero too, as they are in every
-        step whose base does not hold v^0."""
-        out = np.zeros(self._shape)
+        step whose base does not hold v^0.
+
+        `solver` is the scheme's own handle by default; a 1D stack passes the
+        StackHandle of its columns' factors with (N+1, K) arrays."""
+        solver = self._solver if solver is None else solver
+        out = np.empty_like(base)  # base's layout: a 1D stack's columns stay contiguous
+        out.fill(0.0)
         if self._traced:
             self.boundary_values(out, t_boundary)
         trace = out - base
         trace[self._interior] = 0.0
-        inner = self._solver.solve(rhs_interior, trace if self._traced or trace.any() else None)
+        inner = solver.solve(rhs_interior, trace if self._traced or trace.any() else None)
         out[self._interior] = base[self._interior] + inner
         return out
 
@@ -312,26 +335,28 @@ class Scheme:
         values = self.problem.u0(*self._grids)
         return np.array(values, dtype=float)
 
-    def first_step(self, v0: np.ndarray, u1n: np.ndarray, fn0: np.ndarray) -> np.ndarray:
+    def first_step(
+        self, v0: np.ndarray, u1n: np.ndarray, fn0: np.ndarray, solver=None
+    ) -> np.ndarray:
         """Level 1 from the full array v0, the interior initial velocity u1n
         and the interior forcing fn0 = f_N^0 of the first-step equation, in
         increment form: one A apply and one solve,
         S (v^1 - v^0) = h_t u1n + (h_t^2/2) (fn0 - A v^0), with the trace
-        of v^1 - v^0 on the faces."""
+        of v^1 - v^0 on the faces (`solver` as for solve_step)."""
         h_t = self.h_t
         rhs = h_t * (u1n + 0.5 * h_t * fn0 - 0.5 * h_t * self.apply_a_interior(v0))
-        return self.solve_step(rhs, self.tmesh.nodes[1], base=v0)
+        return self.solve_step(rhs, self.tmesh.nodes[1], v0, solver)
 
     def time_step(
-        self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray
+        self, v_prev: np.ndarray, v_curr: np.ndarray, level: int, fn: np.ndarray, solver=None
     ) -> np.ndarray:
         """Level `level` + 1 from the two levels before it and the interior
         forcing fn = f_N^level, in increment form: one A apply and one solve
         for the second difference w = v^{m+1} - 2 v^m + v^{m-1},
         S w = h_t^2 (fn - A v^m), with the second difference of the trace
-        on the faces."""
+        on the faces (`solver` as for solve_step)."""
         rhs = self.h_t**2 * (fn - self.apply_a_interior(v_curr))
-        return self.solve_step(rhs, self.tmesh.nodes[level + 1], base=2.0 * v_curr - v_prev)
+        return self.solve_step(rhs, self.tmesh.nodes[level + 1], 2.0 * v_curr - v_prev, solver)
 
     def _levels(self, v0: np.ndarray, u1n: np.ndarray, forcing: Callable[[int], np.ndarray]):
         """The level generator (_march) of the recursion started from the
@@ -399,6 +424,63 @@ def _drive(levels, observer: Callable[[int, float, np.ndarray], None] | None) ->
             return done.value
         if observer is not None:
             observer(*level)
+
+
+def run_stacked(
+    schemes: Sequence[Scheme], observers: Sequence[Callable[[int, float, np.ndarray], None]]
+) -> list[RunResult]:
+    """Run 1D schemes of one problem, axis and time mesh as one stack, a
+    (N+1, K) array with one column per scheme, showing each column's levels
+    to its own observer; one RunResult per scheme, equal to the scheme's own
+    run bit for bit.
+
+    Every 1D kind has the same A (-a^2 Lambda: compact1d's cross average runs
+    over no other axis, second-order has none), and the schemes share the
+    data u1n and fn_table and the trace, so each level is one first_step or
+    time_step of the first scheme on the stack, with the StackHandle of the
+    K step factors in place of its own.  A column that meets the blow-up
+    rule leaves the stack once its observer has seen that level, so no inf
+    or NaN reaches a shared solve.  A lone scheme runs on its own
+    (Scheme.run): the same step on 1-D levels, which cost less per level
+    than a stack of one column.
+    """
+    if not schemes or len(observers) != len(schemes):
+        raise ValueError(f"{len(observers)} observers for {len(schemes)} schemes")
+    lead = schemes[0]
+    if any(len(s.meshes) != 1 or s.meshes[0] is not lead.meshes[0] or s.problem is not lead.problem
+           or s.tmesh is not lead.tmesh for s in schemes):
+        raise ValueError("a stack runs 1D schemes of one problem, axis and time mesh")
+    if len(schemes) == 1:
+        return [lead.run(observers[0])]
+    tmesh, forcing = lead.tmesh, lead.fn_table
+    columns = list(range(len(schemes)))
+    results: list[RunResult | None] = [None] * len(columns)
+    handle = StackHandle([s.step_factor for s in schemes])
+    # the (K, N+1) array of contiguous rows, seen through its transpose
+    v_prev, v_curr = None, np.tile(lead.initial_level(), (len(columns), 1)).T
+    for observer, values in zip(observers, v_curr.T):
+        observer(0, 0.0, values)
+    for level in range(1, tmesh.n_steps + 1):
+        # the shared interior data broadcast over the columns
+        if level == 1:
+            v_next = lead.first_step(v_curr, lead.u1n[:, None], forcing(0)[:, None], handle)
+        else:
+            v_next = lead.time_step(v_prev, v_curr, level - 1, forcing(level - 1)[:, None], handle)
+        v_prev, v_curr = v_curr, v_next
+        for k, values in zip(columns, v_curr.T):
+            observers[k](level, tmesh.nodes[level], values)
+        blown = diverged(v_curr, axis=0)
+        if blown.any():
+            for i in np.flatnonzero(blown):
+                results[columns[i]] = RunResult(level + 1, v_prev[:, i], v_curr[:, i], True)
+            columns = [k for k, out in zip(columns, blown) if not out]
+            if not columns:
+                return results
+            v_prev, v_curr = v_prev.T[~blown].T, v_curr.T[~blown].T
+            handle = StackHandle([schemes[k].step_factor for k in columns])
+    for k, prev, curr in zip(columns, v_prev.T, v_curr.T):
+        results[k] = RunResult(tmesh.n_steps + 1, prev, curr, False)
+    return results
 
 
 def assemble(

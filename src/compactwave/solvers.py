@@ -1,15 +1,18 @@
 """Linear-system kernels: factored tridiagonal solves, sine-transform
 diagonalization and sequential splitting solves.
 
-Every implicit scheme step solves a system with the same operator.  A
-factored operator (one per-axis step factor for the 1D schemes, one per axis
-for the splitting form) is solved axis by axis, with one TriSolver per factor
-that factors its rows once.  The spectral solver keeps the eigenvalue tensor
-of an assembled nD operator over the tensor sine basis.  Both handles apply
-their operator and solve with it, lifting a given trace (the spectral one
-from the operator's rows next to each face).  The spectra of an
-operator pair are `operators.compose_pair`, the composer of the stencil
-rows, over per-axis eigenvalue factors broadcast over the tensor.
+Every implicit scheme step solves a system with the same operator.  The
+splitting form's product of per-axis step factors is solved axis by axis,
+with one TriSolver per factor that factors its rows once.  The step factor
+of a 1D scheme is solved by a stack handle, which also solves the step
+factors of several 1D schemes on one axis, one column each, as one
+block-diagonal TriSolver whose blocks solve as they do alone.  The spectral
+solver keeps the eigenvalue tensor of an assembled nD operator over the
+tensor sine basis.  The handles apply their operator and solve with it,
+lifting a given trace (the spectral one from the operator's rows next to each
+face).  The spectra of an operator pair are `operators.compose_pair`, the
+composer of the stencil rows, over per-axis eigenvalue factors broadcast over
+the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
@@ -38,6 +41,7 @@ __all__ = [
     "operator_pair_c0",
     "SpectralHandle",
     "SplittingHandle",
+    "StackHandle",
 ]
 
 _DIRECT_DST_MAX = 256
@@ -52,7 +56,8 @@ class SingularSystemError(RuntimeError):
 
 
 class TriSolver:
-    """Repeated solves with one tridiagonal factor.
+    """Repeated solves with one tridiagonal factor, or with the
+    block-diagonal system of several.
 
     The LU factorization with partial pivoting (LAPACK ?gttrf) is computed
     once; each solve is one ?gttrs sweep.  On strongly graded meshes the
@@ -60,31 +65,43 @@ class TriSolver:
     the plain sweeps (the 4th-order error at desk scale sits near 1e-10).
     Systems of one or two unknowns are padded to three with decoupled unit
     rows.
+
+    Several factors are solved as one system whose blocks are coupled by
+    zeros, the rhs stacking the blocks' unknowns along its first axis.  A
+    zero coupling never wins a pivot, so no row is swapped across a block and
+    each block solves bit for bit as it does alone (a zero may change its
+    sign).  A non-finite value in one block spreads to the others (0 * inf),
+    so a caller keeps such blocks out of a shared solve.
     """
 
-    def __init__(self, factor: TridiagonalFactor):
+    def __init__(self, *factors: TridiagonalFactor):
         # imported here, not with the module: scipy.linalg adds ~0.1 s and
         # ~5 MB to every run, and only the tridiagonal solves need it
         from scipy.linalg.lapack import dgttrf, dgttrs
 
-        n = factor.n_interior
+        sizes = np.array([f.n_interior for f in factors])
+        n = int(sizes.sum())
         pad = max(_GT_MIN_UNKNOWNS - n, 0)
-        off = np.zeros(pad)
+        lower = np.concatenate([f.lower for f in factors] + [np.zeros(pad)])
+        upper = np.concatenate([f.upper for f in factors] + [np.zeros(pad)])
+        # each block's couplings to its boundary nodes become the zero
+        # couplings between neighbouring blocks
+        ends = np.cumsum(sizes)
+        lower[ends - sizes] = 0.0
+        upper[ends - 1] = 0.0
         *lu, info = dgttrf(
-            np.concatenate([factor.lower[1:], off]),
-            np.concatenate([factor.diag, np.ones(pad)]),
-            np.concatenate([factor.upper[:-1], off]),
+            lower[1:], np.concatenate([f.diag for f in factors] + [np.ones(pad)]), upper[:-1]
         )
         if info > 0:
             raise SingularSystemError(f"zero pivot in row {info} of the tridiagonal factor")
-        self.factor = factor
+        self.n_interior = n
         self._lu = lu
         self._pad = pad
         self._dgttrs = dgttrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        n = self.factor.n_interior
+        n = self.n_interior
         if rhs.shape[0] != n:
             raise ValueError(f"rhs length {rhs.shape[0]} != interior count {n}")
         if self._pad:
@@ -254,7 +271,7 @@ class SpectralHandle:
 
 class SplittingHandle:
     """Sequential per-axis tridiagonal solves for a product of factors, one
-    per axis; a single factor is the step operator of a 1D scheme.
+    per axis: the step operator of the splitting form.
 
     Nonhomogeneous boundary values enter through the partial products of the
     remaining factors applied to the boundary extension.
@@ -302,3 +319,41 @@ class SplittingHandle:
             solved = solver.solve(w.reshape(w.shape[0], -1))
             out = solved.reshape(w.shape).swapaxes(0, axis)
         return out
+
+
+class StackHandle:
+    """The step factors of 1D schemes on one axis, one per column of a stack:
+    a (N+1, K) node array steps column k with factor k, and a 1-D node array
+    is a stack of one (a 1D scheme's own handle).
+
+    The solve is one block-diagonal TriSolver over the K factors, whose
+    blocks solve bit for bit as they do alone; each column lifts its trace
+    with its own factor's couplings to the two boundary nodes.  Elementwise
+    work is fast on a stack whose columns are contiguous (Fortran order).
+    """
+
+    def __init__(self, factors: Sequence[TridiagonalFactor]):
+        self.factors = list(factors)
+        self._solver = TriSolver(*self.factors)
+        # the couplings to the boundary nodes, one per column (a scalar for one)
+        self._lower = np.array([f.lower[0] for f in self.factors]).squeeze()
+        self._upper = np.array([f.upper[-1] for f in self.factors]).squeeze()
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Each column's factor applied to a full node array; interior values."""
+        columns = values.reshape(values.shape[0], -1).T
+        if len(columns) != len(self.factors):
+            raise ValueError(f"{len(columns)} columns for {len(self.factors)} step factors")
+        out = [f.apply(c) for f, c in zip(self.factors, columns)]
+        return np.stack(out, axis=-1).reshape((-1,) + values.shape[1:])
+
+    def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
+        """Solve column by column on the interior; `boundary` as for
+        SplittingHandle.solve.  The block-diagonal system stacks the columns
+        one after another: a stack whose columns are contiguous (the
+        transpose of a C-ordered (K, N+1) array) solves without a copy."""
+        out = np.array(rhs, dtype=float)
+        if boundary is not None:
+            out[0] -= self._lower * boundary[0]
+            out[-1] -= self._upper * boundary[-1]
+        return self._solver.solve(out.T.reshape(-1)).reshape(out.shape[::-1]).T

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -14,8 +15,14 @@ from compactwave.analysis import (
     run_errors,
     theoretical_orders,
 )
-from compactwave.mesh import build_time_mesh, build_uniform_axis
-from compactwave.problems import ProblemSpec, make_example
+from compactwave import operators, schemes, solvers
+from compactwave.mesh import (
+    NODE_DISTRIBUTIONS,
+    build_graded_axis,
+    build_time_mesh,
+    build_uniform_axis,
+)
+from compactwave.problems import ProblemSpec, make_example, make_smooth_nonuniform_problem
 from compactwave.schemes import (
     SchemeConfig,
     SchemeKind,
@@ -221,7 +228,7 @@ def test_build_report_extras_columns():
 
 
 # ---------------------------------------------------------------------------
-# lockstep studies
+# stacked studies
 
 
 def _separate_triples(problem, configs, axis, tmesh):
@@ -269,10 +276,106 @@ def test_run_errors_of_the_characteristic_kind_keeps_its_own_time_mesh():
     )
 
 
+INF = ErrorTriple(math.inf, math.inf, math.inf)
+
+
+def _solo(problem, kind, axis, n_steps):
+    """The kind's own march (Scheme.run) watched by an error observer: the
+    reference of a row of the stack."""
+    tmesh = build_time_mesh(n_steps, problem.horizon)
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    result = assemble(problem, SchemeConfig(kind), [axis], tmesh).run(obs)
+    return result, INF if result.blew_up else obs.result()
+
+
+def _stack_of(problem, kinds, axis, n_steps):
+    tmesh = build_time_mesh(n_steps, problem.horizon)
+    return [assemble(problem, SchemeConfig(kind), [axis], tmesh) for kind in kinds], tmesh
+
+
+def _assert_same_run(got, expected):
+    (result, triple), (reference, reference_triple) = got, expected
+    assert result.completed_levels == reference.completed_levels
+    assert result.blew_up == reference.blew_up
+    np.testing.assert_array_equal(result.v_prev, reference.v_prev)
+    np.testing.assert_array_equal(result.v_last, reference.v_last)
+    assert triple == reference_triple
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("kinds", [["compact1d", "second-order"], ["second-order", "compact1d"]])
+def test_stacked_kinds_equal_their_solo_runs_bitwise(alpha, n, kinds):
+    problem = make_example(alpha)
+    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    for kind, got in zip(kinds, run_errors(problem, kinds, axis, n)):
+        _assert_same_run(got, _solo(problem, kind, axis, n))
+
+
+def test_graded_axis_stacks_equal_their_solo_runs_bitwise():
+    # callable data (sampled u1n and forcing) on a phi3-graded axis, where
+    # only compact1d runs: a stack of two of its schemes, and run_errors'
+    # lone kind
+    problem = make_smooth_nonuniform_problem()
+    axis = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 40, problem.extents[0], problem.origin[0])
+    m = step_count(problem, axis, "compact1d")
+    solo = _solo(problem, "compact1d", axis, m)
+    assert not solo[0].blew_up and solo[0].completed_levels == m + 1
+    stack, tmesh = _stack_of(problem, ["compact1d"] * 2, axis, m)
+    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in stack]
+    for result, obs in zip(schemes.run_stacked(stack, observers), observers):
+        _assert_same_run((result, obs.result()), solo)
+    [got] = run_errors(problem, ["compact1d"], axis, m)
+    _assert_same_run(got, solo)
+
+
+def test_stack_shares_one_solve_and_one_forcing_lookup_per_level(monkeypatch):
+    # two kinds on E_2.5 at N = M = 40: one block-diagonal solve and one
+    # forcing entry per level, one exact evaluation per level, and one scheme
+    # per kind (no extra construction for the stack)
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[f"{owner.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(solvers.TriSolver, "solve")
+    count(operators.RhsTable, "__call__")
+    count(schemes.Scheme, "__init__")
+    # the stack steps through the scheme's own traced step methods
+    count(schemes.Scheme, "first_step")
+    count(schemes.Scheme, "time_step")
+    count(schemes.Scheme, "apply_a_interior")
+    problem = make_example(2.5)
+    times = []
+
+    def exact(x, t):
+        times.append(t)
+        return problem.exact(x, t)
+
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    problem_counted = dataclasses.replace(problem, exact=exact)
+    shared = run_errors(problem_counted, ["compact1d", "second-order"], axis, 40)
+    assert all(result.completed_levels == 41 and not result.blew_up for result, _ in shared)
+    assert counts == {
+        "TriSolver.solve": 40, "RhsTable.__call__": 40, "Scheme.__init__": 2,
+        "Scheme.first_step": 1, "Scheme.time_step": 39, "Scheme.apply_a_interior": 40,
+    }
+    assert times == list(build_time_mesh(40, problem.horizon).nodes)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("unstable_first", [True, False])
 def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first):
     # Courant number a h_t / h = 1.79: compact1d (sigma = 1/12) blows up,
-    # the sigma = 1/2 second-order scheme is unconditionally stable
+    # the sigma = 1/2 second-order scheme is unconditionally stable.  The
+    # unstable row leaves the stack on its aborting level, before it can put
+    # inf or NaN into the shared solve: the stable row matches its solo run
     problem = dataclasses.replace(make_example(1.5), horizon=20.0)
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
     unstable, stable = SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER
@@ -280,12 +383,55 @@ def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first)
     shared = dict(zip(kinds, run_errors(problem, kinds, axis, 200)))
     separate = {kind: run_errors(problem, [kind], axis, 200)[0] for kind in kinds}
     assert shared[unstable][0].blew_up and separate[unstable][0].blew_up
-    assert shared[unstable][1] == separate[unstable][1] == ErrorTriple(math.inf, math.inf, math.inf)
+    assert shared[unstable][1] == separate[unstable][1] == INF
     assert shared[stable][1] == separate[stable][1]
     assert math.isfinite(shared[stable][1].Ch)
     tmesh = build_time_mesh(200, 20.0)
     [expected] = _separate_triples(problem, [SchemeConfig(stable)], axis, tmesh)
     assert shared[stable][1] == expected
+    for kind in kinds:
+        _assert_same_run(shared[kind], _solo(problem, kind, axis, 200))
+    assert shared[unstable][0].completed_levels < 201 == shared[stable][0].completed_levels
+
+
+def test_run_stacked_needs_one_observer_per_scheme():
+    problem = make_example(2.5)
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    stack, tmesh = _stack_of(problem, ["compact1d", "second-order"], axis, 20)
+    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in stack]
+    for rows, watchers in ((stack, observers[:1]), (stack[:1], observers), ([], [])):
+        with pytest.raises(ValueError, match="observers for"):
+            schemes.run_stacked(rows, watchers)
+
+
+def test_run_stacked_needs_one_axis_and_time_mesh():
+    problem = make_example(2.5)
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    # a stack shares one axis and one time mesh object, not equal copies
+    [first], _ = _stack_of(problem, ["compact1d"], axis, 20)
+    [own_tmesh], _ = _stack_of(problem, ["second-order"], axis, 20)
+    axis_copy = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    [own_axis], _ = _stack_of(problem, ["second-order"], axis_copy, 20)
+    for second in (own_tmesh, own_axis):
+        with pytest.raises(ValueError, match="one problem, axis and time mesh"):
+            schemes.run_stacked([first, second], [lambda *level: None] * 2)
+
+
+def test_every_1d_kind_has_the_one_stiffness_a_stack_shares():
+    # run_stacked applies the first scheme's A to every column: each 1D
+    # implicit kind, one added later included, must have the same A
+    problem = make_example(2.5)
+    axis = build_uniform_axis(30, problem.extents[0], problem.origin[0])
+    kinds = [
+        kind for kind in SchemeKind
+        if kind != SchemeKind.EXPLICIT_CHARACTERISTIC and 1 in schemes._KINDS[kind].dims
+    ]
+    assert len(kinds) == 3
+    stack, _ = _stack_of(problem, kinds, axis, 30)
+    values = np.random.default_rng(3).standard_normal((31, 4))
+    reference = stack[0].apply_a_interior(values)
+    for scheme in stack[1:]:
+        np.testing.assert_array_equal(scheme.apply_a_interior(values), reference)
 
 
 def test_run_shows_the_aborting_level_to_the_observer():

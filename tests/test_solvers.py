@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from compactwave.mesh import build_uniform_axis
+from compactwave.mesh import NODE_DISTRIBUTIONS, build_graded_axis, build_uniform_axis
 from compactwave.operators import (
     PAIR_FORMS,
     TridiagonalFactor,
@@ -16,6 +16,7 @@ from compactwave.solvers import (
     SingularSystemError,
     SpectralHandle,
     SplittingHandle,
+    StackHandle,
     TriSolver,
     dst1,
     pair_spectra,
@@ -66,6 +67,94 @@ def test_trisolver_singular_factor_raises(diag):
     factor = TridiagonalFactor(0, np.zeros(n), np.array(diag), np.zeros(n))
     with pytest.raises(SingularSystemError):
         TriSolver(factor)
+
+
+def _pivoting_factor(n, rng):
+    """Random rows that are not diagonally dominant, with the last row's
+    coupling large enough that the elimination swaps the last two rows."""
+    lower, diag, upper = rng.standard_normal((3, n))
+    lower[-1] = 10.0 * (abs(diag[-2]) + 1.0)
+    return TridiagonalFactor(0, lower, diag, upper)
+
+
+def _graded_factor(phi, n):
+    axis = build_graded_axis(NODE_DISTRIBUTIONS[phi], n, 1.0, -0.5)
+    return step_factor(axis, 0.5 * float(np.min(axis.steps)), 1.0)
+
+
+def _stack_cases():
+    uniform = build_uniform_axis(40, 1.0, -0.5)
+    compact = step_factor(uniform, 0.02, 1.0)
+    second = step_factor(uniform, 0.02, 1.0, sigma=0.5)
+    rng = np.random.default_rng(41)
+    tiny = [step_factor(build_uniform_axis(n, 1.0), 0.3, 1.0) for n in (2, 3)]
+    return {
+        "uniform compact1d and second-order": [compact, second],
+        "phi1 and phi2 graded compact1d": [_graded_factor("phi1", 30), _graded_factor("phi2", 30)],
+        "pivoting": [_pivoting_factor(12, rng), _pivoting_factor(9, rng)],
+        "blocks of 1 and 2 unknowns": tiny,
+        "two blocks of 1 unknown": [tiny[0], tiny[0]],
+        "three blocks": [compact, _pivoting_factor(7, rng), _graded_factor("phi2", 10)],
+    }
+
+
+@pytest.mark.parametrize("case", list(_stack_cases()))
+def test_trisolver_over_several_factors_equals_each_own_solve_bitwise(case):
+    # zero couplings between the blocks: no pivot crosses a block, so every
+    # block of the stacked solve is the factor's own solve, bit for bit
+    factors = _stack_cases()[case]
+    if case == "pivoting":
+        for f in factors:
+            *_, ipiv, info = scipy.linalg.lapack.dgttrf(f.lower[1:], f.diag, f.upper[:-1])
+            assert info == 0 and ipiv[-2] == f.n_interior  # the last two rows swap
+    sizes = [f.n_interior for f in factors]
+    rng = np.random.default_rng(len(case))
+    solver = TriSolver(*factors)
+    for columns in ((), (3,)):
+        blocks = [rng.standard_normal((n,) + columns) for n in sizes]
+        got = solver.solve(np.concatenate(blocks))
+        assert got.shape == (sum(sizes),) + columns
+        for part, factor, rhs in zip(np.split(got, np.cumsum(sizes)[:-1]), factors, blocks):
+            np.testing.assert_array_equal(part, TriSolver(factor).solve(rhs))
+
+
+def test_stack_handle_solves_each_column_as_its_own_stack_of_one_bitwise():
+    # a trace lifted with each column's own couplings, then the block solve
+    uniform = build_uniform_axis(40, 1.0, -0.5)
+    factors = [
+        step_factor(uniform, 0.02, 1.0),
+        step_factor(uniform, 0.02, 1.0, sigma=0.5),
+        _graded_factor("phi2", 40),
+    ]
+    n = 39
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal((n, 3))
+    boundary = np.zeros((n + 2, 3))
+    boundary[[0, -1]] = rng.standard_normal((2, 3))
+    values = rng.standard_normal((n + 2, 3))
+    handle = StackHandle(factors)
+    got, applied = handle.solve(rhs, boundary), handle.apply(values)
+    for k, factor in enumerate(factors):
+        own = StackHandle([factor])
+        np.testing.assert_array_equal(got[:, k], own.solve(rhs[:, k], boundary[:, k]))
+        np.testing.assert_array_equal(applied[:, k], own.apply(values[:, k]))
+        np.testing.assert_array_equal(
+            own.solve(rhs[:, k], boundary[:, k]),
+            SplittingHandle([factor]).solve(rhs[:, k], boundary[:, k]),
+        )
+    with pytest.raises(ValueError, match="2 columns for 3 step factors"):
+        handle.apply(values[:, :2])
+    with pytest.raises(ValueError):
+        handle.solve(rhs[:, :2])
+
+
+def test_trisolver_with_a_singular_block_raises():
+    good = step_factor(build_uniform_axis(10, 1.0), 0.05, 1.0)
+    singular = TridiagonalFactor(0, np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3))
+    with pytest.raises(SingularSystemError):
+        TriSolver(good, singular)
+    with pytest.raises(SingularSystemError):
+        TriSolver(singular, good, good)
 
 
 def test_thomas_identity():
