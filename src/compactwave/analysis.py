@@ -3,7 +3,9 @@ study marched as one stack, each column watched by its own error observer),
 least-squares order fitting, theoretical order formulas, and report assembly
 for convergence studies.
 
-Three uniform-in-time mesh norms of the error r = u - v are tracked:
+Three uniform-in-time mesh norms of the error r = u - v are tracked, each
+observer keeping a block of levels' residuals and reducing the block at
+once (ErrorObserver):
 
     L2h:  max_m ( h * sum_{interior} r_k^2 )^{1/2}
     Ch:   max over all nodes and levels of |r|
@@ -59,8 +61,22 @@ class ErrorTriple:
         return {"L2h": self.L2h, "Ch": self.Ch, "Eh": self.Eh}
 
 
+# levels of residual an observer holds before it reduces them at once
+_BLOCK = 32
+
+
 class ErrorObserver:
-    """Streams the three norms level by level against an exact evaluator.
+    """The three norms against an exact evaluator, reduced a block of levels
+    at a time.
+
+    Each observed level writes one row of a residual block, r = exact - values
+    (a copy: the caller may reuse its array).  A full block is reduced at
+    once, with one dot product per row and norm; row 0 holds the last
+    residual of the block before, for the time differences of Eh.  result()
+    reduces a partial block, so it may be called mid-run.  The running
+    maxima take the levels in order, as a level-by-level reduction does, so
+    the triple equals that reduction's bit for bit, NaN and inf levels
+    included; level 0 takes no Eh term.
 
     The quadrature weight is the mean spatial step, so on graded axes only
     the Ch norm is layout-independent (the graded-mesh studies report Ch).
@@ -74,33 +90,64 @@ class ErrorObserver:
         self.nodes = axis.nodes
         self.h = axis.extent / axis.n_intervals
         self.h_t = tmesh.horizon / tmesh.n_steps
-        self._prev_r: np.ndarray | None = None
+        self._rows = np.zeros((_BLOCK + 1, self.nodes.size))
+        self._work = np.empty((_BLOCK, self.nodes.size))
+        # per pending row 1, 2, ...: whether its level takes an Eh term
+        self._takes_eh: list[bool] = []
+        self._seen = False
         self._l2 = 0.0
         self._c = 0.0
         self._e = 0.0
 
     def observe(self, level: int, t: float, values: np.ndarray) -> None:
-        r = self.exact(self.nodes, t) - values
-        ri = r[1:-1]
-        self._l2 = max(self._l2, math.sqrt(self.h * float(ri @ ri)))
-        self._c = max(self._c, float(np.max(np.abs(r))))
-        if level >= 1 and self._prev_r is not None:
-            dt = (ri - self._prev_r[1:-1]) / self.h_t
-            dx = (r[1:] - r[:-1]) / self.h
-            e_time = math.sqrt(self.h * float(dt @ dt))
-            e_space = math.sqrt(self.h * float(dx @ dx))
-            self._e = max(self._e, e_time, e_space)
-        self._prev_r = r
+        pending = self._takes_eh
+        np.subtract(self.exact(self.nodes, t), values, out=self._rows[len(pending) + 1])
+        pending.append(level >= 1 and self._seen)
+        self._seen = True
+        if len(pending) == _BLOCK:
+            self._reduce()
 
     __call__ = observe
 
+    def _reduce(self) -> None:
+        k = len(self._takes_eh)
+        if not k:
+            return
+        h = self.h
+        rows = self._rows[: k + 1]
+        r = rows[1:]
+        # one scratch block for the differences and |r|, filled in place:
+        # a fresh temporary of a block's size costs more than the arithmetic
+        work = self._work[:k]
+        # time differences of whole rows; Eh takes their interior
+        dt = np.divide(np.subtract(r, rows[:-1], out=work), self.h_t, out=work)[:, 1:-1]
+        e_times = np.sqrt(h * np.vecdot(dt, dt)).tolist()
+        # x-differences along the rows laid end to end: entry j >= 1 of a row
+        # is r_j - r_{j-1}; entry 0 spans two rows and is not read
+        ends, flat = r.reshape(-1), work.reshape(-1)
+        np.divide(np.subtract(ends[1:], ends[:-1], out=flat[1:]), h, out=flat[1:])
+        dx = work[:, 1:]
+        e_spaces = np.sqrt(h * np.vecdot(dx, dx)).tolist()
+        cs = np.max(np.abs(r, out=work), axis=1).tolist()
+        inner = r[:, 1:-1]
+        l2s = np.sqrt(h * np.vecdot(inner, inner)).tolist()
+        for takes_eh, l2, c, e_time, e_space in zip(self._takes_eh, l2s, cs, e_times, e_spaces):
+            self._l2 = max(self._l2, l2)
+            self._c = max(self._c, c)
+            if takes_eh:
+                self._e = max(self._e, e_time, e_space)
+        rows[0] = rows[k]
+        self._takes_eh = []
+
     def result(self) -> ErrorTriple:
+        self._reduce()
         return ErrorTriple(self._l2, self._c, self._e)
 
 
 def _last_level(exact: Callable) -> Callable:
     """exact(x, t) remembered for the last (x, t) asked for: the observers of
-    a stack's columns, shown one level in turn, evaluate each level once."""
+    a stack's columns, shown one level in turn, write each level's residual
+    from one evaluation: one call per level, with a scalar t."""
     last = [None, None, None]
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:

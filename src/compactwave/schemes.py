@@ -60,6 +60,7 @@ from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis, mesh_stats
 from .mesh import select_time_step_count
 from .operators import (
     TIE_RTOL,
+    RhsTable,
     SpaceDirac,
     TimeDirac,
     build_rhs_table,
@@ -191,6 +192,10 @@ class Scheme:
     certificates take the forcing in the same form.  The initial velocity
     u1n is the problem's callable u1_fn, sampled, when it has one, and
     otherwise its piecewise u1_data, averaged (operators.initial_velocity).
+    Both are built on first read: the second scheme of a stack and a scheme
+    that marches other data (march_data) never build them, and data that
+    cannot be discretized (a time atom off the time mesh, say) raises when
+    a run starts, not at assembly.
     """
 
     def __init__(
@@ -248,10 +253,22 @@ class Scheme:
 
         self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
         self._faces = self._face_coordinates()
+
+    @functools.cached_property
+    def u1n(self) -> np.ndarray:
+        """The interior initial velocity u_1N (see the class docstring),
+        built on first read."""
+        problem = self.problem
         velocity = problem.u1_fn if problem.u1_fn is not None else problem.u1_data
-        self.u1n = initial_velocity(velocity, meshes, self.h_t, self.speeds)
+        return initial_velocity(velocity, self.meshes, self.h_t, self.speeds)
+
+    @functools.cached_property
+    def fn_table(self) -> RhsTable:
+        """The forcing table f_N^0 .. f_N^{M-1} (see the class docstring),
+        built on first read."""
+        problem = self.problem
         forcing = problem.f_data if problem.f_data is not None else problem.f_fn
-        self.fn_table = build_rhs_table(forcing, meshes, tmesh)
+        return build_rhs_table(forcing, self.meshes, self.tmesh)
 
     @property
     def step_factor(self):

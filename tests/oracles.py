@@ -5,6 +5,7 @@ from typing import Callable
 
 import numpy as np
 
+from compactwave.analysis import ErrorTriple
 from compactwave.operators import TridiagonalFactor, _hat_weights_t
 from compactwave.solvers import SingularSystemError, pair_spectra, sine_coefficients
 
@@ -121,6 +122,38 @@ def energy_bound_per_level(trajectory, meshes, speeds, h_t, pair, u1n, forcing, 
     for fc in f_coeffs[1:]:
         l1 += h_t * norm(fc, 1.0 / mu_a)
     return lhs, head + 2.0 * l1
+
+
+class PerLevelErrorObserver:
+    """The three error norms of analysis.ErrorObserver reduced level by level
+    as each level is shown: one residual and one dot product per norm and
+    level, with running maxima."""
+
+    def __init__(self, exact, axis, tmesh):
+        self.exact = exact
+        self.nodes = axis.nodes
+        self.h = axis.extent / axis.n_intervals
+        self.h_t = tmesh.horizon / tmesh.n_steps
+        self._prev_r = None
+        self._l2 = 0.0
+        self._c = 0.0
+        self._e = 0.0
+
+    def observe(self, level, t, values):
+        r = self.exact(self.nodes, t) - values
+        ri = r[1:-1]
+        self._l2 = max(self._l2, math.sqrt(self.h * float(ri @ ri)))
+        self._c = max(self._c, float(np.max(np.abs(r))))
+        if level >= 1 and self._prev_r is not None:
+            dt = (ri - self._prev_r[1:-1]) / self.h_t
+            dx = (r[1:] - r[:-1]) / self.h
+            e_time = math.sqrt(self.h * float(dt @ dt))
+            e_space = math.sqrt(self.h * float(dx @ dx))
+            self._e = max(self._e, e_time, e_space)
+        self._prev_r = r
+
+    def result(self):
+        return ErrorTriple(self._l2, self._c, self._e)
 
 
 def signed_power_pow(k: int, x) -> np.ndarray:

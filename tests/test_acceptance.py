@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line
+that must equal its golden copy in golden/acceptance.txt.
 
 Reference numbers are frozen benchmark values; tolerances are fixed here,
 not calibrated at runtime.  Full-scale resolutions (N up to 3200) and the
@@ -8,6 +9,7 @@ acceptance tolerances.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +63,16 @@ REF_TABLE2_GAMMA = {
 ACCEPT_N = (200, 400, 800)
 
 
+# the ten ACCEPTANCE lines as printed, one per criterion, in order
+GOLDEN_LINES = (Path(__file__).resolve().parent / "golden" / "acceptance.txt").read_text().splitlines()
+
+
 def _report(number: int, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
+    """Print the criterion's ACCEPTANCE line and check it against the golden
+    file: a change that moves a printed figure updates the file and says why."""
+    line = f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}"
+    print(line)
+    assert line == GOLDEN_LINES[number - 1]
 
 
 def _errors(problem, kind, axis, factor=math.sqrt(2.0)):

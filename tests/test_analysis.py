@@ -2,8 +2,10 @@ import collections
 import dataclasses
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from compactwave.analysis import (
     ConvergenceReport,
@@ -15,7 +17,7 @@ from compactwave.analysis import (
     run_errors,
     theoretical_orders,
 )
-from compactwave import operators, schemes, solvers
+from compactwave import analysis, operators, schemes, solvers
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     build_graded_axis,
@@ -30,6 +32,9 @@ from compactwave.schemes import (
     run,
     step_count,
 )
+from oracles import PerLevelErrorObserver
+
+_BLOCK = analysis._BLOCK
 
 
 def test_fit_exact_power_law():
@@ -100,8 +105,9 @@ def test_error_norms_constant_residual():
 
 def test_observer_norms_match_sum_of_squares():
     # the observer reduces with dot products; the reference sums squares
-    # pairwise, so the two agree to the summation bound n * eps
-    n, m_steps = 800, 6
+    # pairwise, so the two agree to the summation bound n * eps.  The levels
+    # fill two blocks and part of a third
+    n, m_steps = 800, 2 * _BLOCK + 4
     axis = build_uniform_axis(n, 1.0, -0.5)
     tmesh = build_time_mesh(m_steps, 1.0)
     rng = np.random.default_rng(5)
@@ -148,6 +154,75 @@ def test_observer_prefix_monotonicity():
         assert earlier.L2h <= later.L2h + 1e-15
         assert earlier.Ch <= later.Ch + 1e-15
         assert earlier.Eh <= later.Eh + 1e-15
+
+
+def _bits(triple):
+    # equal bits: -0.0 and 0.0 differ, and a NaN equals a NaN of the same payload
+    return np.array([triple.L2h, triple.Ch, triple.Eh]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_block_observer_equals_the_per_level_oracle_bitwise(data):
+    # level counts around the block's edges, uniform and graded axes,
+    # result() asked mid-run, and a level with an inf or NaN at a random
+    # position: the block reduction gives the per-level triple bit for bit
+    n_levels = data.draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 2]))
+    n = data.draw(st.integers(2, 60))
+    if data.draw(st.booleans()):
+        phi = NODE_DISTRIBUTIONS[data.draw(st.sampled_from(sorted(NODE_DISTRIBUTIONS)))]
+        axis = build_graded_axis(phi, n, 1.0, -0.5)
+    else:
+        axis = build_uniform_axis(n, data.draw(st.floats(0.5, 2.0)), -0.25)
+    tmesh = build_time_mesh(max(n_levels - 1, 1), data.draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    levels = rng.standard_normal((n_levels, n + 1)) * 10.0 ** rng.uniform(-12, 2, (n_levels, 1))
+    bad = data.draw(st.none() | st.tuples(
+        st.integers(0, n_levels - 1), st.integers(0, n), st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.booleans(),
+    ))
+    if bad is not None:
+        level, node, value, whole_level = bad
+        levels[level, slice(None) if whole_level else node] = value
+    asked = data.draw(st.sets(st.integers(0, n_levels - 1), max_size=4))
+    exact = lambda x, t: np.sin(3.0 * x - t) * 1e-3
+    observer = ErrorObserver(exact, axis, tmesh)
+    oracle = PerLevelErrorObserver(exact, axis, tmesh)
+    with np.errstate(all="ignore"):
+        for level, values in enumerate(levels):
+            t = tmesh.nodes[level]
+            observer.observe(level, t, values)
+            oracle.observe(level, t, values)
+            if level in asked:
+                assert _bits(observer.result()) == _bits(oracle.result())
+        assert _bits(observer.result()) == _bits(oracle.result())
+        # a second result() reduces nothing more
+        assert _bits(observer.result()) == _bits(oracle.result())
+
+
+def test_observer_holds_no_view_of_the_callers_levels():
+    # the caller refills one array for every level, as a march may: the
+    # observer's triple is that of copies of the levels, blocks and a
+    # result() asked mid-run included
+    n = 50
+    axis = build_uniform_axis(n, 1.0, -0.5)
+    tmesh = build_time_mesh(2 * _BLOCK + 3, 1.0)
+    rng = np.random.default_rng(11)
+    levels = rng.standard_normal((tmesh.n_steps + 1, n + 1))
+    exact = lambda x, t: np.cos(x + t)
+    observer = ErrorObserver(exact, axis, tmesh)
+    oracle = PerLevelErrorObserver(exact, axis, tmesh)
+    buffer = np.empty(n + 1)
+    for level, values in enumerate(levels):
+        t = tmesh.nodes[level]
+        buffer[:] = values
+        observer.observe(level, t, buffer)
+        oracle.observe(level, t, values.copy())
+        buffer[:] = 1e3 * rng.standard_normal(n + 1)
+        if level == _BLOCK + 5:
+            assert observer.result() == oracle.result()
+    assert observer.result() == oracle.result()
 
 
 def test_blown_up_run_reports_infinite_norms():
@@ -392,6 +467,35 @@ def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first)
     for kind in kinds:
         _assert_same_run(shared[kind], _solo(problem, kind, axis, 200))
     assert shared[unstable][0].completed_levels < 201 == shared[stable][0].completed_levels
+
+
+def test_data_tables_are_built_on_first_read(monkeypatch):
+    # u1n and fn_table: a stack reads its first scheme's only, a scheme that
+    # marches other data builds neither, and data that cannot be discretized
+    # raises when the run starts, not at assembly
+    built = collections.Counter()
+    for name in ("build_rhs_table", "initial_velocity"):
+        def counted(*args, _original=getattr(schemes, name), _name=name):
+            built[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(schemes, name, counted)
+    problem = make_example(2.5)
+    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    stack, tmesh = _stack_of(problem, ["compact1d", "second-order"], axis, 20)
+    assert built == {}
+    schemes.run_stacked(stack, [ErrorObserver(problem.exact, axis, tmesh) for _ in stack])
+    assert built == {"build_rhs_table": 1, "initial_velocity": 1}
+    built.clear()
+    rng = np.random.default_rng(2)
+    stack[1].march_data(stack[1].initial_level(), rng.standard_normal(19),
+                        list(rng.standard_normal((20, 19))))
+    assert built == {}
+    # E_1.5's forcing has a time atom at t = 0.5, off the mesh of 7 steps
+    problem = make_example(1.5)
+    scheme = assemble(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], build_time_mesh(7, 1.0))
+    with pytest.raises(ValueError, match="not located at a mesh node"):
+        scheme.run()
 
 
 def test_run_stacked_needs_one_observer_per_scheme():

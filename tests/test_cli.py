@@ -28,6 +28,14 @@ def test_run_smoke(tmp_path, capsys):
     assert "errors:" in text
 
 
+def test_run_with_a_forcing_atom_off_the_time_mesh_is_a_config_error(capsys):
+    # E_1.5's forcing switches on with a time atom at t = 0.5, which M = 7
+    # steps miss: the forcing table is built when the run starts, not at
+    # assembly, and the error keeps its exit code
+    assert main(["run", "--problem", "E_1.5", "--N", "100", "--M", "7"]) == EXIT_CONFIG
+    assert "not located at a mesh node" in capsys.readouterr().err
+
+
 def test_run_second_order_with_smooth_forcing(tmp_path):
     # the weighted 2nd-order scheme takes the compact forcing table too
     out = tmp_path / "run.txt"
