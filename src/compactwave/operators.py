@@ -21,11 +21,18 @@ per time step, whose level 0 is the forcing of the first-step equation;
 `initial_velocity` makes u_1N.  The hat averages integrate piecewise
 polynomials analytically (Gauss rules of sufficient order per smooth piece)
 and give Dirac atoms located at mesh nodes the weight 1/h_*.
+
+The backward-cone integral of piecewise forcing (`_dalembert_forcing_part`,
+closed form) is the forcing part of the catalog's exact solutions and, in
+signed sums over four nodes, the forcing data of the characteristic-mesh
+scheme (`schemes._char_forcing`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -495,6 +502,135 @@ def hat_average_t0(profile: TimeProfile, h_t: float) -> float:
         t = mid + half * _GAUSS_X
         total += half * float(np.sum(_GAUSS_W * profile.eval(t) * (1.0 - t / h_t)))
     return 2.0 * total / h_t
+
+
+# ---------------------------------------------------------------------------
+# backward-cone integrals of piecewise forcing
+
+
+def _step(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (np.sign(z) + 1.0)
+
+
+def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """z with roundoff-sized values (relative to `scale`) set to zero, so a
+    point on a singular line takes the line's half value."""
+    return np.where(np.abs(z) <= TIE_RTOL * scale, 0.0, z)
+
+
+@functools.lru_cache(maxsize=None)
+def _convolution_plan(j: int, degree: int):
+    """The x-, tau- and a-free coefficients of _forcing_convolution.
+
+    W_j = PPiece(j).antideriv is q + c y_+^m with q the polynomial left of 0.
+    For the polynomials left and right of 0, one row per power e of x: pairs
+    (k, f) such that the x^e coefficient of the odd Taylor sum is
+    sum_k f a^k tau^(d+k+1).  `cone` is c d! m!/(d+m+1)!.
+    """
+    d = degree
+    if j == 0:
+        left, c, m = (0.0,), 1.0, 1
+    elif j == 1:
+        left, c, m = (0.0, 1.0, 1.0), -2.0, 2
+    else:
+        # sign(y) (2y)^(j+1) / (2(j+1)) = kappa (2 y_+^(j+1) - y^(j+1))
+        kappa = 2.0**j / (j + 1)
+        left, c, m = (0.0,) * (j + 1) + (-kappa,), 2.0 * kappa, j + 1
+    right = list(left) + [0.0] * (m + 1 - len(left))
+    right[m] += c
+    beta = {
+        k: 2.0 * math.factorial(d) * math.factorial(k) / math.factorial(d + k + 1)
+        for k in range(1, m + 1, 2)
+    }
+
+    def odd_taylor(p):
+        return tuple(
+            tuple((k, b * math.comb(e + k, k) * p[e + k]) for k, b in beta.items() if e + k < len(p))
+            for e in range(len(p) - 1)
+        )
+
+    cone = c * math.factorial(d) * math.factorial(m) / math.factorial(d + m + 1)
+    return odd_taylor(left), odd_taylor(right), cone, m
+
+
+def _horner(coefs, x):
+    """sum_e coefs[e] x^e (0 for no coefficients)."""
+    out = coefs[-1] if coefs else 0.0
+    for c in coefs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def _forcing_convolution(j: int, degree: int, x, tau, a: float) -> np.ndarray:
+    """int_0^tau s^degree [W_j(x + a(tau-s)) - W_j(x - a(tau-s))] ds in closed
+    form, W_j = PPiece(j).antideriv; zero for tau <= 0.
+
+    With u = tau - s and W_j = q + c y_+^m, let p be the polynomial of W_j on
+    the side of x.  Taylor expansion in a u and the Beta integrals give
+        int_0^tau (tau-u)^d [p(x+au) - p(x-au)] du
+            = 2 sum_{k odd} p^(k)(x)/k! a^k tau^(d+k+1) d! k!/(d+k+1)!,
+    a polynomial in x.  Where the cone |x| < a tau covers the breakpoint, the
+    truncated power adds c s_x B a^-(d+1) (a tau - |x|)_+^(d+m+1), with
+    B = d! m!/(d+m+1)! and s_x = (-1)^m for x >= 0, 1 for x < 0.  No term is
+    scaled up by a power of 1/a, so no digits cancel for slow waves.
+    """
+    left, right, cone, m = _convolution_plan(j, degree)
+    tau = np.maximum(tau, 0.0)
+    scale = {k: a**k * _int_power(tau, degree + k + 1) for k in range(1, m + 1, 2)}
+
+    def odd_sum(rows):
+        return _horner([sum(f * scale[k] for k, f in row) for row in rows], x)
+
+    on_right = x >= 0
+    cone = cone / a ** (degree + 1)
+    if m % 2:
+        cone = np.where(on_right, -cone, cone)
+    reach = np.maximum(a * tau - np.abs(x), 0.0)
+    odd = np.where(on_right, odd_sum(right), odd_sum(left))
+    return odd + cone * _int_power(reach, degree + m + 1)
+
+
+def _dalembert_forcing_part(
+    terms: PiecewiseData, x: np.ndarray, t: np.ndarray, a: float
+) -> np.ndarray:
+    """The forcing part of the whole-line d'Alembert solution at (x, t): the
+    forcing integrated over the backward cone |y - x| < a (t - s) of (x, t),
+    divided by 2a, in closed form.  Each term counts from its switch-on time
+    t_*, before t = 0 too, so it needs a temporal factor.  A Dirac atom in
+    space and time counts half on a side of the cone and a quarter at its
+    apex (ties judged on the scales |x - location| + a|t| and |t|).
+    """
+    total = np.zeros(np.broadcast(x, t).shape)
+    # the latest time asked for, widened past the snap of t - t_* to zero
+    latest = (t + 2.0 * TIE_RTOL * np.abs(t)).max()
+    for term in terms:
+        space, time = term.space, term.time
+        if latest < time.t_star:
+            continue  # not switched on anywhere yet: the term adds exact zeros
+        tau = t - time.t_star
+        if isinstance(time, TimeDirac):
+            if isinstance(space, SpaceDirac):
+                # 1/2 on the cone's sides, 1/4 at its apex (0, t_*)
+                dx = np.abs(x - space.location)
+                contrib = _step(_snap(a * tau - dx, dx + a * np.abs(t))) * _step(
+                    _snap(tau, np.abs(t))
+                )
+            else:
+                contrib = _step(tau) * (
+                    _signed_power_antideriv(space.degree, x + a * tau)
+                    - _signed_power_antideriv(space.degree, x - a * tau)
+                )
+        elif isinstance(space, SpaceDirac):
+            # window where the backward cone covers the atom
+            lo = np.abs(x - space.location) / a
+            width = np.maximum(tau - lo, 0.0)
+            contrib = np.where(
+                width > 0, QPiece(time.degree + 1, 0.0).eval(width) / (time.degree + 1), 0.0
+            )
+        else:
+            contrib = _forcing_convolution(space.degree, time.degree, x, tau, a)
+        total += term.coef * contrib
+    return total / (2.0 * a)
 
 
 # ---------------------------------------------------------------------------

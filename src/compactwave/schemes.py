@@ -25,25 +25,22 @@ products of the per-axis rows; they lift a trace with the step operator's
 rows next to each face.
 
 A scheme's own march, the explicit one included, runs through one level
-loop (_march), which applies the blow-up rule to each level it computes.
-The recipe of a 1D run (analysis.run_errors) marches two or more implicit
-kinds as one stack instead (run_stacked), a (N+1, K) array with one column
-per kind: on one axis every 1D kind has the same A, so a level is one
-first_step or time_step of the stack, with one A apply, one forcing entry,
-one trace and one block-diagonal solve for all columns, and the blow-up
-rule takes each column out of the stack on its own.  Every 1D run takes its
-step count from one rule (step_count).
+loop (_march), which shows each level to an observer and applies the
+blow-up rule to it.  The recipe of a 1D run (analysis.run_errors) marches
+two or more implicit kinds as one stack instead (run_stacked), a (N+1, K)
+array with one column per kind: on one axis every 1D kind has the same A,
+so a level is one first_step or time_step of the stack, with one A apply,
+one forcing entry, one trace and one block-diagonal solve for all columns,
+and the blow-up rule takes each column out of the stack on its own.  Every
+1D run takes its step count from one rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
     v_k^{m+1} = v_{k-1}^m + v_{k+1}^m - v_k^{m-1} + h_t^2 f_k^m
 
-where f_k^m is the exact average of the forcing over the rhomb footprint of
-node k (a triangle at the first half level).  The averages of one level are
-computed for all interior nodes at once: Gauss quadrature on the pieces of
-the slice integral between the level's shared breakpoints and each node's
-own crossing times of the spatial breakpoint, closed forms for Dirac atoms
-in time.
+with f_k^m the average of the forcing over the rhomb footprint of node k (a
+triangle at the first half level).  h_t^2 f_k^m is a signed sum of four of
+the exact solutions' backward-cone integrals (_char_forcing).
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from .operators import (
     TIE_RTOL,
     RhsTable,
     SpaceDirac,
-    TimeDirac,
+    _dalembert_forcing_part,
     build_rhs_table,
     initial_velocity,
     pair_appliers,
@@ -375,15 +372,18 @@ class Scheme:
         rhs = self.h_t**2 * (fn - self.apply_a_interior(v_curr))
         return self.solve_step(rhs, self.tmesh.nodes[level + 1], 2.0 * v_curr - v_prev, solver)
 
-    def _levels(self, v0: np.ndarray, u1n: np.ndarray, forcing: Callable[[int], np.ndarray]):
-        """The level generator (_march) of the recursion started from the
-        full array v0 with the initial velocity u1n and the forcing f^m =
+    def _march_from(
+        self, v0: np.ndarray, u1n: np.ndarray, forcing: Callable[[int], np.ndarray], observer
+    ) -> RunResult:
+        """The level loop (_march) of the recursion started from the full
+        array v0 with the initial velocity u1n and the forcing f^m =
         forcing(m) of each step m = 0 .. M-1."""
         return _march(
             v0,
             lambda v: self.first_step(v, u1n, forcing(0)),
             lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing(level)),
             self.tmesh,
+            observer,
         )
 
     def march_data(
@@ -399,48 +399,35 @@ class Scheme:
             raise ValueError(
                 f"{len(forcing)} forcing levels for {self.tmesh.n_steps} time steps"
             )
-        return [values for _, _, values in self._levels(v0, u1n, forcing.__getitem__)]
-
-    def march(self):
-        """Generator over the levels of a run (see _march) with the scheme's
-        own data u1n and fn_table: yields (level, t, values) for every level
-        it computes, the aborting one included, and returns the RunResult."""
-        return self._levels(self.initial_level(), self.u1n, self.fn_table)
+        levels = []
+        self._march_from(v0, u1n, forcing.__getitem__, lambda level, t, v: levels.append(v))
+        return levels
 
     def run(self, observer: Callable[[int, float, np.ndarray], None] | None = None) -> RunResult:
-        """March the scheme over the whole time mesh, showing every level to
-        the observer (see march)."""
-        return _drive(self.march(), observer)
+        """March the scheme over the whole time mesh with its own data u1n and
+        fn_table, showing every level to the observer (see _march)."""
+        return self._march_from(self.initial_level(), self.u1n, self.fn_table, observer)
 
 
-def _march(v0: np.ndarray, first, step, tmesh: TimeMesh):
+def _march(v0: np.ndarray, first, step, tmesh: TimeMesh, observer=None) -> RunResult:
     """The level loop of every scheme: v^1 = first(v^0) and
     v^{m+1} = step(v^{m-1}, v^m, m) up to the last node of the time mesh.
 
-    Yields (level, t, values) for every level, v^0 included, and returns the
-    RunResult.  Each computed level is checked by the blow-up rule (diverged)
-    after it is yielded; one that meets it ends the run with the flag set.
+    Shows (level, t, values) to the observer, if any, for every level, v^0
+    included, and returns the RunResult.  Each computed level is checked by the
+    blow-up rule (diverged) after the observer has seen it; one that meets
+    it ends the run with the flag set.
     """
-    yield 0, 0.0, v0
+    show = observer if observer is not None else lambda level, t, values: None
+    show(0, 0.0, v0)
     v_prev, v_curr = None, v0
     for level in range(1, tmesh.n_steps + 1):
         v_next = first(v_curr) if level == 1 else step(v_prev, v_curr, level - 1)
         v_prev, v_curr = v_curr, v_next
-        yield level, tmesh.nodes[level], v_curr
+        show(level, tmesh.nodes[level], v_curr)
         if diverged(v_curr):
             return RunResult(level + 1, v_prev, v_curr, True)
     return RunResult(tmesh.n_steps + 1, v_prev, v_curr, False)
-
-
-def _drive(levels, observer: Callable[[int, float, np.ndarray], None] | None) -> RunResult:
-    """Run a level generator to its end, showing every level to the observer."""
-    while True:
-        try:
-            level = next(levels)
-        except StopIteration as done:
-            return done.value
-        if observer is not None:
-            observer(*level)
 
 
 def run_stacked(
@@ -563,77 +550,25 @@ def _char_velocity_table(problem, nodes: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _footprint_integrals(term, x: np.ndarray, scale: float, t_c: float, t_lo: float,
-                         t_hi: float, h: float, h_t: float):
-    """Integral of one separable forcing term over the footprint of every
-    node x_k: the part t_lo <= t <= t_hi of the rhomb |x' - x_k| <= w(t),
-    w(t) = h (1 - |t - t_c| / h_t) (a triangle when t_lo = t_c).
+def _char_forcing(f_data, nodes: np.ndarray, tmesh: TimeMesh, a: float):
+    """The forcing terms of the recursion at the interior nodes, one per
+    step m = 0 .. M-1: (h_t^2/2) f_k^0 at m = 0 and h_t^2 f_k^m after, with
+    f_k^m the average of the forcing over the footprint of node k.
 
-    Dirac atoms in time are integrated in closed form, spatial ones on the
-    axis scale `scale` (see _char_velocity_table).  Otherwise the
-    integrand f2(t) [A(x_k + w(t)) - A(x_k - w(t))] is a piecewise
-    polynomial in t whose pieces end at t_lo, t_c, t_hi, the switch-on time
-    t_* (shared by all nodes) and, for nodes within h of the spatial
-    breakpoint, the two times where x_k +- w(t) crosses it (t_c for the
-    other nodes), clipped to the window and sorted per node; repeated
-    breakpoints give zero-width pieces.  The 6-point Gauss rule, exact on
-    each piece, runs over all nodes at once.
+    By d'Alembert's parallelogram rule each footprint integral is a signed
+    sum of backward-cone integrals C_m (operators._dalembert_forcing_part at
+    t_m, all nodes), which the exact solutions evaluate, Dirac atoms on the
+    cone's sides and apex included: C_1[k] for the triangle below t_1, and
+    C_{m+1}[k] - C_m[k-1] - C_m[k+1] + C_{m-1}[k] for the rhomb
+    (t_{m-1}, t_{m+1}).  C is evaluated once per level, when the level is
+    asked for, and three levels are kept.
     """
-    space, time = term.space, term.time
-    atom = isinstance(space, SpaceDirac)
-    d = np.abs(x - (space.location if atom else space.breakpoint))
-    if isinstance(time, TimeDirac):
-        t_s = time.t_star
-        weight = float(_atom_weight(min(t_s - t_lo, t_hi - t_s), t_hi))
-        if weight == 0.0:
-            return 0.0
-        w = h * (1.0 - abs(t_s - t_c) / h_t)
-        if atom:
-            value = _atom_weight(w - d, scale)
-            if t_lo < t_c < t_hi and abs(t_s - t_c) <= TIE_RTOL * t_hi:
-                # a side corner of the rhomb is shared by four footprints:
-                # weight 1/4, as at the top and bottom corners
-                value = np.where(value < 1.0, 0.5 * value, 1.0)
-        else:
-            value = space.antideriv(x + w) - space.antideriv(x - w)
-        return term.coef * weight * value
-    if t_hi <= time.t_star:
-        return 0.0  # one-sided forcing not switched on yet
-    # the slice ends x_k +- w(t) cross the breakpoint at t_c +- reach
-    reach = h_t * (1.0 - d / h)
-    tol = TIE_RTOL * t_hi
-    reach = np.where((reach > tol) & (reach < h_t - tol), reach, 0.0)[:, None]
-    shared = np.broadcast_to([t_lo, t_c, t_hi, min(max(time.t_star, t_lo), t_hi)], (x.size, 4))
-    cuts = np.concatenate(
-        [shared, np.clip(t_c - reach, t_lo, t_hi), np.clip(t_c + reach, t_lo, t_hi)], axis=1
-    )
-    cuts.sort(axis=1)
-    half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
-    t = (0.5 * (cuts[:, 1:] + cuts[:, :-1]))[..., None] + half[..., None] * _GL_X
-    w = h * (1.0 - np.abs(t - t_c) / h_t)
-    if atom:
-        slices = d[:, None, None] < w
-    else:
-        xk = x[:, None, None]
-        slices = space.antideriv(xk + w) - space.antideriv(xk - w)
-    return term.coef * np.sum(half * ((time.eval(t) * slices) @ _GL_W), axis=1)
-
-
-def _char_forcing_level(f_data, nodes: np.ndarray, level: int, h: float, h_t: float) -> np.ndarray:
-    """Cell averages of the forcing over the footprints of the interior
-    nodes at one level: the triangle below t_1 at level 0, the rhomb
-    (t_{m-1}, t_{m+1}) at level m."""
-    x = nodes[1:-1]
-    if f_data is None:
-        return np.zeros(x.size)
-    t_m = level * h_t
-    if level == 0:
-        t_lo, t_hi, area = 0.0, h_t, h * h_t
-    else:
-        t_lo, t_hi, area = t_m - h_t, t_m + h_t, 2.0 * h * h_t
-    scale = abs(nodes[0]) + (nodes[-1] - nodes[0])
-    total = sum(_footprint_integrals(term, x, scale, t_m, t_lo, t_hi, h, h_t) for term in f_data)
-    return np.broadcast_to(total / area, x.shape)
+    cone = lambda m: _dalembert_forcing_part(f_data, nodes, tmesh.nodes[m], a)
+    mid, above = cone(0), cone(1)
+    yield above[1:-1]
+    for m in range(1, tmesh.n_steps):
+        below, mid, above = mid, above, cone(m + 1)
+        yield above[1:-1] - mid[:-2] - mid[2:] + below[1:-1]
 
 
 def run_explicit_characteristic(
@@ -646,22 +581,25 @@ def run_explicit_characteristic(
     (h_t = h/a), with exact cell averages of the data; reproduces the exact
     solution at the nodes up to roundoff for the catalog problems.
 
-    The forcing average of each level is computed for all interior nodes at
-    once (see _footprint_integrals); one-sided forcing terms are skipped on
-    the levels whose footprints end before they switch on.  A Dirac atom on
-    the edge of a footprint or of a velocity window counts with weight 1/2,
-    on a corner of a footprint with weight 1/4.
+    The forcing data are differences of the exact solutions' cone integrals
+    (_char_forcing), which count a term from its switch-on time: every term
+    needs a temporal factor switched on at t >= 0.  A velocity atom on the
+    edge of its window counts with weight 1/2.
     """
     if problem.ndim != 1:
         raise ValueError("the characteristic-mesh scheme is one-dimensional")
     if problem.f_fn is not None and problem.f_data is None:
         raise ValueError("cell averages require separable piecewise forcing (or none)")
+    f_data = problem.f_data or ()
+    if any(term.time is None or term.time.t_star < 0.0 for term in f_data):
+        raise ValueError("characteristic forcing needs a temporal factor switched on at t >= 0")
     axis, tmesh = characteristic_meshes(problem, n_intervals, n_steps)
     nodes = axis.nodes
     h = axis.h
     h_t = h / problem.speeds[0]
 
     u1n = _char_velocity_table(problem, nodes, h)
+    forcing = _char_forcing(f_data, nodes, tmesh, problem.speeds[0])
     g = problem.g
     exact = problem.exact
 
@@ -672,19 +610,18 @@ def run_explicit_characteristic(
             return float(exact(nodes[0], t)), float(exact(nodes[-1], t))
         return 0.0, 0.0
 
+    # _march asks for the levels in order, so each takes the next forcing term
     def first(v0: np.ndarray) -> np.ndarray:
-        f0 = _char_forcing_level(problem.f_data, nodes, 0, h, h_t)
         v1 = np.empty_like(v0)
-        v1[1:-1] = 0.5 * (v0[:-2] + v0[2:]) + h_t * u1n[1:-1] + 0.5 * h_t**2 * f0
+        v1[1:-1] = 0.5 * (v0[:-2] + v0[2:]) + h_t * u1n[1:-1] + next(forcing)
         v1[0], v1[-1] = boundary(tmesh.nodes[1])
         return v1
 
     def step(v_prev: np.ndarray, v_curr: np.ndarray, level: int) -> np.ndarray:
-        f_m = _char_forcing_level(problem.f_data, nodes, level, h, h_t)
         v_next = np.empty_like(v_curr)
-        v_next[1:-1] = v_curr[:-2] + v_curr[2:] - v_prev[1:-1] + h_t**2 * f_m
+        v_next[1:-1] = v_curr[:-2] + v_curr[2:] - v_prev[1:-1] + next(forcing)
         v_next[0], v_next[-1] = boundary(tmesh.nodes[level + 1])
         return v_next
 
     v0 = np.array(problem.u0(nodes), dtype=float)
-    return _drive(_march(v0, first, step, tmesh), observer), axis, tmesh
+    return _march(v0, first, step, tmesh, observer), axis, tmesh

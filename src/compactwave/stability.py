@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 MARGINAL_BAND = 0.01
+# the roundoff an energy estimate may exceed its right side by and still hold
+ENERGY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,6 @@ def verify_energy_bound(
     forcing: Sequence[np.ndarray],
     eps0: float,
     g_series: Sequence[np.ndarray] | None = None,
-    slack: float = 1e-12,
 ) -> dict[str, EnergyCertificate]:
     """Evaluate both sides of every energy estimate for a run of `scheme`,
     an assembled schemes.Scheme.
@@ -169,8 +170,9 @@ def verify_energy_bound(
 
     The levels are stacked and analysed in one batched sine transform, the
     initial velocity and the forcing levels in another; the norms of all
-    levels are then weighted sums over the stacks.  A non-finite level makes
-    the left sides NaN, so no estimate is satisfied.
+    levels are then weighted sums over the stacks.  An estimate is satisfied
+    when its left side is at most its right side plus ENERGY_SLACK; a
+    non-finite level makes the left sides NaN, so none is.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie strictly between 0 and 1")
@@ -186,7 +188,7 @@ def verify_energy_bound(
     f_over_a = _norms(f_coeffs, 1.0 / mu_a, scale)
 
     def certificate(lhs: float, rhs: float) -> EnergyCertificate:
-        return EnergyCertificate(lhs, rhs, lhs <= rhs + slack)
+        return EnergyCertificate(lhs, rhs, lhs <= rhs + ENERGY_SLACK)
 
     diff = (levels[1:] - levels[:-1]) / h_t
     mean = 0.5 * (levels[1:] + levels[:-1])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from compactwave import problems, schemes
 from compactwave.cli import (
     COMMAND_DEFAULTS,
     EXIT_BLOWUP,
@@ -14,6 +16,7 @@ from compactwave.cli import (
     _build_parser,
     main,
 )
+from compactwave.operators import PiecewiseData
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -56,6 +59,40 @@ def test_run_characteristic(tmp_path):
     assert code == EXIT_OK
     text = out.read_text()
     assert "stable: True" in text
+
+
+def test_run_characteristic_constructs_no_scheme(monkeypatch, tmp_path):
+    # the characteristic runner keeps its own recursion and builds no Scheme:
+    # the benchmark (bench/run.py) flags a pass whose timed Scheme
+    # constructions differ from its plan, and the plan of its
+    # `characteristic` workload is 0 constructions
+    built = []
+    init = schemes.Scheme.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(schemes.Scheme, "__init__", counted)
+    argv = ["run", "--problem", "E_2.5", "--N", "40", "--out", str(tmp_path / "run.txt")]
+    assert main(argv + ["--scheme", "characteristic"]) == EXIT_OK
+    assert built == []
+    assert main(argv) == EXIT_OK  # the counter counts: compact1d builds one
+    assert built == [1]
+
+
+def test_run_characteristic_with_forcing_before_the_start_is_a_config_error(monkeypatch, capsys):
+    # the cone integrals would count the forcing at negative times
+    problem = problems.make_example(2.5)
+    early = PiecewiseData(tuple(
+        dataclasses.replace(term, time=dataclasses.replace(term.time, t_star=-0.01))
+        for term in problem.f_data
+    ))
+    problem = dataclasses.replace(problem, f_data=early)
+    monkeypatch.setattr(problems, "catalog", lambda name: problem)
+    argv = ["run", "--problem", "E_2.5", "--scheme", "characteristic", "--N", "20"]
+    assert main(argv) == EXIT_CONFIG
+    assert "switched on at t >= 0" in capsys.readouterr().err
 
 
 def test_run_characteristic_auto_steps_stop_at_horizon(tmp_path):

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from compactwave import problems
+from compactwave import operators
 from compactwave.mesh import build_uniform_axis
 from compactwave.operators import (
     PPiece,
     QPiece,
     SpaceDirac,
     TimeDirac,
+    _forcing_convolution,
     _signed_power,
     _signed_power_antideriv,
 )
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     EXAMPLE_COEFFICIENTS,
-    _forcing_convolution,
     catalog,
     make_example,
     make_sine_mode_problem,
@@ -366,7 +366,7 @@ def test_catalog_exact_matches_gauss_convolution_at_scale(monkeypatch):
         spec = make_example(alpha)
         nodes = build_uniform_axis(n, spec.extents[0], spec.origin[0]).nodes
         closed[alpha] = (spec, nodes, [spec.exact(nodes, t) for t in np.arange(n + 1) / n])
-    monkeypatch.setattr(problems, "_forcing_convolution", forcing_convolution_gauss)
+    monkeypatch.setattr(operators, "_forcing_convolution", forcing_convolution_gauss)
     for alpha, (spec, nodes, values) in closed.items():
         worst = max(
             float(np.max(np.abs(v - spec.exact(nodes, t))))

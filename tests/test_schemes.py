@@ -15,6 +15,7 @@ from compactwave.mesh import (
     select_time_step_count,
 )
 from compactwave.operators import (
+    PiecewiseData,
     PPiece,
     QPiece,
     SeparableTerm,
@@ -35,7 +36,7 @@ from compactwave.problems import (
 from compactwave.schemes import (
     SchemeConfig,
     SchemeKind,
-    _char_forcing_level,
+    _char_forcing,
     _char_velocity_table,
     assemble,
     characteristic_meshes,
@@ -243,7 +244,8 @@ def test_reversibility():
     axis = build_uniform_axis(16, 1.0)
     tmesh = build_time_mesh(12, 0.4)
     scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
-    traj = [values for _, _, values in scheme.march()]
+    traj = []
+    scheme.run(collect(traj))
     # walk the three-level recursion backwards: solve for the older level
     v_next, v_curr = traj[-1], traj[-2]
     for level in range(len(traj) - 2, 0, -1):
@@ -309,8 +311,10 @@ def test_graded_identity_layout_matches_uniform_scheme():
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi0"], n, 1.0, -0.5)
     tmesh = build_time_mesh(step_count(problem, uniform, SchemeKind.COMPACT_1D), 1.0)
     config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
-    levels_uniform = [values for _, _, values in assemble(problem, config, [uniform], tmesh).march()]
-    levels_graded = [values for _, _, values in assemble(problem, config, [graded], tmesh).march()]
+    levels_uniform, levels_graded = [], []
+    run(problem, config, [uniform], tmesh, observer=collect(levels_uniform))
+    run(problem, config, [graded], tmesh, observer=collect(levels_graded))
+    assert len(levels_uniform) == len(levels_graded) == tmesh.n_steps + 1
     for v_u, v_g in zip(levels_uniform, levels_graded):
         assert np.max(np.abs(v_u - v_g)) < 1e-12
 
@@ -638,13 +642,14 @@ def _horizon_steps(problem, n):
     return math.floor(n * problem.speeds[0] * problem.horizon / problem.extents[0])
 
 
-@pytest.mark.parametrize("n", [20, 40, 41, 200, 400, 800])
+@pytest.mark.parametrize("n", [20, 40, 41, 200, 400, 800, 1000, 1600])
 @pytest.mark.parametrize("alpha", EXAMPLE_ALPHAS)
 def test_characteristic_exact_on_catalog(alpha, n):
-    # odd N puts the data breakpoints between nodes, so the footprints of the
-    # nodes next to them get their own crossing times; at N = 400 and 800 the
+    # odd N puts the data breakpoints between nodes; at N = 400 and 800 the
     # nodes next to the E_0.5 fronts carry the rounding of the origin, and
-    # the exact solution and the runner judge that tie on one scale
+    # the exact solution and the runner's velocity data judge that tie on
+    # one scale; N = 1000 and 1600 hold the recursion's roundoff, which
+    # grows with N M, to the same bound
     problem = make_example(alpha)
     axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
     m = step_count(problem, axis, SchemeKind.EXPLICIT_CHARACTERISTIC)
@@ -739,35 +744,49 @@ _ORACLE_PROBLEMS = [make_example(alpha) for alpha in EXAMPLE_ALPHAS] + [
 def test_characteristic_forcing_matches_scalar_oracle(problem, n):
     # every level of the run, from the first half level through the levels
     # before t_* to the horizon
-    axis, _ = characteristic_meshes(problem, n, 1)
+    _assert_forcing_matches_oracle(problem.f_data, problem, n, _horizon_steps(problem, n))
+
+
+def _assert_forcing_matches_oracle(terms, problem, n, n_steps):
+    """The runner's forcing terms (_char_forcing, the triangle's and then
+    the rhombs') as averages, against the scalar oracle at every level."""
+    axis, tmesh = characteristic_meshes(problem, n, n_steps)
     h = axis.h
     h_t = h / problem.speeds[0]
-    for level in range(_horizon_steps(problem, n)):
-        got = _char_forcing_level(problem.f_data, axis.nodes, level, h, h_t)
-        want = _oracle_forcing_level(problem.f_data, axis.nodes, level, h, h_t)
+    levels = list(_char_forcing(terms, axis.nodes, tmesh, problem.speeds[0]))
+    assert len(levels) == n_steps
+    for level, term in enumerate(levels):
+        got = term / ((0.5 if level == 0 else 1.0) * h_t**2)
+        want = _oracle_forcing_level(terms, axis.nodes, level, h, h_t)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("shift", [-0.3, 0.4])
 def test_characteristic_forcing_switched_on_near_start_matches_scalar_oracle(shift):
-    # t_* = shift * h_t: the forcing is on over (part of) the level-0
-    # triangle, and before t = 0 when shift < 0, where the crossing times
-    # of the nodes next to the breakpoint (odd N) fall outside the triangle
+    # t_* = shift * h_t: the forcing is on over part of the level-0 triangle,
+    # where the crossing times of the nodes next to the breakpoint (odd N)
+    # fall inside it.  Before t = 0 (shift < 0) the cone integrals would
+    # count the forcing at negative times, so the runner rejects it
     problem = make_example(2.5)
     n = 41
-    axis, _ = characteristic_meshes(problem, n, 1)
-    h = axis.h
-    h_t = h / problem.speeds[0]
-    t_star = shift * h_t
-    terms = [
-        SeparableTerm(1.0, space, QPiece(degree, t_star))
+    h_t = characteristic_meshes(problem, n, 1)[0].h / problem.speeds[0]
+    terms = PiecewiseData(tuple(
+        SeparableTerm(1.0, space, QPiece(degree, shift * h_t))
         for space in (PPiece(0), PPiece(1), PPiece(3), SpaceDirac(0.0))
         for degree in (0, 1, 2)
-    ]
-    for level in range(3):
-        got = _char_forcing_level(terms, axis.nodes, level, h, h_t)
-        want = _oracle_forcing_level(terms, axis.nodes, level, h, h_t)
-        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+    ))
+    if shift < 0:
+        with pytest.raises(ValueError, match="switched on at t >= 0"):
+            run_explicit_characteristic(dataclasses.replace(problem, f_data=terms), n, 3)
+    else:
+        _assert_forcing_matches_oracle(terms, problem, n, 3)
+
+
+def test_characteristic_rejects_forcing_without_a_temporal_factor():
+    problem = make_example(2.5)
+    steady = PiecewiseData((SeparableTerm(1.0, PPiece(0)),))
+    with pytest.raises(ValueError, match="temporal factor"):
+        run_explicit_characteristic(dataclasses.replace(problem, f_data=steady), 20, 4)
 
 
 def test_characteristic_velocity_quadrature_matches_scalar_oracle():
