@@ -22,7 +22,6 @@ from .schemes import (
     RunResult,
     SchemeConfig,
     SchemeKind,
-    assemble,
     run,
     run_explicit_characteristic,
     step_count,

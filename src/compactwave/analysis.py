@@ -1,5 +1,5 @@
 """Error norms, the recipe of a 1D run (run_errors: the implicit kinds of a
-study marched as one stack, each column watched by its own error observer),
+study marched as one stack, each row watched by its own error observer),
 least-squares order fitting, theoretical order formulas, and report assembly
 for convergence studies.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import schemes
 from .mesh import AxisMesh, TimeMesh, build_time_mesh
-from .schemes import RunResult, SchemeConfig, SchemeKind
+from .schemes import RunResult, SchemeKind
 
 __all__ = [
     "ErrorTriple",
@@ -146,7 +146,7 @@ class ErrorObserver:
 
 def _last_level(exact: Callable) -> Callable:
     """exact(x, t) remembered for the last (x, t) asked for: the observers of
-    a stack's columns, shown one level in turn, write each level's residual
+    a stack's rows, shown one level in turn, write each level's residual
     from one evaluation: one call per level, with a scalar t."""
     last = [None, None, None]
 
@@ -169,12 +169,13 @@ def run_errors(
 ) -> list[tuple[RunResult, ErrorTriple]]:
     """The run and its error triple for each 1D kind on `axis` with
     `n_steps` steps (the rule is schemes.step_count): the recipe of every 1D
-    run.  The implicit kinds, one scheme each, march over the horizon as one
-    stack with one column per kind (schemes.run_stacked: one A apply,
+    run.  The implicit kinds go to schemes.run_stacked by kind, which marches
+    them over the horizon as one stack with one row per kind (one A apply,
     forcing entry, trace and block-diagonal solve per level), each run equal
     to the kind's own bit for bit (a lone kind runs on its own); their
-    observers share one exact evaluation per level.  characteristic runs on the problem's uniform axis with h_t = h/a.  A run
-    that blew up reports the infinite triple; the others run to the end.
+    observers share one exact evaluation per level.  characteristic runs on
+    the problem's uniform axis with h_t = h/a.  A run that blew up reports
+    the infinite triple; the others run to the end.
     """
     kinds = [SchemeKind(kind) for kind in kinds]
     exact = _last_level(problem.exact)
@@ -190,9 +191,8 @@ def run_errors(
     implicit = [kind for kind in kinds if kind != explicit]
     if implicit:
         tmesh = build_time_mesh(n_steps, problem.horizon)
-        stack = [schemes.assemble(problem, SchemeConfig(kind), [axis], tmesh) for kind in implicit]
         observers = [ErrorObserver(exact, axis, tmesh) for _ in implicit]
-        results = schemes.run_stacked(stack, observers)
+        results = schemes.run_stacked(problem, implicit, axis, tmesh, observers)
         done.update(zip(implicit, zip(results, observers)))
     return [
         (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else obs.result())

@@ -406,7 +406,7 @@ def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
         u0=lambda *xs: np.zeros_like(xs[0]),
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = schemes.assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    scheme = schemes.Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
     traj = scheme.march_data(full0, u1n, forcing)
     certs = stability.verify_energy_bound(scheme, traj, u1n, forcing, eps0)
     return [

@@ -24,15 +24,15 @@ the tensor sine basis (SpectralHandle) and apply B and A as sums and
 products of the per-axis rows; they lift a trace with the step operator's
 rows next to each face.
 
-A scheme's own march, the explicit one included, runs through one level
-loop (_march), which shows each level to an observer and applies the
-blow-up rule to it.  The recipe of a 1D run (analysis.run_errors) marches
-two or more implicit kinds as one stack instead (run_stacked), a (N+1, K)
-array with one column per kind: on one axis every 1D kind has the same A,
-so a level is one first_step or time_step of the stack, with one A apply,
-one forcing entry, one trace and one block-diagonal solve for all columns,
-and the blow-up rule takes each column out of the stack on its own.  Every
-1D run takes its step count from one rule (step_count).
+Every run, the explicit one and a 1D stack included, marches through one
+level loop (_march), which shows each level to its observers and applies
+the blow-up rule to it.  The recipe of a 1D run (analysis.run_errors)
+marches two or more implicit kinds as one stack (run_stacked), a (K, N+1)
+array with one row per kind: on one axis every 1D kind has the same A, so a
+level is one first_step or time_step of the stack, with one A apply, one
+forcing entry, one trace and one block-diagonal solve for all rows, and
+the loop ends each row's run on its own.  Every 1D run takes its step count
+from one rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
@@ -72,7 +72,6 @@ __all__ = [
     "SchemeConfig",
     "RunResult",
     "Scheme",
-    "assemble",
     "run",
     "run_stacked",
     "run_explicit_characteristic",
@@ -80,7 +79,6 @@ __all__ = [
     "operator_pair",
     "step_count",
     "BLOWUP_ABORT",
-    "diverged",
 ]
 
 BLOWUP_ABORT = 1e100
@@ -89,11 +87,10 @@ COMPACT_SIGMA = 1.0 / 12.0
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
 
 
-def diverged(values: np.ndarray, axis: int | None = None):
-    """The blow-up rule: a non-finite value or a magnitude beyond 1e100; one
-    verdict for the array, or one per slice along `axis` (axis=0 of a stack:
-    one per column)."""
-    return ~(np.abs(values).max(axis=axis) <= BLOWUP_ABORT)
+def diverged(row: np.ndarray) -> bool:
+    """The blow-up rule, one verdict per row of a march: a non-finite value
+    or a magnitude beyond 1e100."""
+    return not np.abs(row).max() <= BLOWUP_ABORT
 
 
 class SchemeKind(str, Enum):
@@ -383,8 +380,8 @@ class Scheme:
             lambda v: self.first_step(v, u1n, forcing(0)),
             lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing(level)),
             self.tmesh,
-            observer,
-        )
+            [observer],
+        )[0]
 
     def march_data(
         self, v0: np.ndarray, u1n: np.ndarray, forcing: Sequence[np.ndarray]
@@ -409,89 +406,88 @@ class Scheme:
         return self._march_from(self.initial_level(), self.u1n, self.fn_table, observer)
 
 
-def _march(v0: np.ndarray, first, step, tmesh: TimeMesh, observer=None) -> RunResult:
-    """The level loop of every scheme: v^1 = first(v^0) and
+def _march(v0: np.ndarray, first, step, tmesh: TimeMesh, observers) -> list[RunResult]:
+    """The level loop of every run: v^1 = first(v^0) and
     v^{m+1} = step(v^{m-1}, v^m, m) up to the last node of the time mesh.
 
-    Shows (level, t, values) to the observer, if any, for every level, v^0
-    included, and returns the RunResult.  Each computed level is checked by the
-    blow-up rule (diverged) after the observer has seen it; one that meets
-    it ends the run with the flag set.
+    With one observer (None: an unwatched run) a level is the run's whole
+    array; with K observers a (K, N+1) array whose row k is run k's.  Every
+    row of every level, v^0 included, is shown to its observer as
+    (level, t, row), then judged by the blow-up rule (diverged).  A row that
+    meets it ends its run with the flag set and is held at zero from a copy
+    of that level on (the observers may keep what they were shown), so no
+    inf or NaN reaches a step shared by the rows.  Returns one RunResult per
+    observer, once every run has ended or at the last node.
     """
-    show = observer if observer is not None else lambda level, t, values: None
-    show(0, 0.0, v0)
+    rows = (lambda v: (v,)) if len(observers) == 1 else iter
+    shows = [(lambda *level: None) if show is None else show for show in observers]
+    for show, row in zip(shows, rows(v0)):
+        show(0, 0.0, row)
+    results: list[RunResult | None] = [None] * len(shows)
+    ended: list[int] = []
     v_prev, v_curr = None, v0
     for level in range(1, tmesh.n_steps + 1):
         v_next = first(v_curr) if level == 1 else step(v_prev, v_curr, level - 1)
+        if ended:
+            v_next[ended] = 0.0
         v_prev, v_curr = v_curr, v_next
-        show(level, tmesh.nodes[level], v_curr)
-        if diverged(v_curr):
-            return RunResult(level + 1, v_prev, v_curr, True)
-    return RunResult(tmesh.n_steps + 1, v_prev, v_curr, False)
+        blown = False
+        for k, (show, prev, row) in enumerate(zip(shows, rows(v_prev), rows(v_curr))):
+            if results[k] is None:
+                show(level, tmesh.nodes[level], row)
+                if diverged(row):
+                    results[k] = RunResult(level + 1, prev, row, True)
+                    blown = True
+        if blown:
+            ended = [k for k, result in enumerate(results) if result is not None]
+            if len(ended) == len(results):
+                return results
+            v_prev, v_curr = v_prev.copy(), v_curr.copy()
+            v_prev[ended] = v_curr[ended] = 0.0
+    return [
+        RunResult(tmesh.n_steps + 1, prev, row, False) if result is None else result
+        for result, prev, row in zip(results, rows(v_prev), rows(v_curr))
+    ]
 
 
 def run_stacked(
-    schemes: Sequence[Scheme], observers: Sequence[Callable[[int, float, np.ndarray], None]]
+    problem,
+    kinds: Sequence[SchemeKind | str],
+    axis: AxisMesh,
+    tmesh: TimeMesh,
+    observers: Sequence[Callable[[int, float, np.ndarray], None]],
 ) -> list[RunResult]:
-    """Run 1D schemes of one problem, axis and time mesh as one stack, a
-    (N+1, K) array with one column per scheme, showing each column's levels
-    to its own observer; one RunResult per scheme, equal to the scheme's own
-    run bit for bit.
+    """Run the 1D kinds on one problem, axis and time mesh as one stack, a
+    (K, N+1) array with one row per kind, showing each row's levels to its
+    own observer; one RunResult per kind, equal to the kind's own run bit
+    for bit.
 
     Every 1D kind has the same A (-a^2 Lambda: compact1d's cross average runs
-    over no other axis, second-order has none), and the schemes share the
-    data u1n and fn_table and the trace, so each level is one first_step or
-    time_step of the first scheme on the stack, with the StackHandle of the
-    K step factors in place of its own.  A column that meets the blow-up
-    rule leaves the stack once its observer has seen that level, so no inf
-    or NaN reaches a shared solve.  A lone scheme runs on its own
-    (Scheme.run): the same step on 1-D levels, which cost less per level
-    than a stack of one column.
+    over no other axis, second-order has none), and the kinds share the data
+    u1n and fn_table and the trace, so each level is one first_step or
+    time_step of the first kind's scheme on the stack's transpose, with the
+    StackHandle of the K step factors in place of its own, and _march ends
+    each row's run on its own.  A lone kind runs on its own (Scheme.run):
+    the same step on 1-D levels, which cost less than a stack of one row.
     """
-    if not schemes or len(observers) != len(schemes):
-        raise ValueError(f"{len(observers)} observers for {len(schemes)} schemes")
-    lead = schemes[0]
-    if any(len(s.meshes) != 1 or s.meshes[0] is not lead.meshes[0] or s.problem is not lead.problem
-           or s.tmesh is not lead.tmesh for s in schemes):
-        raise ValueError("a stack runs 1D schemes of one problem, axis and time mesh")
-    if len(schemes) == 1:
+    if not kinds or len(observers) != len(kinds):
+        raise ValueError(f"{len(observers)} observers for {len(kinds)} kinds")
+    stack = [Scheme(problem, SchemeConfig(SchemeKind(kind)), [axis], tmesh) for kind in kinds]
+    lead = stack[0]
+    if len(stack) == 1:
         return [lead.run(observers[0])]
-    tmesh, forcing = lead.tmesh, lead.fn_table
-    columns = list(range(len(schemes)))
-    results: list[RunResult | None] = [None] * len(columns)
-    handle = StackHandle([s.step_factor for s in schemes])
-    # the (K, N+1) array of contiguous rows, seen through its transpose
-    v_prev, v_curr = None, np.tile(lead.initial_level(), (len(columns), 1)).T
-    for observer, values in zip(observers, v_curr.T):
-        observer(0, 0.0, values)
-    for level in range(1, tmesh.n_steps + 1):
-        # the shared interior data broadcast over the columns
-        if level == 1:
-            v_next = lead.first_step(v_curr, lead.u1n[:, None], forcing(0)[:, None], handle)
-        else:
-            v_next = lead.time_step(v_prev, v_curr, level - 1, forcing(level - 1)[:, None], handle)
-        v_prev, v_curr = v_curr, v_next
-        for k, values in zip(columns, v_curr.T):
-            observers[k](level, tmesh.nodes[level], values)
-        blown = diverged(v_curr, axis=0)
-        if blown.any():
-            for i in np.flatnonzero(blown):
-                results[columns[i]] = RunResult(level + 1, v_prev[:, i], v_curr[:, i], True)
-            columns = [k for k, out in zip(columns, blown) if not out]
-            if not columns:
-                return results
-            v_prev, v_curr = v_prev.T[~blown].T, v_curr.T[~blown].T
-            handle = StackHandle([schemes[k].step_factor for k in columns])
-    for k, prev, curr in zip(columns, v_prev.T, v_curr.T):
-        results[k] = RunResult(tmesh.n_steps + 1, prev, curr, False)
-    return results
-
-
-def assemble(
-    problem, config: SchemeConfig, meshes: Sequence[AxisMesh], tmesh: TimeMesh
-) -> Scheme:
-    """Bind a scheme to a problem and meshes; see Scheme for the pieces."""
-    return Scheme(problem, config, meshes, tmesh)
+    handle = StackHandle([scheme.step_factor for scheme in stack])
+    # the shared interior data broadcast over the columns of the transpose
+    u1n, forcing = lead.u1n[:, None], lead.fn_table
+    return _march(
+        np.tile(lead.initial_level(), (len(stack), 1)),
+        lambda v: lead.first_step(v.T, u1n, forcing(0)[:, None], handle).T,
+        lambda v_prev, v_curr, level: lead.time_step(
+            v_prev.T, v_curr.T, level, forcing(level)[:, None], handle
+        ).T,
+        tmesh,
+        observers,
+    )
 
 
 def run(
@@ -501,7 +497,7 @@ def run(
     tmesh: TimeMesh,
     observer: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> RunResult:
-    return assemble(problem, config, meshes, tmesh).run(observer)
+    return Scheme(problem, config, meshes, tmesh).run(observer)
 
 
 # ---------------------------------------------------------------------------
@@ -624,4 +620,4 @@ def run_explicit_characteristic(
         return v_next
 
     v0 = np.array(problem.u0(nodes), dtype=float)
-    return _march(v0, first, step, tmesh, observer), axis, tmesh
+    return _march(v0, first, step, tmesh, [observer])[0], axis, tmesh

@@ -26,9 +26,9 @@ from compactwave.mesh import (
 )
 from compactwave.problems import ProblemSpec, make_example, make_smooth_nonuniform_problem
 from compactwave.schemes import (
+    Scheme,
     SchemeConfig,
     SchemeKind,
-    assemble,
     run,
     step_count,
 )
@@ -359,13 +359,8 @@ def _solo(problem, kind, axis, n_steps):
     reference of a row of the stack."""
     tmesh = build_time_mesh(n_steps, problem.horizon)
     obs = ErrorObserver(problem.exact, axis, tmesh)
-    result = assemble(problem, SchemeConfig(kind), [axis], tmesh).run(obs)
+    result = Scheme(problem, SchemeConfig(kind), [axis], tmesh).run(obs)
     return result, INF if result.blew_up else obs.result()
-
-
-def _stack_of(problem, kinds, axis, n_steps):
-    tmesh = build_time_mesh(n_steps, problem.horizon)
-    return [assemble(problem, SchemeConfig(kind), [axis], tmesh) for kind in kinds], tmesh
 
 
 def _assert_same_run(got, expected):
@@ -396,9 +391,10 @@ def test_graded_axis_stacks_equal_their_solo_runs_bitwise():
     m = step_count(problem, axis, "compact1d")
     solo = _solo(problem, "compact1d", axis, m)
     assert not solo[0].blew_up and solo[0].completed_levels == m + 1
-    stack, tmesh = _stack_of(problem, ["compact1d"] * 2, axis, m)
-    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in stack]
-    for result, obs in zip(schemes.run_stacked(stack, observers), observers):
+    tmesh = build_time_mesh(m, problem.horizon)
+    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in range(2)]
+    for result, obs in zip(schemes.run_stacked(problem, ["compact1d"] * 2, axis, tmesh, observers),
+                           observers):
         _assert_same_run((result, obs.result()), solo)
     [got] = run_errors(problem, ["compact1d"], axis, m)
     _assert_same_run(got, solo)
@@ -482,18 +478,20 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
         monkeypatch.setattr(schemes, name, counted)
     problem = make_example(2.5)
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
-    stack, tmesh = _stack_of(problem, ["compact1d", "second-order"], axis, 20)
+    tmesh = build_time_mesh(20, problem.horizon)
+    scheme = Scheme(problem, SchemeConfig(SchemeKind.SECOND_ORDER), [axis], tmesh)
     assert built == {}
-    schemes.run_stacked(stack, [ErrorObserver(problem.exact, axis, tmesh) for _ in stack])
+    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in range(2)]
+    schemes.run_stacked(problem, ["compact1d", "second-order"], axis, tmesh, observers)
     assert built == {"build_rhs_table": 1, "initial_velocity": 1}
     built.clear()
     rng = np.random.default_rng(2)
-    stack[1].march_data(stack[1].initial_level(), rng.standard_normal(19),
-                        list(rng.standard_normal((20, 19))))
+    scheme.march_data(scheme.initial_level(), rng.standard_normal(19),
+                      list(rng.standard_normal((20, 19))))
     assert built == {}
     # E_1.5's forcing has a time atom at t = 0.5, off the mesh of 7 steps
     problem = make_example(1.5)
-    scheme = assemble(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], build_time_mesh(7, 1.0))
+    scheme = Scheme(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], build_time_mesh(7, 1.0))
     with pytest.raises(ValueError, match="not located at a mesh node"):
         scheme.run()
 
@@ -501,28 +499,16 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
 def test_run_stacked_needs_one_observer_per_scheme():
     problem = make_example(2.5)
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
-    stack, tmesh = _stack_of(problem, ["compact1d", "second-order"], axis, 20)
-    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in stack]
-    for rows, watchers in ((stack, observers[:1]), (stack[:1], observers), ([], [])):
+    tmesh = build_time_mesh(20, problem.horizon)
+    kinds = ["compact1d", "second-order"]
+    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in kinds]
+    for rows, watchers in ((kinds, observers[:1]), (kinds[:1], observers), ([], [])):
         with pytest.raises(ValueError, match="observers for"):
-            schemes.run_stacked(rows, watchers)
-
-
-def test_run_stacked_needs_one_axis_and_time_mesh():
-    problem = make_example(2.5)
-    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
-    # a stack shares one axis and one time mesh object, not equal copies
-    [first], _ = _stack_of(problem, ["compact1d"], axis, 20)
-    [own_tmesh], _ = _stack_of(problem, ["second-order"], axis, 20)
-    axis_copy = build_uniform_axis(20, problem.extents[0], problem.origin[0])
-    [own_axis], _ = _stack_of(problem, ["second-order"], axis_copy, 20)
-    for second in (own_tmesh, own_axis):
-        with pytest.raises(ValueError, match="one problem, axis and time mesh"):
-            schemes.run_stacked([first, second], [lambda *level: None] * 2)
+            schemes.run_stacked(problem, rows, axis, tmesh, watchers)
 
 
 def test_every_1d_kind_has_the_one_stiffness_a_stack_shares():
-    # run_stacked applies the first scheme's A to every column: each 1D
+    # run_stacked applies the first kind's A to every row: each 1D
     # implicit kind, one added later included, must have the same A
     problem = make_example(2.5)
     axis = build_uniform_axis(30, problem.extents[0], problem.origin[0])
@@ -531,7 +517,8 @@ def test_every_1d_kind_has_the_one_stiffness_a_stack_shares():
         if kind != SchemeKind.EXPLICIT_CHARACTERISTIC and 1 in schemes._KINDS[kind].dims
     ]
     assert len(kinds) == 3
-    stack, _ = _stack_of(problem, kinds, axis, 30)
+    tmesh = build_time_mesh(30, problem.horizon)
+    stack = [Scheme(problem, SchemeConfig(kind), [axis], tmesh) for kind in kinds]
     values = np.random.default_rng(3).standard_normal((31, 4))
     reference = stack[0].apply_a_interior(values)
     for scheme in stack[1:]:

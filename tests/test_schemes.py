@@ -34,11 +34,12 @@ from compactwave.problems import (
     make_smooth_nonuniform_problem,
 )
 from compactwave.schemes import (
+    Scheme,
     SchemeConfig,
     SchemeKind,
     _char_forcing,
     _char_velocity_table,
-    assemble,
+    _march,
     characteristic_meshes,
     operator_pair,
     run,
@@ -98,7 +99,7 @@ def _solve_with_full_lift(scheme, rhs, t):
     scheme.boundary_values(out, t)
     interior = tuple(slice(1, -1) for _ in scheme.meshes)
     untraced = dataclasses.replace(scheme.problem, exact=None, g=None)
-    homogeneous = assemble(untraced, scheme.config, scheme.meshes, scheme.tmesh)
+    homogeneous = Scheme(untraced, scheme.config, scheme.meshes, scheme.tmesh)
     lifted = rhs - scheme.apply_step_operator_interior(out)
     out[interior] = homogeneous.solve_step(lifted, t, np.zeros(out.shape))[interior]
     return out
@@ -114,7 +115,7 @@ def test_zero_trace_shortcut_equals_full_lift_bitwise(kind, ndim):
         zero_problem(ndim), exact=lambda *args: np.cos(args[0]) + args[-1]
     )
     for problem, zero_trace in ((zero_problem(ndim), True), (traced, False)):
-        scheme = assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+        scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
         got = scheme.solve_step(rhs, 0.1, np.zeros(tuple(m.nodes.size for m in meshes)))
         full = _solve_with_full_lift(scheme, rhs, 0.1)
         if zero_trace or (ndim > 1 and kind != SchemeKind.SPLITTING):
@@ -134,7 +135,7 @@ def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind,
     # S v^{m+1} = S (2 v^m - v^{m-1}) + h_t^2 (f^m - A v^m), zero faces
     problem = dataclasses.replace(zero_problem(ndim), u0=lambda *xs: 1.0 + np.prod(xs, axis=0))
     meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
-    scheme = assemble(problem, SchemeConfig(kind=kind), meshes, build_time_mesh(6, 0.05))
+    scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, build_time_mesh(6, 0.05))
     levels = []
     assert scheme.run(collect(levels)).stable
     shape, h_t = levels[0].shape, scheme.h_t
@@ -159,10 +160,10 @@ def test_kind_dimension_compatibility():
     meshes = [build_uniform_axis(4, 1.0), build_uniform_axis(4, 1.0)]
     tmesh = build_time_mesh(4, 0.1)
     with pytest.raises(ValueError):
-        assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), meshes, tmesh)
+        Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), meshes, tmesh)
     with pytest.raises(ValueError):
-        assemble(zero_problem(1), SchemeConfig(kind=SchemeKind.SPLITTING),
-                 [build_uniform_axis(4, 1.0)], tmesh)
+        Scheme(zero_problem(1), SchemeConfig(kind=SchemeKind.SPLITTING),
+               [build_uniform_axis(4, 1.0)], tmesh)
 
 
 def test_compact1d_explicit_on_characteristic_step():
@@ -171,7 +172,7 @@ def test_compact1d_explicit_on_characteristic_step():
     axis = build_uniform_axis(8, 1.0)
     h_t = axis.h / 1.0
     tmesh = build_time_mesh(int(round(1.0 / h_t)), 1.0)
-    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
     rng = np.random.default_rng(0)
     values = rng.standard_normal(9)
     assert np.allclose(scheme.apply_step_operator_interior(values), values[1:-1], atol=1e-14)
@@ -183,7 +184,7 @@ def test_first_step_fourth_order():
     for n in (40, 80):
         axis = build_uniform_axis(n, 1.0, -0.5)
         tmesh = build_time_mesh(n, 1.0)
-        scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+        scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
         v1 = scheme.first_step(scheme.initial_level(), scheme.u1n, scheme.fn_table(0))
         errors[n] = np.max(np.abs(problem.exact(axis.nodes, tmesh.h_t) - v1))
     assert errors[40] / errors[80] > 12.0
@@ -243,7 +244,7 @@ def test_reversibility():
     problem = make_sine_mode_problem((1.0,), (1.0,), (3,), amplitude=0.7)
     axis = build_uniform_axis(16, 1.0)
     tmesh = build_time_mesh(12, 0.4)
-    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
     traj = []
     scheme.run(collect(traj))
     # walk the three-level recursion backwards: solve for the older level
@@ -327,8 +328,8 @@ def test_only_compact1d_accepts_a_graded_axis(kind, ndim):
     meshes = [graded] + [build_uniform_axis(6, 1.0) for _ in range(ndim - 1)]
     tmesh = build_time_mesh(4, 0.1)
     with pytest.raises(MeshError, match="requires uniform spatial meshes"):
-        assemble(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
-    assemble(zero_problem(1), SchemeConfig(kind=SchemeKind.COMPACT_1D), [graded], tmesh)
+        Scheme(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
+    Scheme(zero_problem(1), SchemeConfig(kind=SchemeKind.COMPACT_1D), [graded], tmesh)
 
 
 def test_nonuniform_compact_is_an_alias_of_compact1d():
@@ -446,7 +447,7 @@ def test_second_order_spectra_are_the_identity_mass_and_the_stiffness():
     # second-order's B is the identity; its A is -a^2 Lambda
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
-    scheme = assemble(
+    scheme = Scheme(
         problem, SchemeConfig(kind=SchemeKind.SECOND_ORDER), [axis], build_time_mesh(40, 1.0)
     )
     mu_b, mu_a = scheme.spectra
@@ -493,7 +494,7 @@ def test_every_kind_runs_where_the_readme_says():
                     for _ in range(ndim)
                 ]
                 try:
-                    assemble(problem, SchemeConfig(kind=kind), meshes, tmesh)
+                    Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
                     ran = True
                 except (ValueError, MeshError):
                     ran = False
@@ -580,6 +581,52 @@ def test_blowup_at_level_one_ends_every_runner_there():
     assert len(levels) == 2 and np.max(np.abs(levels[1])) > 1e100
 
 
+def test_march_ends_each_row_of_a_stack_on_its_own():
+    # four rows of v^{m+1} = r v^m + v^{m-1} + 1: they meet the blow-up
+    # rule at level 1 (an overflow to inf, ignored as run_errors does), at
+    # level 4, at the last level (20) and never.  Each row's run and shown
+    # levels equal that row marched alone, no step sees a non-finite value
+    # (the constant term regrows an ended row unless it is held at zero),
+    # and an ended row's observer sees nothing after its aborting level.
+    # The observers keep the rows they are shown, not copies: no later
+    # level may overwrite them
+    tmesh = build_time_mesh(20, 1.0)
+    rates = np.array([1e30, 1e30, 10**5.05, 1.5])
+    v0 = np.tile(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), (rates.size, 1))
+    v0[0] *= 1e300
+
+    def march(v0, r, observers):
+        def first(v):
+            assert np.isfinite(v).all()
+            return r * v
+
+        def step(v_prev, v_curr, level):
+            assert np.isfinite(v_prev).all() and np.isfinite(v_curr).all()
+            return r * v_curr + v_prev + 1.0
+
+        with np.errstate(over="ignore"):
+            return _march(v0, first, step, tmesh, observers)
+
+    def watcher():
+        shown = []
+        return shown, lambda level, t, values: shown.append((level, t, values))
+
+    stacked = [watcher() for _ in rates]
+    results = march(v0, rates[:, None], [observe for _, observe in stacked])
+    assert [r.completed_levels for r in results] == [2, 5, 21, 21]
+    assert [r.blew_up for r in results] == [True, True, True, False]
+    for k, (result, (shown, _)) in enumerate(zip(results, stacked)):
+        solo_shown, observe = watcher()
+        [solo] = march(v0[k], rates[k], [observe])
+        assert (result.completed_levels, result.blew_up) == (solo.completed_levels, solo.blew_up)
+        np.testing.assert_array_equal(result.v_prev, solo.v_prev)
+        np.testing.assert_array_equal(result.v_last, solo.v_last)
+        assert [level for level, _, _ in shown] == list(range(result.completed_levels))
+        assert [t for _, t, _ in shown] == [t for _, t, _ in solo_shown]
+        for (_, _, got), (_, _, expected) in zip(shown, solo_shown, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_problem_with_only_a_velocity_callable_assembles_and_runs():
     # the initial velocity follows its data type: u1_fn alone is sampled by
     # the compact formula; u = sin(pi x) sin(pi t) / pi
@@ -590,7 +637,7 @@ def test_problem_with_only_a_velocity_callable_assembles_and_runs():
     )
     axis = build_uniform_axis(20, 1.0)
     tmesh = build_time_mesh(10, 0.5)
-    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
     sampled = initial_velocity(problem.u1_fn, [axis], tmesh.h_t, problem.speeds)
     assert np.array_equal(scheme.u1n, sampled)
     [(result, triple)] = run_errors(problem, [SchemeKind.COMPACT_1D], axis, tmesh.n_steps)
@@ -607,7 +654,7 @@ def test_forcing_table_level_0_is_the_first_step_forcing():
     )
     meshes = [build_uniform_axis(10, 1.0), build_uniform_axis(8, 0.8)]
     tmesh = build_time_mesh(6, 0.3)
-    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
+    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
     x, y = np.meshgrid(meshes[0].nodes, meshes[1].nodes, indexing="ij")
     h_t = tmesh.h_t
     f0 = f(x, y, 0.0)
@@ -621,8 +668,8 @@ def test_forcing_table_level_0_is_the_first_step_forcing():
 def test_forcing_table_covers_the_steps_0_to_m_minus_1():
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(10, 1.0, -0.5)
-    scheme = assemble(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
-                      build_time_mesh(5, 1.0))
+    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
+                    build_time_mesh(5, 1.0))
     assert scheme.fn_table.n_steps == 5
     for level in range(5):
         assert scheme.fn_table(level).shape == (9,)
