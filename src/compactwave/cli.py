@@ -227,8 +227,10 @@ TABLE1_SCHEMES = ("compact1d", "second-order")
 def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
     """{case: fn(*case)}, on one pool of `jobs` processes when jobs > 1; the
     largest N (second entry of a case) goes first, so no long case ends last."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, not {jobs}")
     order = sorted(cases, key=lambda case: -case[1])
-    if jobs <= 1:
+    if jobs == 1:
         return {case: fn(*case) for case in order}
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return dict(zip(order, pool.map(fn, *zip(*order))))

@@ -16,6 +16,7 @@ the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
+LAPACK loads with the module; `scipy.fft` loads on the first fast transform.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .mesh import AxisMesh, MeshError
 from .operators import TridiagonalFactor, compose_pair, pair_forms
@@ -75,10 +76,6 @@ class TriSolver:
     """
 
     def __init__(self, *factors: TridiagonalFactor):
-        # imported here, not with the module: scipy.linalg adds ~0.1 s and
-        # ~5 MB to every run, and only the tridiagonal solves need it
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
         sizes = np.array([f.n_interior for f in factors])
         n = int(sizes.sum())
         pad = max(_GT_MIN_UNKNOWNS - n, 0)
@@ -97,7 +94,6 @@ class TriSolver:
         self.n_interior = n
         self._lu = lu
         self._pad = pad
-        self._dgttrs = dgttrs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -106,7 +102,7 @@ class TriSolver:
             raise ValueError(f"rhs length {rhs.shape[0]} != interior count {n}")
         if self._pad:
             rhs = np.concatenate([rhs, np.zeros((self._pad,) + rhs.shape[1:])])
-        x, _ = self._dgttrs(*self._lu, rhs)
+        x, _ = dgttrs(*self._lu, rhs)
         return x[:n]
 
 
@@ -135,8 +131,8 @@ def _sine_matrix(n_intervals: int) -> np.ndarray:
 def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarray:
     """Sine analysis c_l = sum_k w_k sin(pi l k / N) along one axis.
 
-    Small axes use the direct O(N^2) matrix; larger ones the fast transform.
-    Both paths agree to roundoff.
+    Small axes use the direct O(N^2) matrix; larger ones the fast transform,
+    which imports `scipy.fft` on its first call.  Both paths agree to roundoff.
     """
     n_int = values.shape[axis]
     if direct is None:
@@ -144,6 +140,8 @@ def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarra
     if direct:
         # the sine matrix is symmetric: a right product on the swapped view
         return (values.swapaxes(axis, -1) @ _sine_matrix(n_int + 1)).swapaxes(axis, -1)
+    import scipy.fft
+
     return scipy.fft.dst(values, type=1, axis=axis) / 2.0
 
 

@@ -374,6 +374,24 @@ def test_full_studies_reject_a_given_resolution_list(tmp_path, capsys, monkeypat
     assert "unread setting 'N' with --full" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize("command", ["table1", "table2"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, command, jobs, source):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, f"_{command}_case", lambda *a: pytest.fail("a case ran"))
+    argv = [command, "--N", "40,80"]
+    if source == "flag":
+        argv += ["--jobs", str(jobs)]
+    else:
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump({"jobs": jobs}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"jobs must be at least 1, not {jobs}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "table1", "table2"])
 def test_config_format_is_checked_before_any_run(tmp_path, capsys, monkeypatch, command):
     from compactwave import cli
