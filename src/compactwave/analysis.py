@@ -27,7 +27,7 @@ import numpy as np
 
 from . import schemes
 from .mesh import AxisMesh, TimeMesh, build_time_mesh
-from .schemes import RunResult, SchemeKind
+from .schemes import _BLOCK, RunResult, SchemeKind
 
 __all__ = [
     "ErrorTriple",
@@ -59,10 +59,6 @@ class ErrorTriple:
 
     def as_dict(self) -> dict[str, float]:
         return {"L2h": self.L2h, "Ch": self.Ch, "Eh": self.Eh}
-
-
-# levels of residual an observer holds before it reduces them at once
-_BLOCK = 32
 
 
 class ErrorObserver:

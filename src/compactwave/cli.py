@@ -138,6 +138,14 @@ def _n_list(raw) -> list[int]:
     return values
 
 
+def _distinct(values: list, name: str) -> list:
+    """values, unless one of them repeats: a ConfigError naming it."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ConfigError(f"{name} {value!r} is given twice")
+    return values
+
+
 # The config keys of each command, with their defaults.  A None entry is
 # resolved where it is read (stability's by dimension, cfl_factor when M is
 # auto, the studies' N without --full), so a given setting that goes unread
@@ -257,17 +265,17 @@ def _study_n(settings: dict, full) -> list[int]:
     if settings["full"]:
         _reject(settings, ("N",), "with --full, which sets the full-scale lists")
         return list(full)
-    return _n_list(_STUDY_N if settings["N"] is None else settings["N"])
+    return _distinct(_n_list(_STUDY_N if settings["N"] is None else settings["N"]), "N")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     s = _settings(args)
-    alphas = [float(a) for a in s["alpha"]]
+    alphas = _distinct([float(a) for a in s["alpha"]], "alpha")
     n_lists = {}
     for alpha in alphas:
         if alpha not in problems.EXAMPLE_ALPHAS:
             raise ConfigError(f"alpha {alpha} is not in the catalog")
-        n_lists[alpha] = sorted(set(_study_n(s, _FULL_N_BY_ALPHA[alpha])))
+        n_lists[alpha] = sorted(_study_n(s, _FULL_N_BY_ALPHA[alpha]))
         if any(n % 2 for n in n_lists[alpha]):
             raise ConfigError("odd N places the data singularity between nodes; use even N")
     cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
@@ -302,8 +310,8 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTr
 
 def cmd_table2(args: argparse.Namespace) -> int:
     s = _settings(args)
-    phis = list(s["phi"])
-    n_list = sorted(set(_study_n(s, range(50, 1001, 50))))
+    phis = _distinct(list(s["phi"]), "phi")
+    n_list = sorted(_study_n(s, range(50, 1001, 50)))
     factor = float(s["cfl_factor"])
     for phi_name in phis:
         if phi_name not in NODE_DISTRIBUTIONS:

@@ -83,6 +83,9 @@ __all__ = [
 
 BLOWUP_ABORT = 1e100
 COMPACT_SIGMA = 1.0 / 12.0
+# levels the reference side handles at once: the error observer's residual
+# block and the characteristic runner's cone integrals
+_BLOCK = 32
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
 
@@ -556,15 +559,20 @@ def _char_forcing(f_data, nodes: np.ndarray, tmesh: TimeMesh, a: float):
     t_m, all nodes), which the exact solutions evaluate, Dirac atoms on the
     cone's sides and apex included: C_1[k] for the triangle below t_1, and
     C_{m+1}[k] - C_m[k-1] - C_m[k+1] + C_{m-1}[k] for the rhomb
-    (t_{m-1}, t_{m+1}).  C is evaluated once per level, when the level is
-    asked for, and three levels are kept.
+    (t_{m-1}, t_{m+1}).  C is evaluated in one call per block of _BLOCK
+    steps lo .. hi-1, at the levels lo-1 .. hi that their rhombs reach (0 ..
+    hi in the first block), so memory stays O(_BLOCK N); the terms are
+    yielded in step order.
     """
-    cone = lambda m: _dalembert_forcing_part(f_data, nodes, tmesh.nodes[m], a)
-    mid, above = cone(0), cone(1)
-    yield above[1:-1]
-    for m in range(1, tmesh.n_steps):
-        below, mid, above = mid, above, cone(m + 1)
-        yield above[1:-1] - mid[:-2] - mid[2:] + below[1:-1]
+    times = tmesh.nodes
+    for lo in range(0, tmesh.n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, tmesh.n_steps)
+        cone = _dalembert_forcing_part(
+            f_data, nodes[None, :], times[max(lo - 1, 0) : hi + 1, None], a
+        )
+        if lo == 0:
+            yield cone[1, 1:-1]
+        yield from cone[2:, 1:-1] - cone[1:-1, :-2] - cone[1:-1, 2:] + cone[:-2, 1:-1]
 
 
 def run_explicit_characteristic(

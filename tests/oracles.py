@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 
 from compactwave.analysis import ErrorTriple
-from compactwave.operators import TridiagonalFactor, _hat_weights_t
+from compactwave.operators import TridiagonalFactor, _dalembert_forcing_part, _hat_weights_t
 from compactwave.solvers import SingularSystemError, pair_spectra, sine_coefficients
 
 _PIVOT_RTOL = 1e-14
@@ -154,6 +154,30 @@ class PerLevelErrorObserver:
 
     def result(self):
         return ErrorTriple(self._l2, self._c, self._e)
+
+
+def char_forcing_per_level(f_data, nodes, tmesh, a):
+    """The characteristic runner's forcing terms (schemes._char_forcing) with
+    one cone evaluation per level and a rolling window of three levels.
+
+    The forcing terms of the recursion at the interior nodes, one per
+    step m = 0 .. M-1: (h_t^2/2) f_k^0 at m = 0 and h_t^2 f_k^m after, with
+    f_k^m the average of the forcing over the footprint of node k.
+
+    By d'Alembert's parallelogram rule each footprint integral is a signed
+    sum of backward-cone integrals C_m (operators._dalembert_forcing_part at
+    t_m, all nodes), which the exact solutions evaluate, Dirac atoms on the
+    cone's sides and apex included: C_1[k] for the triangle below t_1, and
+    C_{m+1}[k] - C_m[k-1] - C_m[k+1] + C_{m-1}[k] for the rhomb
+    (t_{m-1}, t_{m+1}).  C is evaluated once per level, when the level is
+    asked for, and three levels are kept.
+    """
+    cone = lambda m: _dalembert_forcing_part(f_data, nodes, tmesh.nodes[m], a)
+    mid, above = cone(0), cone(1)
+    yield above[1:-1]
+    for m in range(1, tmesh.n_steps):
+        below, mid, above = mid, above, cone(m + 1)
+        yield above[1:-1] - mid[:-2] - mid[2:] + below[1:-1]
 
 
 def signed_power_pow(k: int, x) -> np.ndarray:

@@ -392,6 +392,33 @@ def test_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, command
     assert f"jobs must be at least 1, not {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command,key,values,message",
+    [
+        ("table1", "alpha", [2.5, 2.5], "alpha 2.5 is given twice"),
+        ("table1", "N", [8, 16, 16], "N 16 is given twice"),
+        ("table2", "phi", ["phi0", "phi0"], "phi 'phi0' is given twice"),
+        ("table2", "N", [40, 40], "N 40 is given twice"),
+    ],
+)
+def test_a_repeated_study_value_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, key, values, message, source
+):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, f"_{command}_case", lambda *a: pytest.fail("a case ran"))
+    if source == "flag":
+        joined = [",".join(map(str, values))] if key == "N" else [str(v) for v in values]
+        argv = [command, f"--{key}", *joined]
+    else:
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump({key: values}))
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "table1", "table2"])
 def test_config_format_is_checked_before_any_run(tmp_path, capsys, monkeypatch, command):
     from compactwave import cli

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from compactwave import operators
+from compactwave import operators, schemes
 from compactwave.mesh import build_uniform_axis
 from compactwave.operators import (
+    PiecewiseData,
     PPiece,
     QPiece,
+    SeparableTerm,
     SpaceDirac,
     TimeDirac,
+    _dalembert_forcing_part,
     _forcing_convolution,
     _signed_power,
     _signed_power_antideriv,
@@ -340,6 +343,41 @@ def test_forcing_convolution_matches_gauss_oracle():
         ref = forcing_convolution_gauss(j, degree, x, tau, a)
         assert new.shape == x.shape
         assert np.all(np.abs(new - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+    check()
+
+
+@pytest.mark.skipif(hypothesis is None, reason="property test needs hypothesis")
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_cone_integral_of_a_block_of_times_equals_the_scalar_calls_bitwise():
+    # the characteristic runner's call: a (B, N+1) block of levels at once,
+    # against one call per level, with terms switched on inside the block, so
+    # that rows before a t_* take that term's exact zeros where a scalar call
+    # skips it
+    st = hypothesis.strategies
+    block = schemes._BLOCK
+    space = st.one_of(
+        st.builds(PPiece, st.integers(0, 3)), st.builds(SpaceDirac, st.floats(-0.5, 0.5))
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 60))
+        a = data.draw(st.floats(0.25, 3.0))
+        nodes = build_uniform_axis(n, 1.0, -0.5).nodes
+        times = (data.draw(st.integers(0, 3 * block)) + np.arange(block)) * (1.0 / n / a)
+        # t_* on a level of the block or anywhere between its first and last
+        t_star = st.one_of(st.sampled_from(list(times)), st.floats(times[0], times[-1]))
+        time = st.one_of(st.builds(QPiece, st.integers(0, 3), t_star), st.builds(TimeDirac, t_star))
+        terms = PiecewiseData(tuple(data.draw(st.lists(
+            st.builds(SeparableTerm, st.floats(-2.0, 2.0), space, time), min_size=1, max_size=4
+        ))))
+        got = _dalembert_forcing_part(terms, nodes[None, :], times[:, None], a)
+        want = np.stack([_dalembert_forcing_part(terms, nodes, t, a) for t in times])
+        assert got.tobytes() == want.tobytes()
+        off = got[times < min(term.time.t_star for term in terms)]
+        assert np.all(off == 0.0) and not np.any(np.signbit(off))
 
     check()
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compactwave import schemes
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     MeshError,
@@ -47,7 +48,7 @@ from compactwave.schemes import (
     step_count,
 )
 from compactwave.solvers import sine_coefficients, sine_spectrum
-from oracles import assemble_dense_operator, dense_solve_oracle
+from oracles import assemble_dense_operator, char_forcing_per_level, dense_solve_oracle
 
 
 def zero_problem(n):
@@ -808,6 +809,17 @@ def _assert_forcing_matches_oracle(terms, problem, n, n_steps):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
+def _near_start_terms(problem, n, shift):
+    """Forcing of every space profile and of degrees 0..2 in time, switched on
+    at t_* = shift * h_t on the characteristic mesh of N = n."""
+    h_t = characteristic_meshes(problem, n, 1)[0].h / problem.speeds[0]
+    return PiecewiseData(tuple(
+        SeparableTerm(1.0, space, QPiece(degree, shift * h_t))
+        for space in (PPiece(0), PPiece(1), PPiece(3), SpaceDirac(0.0))
+        for degree in (0, 1, 2)
+    ))
+
+
 @pytest.mark.parametrize("shift", [-0.3, 0.4])
 def test_characteristic_forcing_switched_on_near_start_matches_scalar_oracle(shift):
     # t_* = shift * h_t: the forcing is on over part of the level-0 triangle,
@@ -816,17 +828,56 @@ def test_characteristic_forcing_switched_on_near_start_matches_scalar_oracle(shi
     # count the forcing at negative times, so the runner rejects it
     problem = make_example(2.5)
     n = 41
-    h_t = characteristic_meshes(problem, n, 1)[0].h / problem.speeds[0]
-    terms = PiecewiseData(tuple(
-        SeparableTerm(1.0, space, QPiece(degree, shift * h_t))
-        for space in (PPiece(0), PPiece(1), PPiece(3), SpaceDirac(0.0))
-        for degree in (0, 1, 2)
-    ))
+    terms = _near_start_terms(problem, n, shift)
     if shift < 0:
         with pytest.raises(ValueError, match="switched on at t >= 0"):
             run_explicit_characteristic(dataclasses.replace(problem, f_data=terms), n, 3)
     else:
         _assert_forcing_matches_oracle(terms, problem, n, 3)
+
+
+_B = schemes._BLOCK
+_SEAM_CASES = [(200, m) for m in (1, _B - 1, _B, _B + 1, 2 * _B, 89)] + [(1600, 715)]
+
+
+def _assert_block_forcing_equals_per_level(terms, problem, n, n_steps):
+    axis, tmesh = characteristic_meshes(problem, n, n_steps)
+    a = problem.speeds[0]
+    got = list(_char_forcing(terms, axis.nodes, tmesh, a))
+    want = list(char_forcing_per_level(terms, axis.nodes, tmesh, a))
+    assert len(got) == len(want) == n_steps
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize("n,n_steps", _SEAM_CASES)
+def test_block_characteristic_forcing_equals_the_per_level_oracle_bitwise(n, n_steps):
+    # blocks of one step, of one short of a block, of one and two whole
+    # blocks and one over, and the workload's and the largest catalog run's
+    # sizes: every term, -0.0 against +0.0 included
+    for alpha in EXAMPLE_ALPHAS:
+        problem = make_example(alpha)
+        _assert_block_forcing_equals_per_level(problem.f_data, problem, n, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [m for n, m in _SEAM_CASES if n == 200])
+@pytest.mark.parametrize("shift", [-0.3, 0.4])
+def test_block_near_start_forcing_equals_the_per_level_oracle_bitwise(shift, n_steps):
+    problem = make_example(2.5)
+    terms = _near_start_terms(problem, 41, shift)
+    _assert_block_forcing_equals_per_level(terms, problem, 41, n_steps)
+
+
+def test_characteristic_forcing_takes_one_cone_call_per_block(monkeypatch):
+    calls = []
+    cone = schemes._dalembert_forcing_part
+
+    def counted(*args):
+        calls.append(args)
+        return cone(*args)
+
+    monkeypatch.setattr(schemes, "_dalembert_forcing_part", counted)
+    run_explicit_characteristic(make_example(2.5), 200, 89)
+    assert 1 <= len(calls) <= math.ceil(89 / _B)
 
 
 def test_characteristic_rejects_forcing_without_a_temporal_factor():
