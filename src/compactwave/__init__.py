@@ -7,7 +7,6 @@ from .analysis import ErrorObserver, ErrorTriple, fit_order, run_errors, theoret
 from .mesh import (
     AxisMesh,
     MeshStats,
-    NodeDistribution,
     NODE_DISTRIBUTIONS,
     TimeMesh,
     build_graded_axis,

@@ -20,7 +20,6 @@ __all__ = [
     "AxisMesh",
     "TimeMesh",
     "MeshStats",
-    "NodeDistribution",
     "NODE_DISTRIBUTIONS",
     "build_uniform_axis",
     "build_graded_axis",
@@ -128,25 +127,15 @@ class MeshStats:
         return self.h_max / self.h_min
 
 
-@dataclass(frozen=True)
-class NodeDistribution:
-    """Increasing map of [0, 1] onto [0, 1] generating graded node layouts."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(xi, dtype=float))
-
-
-NODE_DISTRIBUTIONS: dict[str, NodeDistribution] = {
-    "phi0": NodeDistribution("phi0", lambda xi: xi),
-    "phi1": NodeDistribution("phi1", lambda xi: np.expm1(5.0 * xi) / np.expm1(5.0)),
-    "phi2": NodeDistribution("phi2", lambda xi: np.log(60.0 * xi + 1.0) / np.log(61.0)),
-    "phi3": NodeDistribution("phi3", lambda xi: xi**1.5),
-    "phi4": NodeDistribution("phi4", lambda xi: xi**0.75),
-    "phi5": NodeDistribution("phi5", lambda xi: xi**0.625),
-    "phi6": NodeDistribution("phi6", lambda xi: np.sqrt(xi)),
+# increasing maps of [0, 1] onto [0, 1] generating graded node layouts
+NODE_DISTRIBUTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "phi0": lambda xi: xi,
+    "phi1": lambda xi: np.expm1(5.0 * xi) / np.expm1(5.0),
+    "phi2": lambda xi: np.log(60.0 * xi + 1.0) / np.log(61.0),
+    "phi3": lambda xi: xi**1.5,
+    "phi4": lambda xi: xi**0.75,
+    "phi5": lambda xi: xi**0.625,
+    "phi6": lambda xi: np.sqrt(xi),
 }
 
 
@@ -162,7 +151,7 @@ def build_uniform_axis(n_intervals: int, extent: float, origin: float = 0.0) -> 
 
 
 def build_graded_axis(
-    phi: NodeDistribution | Callable[[np.ndarray], np.ndarray],
+    phi: Callable[[np.ndarray], np.ndarray],
     n_intervals: int,
     extent: float,
     origin: float = 0.0,

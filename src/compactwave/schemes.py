@@ -1,6 +1,6 @@
-"""Time-stepping schemes: compact 4th-order (1D on uniform or graded axes,
-the three nD variants, the factorized splitting form), a weighted 2nd-order
-reference, and the explicit scheme on the characteristic mesh.
+"""Time-stepping schemes: compact 4th-order (1D, the three nD variants, the
+factorized splitting form), a weighted 2nd-order reference, and the explicit
+scheme on the characteristic mesh.
 
 Every implicit scheme advances the symmetric three-level recursion
 
@@ -19,10 +19,12 @@ scheme holds per-axis stencil rows (the compact averages and the stiffness
 rows -a_i^2 Lambda_i) and one solver handle, which applies the step operator
 and solves with it.  A 1D kind solves with its one step factor
 (StackHandle), the splitting form with the product of its per-axis step
-factors (SplittingHandle).  compact2d, compact3d and nD compactnd solve over
-the tensor sine basis (SpectralHandle) and apply B and A as sums and
-products of the per-axis rows; they lift a trace with the step operator's
-rows next to each face.
+factors (SplittingHandle); these factored kinds step on uniform and graded
+axes alike.  compact2d, compact3d and nD compactnd solve over the tensor
+sine basis (SpectralHandle), which exists on uniform axes only
+(solvers.sine_spectrum raises MeshError on a graded one), and apply B and A
+as sums and products of the per-axis rows; they lift a trace with the step
+operator's rows next to each face.
 
 Every run, the explicit one and a 1D stack included, marches through one
 level loop (_march), which shows each level to its observers and applies
@@ -112,17 +114,16 @@ class SchemeKind(str, Enum):
 
 
 class _Kind(NamedTuple):
-    """A kind's dimensions, operator pair (None outside the stability theory),
-    sigma and graded-axis support (characteristic: the compact recursion at h_t = h/a)."""
+    """A kind's dimensions, operator pair (None outside the stability theory)
+    and sigma (characteristic: the compact recursion at h_t = h/a)."""
 
     dims: tuple[int, ...]
     pair: str | None
     sigma: float = COMPACT_SIGMA
-    graded: bool = False
 
 
 _KINDS = {
-    SchemeKind.COMPACT_1D: _Kind((1,), "prod_stiffprod", graded=True),
+    SchemeKind.COMPACT_1D: _Kind((1,), "prod_stiffprod"),
     SchemeKind.COMPACT_2D_SUM: _Kind((2,), "sum_stiffsum"),
     SchemeKind.COMPACT_3D_PROD_MASS: _Kind((3,), "prod_stiffsum"),
     SchemeKind.COMPACT_ND: _Kind((1, 2, 3), "prod_stiffprod"),
@@ -208,10 +209,6 @@ class Scheme:
         self.pair = operator_pair(kind, n)
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             raise ValueError("use run_explicit_characteristic for the explicit scheme")
-        if not _KINDS[kind].graded and not all(m.uniform for m in meshes):
-            raise MeshError(f"{kind.value} requires uniform spatial meshes")
-        if not tmesh.uniform:
-            raise MeshError("time stepping requires a uniform time mesh")
         self.problem = problem
         self.config = config
         self.kind = kind

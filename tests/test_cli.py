@@ -242,13 +242,19 @@ GRADED_AXIS = {"axis": {"kind": "graded", "phi": "phi3"}}
 
 
 @pytest.mark.parametrize("scheme", ["second-order", "compactnd"])
-def test_run_rejects_a_graded_axis_for_every_other_1d_kind(tmp_path, capsys, scheme):
+def test_run_takes_a_graded_axis_for_every_other_1d_kind(tmp_path, scheme):
+    # compactnd in 1D is compact1d: its report differs in the scheme line only
     cfg = tmp_path / "graded.yaml"
     cfg.write_text(yaml.safe_dump(GRADED_AXIS))
-    code = main(["run", "--problem", "smooth1d", "--scheme", scheme, "--N", "40",
-                 "--config", str(cfg)])
-    assert code == EXIT_CONFIG
-    assert "requires uniform spatial meshes" in capsys.readouterr().err
+    reports = {}
+    for name in (scheme, "compact1d"):
+        out = tmp_path / f"{name}.txt"
+        code = main(["run", "--problem", "smooth1d", "--scheme", name, "--N", "40",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        reports[name] = out.read_text().replace(f"# scheme: {name}\n", "")
+    assert "stable: True" in reports[scheme]
+    assert (reports[scheme] == reports["compact1d"]) == (scheme == "compactnd")
 
 
 @pytest.mark.parametrize("scheme", ["compact1d", "nonuniform-compact"])
@@ -309,7 +315,19 @@ def test_stability_nonuniform_compact_is_the_compact1d_report(tmp_path, capsys):
     code = main(["stability", "--problem", "smooth1d", "--scheme", "nonuniform-compact",
                  "--N", "40", "--config", str(cfg)])
     assert code == EXIT_CONFIG
-    assert "stability analysis requires uniform spatial meshes" in capsys.readouterr().err
+    assert "the sine basis requires uniform spatial meshes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme,dims", [
+    ("compact2d", 2), ("compactnd", 2), ("splitting", 2), ("compact3d", 3), ("splitting", 3),
+])
+def test_stability_refuses_a_graded_axis_in_nd(tmp_path, capsys, scheme, dims):
+    # one graded axis among uniform ones: the report works in the sine basis
+    cfg = tmp_path / "graded.yaml"
+    axes = [{"N": 8, "kind": "graded", "phi": "phi3"}] + [{"N": 6}] * (dims - 1)
+    cfg.write_text(yaml.safe_dump({"scheme": scheme, "axes": axes}))
+    assert main(["stability", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "the sine basis requires uniform spatial meshes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("steps", ["0", "-2"])

@@ -14,7 +14,7 @@ from compactwave.mesh import (
     build_uniform_axis,
     mesh_stats,
 )
-from compactwave.schemes import Scheme, SchemeConfig, SchemeKind
+from compactwave.schemes import _KINDS, Scheme, SchemeConfig, SchemeKind
 from oracles import assemble_dense_operator, dense_solve_oracle
 from test_schemes import IMPLICIT_KINDS, zero_problem
 
@@ -29,9 +29,13 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-# every implicit (kind, ndim) on uniform axes, and compact1d on a graded
-# phi0..phi6 axis (ndim None)
-BACKEND_CASES = IMPLICIT_KINDS + [(SchemeKind.COMPACT_1D, None)]
+# every implicit (kind, ndim) on uniform axes, and every factored kind on
+# drawn phi0..phi6 axes (ndim None: the dimension is drawn from the kind's)
+BACKEND_CASES = IMPLICIT_KINDS + [
+    (SchemeKind.COMPACT_1D, None),
+    (SchemeKind.SECOND_ORDER, None),
+    (SchemeKind.SPLITTING, None),
+]
 _PROPERTY_SETTINGS = hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 
@@ -40,8 +44,17 @@ def _step_instance(draw, kind, ndim):
     """A scheme of `kind` on drawn axes, speeds and time step (at most the
     characteristic step h_min/a), and a seed for its right-hand side."""
     if ndim is None:
-        phi = NODE_DISTRIBUTIONS[draw(st.sampled_from(sorted(NODE_DISTRIBUTIONS)))]
-        meshes = [build_graded_axis(phi, draw(st.integers(8, 80)), 1.0, -0.5)]
+        dims = draw(st.sampled_from(_KINDS[kind].dims))
+        sizes = st.integers(8, 80) if dims == 1 else st.integers(3, 8)
+        meshes = [
+            build_graded_axis(
+                NODE_DISTRIBUTIONS[draw(st.sampled_from(sorted(NODE_DISTRIBUTIONS)))],
+                draw(sizes),
+                1.0,
+                -0.5,
+            )
+            for _ in range(dims)
+        ]
     else:
         top = 40 if ndim == 1 else 8
         meshes = [

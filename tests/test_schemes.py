@@ -9,6 +9,7 @@ from compactwave import schemes
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     MeshError,
+    TimeMesh,
     build_graded_axis,
     build_time_mesh,
     build_uniform_axis,
@@ -48,6 +49,7 @@ from compactwave.schemes import (
     step_count,
 )
 from compactwave.solvers import sine_coefficients, sine_spectrum
+from compactwave.stability import check_cfl, verify_energy_bound
 from oracles import assemble_dense_operator, char_forcing_per_level, dense_solve_oracle
 
 
@@ -321,16 +323,95 @@ def test_graded_identity_layout_matches_uniform_scheme():
         assert np.max(np.abs(v_u - v_g)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "kind,ndim", [(kind, ndim) for kind, ndim in IMPLICIT_KINDS if kind != SchemeKind.COMPACT_1D]
-)
-def test_only_compact1d_accepts_a_graded_axis(kind, ndim):
+@pytest.mark.parametrize("kind,ndim", IMPLICIT_KINDS)
+def test_a_graded_axis_runs_the_factored_kinds_and_not_the_sine_basis(kind, ndim):
+    # one graded axis is enough: the factored kinds march on it, while the
+    # spectral kinds, the pair spectra and the stability checks stop at the
+    # sine basis, which a graded axis lacks
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 8, 1.0, -0.5)
     meshes = [graded] + [build_uniform_axis(6, 1.0) for _ in range(ndim - 1)]
     tmesh = build_time_mesh(4, 0.1)
-    with pytest.raises(MeshError, match="requires uniform spatial meshes"):
-        Scheme(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
-    Scheme(zero_problem(1), SchemeConfig(kind=SchemeKind.COMPACT_1D), [graded], tmesh)
+    config = SchemeConfig(kind=kind)
+    if ndim > 1 and kind != SchemeKind.SPLITTING:
+        with pytest.raises(MeshError, match="sine basis"):
+            Scheme(zero_problem(ndim), config, meshes, tmesh)
+        return
+    scheme = Scheme(zero_problem(ndim), config, meshes, tmesh)
+    levels = []
+    assert scheme.run(collect(levels)).stable
+    assert len(levels) == tmesh.n_steps + 1
+    with pytest.raises(MeshError, match="sine basis"):
+        scheme.spectra
+    zeros = [np.zeros(tuple(m.n_intervals - 1 for m in meshes))] * tmesh.n_steps
+    with pytest.raises(MeshError, match="sine basis"):
+        verify_energy_bound(scheme, levels, zeros[0], zeros, 0.5)
+    if scheme.pair is not None:
+        with pytest.raises(MeshError, match="sine basis"):
+            check_cfl(scheme.pair, meshes, scheme.speeds, scheme.h_t, 0.5)
+
+
+def test_a_non_uniform_time_mesh_is_a_mesh_error():
+    # TimeMesh.h_t holds the requirement; every scheme reads h_t at assembly
+    tmesh = TimeMesh(np.array([0.0, 0.1, 0.3, 0.4]))
+    for kind, ndim in IMPLICIT_KINDS:
+        meshes = [build_uniform_axis(6, 1.0)] * ndim
+        with pytest.raises(MeshError, match="time mesh is not uniform"):
+            Scheme(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
+
+
+@pytest.mark.parametrize("dims,sizes", [(2, (10, 20, 40)), (3, (10, 20))])
+def test_splitting_is_fourth_order_on_graded_axes(dims, sizes):
+    # the max-norm error over all levels of the (2, 1, 3) sine mode to
+    # T = 0.3 on phi3-graded axes, at the largest h_t <= h_min/2 dividing T
+    speeds, extents = (1.0, 1.3, 0.8)[:dims], (1.0, 0.8, 1.2)[:dims]
+    problem = dataclasses.replace(
+        make_sine_mode_problem(speeds, extents, (2, 1, 3)[:dims]), horizon=0.3
+    )
+    errors = {}
+    for n in sizes:
+        meshes = [build_graded_axis(NODE_DISTRIBUTIONS["phi3"], n, x) for x in extents]
+        h_min = min(mesh_stats(m).h_min for m in meshes)
+        tmesh = build_time_mesh(math.ceil(problem.horizon / (h_min / 2)), problem.horizon)
+        grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
+        worst = [0.0]
+
+        def watch(level, t, values):
+            worst[0] = max(worst[0], float(np.max(np.abs(values - problem.exact(*grids, t)))))
+
+        assert run(problem, SchemeConfig(kind=SchemeKind.SPLITTING), meshes, tmesh, watch).stable
+        errors[n] = worst[0]
+    slope = -np.polyfit(np.log(list(errors)), np.log(list(errors.values())), 1)[0]
+    assert slope >= 3.8
+
+
+def test_second_order_is_second_order_on_a_graded_axis():
+    problem = make_smooth_nonuniform_problem()
+    kind = SchemeKind.SECOND_ORDER
+    errors = []
+    for n in (40, 80, 160):
+        axis = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], n, 1.0, -0.5)
+        [(_, triple)] = run_errors(problem, [kind], axis, step_count(problem, axis, kind))
+        errors.append(triple.Ch)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.9)
+
+
+def test_compactnd_in_1d_is_compact1d_on_a_graded_axis_bitwise():
+    problem = make_smooth_nonuniform_problem()
+    axis = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 40, 1.0, -0.5)
+    tmesh = build_time_mesh(step_count(problem, axis, SchemeKind.COMPACT_1D), problem.horizon)
+    built, levels = [], []
+    for kind in (SchemeKind.COMPACT_1D, SchemeKind.COMPACT_ND):
+        built.append(Scheme(problem, SchemeConfig(kind=kind), [axis], tmesh))
+        levels.append([])
+        built[-1].run(collect(levels[-1]))
+    assert built[0].pair == built[1].pair
+    for part in ("lower", "diag", "upper"):
+        rows = [getattr(scheme.step_factor, part).tobytes() for scheme in built]
+        assert rows[0] == rows[1]
+    assert len(levels[0]) == len(levels[1]) == tmesh.n_steps + 1
+    for v_1d, v_nd in zip(*levels):
+        assert v_1d.tobytes() == v_nd.tobytes()
 
 
 def test_nonuniform_compact_is_an_alias_of_compact1d():
@@ -457,22 +538,27 @@ def test_second_order_spectra_are_the_identity_mass_and_the_stiffness():
     assert np.max(np.abs(mu_a - problem.speeds[0] ** 2 * sine_spectrum(axis))) <= 1e-12 * mu_a.max()
 
 
-# kind: (dimensions, graded axes), as the README's sentence on scheme names gives them
+# kind: (dimensions, dimensions on graded axes), as the README's sentence on
+# scheme names gives them
 README_KIND_SUPPORT = {
-    "compact1d": ((1,), True),
-    "compact2d": ((2,), False),
-    "compact3d": ((3,), False),
-    "compactnd": ((1, 2, 3), False),
-    "splitting": ((2, 3), False),
-    "characteristic": ((1,), False),
-    "second-order": ((1,), False),
+    "compact1d": ((1,), (1,)),
+    "compact2d": ((2,), ()),
+    "compact3d": ((3,), ()),
+    "compactnd": ((1, 2, 3), (1,)),
+    "splitting": ((2, 3), (2, 3)),
+    "characteristic": ((1,), ()),
+    "second-order": ((1,), (1,)),
 }
 
 
 def test_every_kind_runs_where_the_readme_says():
     readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
     for name, (dims, graded) in README_KIND_SUPPORT.items():
-        where = ", ".join(f"{d}D" for d in dims) + (", uniform or graded axes" if graded else "")
+        where = ", ".join(f"{d}D" for d in dims)
+        if graded == dims:
+            where += ", uniform or graded axes"
+        elif graded:
+            where += "; graded axes in " + ", ".join(f"{d}D" for d in graded)
         assert f"`{name}` ({where})" in readme
     tmesh = build_time_mesh(2, 0.01)
     for kind in SchemeKind:
@@ -499,7 +585,7 @@ def test_every_kind_runs_where_the_readme_says():
                     ran = True
                 except (ValueError, MeshError):
                     ran = False
-                assert ran == (ndim in dims and (graded or layout == "uniform")), (kind, ndim, layout)
+                assert ran == (ndim in (dims if layout == "uniform" else graded)), (kind, ndim, layout)
 
 
 # ---------------------------------------------------------------------------
