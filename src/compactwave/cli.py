@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import locale  # argparse's gettext imports it on the first parser build
 import math
 import sys
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # the certificates' generator, loaded with the CLI, not in a run
 import yaml
 
 from . import analysis, problems, schemes, stability
@@ -85,7 +87,7 @@ def _problem_from_config(entry) -> problems.ProblemSpec:
 
 
 def _axis_from_config(entry: dict):
-    n = int(entry.get("N", 0))
+    n = _whole(entry.get("N", 0), "N")
     extent = float(entry.get("X", 1.0))
     origin = float(entry.get("origin", -extent / 2.0))
     kind = entry.get("kind", "uniform")
@@ -129,13 +131,25 @@ def _n_list(raw) -> list[int]:
     """A resolution list: '200,400,800' (or space separated) on the command
     line, a list in a config file."""
     parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
-    try:
-        values = [int(part) for part in parts]
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad N list {raw!r}") from None
+    if not isinstance(parts, (list, tuple)):
+        raise ConfigError(f"bad N list {raw!r}")
+    values = [_whole(part, "N") for part in parts]
     if not values:
         raise ConfigError("N list must not be empty")
     return values
+
+
+def _whole(value, name: str) -> int:
+    """An integer setting, as a whole number or its digits; a fractional or
+    boolean value is a ConfigError naming it."""
+    try:
+        n = int(value)
+        whole = not isinstance(value, bool) and (isinstance(value, str) or n == value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{name} must be a whole number, not {value!r}")
+    return n
 
 
 def _distinct(values: list, name: str) -> list:
@@ -204,12 +218,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _problem_from_config(s["problem"])
     kind = _scheme_kind(s["scheme"])
     # N intervals on the problem's interval, unless the config's axis says otherwise
-    axis_cfg = {"N": int(s["N"]), "X": problem.extents[0], "origin": problem.origin[0],
+    axis_cfg = {"N": s["N"], "X": problem.extents[0], "origin": problem.origin[0],
                 **(s["axis"] or {})}
     axis = _axis_from_config(axis_cfg)
     if s["M"] != "auto":
         _reject(s, ("cfl_factor",), "with an explicit M")
-        m = int(s["M"])
+        m = _whole(s["M"], "M")
     else:
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             _reject(s, ("cfl_factor",), "with the characteristic scheme, whose h_t is h/a")
@@ -279,7 +293,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if any(n % 2 for n in n_lists[alpha]):
             raise ConfigError("odd N places the data singularity between nodes; use even N")
     cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
-    triples = _run_cases(_table1_case, cases, int(s["jobs"]))
+    triples = _run_cases(_table1_case, cases, _whole(s["jobs"], "jobs"))
     reports: list[analysis.ConvergenceReport] = []
     for alpha in alphas:
         for k, scheme_name in enumerate(TABLE1_SCHEMES):
@@ -317,7 +331,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
         if phi_name not in NODE_DISTRIBUTIONS:
             raise ConfigError(f"unknown node distribution {phi_name!r}")
     cases = [(phi, n, factor) for phi in phis for n in n_list]
-    outcomes = _run_cases(_table2_case, cases, int(s["jobs"]))
+    outcomes = _run_cases(_table2_case, cases, _whole(s["jobs"], "jobs"))
     reports: list[analysis.ConvergenceReport] = []
     for phi_name in phis:
         results = [(n, outcomes[phi_name, n, factor][0]) for n in n_list]
@@ -364,14 +378,14 @@ def cmd_stability(args: argparse.Namespace) -> int:
         speeds, horizon = problem.speeds, problem.horizon
     else:
         _reject(s, ("problem",), "on two or more axes")
-        speeds = tuple(s["speeds"] or [1.0] * len(meshes))
+        speeds = _speeds(s["speeds"], len(meshes))
         horizon = 1.0 if s["T"] is None else float(s["T"])
     h_min = min(mesh_stats(m).h_min for m in meshes)
     if s["M"] == "auto":
         m = select_time_step_count(h_min, max(speeds), horizon, _cfl_factor(s))
     else:
         _reject(s, ("cfl_factor",), "with an explicit M")
-        m = int(s["M"])
+        m = _whole(s["M"], "M")
     h_t = build_time_mesh(m, horizon).h_t
     pair = schemes.operator_pair(kind, len(meshes))
     if pair is None:
@@ -393,6 +407,19 @@ def cmd_stability(args: argparse.Namespace) -> int:
         lines.extend(_certify_random_instance(kind, report.c0, meshes, speeds, rng))
     _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_OK
+
+
+def _speeds(raw, n_axes: int) -> tuple[float, ...]:
+    """The wave speeds of `stability` on two or more axes: one positive,
+    finite number per axis (1 each unless given)."""
+    if raw is None:
+        return (1.0,) * n_axes
+    if not isinstance(raw, (list, tuple)) or len(raw) != n_axes:
+        raise ConfigError(f"speeds {raw!r} must give one speed per axis, {n_axes} in all")
+    for a in raw:
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < math.inf:
+            raise ConfigError(f"speed {a!r} must be a positive, finite number")
+    return tuple(float(a) for a in raw)
 
 
 def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:

@@ -16,17 +16,23 @@ the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
 call (the energy certificates analyse all levels of a run at once); on small
 axes each transform is one matrix product with the symmetric sine matrix.
-LAPACK loads with the module; `scipy.fft` loads on the first fast transform.
+LAPACK's tridiagonal routines load with the module, bound from SciPy's
+compiled `scipy.linalg._flapack` extension alone: the `scipy.linalg` package,
+and the NumPy submodules its array-API layer loads, are not imported.
+`scipy.fft` loads on the first fast transform, and that first call then pays
+SciPy's base import (about 0.2 s).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .mesh import AxisMesh, MeshError
 from .operators import TridiagonalFactor, compose_pair, pair_forms
@@ -52,6 +58,30 @@ _GT_MIN_UNKNOWNS = 3
 _sine_matrix_cache: dict[int, np.ndarray] = {}
 
 
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded from
+    the installed package's `linalg/` folder without running any package
+    `__init__` (`find_spec` of a top-level package imports nothing).  The
+    extension loader records the module in `sys.modules` under its own name,
+    so a later `import scipy.linalg` takes this same module: these are the
+    very routines `scipy.linalg.lapack` exports."""
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy_spec is not None:
+        folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"cannot find the compiled extension {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
+
+
 class SingularSystemError(RuntimeError):
     """Raised when an assembled operator is (numerically) singular."""
 
@@ -61,7 +91,8 @@ class TriSolver:
     block-diagonal system of several.
 
     The LU factorization with partial pivoting (LAPACK ?gttrf) is computed
-    once; each solve is one ?gttrs sweep.  On strongly graded meshes the
+    once; each solve is one ?gttrs sweep (the wrappers `scipy.linalg.lapack`
+    exports, bound without importing `scipy.linalg`).  On strongly graded meshes the
     pivoted elimination keeps the roundoff floor of long runs visibly below
     the plain sweeps (the 4th-order error at desk scale sits near 1e-10).
     Systems of one or two unknowns are padded to three with decoupled unit
@@ -132,7 +163,9 @@ def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarra
     """Sine analysis c_l = sum_k w_k sin(pi l k / N) along one axis.
 
     Small axes use the direct O(N^2) matrix; larger ones the fast transform,
-    which imports `scipy.fft` on its first call.  Both paths agree to roundoff.
+    which imports `scipy.fft` on its first call.  That import also pays
+    SciPy's base package (about 0.2 s, once per process), which nothing else
+    loads.  Both paths agree to roundoff.
     """
     n_int = values.shape[axis]
     if direct is None:

@@ -693,3 +693,59 @@ def test_readme_lists_the_flags_and_config_keys_of_every_subcommand():
         flags = {opt for action in parser._actions for opt in action.option_strings}
         assert set(re.findall(r"--[\w-]+", flags_cell)) == flags - {"-h", "--help"}, name
         assert set(re.findall(r"`(\w+)`", keys_cell)) == set(COMMAND_DEFAULTS.get(name, ())), name
+
+
+@pytest.mark.parametrize("speeds, message", [
+    ([1.0], "speeds [1.0] must give one speed per axis, 2 in all"),
+    ([1.0, 1.0, 1.0], "speeds [1.0, 1.0, 1.0] must give one speed per axis, 2 in all"),
+    (1.0, "speeds 1.0 must give one speed per axis, 2 in all"),
+    ([1.0, "x"], "speed 'x' must be a positive, finite number"),
+    ([1.0, 0], "speed 0 must be a positive, finite number"),
+    ([-1.0, 1.0], "speed -1.0 must be a positive, finite number"),
+    ([1.0, math.inf], "speed inf must be a positive, finite number"),
+    ([True, 1.0], "speed True must be a positive, finite number"),
+])
+@pytest.mark.parametrize("certify", [[], ["--certify"]])
+def test_stability_needs_one_positive_finite_speed_per_axis(tmp_path, capsys, speeds, message,
+                                                            certify):
+    cfg = tmp_path / "st.yaml"
+    cfg.write_text(yaml.safe_dump({"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4}],
+                                   "speeds": speeds}))
+    out = tmp_path / "st.txt"
+    assert main(["stability", "--config", str(cfg), *certify, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("run", {"problem": "E_1.5", "N": 40.5}, "40.5"),
+    ("run", {"problem": "E_1.5", "N": True}, "True"),
+    ("run", {"problem": "E_1.5", "axis": {"N": 40.5}}, "40.5"),
+    ("run", {"problem": "E_1.5", "N": 40, "M": 40.5}, "40.5"),
+    ("table1", {"alpha": [1.5], "N": [20, 40.5, 80]}, "40.5"),
+    ("table1", {"alpha": [1.5], "N": "20,40.5"}, "'40.5'"),
+    ("table2", {"phi": ["phi0"], "N": [50, True]}, "True"),
+    ("stability", {"N": 40.5}, "40.5"),
+    ("stability", {"axes": [{"N": 4}, {"N": 4.5}]}, "4.5"),
+    ("table1", {"alpha": [1.5], "N": [20, 40], "jobs": 1.5}, "1.5"),
+    ("table2", {"phi": ["phi0"], "N": [50, 100], "jobs": True}, "True"),
+])
+def test_a_fractional_or_boolean_count_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         command, config, named):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "run_errors", lambda *a: pytest.fail("a run ran"))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"must be a whole number, not {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [40, "40"])
+def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"problem": "E_1.5", "N": n}))
+    out = tmp_path / "run.txt"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert "# N: 40\n" in out.read_text()

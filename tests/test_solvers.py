@@ -1,9 +1,12 @@
 import functools
+import importlib.machinery
+import importlib.util
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from compactwave import solvers
 from compactwave.mesh import NODE_DISTRIBUTIONS, build_graded_axis, build_uniform_axis
 from compactwave.operators import (
     PAIR_FORMS,
@@ -155,6 +158,59 @@ def test_trisolver_with_a_singular_block_raises():
         TriSolver(good, singular)
     with pytest.raises(SingularSystemError):
         TriSolver(singular, good, good)
+
+
+@pytest.mark.parametrize("found", [False, True])
+def test_a_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path, found):
+    # no scipy package, or one whose linalg/ folder holds no extension
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if found else None)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+        solvers._load_flapack()
+
+
+def _lapack_cases():
+    rng = np.random.default_rng(25)
+    compact = step_factor(build_uniform_axis(40, 1.0, -0.5), 0.02, 1.0)
+    tiny = [step_factor(build_uniform_axis(n, 1.0), 0.3, 1.0) for n in (2, 3)]
+    return {
+        "one factor": [compact],
+        "pivoting": [_pivoting_factor(12, rng)],
+        "three blocks": [compact, _pivoting_factor(7, rng), _graded_factor("phi2", 10)],
+        "one unknown": tiny[:1],
+        "two unknowns": tiny[1:],
+        "two blocks of one unknown": [tiny[0], tiny[0]],
+        "zero pivot": [TridiagonalFactor(0, np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3))],
+    }
+
+
+@pytest.mark.parametrize("case", list(_lapack_cases()))
+def test_trisolver_equals_scipy_linalg_lapack_bitwise(case):
+    # the wrappers bound from the compiled extension against those of the
+    # scipy.linalg package, imported in this process, on the block-diagonal
+    # rows built densely (decoupled unit rows pad a system to three unknowns)
+    factors = _lapack_cases()[case]
+    n = sum(f.n_interior for f in factors)
+    blocks = [np.diag(f.diag) + np.diag(f.lower[1:], -1) + np.diag(f.upper[:-1], 1)
+              for f in factors]
+    dense = scipy.linalg.block_diag(*blocks, np.eye(max(3 - n, 0)))
+    *lu, info = scipy.linalg.lapack.dgttrf(np.diag(dense, -1), np.diag(dense), np.diag(dense, 1))
+    if case == "zero pivot":
+        assert info > 0
+        with pytest.raises(SingularSystemError):
+            TriSolver(*factors)
+        return
+    assert info == 0
+    if case == "pivoting":
+        assert np.any(lu[-1] != np.arange(1, n + 1))
+    solver = TriSolver(*factors)
+    rng = np.random.default_rng(n)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        padded = np.concatenate([rhs, np.zeros((len(dense) - n,) + rhs.shape[1:])])
+        expected, info = scipy.linalg.lapack.dgttrs(*lu, padded)
+        assert info == 0
+        assert solver.solve(rhs).tobytes() == expected[:n].tobytes()
 
 
 def test_thomas_identity():
