@@ -51,8 +51,8 @@ _FULL_N_BY_ALPHA = {
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class ConfigError(ValueError, argparse.ArgumentTypeError):
-    """A setting that cannot be used (exit code 2), also as an argparse type."""
+class ConfigError(ValueError):
+    """A setting that cannot be used (exit code 2)."""
 
 
 def _load_config(path: str | None) -> dict:
@@ -68,50 +68,104 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _problem_from_config(entry) -> problems.ProblemSpec:
-    if isinstance(entry, str):
+def _whole(value, key: str, low: int | None = None) -> int:
+    """A count, as a whole number or its digits; a fractional or boolean
+    value, and one below `low`, is a ConfigError naming the key."""
+    try:
+        n = int(value)
+        whole = not isinstance(value, bool) and (isinstance(value, str) or n == value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{key} must be a whole number, not {value!r}")
+    if low is not None and n < low:
+        raise ConfigError(f"{key} must be at least {low}, not {n}")
+    return n
+
+
+def _number(value, key: str, positive: bool = True) -> float:
+    """A finite number, or its digits, positive unless told otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if isinstance(value, bool) or not (0.0 if positive else -math.inf) < x < math.inf:
+        what = "positive, finite" if positive else "finite"
+        raise ConfigError(f"{key} {value!r} must be a {what} number")
+    return x
+
+
+def _choice(value, key: str, choices: tuple, read=None):
+    """One of `choices`, as given or as `read` gives it."""
+    if read is not None:
+        value = read(value, key)
+    if value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; choose from {', '.join(map(str, choices))}")
+    return value
+
+
+def _list(value, key: str, read, item: str | None = None, distinct: bool = False) -> list:
+    """A non-empty list of values of `read`, each named `item` or else by its
+    index: a list, or a string of entries split at commas and spaces."""
+    entries = value.replace(",", " ").split() if isinstance(value, str) else value
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise ConfigError(f"{key} must be a non-empty list, not {value!r}")
+    values = [read(entry, item or f"{key}[{k}]") for k, entry in enumerate(entries)]
+    for k, entry in enumerate(values if distinct else ()):
+        if entry in values[:k]:
+            raise ConfigError(f"{key} {entry!r} is given twice")
+    return values
+
+
+def _fields(value, key: str, readers: dict) -> dict:
+    """A mapping of the fields `readers` names, each read by its reader."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, not {value!r}")
+    unread = ", ".join(repr(field) for field in value if field not in readers)
+    if unread:
+        raise ConfigError(f"unread {key} key {unread}")
+    return {field: readers[field](entry, f"{key}.{field}")
+            for field, entry in value.items() if entry is not None}
+
+
+_PHI = functools.partial(_choice, choices=tuple(NODE_DISTRIBUTIONS))
+_ALPHA = functools.partial(_choice, choices=problems.EXAMPLE_ALPHAS, read=_number)
+_AXIS = {"N": _whole, "X": _number, "origin": functools.partial(_number, positive=False),
+         "kind": functools.partial(_choice, choices=("uniform", "graded"))}
+
+
+def _axis(value, key: str) -> dict:
+    """An axis: N intervals on [origin, origin + X] (X 1, origin -X/2 unless
+    given), uniform or graded by a node distribution phi."""
+    graded = isinstance(value, dict) and value.get("kind") == "graded"
+    return _fields(value, key, {**_AXIS, "phi": _PHI} if graded else _AXIS)
+
+
+def _problem(value, key: str) -> problems.ProblemSpec:
+    """A catalog name, or {kind: example, alpha: ...} or {kind: smooth1d}."""
+    if isinstance(value, str):
         try:
-            return problems.catalog(entry)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-    if isinstance(entry, dict):
-        kind = entry.get("kind", "example")
-        if kind == "smooth1d":
-            return problems.make_smooth_nonuniform_problem()
-        if kind == "example":
-            try:
-                return problems.make_example(float(entry["alpha"]))
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"bad inline problem spec: {exc}") from exc
-    raise ConfigError(f"cannot interpret problem entry {entry!r}")
+            return problems.catalog(value)
+        except KeyError:
+            raise ConfigError(f"unknown {key} {value!r}") from None
+    kind = value.get("kind", "example") if isinstance(value, dict) else None
+    fields = {"kind": functools.partial(_choice, choices=("example", "smooth1d"))}
+    entry = _fields(value, key, {**fields, "alpha": _ALPHA} if kind == "example" else fields)
+    if kind == "smooth1d":
+        return problems.make_smooth_nonuniform_problem()
+    if "alpha" not in entry:
+        raise ConfigError(f"{key} of kind example needs an alpha")
+    return problems.make_example(entry["alpha"])
 
 
 def _axis_from_config(entry: dict):
-    n = _whole(entry.get("N", 0), "N")
-    extent = float(entry.get("X", 1.0))
-    origin = float(entry.get("origin", -extent / 2.0))
-    kind = entry.get("kind", "uniform")
-    read = {"N", "X", "origin", "kind"} | ({"phi"} if kind == "graded" else set())
-    unread = ", ".join(repr(key) for key in entry if key not in read)
-    if unread:
-        raise ConfigError(f"unread axis key {unread}")
-    if kind == "uniform":
+    """The mesh of a read axis entry."""
+    extent = entry.get("X", 1.0)
+    origin = entry.get("origin", -extent / 2.0)
+    n = entry.get("N", 0)
+    if entry.get("kind", "uniform") == "uniform":
         return build_uniform_axis(n, extent, origin)
-    if kind == "graded":
-        phi_name = entry.get("phi", "phi0")
-        if phi_name not in NODE_DISTRIBUTIONS:
-            raise ConfigError(f"unknown node distribution {phi_name!r}")
-        return build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n, extent, origin)
-    raise ConfigError(f"unknown axis kind {kind!r}")
-
-
-def _scheme_kind(name: str) -> SchemeKind:
-    """The scheme kind, which fixes everything else about the scheme."""
-    try:
-        return SchemeKind(name)
-    except ValueError:
-        choices = ", ".join(k.value for k in SchemeKind)
-        raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
+    return build_graded_axis(NODE_DISTRIBUTIONS[entry.get("phi", "phi0")], n, extent, origin)
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:
@@ -125,39 +179,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _n_list(raw) -> list[int]:
-    """A resolution list: '200,400,800' (or space separated) on the command
-    line, a list in a config file."""
-    parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
-    if not isinstance(parts, (list, tuple)):
-        raise ConfigError(f"bad N list {raw!r}")
-    values = [_whole(part, "N") for part in parts]
-    if not values:
-        raise ConfigError("N list must not be empty")
-    return values
-
-
-def _whole(value, name: str) -> int:
-    """An integer setting, as a whole number or its digits; a fractional or
-    boolean value is a ConfigError naming it."""
-    try:
-        n = int(value)
-        whole = not isinstance(value, bool) and (isinstance(value, str) or n == value)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"{name} must be a whole number, not {value!r}")
-    return n
-
-
-def _distinct(values: list, name: str) -> list:
-    """values, unless one of them repeats: a ConfigError naming it."""
-    for k, value in enumerate(values):
-        if value in values[:k]:
-            raise ConfigError(f"{name} {value!r} is given twice")
-    return values
 
 
 # The config keys of each command, with their defaults.  A None entry is
@@ -176,25 +197,46 @@ COMMAND_DEFAULTS = {
     "stability": {"problem": None, "scheme": "compact1d", "N": None, "axis": None, "axes": None,
                   "speeds": None, "T": None, "M": "auto", "cfl_factor": None},
 }
+# The reader of each setting, config key or flag: it returns the typed value
+# or raises a ConfigError naming the key.  The studies read N as a list.
+_READERS = {
+    "problem": _problem,
+    # names, not kinds: a report echoes the name given, alias included
+    "scheme": functools.partial(
+        _choice, choices=(*(kind.value for kind in SchemeKind), "nonuniform-compact")),
+    "N": _whole,
+    "axis": _axis,
+    "axes": functools.partial(_list, read=_axis),
+    "speeds": functools.partial(_list, read=_number, item="speed"),
+    "T": _number,
+    "M": lambda value, key: value if value == "auto" else _whole(value, key),
+    "cfl_factor": _number,
+    "format": functools.partial(_choice, choices=_FORMATS),
+    "alpha": functools.partial(_list, read=_ALPHA, distinct=True),
+    "phi": functools.partial(_list, read=_PHI, distinct=True),
+    "jobs": functools.partial(_whole, low=1),
+    "seed": functools.partial(_whole, low=0),
+}
+_STUDY_READERS = {**_READERS, "N": functools.partial(_list, read=_whole, distinct=True)}
 
 
 def _settings(args: argparse.Namespace) -> dict:
     """The command's settings: its defaults, then the config file, then the
-    flags given (an explicit --cfl-factor 0 is kept, for the step-count rule
-    to reject).  A config key the command does not read, and a format other
-    than csv or md, are ConfigErrors."""
-    defaults = COMMAND_DEFAULTS[args.command]
-    config = _load_config(args.config)
+    flags given (a null config value and a flag left at None are not given),
+    each read once by its reader.  A config key the command does not read is
+    a ConfigError."""
+    defaults = COMMAND_DEFAULTS.get(args.command, {})
+    config = _load_config(getattr(args, "config", None))
     unknown = ", ".join(repr(key) for key in config if key not in defaults)
     if unknown:
         known = ", ".join(defaults)
         raise ConfigError(f"unknown config key {unknown}; {args.command} reads {known}")
     flags = {key: value for key, value in vars(args).items()
              if value is not None or key not in defaults}
-    settings = {**defaults, **config, **flags}
-    if settings.get("format", "csv") not in _FORMATS:
-        raise ConfigError(f"unknown format {settings['format']!r}; choose from csv, md")
-    return settings
+    given = {key: value for key, value in config.items() if value is not None}
+    readers = _STUDY_READERS if args.command in ("table1", "table2") else _READERS
+    return {key: value if value is None or key not in readers else readers[key](value, key)
+            for key, value in {**defaults, **given, **flags}.items()}
 
 
 def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
@@ -204,33 +246,27 @@ def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
         raise ConfigError(f"unread setting {given} {where}")
 
 
-def _cfl_factor(settings: dict) -> float:
-    """The factor of the step-count rule, sqrt(2) unless given."""
-    return _SQRT2 if settings["cfl_factor"] is None else float(settings["cfl_factor"])
-
-
 # ---------------------------------------------------------------------------
 # single run
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(args)
-    problem = _problem_from_config(s["problem"])
-    kind = _scheme_kind(s["scheme"])
+    problem, kind = s["problem"], s["scheme"]
     # N intervals on the problem's interval, unless the config's axis says otherwise
     axis_cfg = {"N": s["N"], "X": problem.extents[0], "origin": problem.origin[0],
                 **(s["axis"] or {})}
     axis = _axis_from_config(axis_cfg)
     if s["M"] != "auto":
         _reject(s, ("cfl_factor",), "with an explicit M")
-        m = _whole(s["M"], "M")
+        m = s["M"]
     else:
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             _reject(s, ("cfl_factor",), "with the characteristic scheme, whose h_t is h/a")
-        m = schemes.step_count(problem, axis, kind, _cfl_factor(s))
+        m = schemes.step_count(problem, axis, kind, s["cfl_factor"] or _SQRT2)
     [(result, triple)] = analysis.run_errors(problem, [kind], axis, m)
 
-    header = {"problem": problem.name, "scheme": s["scheme"], "N": axis.n_intervals, "M": m}
+    header = {"problem": problem.name, "scheme": kind, "N": axis.n_intervals, "M": m}
     lines = _echo_header(header, s["format"]) + [
         f"stable: {result.stable}",
         f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}",
@@ -249,8 +285,6 @@ TABLE1_SCHEMES = ("compact1d", "second-order")
 def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
     """{case: fn(*case)}, on one pool of `jobs` processes when jobs > 1; the
     largest N (second entry of a case) goes first, so no long case ends last."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, not {jobs}")
     order = sorted(cases, key=lambda case: -case[1])
     if jobs == 1:
         return {case: fn(*case) for case in order}
@@ -279,21 +313,17 @@ def _study_n(settings: dict, full) -> list[int]:
     if settings["full"]:
         _reject(settings, ("N",), "with --full, which sets the full-scale lists")
         return list(full)
-    return _distinct(_n_list(_STUDY_N if settings["N"] is None else settings["N"]), "N")
+    return list(_STUDY_N) if settings["N"] is None else settings["N"]
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     s = _settings(args)
-    alphas = _distinct([float(a) for a in s["alpha"]], "alpha")
-    n_lists = {}
-    for alpha in alphas:
-        if alpha not in problems.EXAMPLE_ALPHAS:
-            raise ConfigError(f"alpha {alpha} is not in the catalog")
-        n_lists[alpha] = sorted(_study_n(s, _FULL_N_BY_ALPHA[alpha]))
-        if any(n % 2 for n in n_lists[alpha]):
-            raise ConfigError("odd N places the data singularity between nodes; use even N")
+    alphas = s["alpha"]
+    n_lists = {alpha: sorted(_study_n(s, _FULL_N_BY_ALPHA[alpha])) for alpha in alphas}
+    if any(n % 2 for n_list in n_lists.values() for n in n_list):
+        raise ConfigError("odd N places the data singularity between nodes; use even N")
     cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
-    triples = _run_cases(_table1_case, cases, _whole(s["jobs"], "jobs"))
+    triples = _run_cases(_table1_case, cases, s["jobs"])
     reports: list[analysis.ConvergenceReport] = []
     for alpha in alphas:
         for k, scheme_name in enumerate(TABLE1_SCHEMES):
@@ -324,14 +354,10 @@ def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTr
 
 def cmd_table2(args: argparse.Namespace) -> int:
     s = _settings(args)
-    phis = _distinct(list(s["phi"]), "phi")
+    phis, factor = s["phi"], s["cfl_factor"]
     n_list = sorted(_study_n(s, range(50, 1001, 50)))
-    factor = float(s["cfl_factor"])
-    for phi_name in phis:
-        if phi_name not in NODE_DISTRIBUTIONS:
-            raise ConfigError(f"unknown node distribution {phi_name!r}")
     cases = [(phi, n, factor) for phi in phis for n in n_list]
-    outcomes = _run_cases(_table2_case, cases, _whole(s["jobs"], "jobs"))
+    outcomes = _run_cases(_table2_case, cases, s["jobs"])
     reports: list[analysis.ConvergenceReport] = []
     for phi_name in phis:
         results = [(n, outcomes[phi_name, n, factor][0]) for n in n_list]
@@ -362,7 +388,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     s = _settings(args)
-    kind = _scheme_kind(s["scheme"])
+    kind = s["scheme"]
     # the meshes: N (default 800) and axis, or else a list of axes
     if s["axes"]:
         _reject(s, ("N", "axis"), "next to axes")
@@ -374,25 +400,28 @@ def cmd_stability(args: argparse.Namespace) -> int:
     # the config's (default 1 each)
     if len(meshes) == 1:
         _reject(s, ("speeds", "T"), "on one axis, where the problem sets them")
-        problem = _problem_from_config(s["problem"] or "smooth1d")
+        problem = s["problem"] or problems.make_smooth_nonuniform_problem()
         speeds, horizon = problem.speeds, problem.horizon
     else:
         _reject(s, ("problem",), "on two or more axes")
-        speeds = _speeds(s["speeds"], len(meshes))
-        horizon = 1.0 if s["T"] is None else float(s["T"])
+        speeds = s["speeds"] or [1.0] * len(meshes)
+        if len(speeds) != len(meshes):
+            raise ConfigError(f"speeds {speeds!r} must give one speed per axis, "
+                              f"{len(meshes)} in all")
+        horizon = s["T"] or 1.0
     h_min = min(mesh_stats(m).h_min for m in meshes)
     if s["M"] == "auto":
-        m = select_time_step_count(h_min, max(speeds), horizon, _cfl_factor(s))
+        m = select_time_step_count(h_min, max(speeds), horizon, s["cfl_factor"] or _SQRT2)
     else:
         _reject(s, ("cfl_factor",), "with an explicit M")
-        m = _whole(s["M"], "M")
+        m = s["M"]
     h_t = build_time_mesh(m, horizon).h_t
     pair = schemes.operator_pair(kind, len(meshes))
     if pair is None:
-        raise ConfigError(f"no step condition is attached to scheme {s['scheme']!r}")
+        raise ConfigError(f"no step condition is attached to scheme {kind!r}")
     eps0 = math.sqrt(0.5)
     report = stability.check_cfl(pair, meshes, speeds, h_t, eps0)
-    lines = _echo_header({"scheme": s["scheme"], "M": m, "pair": pair}, "csv")
+    lines = _echo_header({"scheme": kind, "M": m, "pair": pair}, "csv")
     lines.append(f"value: {report.value:.6f}")
     lines.append(f"threshold: {report.threshold:.6f}")
     lines.append(f"margin: {report.margin:.6f}")
@@ -407,19 +436,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
         lines.extend(_certify_random_instance(kind, report.c0, meshes, speeds, rng))
     _emit("\n".join(lines) + "\n", s["out"])
     return EXIT_OK
-
-
-def _speeds(raw, n_axes: int) -> tuple[float, ...]:
-    """The wave speeds of `stability` on two or more axes: one positive,
-    finite number per axis (1 each unless given)."""
-    if raw is None:
-        return (1.0,) * n_axes
-    if not isinstance(raw, (list, tuple)) or len(raw) != n_axes:
-        raise ConfigError(f"speeds {raw!r} must give one speed per axis, {n_axes} in all")
-    for a in raw:
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < math.inf:
-            raise ConfigError(f"speed {a!r} must be a positive, finite number")
-    return tuple(float(a) for a in raw)
 
 
 def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
@@ -443,7 +459,7 @@ def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
         u0=lambda *xs: np.zeros_like(xs[0]),
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = schemes.Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    scheme = schemes.Scheme(problem, SchemeConfig(SchemeKind(kind)), meshes, tmesh)
     traj = scheme.march_data(full0, u1n, forcing)
     certs = stability.verify_energy_bound(scheme, traj, u1n, forcing, eps0)
     return [
@@ -459,7 +475,7 @@ def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool]] = []
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_settings(args)["seed"])
 
     from .operators import pair_appliers, step_factor
     from .solvers import SplittingHandle
@@ -504,14 +520,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "problem": dict(help="catalog problem name"),
         "scheme": dict(help="scheme name"),
         "N": dict(type=int, help="intervals"),
-        "N list": dict(dest="N", type=_n_list, help="resolution list, e.g. '200,400,800'"),
+        "N list": dict(dest="N", help="resolution list, e.g. '200,400,800'"),
         "M": dict(help="time steps or 'auto'"),
-        "cfl-factor": dict(dest="cfl_factor", type=float),
+        "cfl-factor": dict(dest="cfl_factor"),
         "format": dict(choices=_FORMATS),
         "out": dict(help="output path (default stdout)"),
-        "jobs": dict(type=int, help="worker processes"),
-        "seed": dict(type=int, default=0),
-        "alpha": dict(nargs="+", type=float),
+        "jobs": dict(help="worker processes"),
+        "seed": dict(default=0),
+        "alpha": dict(nargs="+"),
         "phi": dict(nargs="+"),
         "full": dict(action="store_true", help="full-scale N lists (roundoff-limited at the top)"),
         "certify": dict(action="store_true"),

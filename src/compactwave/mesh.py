@@ -142,7 +142,7 @@ NODE_DISTRIBUTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def build_uniform_axis(n_intervals: int, extent: float, origin: float = 0.0) -> AxisMesh:
     """Uniform axis with nodes origin + k*extent/N, k = 0..N."""
     if n_intervals < 2:
-        raise MeshError(f"need at least 2 intervals, got {n_intervals}")
+        raise MeshError(f"need at least 2 intervals, got N = {n_intervals}")
     if extent <= 0:
         raise MeshError("extent must be positive")
     # (k*extent)/N keeps symmetric midpoints exact (origin=-X/2, even N -> 0.0)
@@ -158,7 +158,7 @@ def build_graded_axis(
 ) -> AxisMesh:
     """Axis with nodes origin + extent*phi(k/N) for an increasing unit map phi."""
     if n_intervals < 2:
-        raise MeshError(f"need at least 2 intervals, got {n_intervals}")
+        raise MeshError(f"need at least 2 intervals, got N = {n_intervals}")
     xi = np.arange(n_intervals + 1) / n_intervals
     mapped = np.asarray(phi(xi), dtype=float)
     if abs(mapped[0]) > 1e-14 or abs(mapped[-1] - 1.0) > 1e-14:
@@ -171,7 +171,7 @@ def build_graded_axis(
 
 def build_time_mesh(n_steps: int, horizon: float) -> TimeMesh:
     if n_steps < 1:
-        raise MeshError("need at least one time step")
+        raise MeshError(f"need at least one time step, got M = {n_steps}")
     if horizon <= 0:
         raise MeshError("horizon must be positive")
     return TimeMesh(np.arange(n_steps + 1) * horizon / n_steps)
@@ -196,10 +196,14 @@ def select_time_step_count(
     The default factor sqrt(2) corresponds to h_t^2 a^2 / h_min^2 <= 1/2 up to
     the flooring, which may leave the quotient marginally above 1/2.  The
     primitive of schemes.step_count; only `stability` also calls it directly.
+    A non-finite argument or quotient is a MeshError.
     """
-    if h_min <= 0 or speed <= 0 or horizon <= 0 or factor <= 0:
-        raise MeshError("all arguments must be positive")
-    m = math.floor(factor * speed * horizon / h_min)
+    if not all(0.0 < x < math.inf for x in (h_min, speed, horizon, factor)):
+        raise MeshError("all arguments must be positive and finite")
+    quotient = factor * speed * horizon / h_min
+    if quotient == math.inf:
+        raise MeshError("the step count factor * speed * horizon / h_min is infinite")
+    m = math.floor(quotient)
     if m < 1:
-        raise MeshError("horizon too short for a single time step under the step rule")
+        raise MeshError("the step rule gives M = 0: horizon too short for a single time step")
     return m

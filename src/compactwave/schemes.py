@@ -138,7 +138,7 @@ def operator_pair(kind: SchemeKind, ndim: int) -> str | None:
     conditional-stability theory; a ValueError in a dimension the kind lacks."""
     kind = SchemeKind(kind)
     if ndim not in _KINDS[kind].dims:
-        raise ValueError(f"{kind.value} does not support dimension {ndim}")
+        raise ValueError(f"scheme {kind.value} does not support dimension {ndim}")
     return _KINDS[kind].pair
 
 
@@ -516,7 +516,7 @@ def characteristic_meshes(problem, n_intervals: int, n_steps: int) -> tuple[Axis
     """Uniform axis over the problem's interval and the time mesh with
     h_t = h/a on which the explicit scheme runs."""
     if n_steps < 1:
-        raise MeshError("need at least one time step")
+        raise MeshError(f"need at least one time step, got M = {n_steps}")
     axis = build_uniform_axis(n_intervals, problem.extents[0], problem.origin[0])
     h_t = axis.h / problem.speeds[0]
     return axis, TimeMesh(np.arange(n_steps + 1) * h_t)
@@ -590,7 +590,7 @@ def run_explicit_characteristic(
     if problem.ndim != 1:
         raise ValueError("the characteristic-mesh scheme is one-dimensional")
     if problem.f_fn is not None and problem.f_data is None:
-        raise ValueError("cell averages require separable piecewise forcing (or none)")
+        raise ValueError("the characteristic scheme averages piecewise forcing only (or none)")
     f_data = problem.f_data or ()
     if any(term.time is None or term.time.t_star < 0.0 for term in f_data):
         raise ValueError("characteristic forcing needs a temporal factor switched on at t >= 0")

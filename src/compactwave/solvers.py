@@ -145,7 +145,7 @@ def sine_spectrum(mesh: AxisMesh) -> np.ndarray:
     """Eigenvalues (4/h^2) sin^2(pi l h / (2 X)), l = 1..N-1, of -Lambda over
     the sine basis of one uniform axis."""
     if not mesh.uniform:
-        raise MeshError("the sine basis requires uniform spatial meshes")
+        raise MeshError("the sine basis requires uniform spatial meshes, not a graded axis")
     n = mesh.n_intervals
     return (4.0 / mesh.h**2) * np.sin(np.pi * np.arange(1, n) / (2.0 * n)) ** 2
 

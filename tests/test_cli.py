@@ -343,9 +343,9 @@ def test_stability_needs_a_positive_step_count(capsys, steps):
     ["table2", "--phi", "phi0", "--N", "50,100,200"],
 ])
 def test_explicit_zero_cfl_factor_is_rejected(capsys, command):
-    # an explicit 0 reaches the step-count rule instead of the default factor
+    # an explicit 0 is read, not replaced by the default factor
     assert main(command + ["--cfl-factor", "0"]) == EXIT_CONFIG
-    assert "must be positive" in capsys.readouterr().err
+    assert "cfl_factor '0' must be a positive, finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, config, where", [
@@ -698,7 +698,7 @@ def test_readme_lists_the_flags_and_config_keys_of_every_subcommand():
 @pytest.mark.parametrize("speeds, message", [
     ([1.0], "speeds [1.0] must give one speed per axis, 2 in all"),
     ([1.0, 1.0, 1.0], "speeds [1.0, 1.0, 1.0] must give one speed per axis, 2 in all"),
-    (1.0, "speeds 1.0 must give one speed per axis, 2 in all"),
+    (1.0, "speeds must be a non-empty list, not 1.0"),
     ([1.0, "x"], "speed 'x' must be a positive, finite number"),
     ([1.0, 0], "speed 0 must be a positive, finite number"),
     ([-1.0, 1.0], "speed -1.0 must be a positive, finite number"),
@@ -749,3 +749,79 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     out = tmp_path / "run.txt"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert "# N: 40\n" in out.read_text()
+
+
+@pytest.mark.parametrize("command, config, argv, named", [
+    # an infinite T or factor reaches no step count
+    ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4}], "T": math.inf}, [],
+     "T inf must be a positive, finite number"),
+    ("run", {}, ["--problem", "E_1.5", "--N", "20", "--cfl-factor", "inf"],
+     "cfl_factor 'inf' must be a positive, finite number"),
+    ("table2", {}, ["--phi", "phi0", "--N", "8,16", "--cfl-factor", "inf"],
+     "cfl_factor 'inf' must be a positive, finite number"),
+    # a value of the wrong shape
+    ("run", {"axis": [1, 2]}, [], "axis must be a mapping, not [1, 2]"),
+    ("run", {"axis": 7}, [], "axis must be a mapping, not 7"),
+    ("stability", {"axes": {"N": 4}}, [], "axes must be a non-empty list, not {'N': 4}"),
+    ("stability", {"axes": [4, 4]}, [], "axes[0] must be a mapping, not 4"),
+    ("table1", {"alpha": 1.5}, [], "alpha must be a non-empty list, not 1.5"),
+    ("stability", {"cfl_factor": [1]}, [], "cfl_factor [1] must be a positive, finite number"),
+    ("stability", {"scheme": "compactnd", "axes": []}, [], "axes must be a non-empty list, not []"),
+    ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4}], "T": -1}, [],
+     "T -1 must be a positive, finite number"),
+    ("run", {}, ["--cfl-factor", "nan"], "cfl_factor 'nan' must be a positive, finite number"),
+    ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4}], "T": [1]}, [],
+     "T [1] must be a positive, finite number"),
+    ("run", {"problem": {"kind": "example", "alpha": [1]}}, [],
+     "problem.alpha [1] must be a positive, finite number"),
+    ("stability", {}, ["--certify", "--seed", "-1"], "seed must be at least 0, not -1"),
+])
+def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
+                                                       config, argv, named):
+    from compactwave import cli
+
+    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), *argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_selftest_rejects_a_negative_seed(capsys):
+    assert main(["selftest", "--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "seed must be at least 0, not -1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, config, argv, key", [
+    ("table2", {"phi": ["phi0"], "N": [8, 16]}, [], "cfl_factor"),
+    ("table2", {"phi": ["phi0"], "N": [8, 16]}, [], "jobs"),
+    ("run", {"problem": "E_1.5"}, [], "N"),
+    ("run", {"problem": "E_1.5"}, ["--N", "16"], "M"),
+    ("run", {"problem": "E_1.5"}, ["--N", "16"], "axis"),
+    ("stability", {"problem": "E_1.5"}, ["--N", "16", "--certify", "--seed", "5"], "scheme"),
+])
+def test_a_null_config_value_is_not_given(tmp_path, command, config, argv, key):
+    outputs = []
+    for extra in ({}, {key: None}):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump({**config, **extra}))
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_scalar_phi_is_a_list_of_one(tmp_path, source):
+    config = {"N": [8, 16], "phi": "phi3"} if source == "config" else {"N": [8, 16]}
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "t2.csv"
+    argv = ["--phi", "phi3"] if source == "flag" else []
+    assert main(["table2", "--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+    assert "# phis: ['phi3']" in out.read_text()

@@ -119,3 +119,15 @@ def test_step_count_rejects_zero():
         select_time_step_count(10.0, 0.01, 1.0, 1.0)
     with pytest.raises(MeshError):
         select_time_step_count(-1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [
+    (0.1, 1.0, 1.0, math.inf),
+    (0.1, 1.0, 1.0, math.nan),
+    (0.1, math.inf, 1.0, 1.0),
+    (math.nan, 1.0, 1.0, 1.0),
+    (1e-320, 1e10, 1e10, 1.0),  # finite arguments, infinite quotient
+])
+def test_step_count_rejects_a_non_finite_argument_or_quotient(args):
+    with pytest.raises(MeshError):
+        select_time_step_count(*args)
