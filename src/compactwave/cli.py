@@ -519,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "config": dict(help="YAML configuration (flags override it)"),
         "problem": dict(help="catalog problem name"),
         "scheme": dict(help="scheme name"),
-        "N": dict(type=int, help="intervals"),
+        "N": dict(help="intervals"),
         "N list": dict(dest="N", help="resolution list, e.g. '200,400,800'"),
         "M": dict(help="time steps or 'auto'"),
         "cfl-factor": dict(dest="cfl_factor"),

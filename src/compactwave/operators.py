@@ -102,6 +102,13 @@ class TridiagonalFactor:
         out = self.lower * w[..., :-2] + self.diag * w[..., 1:-1] + self.upper * w[..., 2:]
         return out.swapaxes(-1, self.axis)
 
+    def face_row(self, side: int) -> TridiagonalFactor:
+        """The row next to a face (side 0 or -1) alone: it takes the 3-node
+        slab at that face to the interior layer next to it, element for
+        element as the full rows do."""
+        rows = slice(0, 1) if side == 0 else slice(-1, None)
+        return TridiagonalFactor(self.axis, self.lower[rows], self.diag[rows], self.upper[rows])
+
     def dense(self) -> np.ndarray:
         m = np.diag(self.diag)
         m += np.diag(self.lower[1:], k=-1)
@@ -293,9 +300,7 @@ def pair_appliers(
     averages, stiffs = _average_factors(meshes), _stiffness_factors(meshes, speeds)
     if face is not None:
         axis, side = face
-        rows = slice(0, 1) if side == 0 else slice(-1, None)
-        cut = lambda f: TridiagonalFactor(axis, f.lower[rows], f.diag[rows], f.upper[rows])
-        averages[axis], stiffs[axis] = cut(averages[axis]), cut(stiffs[axis])
+        averages[axis], stiffs[axis] = averages[axis].face_row(side), stiffs[axis].face_row(side)
     return compose_pair(pair, averages, stiffs, h_t)
 
 
@@ -316,10 +321,14 @@ def _odd_power(y: np.ndarray, m: int) -> np.ndarray:
     return np.copysign(_int_power(np.abs(y), m), y)
 
 
+def _step(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (np.sign(z) + 1.0)
+
+
 def _signed_power(k: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if k == 0:
-        return 0.5 * (np.sign(x) + 1.0)
+        return _step(x)
     if k == 1:
         return 1.0 - 2.0 * np.abs(x)
     # sign(x) (2x)^k: odd for even k, even for odd k
@@ -383,7 +392,7 @@ class QPiece:
     def eval(self, t: np.ndarray) -> np.ndarray:
         dt = np.asarray(t, dtype=float) - self.t_star
         if self.degree == 0:
-            return 0.5 * (np.sign(dt) + 1.0)
+            return _step(dt)
         return np.where(dt > 0, dt, 0.0) ** self.degree
 
 
@@ -506,10 +515,6 @@ def hat_average_t0(profile: TimeProfile, h_t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # backward-cone integrals of piecewise forcing
-
-
-def _step(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.sign(z) + 1.0)
 
 
 def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:

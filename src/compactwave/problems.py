@@ -89,6 +89,18 @@ class ProblemSpec:
     def ndim(self) -> int:
         return len(self.extents)
 
+    def trace(self, faces: Sequence[Sequence]) -> Callable[[float], list] | None:
+        """The Dirichlet trace of every run on the given faces, each given
+        by its node coordinates: a map from t to one value (or array) per
+        face, or None when the trace is identically zero.  The rule: the
+        traces g on one axis (faces: its left end, then its right end), else
+        the exact solution on the faces, else none."""
+        if self.g is not None and self.ndim == 1:
+            return lambda t: [g(t) for g in self.g]
+        if self.exact is not None:
+            return lambda t: [self.exact(*coords, t) for coords in faces]
+        return None
+
 
 def _example_pieces(alpha: float, t_star: float) -> tuple[int, PiecewiseData, PiecewiseData]:
     k = int(alpha)

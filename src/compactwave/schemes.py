@@ -23,10 +23,13 @@ factors (SplittingHandle); these factored kinds step on uniform and graded
 axes alike.  compact2d, compact3d and nD compactnd solve over the tensor
 sine basis (SpectralHandle), which exists on uniform axes only
 (solvers.sine_spectrum raises MeshError on a graded one), and apply B and A
-as sums and products of the per-axis rows; they lift a trace with the step
-operator's rows next to each face.
+as sums and products of the per-axis rows.  Every nD kind lifts a trace
+with the step operator's rows next to each face, the splitting form's cut
+from its factor product; a 1D kind lifts it with its step factor's
+couplings to the two boundary nodes.
 
-Every run, the explicit one and a 1D stack included, marches through one
+Every run, the explicit one and a 1D stack included, takes its Dirichlet
+trace from one rule (problems.ProblemSpec.trace) and marches through one
 level loop (_march), which shows each level to its observers and applies
 the blow-up rule to it.  The recipe of a 1D run (analysis.run_errors)
 marches two or more implicit kinds as one stack (run_stacked), a (K, N+1)
@@ -223,9 +226,16 @@ class Scheme:
         mass, stiffness = appliers()
         self._stiffness = stiffness
         self._interior = tuple(slice(1, -1) for _ in meshes)
-        # the one rule for a non-zero trace, kept by boundary_values and solve_step;
-        # without boundary data the trace is identically zero: S 0 = 0 needs no lift
-        self._traced = problem.exact is not None or (n == 1 and problem.g is not None)
+        self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
+        # the faces, axis by axis, side 0 then -1, and the problem's trace on
+        # them; None is identically zero: S 0 = 0 needs no lift
+        self._faces = []
+        for axis in range(n):
+            for side in (0, -1):
+                face = [slice(None)] * n
+                face[axis] = side
+                self._faces.append(tuple(face))
+        self._trace = problem.trace([[g[face] for g in self._grids] for face in self._faces])
         if n == 1 or kind == SchemeKind.SPLITTING:
             # the per-axis step factors, weighted ones when B = I (no pair)
             sigma = self.sigma if self.pair is None else None
@@ -244,9 +254,6 @@ class Scheme:
                 step(mass, stiffness),
                 lambda axis, side: step(*appliers(face=(axis, side))),
             )
-
-        self._grids = np.meshgrid(*(m.nodes for m in meshes), indexing="ij")
-        self._faces = self._face_coordinates()
 
     @functools.cached_property
     def u1n(self) -> np.ndarray:
@@ -290,31 +297,13 @@ class Scheme:
 
     # -- boundary handling ---------------------------------------------------
 
-    def _face_coordinates(self):
-        faces = []
-        n = len(self.meshes)
-        for axis in range(n):
-            for side in (0, -1):
-                idx = [slice(None)] * n
-                idx[axis] = side
-                coords = [g[tuple(idx)] for g in self._grids]
-                faces.append((axis, side, tuple(idx), coords))
-        return faces
-
     def boundary_values(self, values: np.ndarray, t: float) -> None:
-        """Impose the Dirichlet trace on every face of a full node array (on
-        every column of a 1D stack)."""
-        problem = self.problem
-        if not self._traced:
-            for _, _, idx, _ in self._faces:
-                values[idx] = 0.0
-        elif problem.g is not None and len(self.meshes) == 1:
-            g0, g1 = problem.g
-            values[0] = g0(t)
-            values[-1] = g1(t)
-        else:
-            for _, _, idx, coords in self._faces:
-                values[idx] = problem.exact(*coords, t)
+        """Impose the problem's Dirichlet trace (problems.ProblemSpec.trace),
+        or a zero one, on every face of a full node array (on every column
+        of a 1D stack)."""
+        traces = [0.0] * len(self._faces) if self._trace is None else self._trace(t)
+        for face, trace in zip(self._faces, traces):
+            values[face] = trace
 
     def solve_step(
         self, rhs_interior: np.ndarray, t_boundary: float, base: np.ndarray, solver=None
@@ -332,11 +321,12 @@ class Scheme:
         solver = self._solver if solver is None else solver
         out = np.empty_like(base)  # base's layout: a 1D stack's columns stay contiguous
         out.fill(0.0)
-        if self._traced:
+        traced = self._trace is not None
+        if traced:
             self.boundary_values(out, t_boundary)
         trace = out - base
         trace[self._interior] = 0.0
-        inner = solver.solve(rhs_interior, trace if self._traced or trace.any() else None)
+        inner = solver.solve(rhs_interior, trace if traced or trace.any() else None)
         out[self._interior] = base[self._interior] + inner
         return out
 
@@ -601,15 +591,8 @@ def run_explicit_characteristic(
 
     u1n = _char_velocity_table(problem, nodes, h)
     forcing = _char_forcing(f_data, nodes, tmesh, problem.speeds[0])
-    g = problem.g
-    exact = problem.exact
-
-    def boundary(t: float) -> tuple[float, float]:
-        if g is not None:
-            return float(g[0](t)), float(g[1](t))
-        if exact is not None:
-            return float(exact(nodes[0], t)), float(exact(nodes[-1], t))
-        return 0.0, 0.0
+    trace = problem.trace([(nodes[0],), (nodes[-1],)])
+    boundary = (lambda t: (0.0, 0.0)) if trace is None else trace
 
     # _march asks for the levels in order, so each takes the next forcing term
     def first(v0: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ factors of several 1D schemes on one axis, one column each, as one
 block-diagonal TriSolver whose blocks solve as they do alone.  The spectral
 solver keeps the eigenvalue tensor of an assembled nD operator over the
 tensor sine basis.  The handles apply their operator and solve with it,
-lifting a given trace (the spectral one from the operator's rows next to each
-face).  The spectra of an operator pair are `operators.compose_pair`, the
+lifting a given trace: the spectral and splitting handles by one face-row
+lift, from their operator's rows next to each face, and the stack handle
+with each factor's couplings to the two boundary nodes, the face rows of one
+axis.  The spectra of an operator pair are `operators.compose_pair`, the
 composer of the stencil rows, over per-axis eigenvalue factors broadcast over
 the tensor.
 The sine analysis transforms the trailing axes of a stack of arrays in one
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import AxisMesh, MeshError
-from .operators import TridiagonalFactor, compose_pair, pair_forms
+from .operators import TridiagonalFactor, _product, compose_pair, pair_forms
 
 __all__ = [
     "SingularSystemError",
@@ -242,15 +244,50 @@ def operator_pair_c0(pair: str) -> float:
 # solver handles
 
 
+class _FaceLift:
+    """The lift of a trace for the nD handles, from the operator's face maps:
+    face_apply(axis, side) cuts the rows of `axis` to the one next to that
+    face (side 0 or -1) and takes the 3-node slab at the face to the interior
+    layer next to it, element for element as the whole operator does.  A
+    trace with a zero interior lifts to zero off those layers.  They are
+    assigned, not added, so a node next to two faces gets the whole
+    operator's value bit for bit, in O(N^{n-1}) work.  The 2n maps are built
+    on the first lift: a run that lifts no trace never builds them."""
+
+    def __init__(self, ndim: int, face_apply: Callable[[int, int], Callable] | None):
+        self._ndim = ndim
+        self._face_apply = face_apply
+
+    @functools.cached_property
+    def _faces(self) -> list[tuple[tuple, tuple, Callable[[np.ndarray], np.ndarray]]]:
+        """(slab, layer, map) of each face."""
+        if self._face_apply is None:
+            raise ValueError("a trace needs the face appliers of the operator")
+        n = self._ndim
+        faces = []
+        for axis in range(n):
+            for side in (0, -1):
+                slab, layer = [slice(None)] * n, [slice(None)] * n
+                slab[axis] = slice(0, 3) if side == 0 else slice(-3, None)
+                layer[axis] = slice(0, 1) if side == 0 else slice(-1, None)
+                faces.append((tuple(slab), tuple(layer), self._face_apply(axis, side)))
+        return faces
+
+    def __call__(self, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+        """rhs minus the lift of the full node array `boundary`."""
+        lift = np.zeros(rhs.shape)
+        for slab, layer, applier in self._faces:
+            lift[layer] = applier(boundary[slab])
+        return rhs - lift
+
+
 class SpectralHandle:
     """Diagonal solve over the tensor sine basis for an assembled operator,
     given by its eigenvalue tensor and its applier (full array in, interior out).
 
-    A trace is lifted face by face: face_apply(axis, side) is the operator
-    with the rows of `axis` cut to the one next to that face (side 0 or -1;
-    `operators.pair_appliers` with `face`).  The 2n face maps are built on
-    the first solve with a trace, so a run that never lifts one never builds
-    them.  Without face_apply the handle solves homogeneous systems only.
+    A trace is lifted face by face (_FaceLift) with face_apply(axis, side),
+    the operator's face maps (`operators.pair_appliers` with `face`).
+    Without face_apply the handle solves homogeneous systems only.
     """
 
     def __init__(
@@ -264,38 +301,14 @@ class SpectralHandle:
             raise SingularSystemError("assembled operator has a zero eigenvalue")
         self.eigenvalues = eigenvalues
         self.apply = apply
-        self._face_apply = face_apply
-
-    @functools.cached_property
-    def _faces(self) -> list[tuple[tuple, tuple, Callable[[np.ndarray], np.ndarray]]]:
-        """(slab, layer, map) of each face: the 3-node slab at the face, the
-        interior layer next to it and the face's map from one to the other."""
-        if self._face_apply is None:
-            raise ValueError("a trace needs the face appliers of the operator")
-        n = self.eigenvalues.ndim
-        faces = []
-        for axis in range(n):
-            for side in (0, -1):
-                slab, layer = [slice(None)] * n, [slice(None)] * n
-                slab[axis] = slice(0, 3) if side == 0 else slice(-3, None)
-                layer[axis] = slice(0, 1) if side == 0 else slice(-1, None)
-                faces.append((tuple(slab), tuple(layer), self._face_apply(axis, side)))
-        return faces
+        self._lift = _FaceLift(eigenvalues.ndim, face_apply)
 
     def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
-        """Solve on the interior; `boundary` as for SplittingHandle.solve.
-
-        Its lift apply(boundary) is nonzero only on the interior layers next
-        to a face.  Each face's map takes the 3-node slab at the face to its
-        layer, and the layers are assigned, not added: a node next to two
-        faces gets the full apply's value bit for bit, in O(N^{n-1}) work."""
+        """Solve on the interior; `boundary` as for SplittingHandle.solve."""
         if rhs.shape != self.eigenvalues.shape:
             raise ValueError("rhs shape does not match the spectrum table")
         if boundary is not None:
-            lift = np.zeros(rhs.shape)
-            for slab, layer, applier in self._faces:
-                lift[layer] = applier(boundary[slab])
-            rhs = rhs - lift
+            rhs = self._lift(rhs, boundary)
         coeffs = sine_coefficients(rhs)
         return sine_synthesis(coeffs / self.eigenvalues)
 
@@ -304,25 +317,23 @@ class SplittingHandle:
     """Sequential per-axis tridiagonal solves for a product of factors, one
     per axis: the step operator of the splitting form.
 
-    Nonhomogeneous boundary values enter through the partial products of the
-    remaining factors applied to the boundary extension.
+    A trace is lifted face by face (_FaceLift): a face's map is the factor
+    product with the factor of the face's axis cut to its row next to that
+    face (`TridiagonalFactor.face_row`).
     """
 
     def __init__(self, factors: Sequence[TridiagonalFactor]):
         self.factors = list(factors)
         self._solvers = [TriSolver(f) for f in self.factors]
-        # the partial product of factor j is interior along the axes solved before j
-        axes = [f.axis for f in self.factors]
-        self._solved_before = [
-            tuple(slice(1, -1) if a in axes[:j] else slice(None) for a in range(len(axes)))
-            for j in range(len(axes))
-        ]
+        self._lift = _FaceLift(len(self.factors), self._face_apply)
+
+    def _face_apply(self, axis: int, side: int) -> Callable[[np.ndarray], np.ndarray]:
+        cut = [f.face_row(side) if f.axis == axis else f for f in self.factors]
+        return lambda values: _product(values, cut)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Factor product applied to a full node array; interior values."""
-        for factor in self.factors:
-            values = factor.apply(values)
-        return values
+        return _product(values, self.factors)
 
     def solve(self, rhs: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
         """Solve (product of factors) x = rhs on the interior.
@@ -330,25 +341,11 @@ class SplittingHandle:
         `boundary` is the full node array holding the known boundary values of
         x (zero interior); omit it for homogeneous data.
         """
-        n = len(self.factors)
-        # partials[j]: the factors after j applied to the boundary extension
-        partials: list[np.ndarray | None] = [None] * n
-        if boundary is not None:
-            partials[n - 1] = boundary
-            for j in range(n - 1, 0, -1):
-                partials[j - 1] = self.factors[j].apply(partials[j])
-        out = np.array(rhs, dtype=float)
-        for factor, solver, partial, before in zip(
-            self.factors, self._solvers, partials, self._solved_before
-        ):
-            axis = factor.axis
-            w = out.swapaxes(axis, 0)
-            if partial is not None:
-                face = partial[before].swapaxes(axis, 0)
-                w[0] -= factor.lower[0] * face[0]
-                w[-1] -= factor.upper[-1] * face[-1]
+        out = np.asarray(rhs, dtype=float) if boundary is None else self._lift(rhs, boundary)
+        for factor, solver in zip(self.factors, self._solvers):
+            w = out.swapaxes(factor.axis, 0)
             solved = solver.solve(w.reshape(w.shape[0], -1))
-            out = solved.reshape(w.shape).swapaxes(0, axis)
+            out = solved.reshape(w.shape).swapaxes(0, factor.axis)
         return out
 
 

@@ -1,28 +1,50 @@
 """The benchmark's tracer wraps compactwave callables by name, and its
 workloads call them; every layer it times and every attribute a workload
 reads must still resolve, so that renaming one fails here and not only as a
-missing layer or a failed run in a benchmark pass."""
+missing layer or a failed run in a benchmark pass.  A traced pass of each
+measured workload must also run and pass its checks, so that a change the
+tracer's wrappers cannot take fails here and not only in a traced run."""
 
 import ast
 import importlib
 import pathlib
+import time
 import types
+
+import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
 
 
-def _load_tracer() -> types.ModuleType:
+def _load(path: pathlib.Path) -> types.ModuleType:
     # compiled from the source text: nothing is written next to the file
-    module = types.ModuleType("bench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    module = types.ModuleType(f"bench_{path.stem}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
+@pytest.mark.parametrize("workload", ["uniform-study", "nd-small", "characteristic"])
+def test_a_traced_smoke_pass_passes_its_checks(tmp_path, workload):
+    # the in-process form of a traced pass (bench/worker.py): every span
+    # wrapped, the exact solutions of the problem factories keyed per call
+    workloads, tracer = _load(WORKLOADS), _load(TRACER).Tracer(full=True, clock=time.perf_counter)
+    job = workloads.plan(workload, "smoke", 1, tmp_path / "inputs")
+    tracer.install()
+    try:
+        outputs = workloads.execute(job)
+    finally:
+        tracer.uninstall()
+    verdicts = workloads.check(job, outputs)
+    assert [run for run, _, _ in verdicts] == job["runs"]
+    assert [(run, why) for run, ok, why in verdicts if not ok] == []
+    assert tracer.missing == []
+
+
 def test_every_traced_layer_resolves():
-    tracer = _load_tracer()
+    tracer = _load(TRACER)
     targets = [(module, path) for module, path, _, _ in tracer.TRACE_TARGETS]
     targets += [("compactwave.problems", name) for name in tracer.PROBLEM_FACTORIES]
     missing = [f"{module}.{path}" for module, path in targets if tracer._resolve(module, path)[2] is None]

@@ -622,10 +622,8 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys,
 
 
 def test_run_takes_one_resolution(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--N", "100,200"])
-    assert exc.value.code == EXIT_CONFIG
-    assert "invalid int value: '100,200'" in capsys.readouterr().err
+    assert main(["run", "--N", "100,200"]) == EXIT_CONFIG
+    assert "N must be a whole number, not '100,200'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "table1", "table2", "stability"])
@@ -742,7 +740,7 @@ def test_a_fractional_or_boolean_count_is_a_config_error(tmp_path, capsys, monke
     assert f"must be a whole number, not {named}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", [40, "40"])
+@pytest.mark.parametrize("n", [40, "40", 40.0])
 def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({"problem": "E_1.5", "N": n}))
@@ -775,6 +773,10 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     ("run", {"problem": {"kind": "example", "alpha": [1]}}, [],
      "problem.alpha [1] must be a positive, finite number"),
     ("stability", {}, ["--certify", "--seed", "-1"], "seed must be at least 0, not -1"),
+    # the flag --N and the key N are read alike: as the digits of a whole number
+    ("run", {"problem": "E_1.5"}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
+    ("run", {"problem": "E_1.5", "N": "40.0"}, [], "N must be a whole number, not '40.0'"),
+    ("stability", {}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
 ])
 def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
                                                        config, argv, named):

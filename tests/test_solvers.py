@@ -496,24 +496,30 @@ def test_splitting_axis_order_invariance():
 
 
 def test_splitting_boundary_folding():
-    # nonzero Dirichlet data folded axis by axis matches the dense solve
+    # nonzero Dirichlet data lifted from the face rows: solving the apply of
+    # a full array gives back its interior, on uniform axes and on graded
+    # ones, whose rows next to the two faces of an axis differ
     rng = np.random.default_rng(10)
-    meshes = [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.9)]
     speeds = (1.1, 0.8)
     h_t = 0.04
-    factors = [step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)]
-    handle = SplittingHandle(factors)
-    boundary = np.zeros((7, 6))
-    boundary[0, :] = rng.standard_normal(6)
-    boundary[-1, :] = rng.standard_normal(6)
-    boundary[:, 0] = rng.standard_normal(7)
-    boundary[:, -1] = rng.standard_normal(7)
-    x_int = rng.standard_normal((5, 4))
-    full = boundary.copy()
-    full[1:-1, 1:-1] = x_int
-    rhs = handle.apply(full)
-    got = handle.solve(rhs, boundary=boundary)
-    assert np.max(np.abs(got - x_int)) < 1e-11
+    for meshes in (
+        [build_uniform_axis(6, 1.0), build_uniform_axis(5, 0.9)],
+        [build_graded_axis(NODE_DISTRIBUTIONS["phi2"], 6, 1.0, -0.5),
+         build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 5, 0.9, 0.0)],
+    ):
+        factors = [step_factor(m, h_t, speeds[i], i) for i, m in enumerate(meshes)]
+        handle = SplittingHandle(factors)
+        boundary = np.zeros((7, 6))
+        boundary[0, :] = rng.standard_normal(6)
+        boundary[-1, :] = rng.standard_normal(6)
+        boundary[:, 0] = rng.standard_normal(7)
+        boundary[:, -1] = rng.standard_normal(7)
+        x_int = rng.standard_normal((5, 4))
+        full = boundary.copy()
+        full[1:-1, 1:-1] = x_int
+        rhs = handle.apply(full)
+        got = handle.solve(rhs, boundary=boundary)
+        assert np.max(np.abs(got - x_int)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
