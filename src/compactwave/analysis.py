@@ -1,9 +1,9 @@
 """Error norms, the recipe of a 1D run (run_errors: the implicit kinds of a
-study marched as one stack, each row watched by its own error observer),
+study marched as one stack, watched by one error observer),
 least-squares order fitting, theoretical order formulas, and report assembly
 for convergence studies.
 
-Three uniform-in-time mesh norms of the error r = u - v are tracked, each
+Three uniform-in-time mesh norms of the error r = u - v are tracked, the
 observer keeping a block of levels' residuals and reducing the block at
 once (ErrorObserver):
 
@@ -65,14 +65,17 @@ class ErrorObserver:
     """The three norms against an exact evaluator, reduced a block of levels
     at a time.
 
-    Each observed level writes one row of a residual block, r = exact - values
-    (a copy: the caller may reuse its array).  A full block is reduced at
-    once, with one dot product per row and norm; row 0 holds the last
-    residual of the block before, for the time differences of Eh.  result()
-    reduces a partial block, so it may be called mid-run.  The running
-    maxima take the levels in order, as a level-by-level reduction does, so
-    the triple equals that reduction's bit for bit, NaN and inf levels
-    included; level 0 takes no Eh term.
+    A level is a run's values, or a (K, N+1) stack with one run per row; the
+    observer takes the shape of the first level it is shown.  Each observed
+    level writes one row of a residual block, r = exact - values, from one
+    exact evaluation (a copy: the caller may reuse its array).  A full block
+    is reduced at once, with one dot product per row and norm; row 0 holds
+    the last residual of the block before, for the time differences of Eh.
+    result() reduces a partial block, so it may be called mid-run: one
+    triple for a run, one per row for a stack.  The running maxima are fmax
+    reductions, which, as a level-by-level max() does, never let a NaN level
+    win, so each triple equals that reduction's bit for bit, NaN and inf
+    levels included; level 0 takes no Eh term.
 
     The quadrature weight is the mean spatial step, so on graded axes only
     the Ch norm is layout-independent (the graded-mesh studies report Ch).
@@ -86,20 +89,20 @@ class ErrorObserver:
         self.nodes = axis.nodes
         self.h = axis.extent / axis.n_intervals
         self.h_t = tmesh.horizon / tmesh.n_steps
-        self._rows = np.zeros((_BLOCK + 1, self.nodes.size))
-        self._work = np.empty((_BLOCK, self.nodes.size))
+        # the residual block and its scratch, made for the first level's shape
+        self._rows = self._work = None
         # per pending row 1, 2, ...: whether its level takes an Eh term
         self._takes_eh: list[bool] = []
-        self._seen = False
-        self._l2 = 0.0
-        self._c = 0.0
-        self._e = 0.0
+        self._l2 = self._c = self._e = 0.0
 
     def observe(self, level: int, t: float, values: np.ndarray) -> None:
         pending = self._takes_eh
+        seen = self._rows is not None
+        if not seen:
+            self._rows = np.zeros((_BLOCK + 1, *values.shape))
+            self._work = np.empty_like(self._rows[1:])
         np.subtract(self.exact(self.nodes, t), values, out=self._rows[len(pending) + 1])
-        pending.append(level >= 1 and self._seen)
-        self._seen = True
+        pending.append(level >= 1 and seen)
         if len(pending) == _BLOCK:
             self._reduce()
 
@@ -116,45 +119,34 @@ class ErrorObserver:
         # a fresh temporary of a block's size costs more than the arithmetic
         work = self._work[:k]
         # time differences of whole rows; Eh takes their interior
-        dt = np.divide(np.subtract(r, rows[:-1], out=work), self.h_t, out=work)[:, 1:-1]
-        e_times = np.sqrt(h * np.vecdot(dt, dt)).tolist()
+        dt = np.divide(np.subtract(r, rows[:-1], out=work), self.h_t, out=work)[..., 1:-1]
+        e_times = np.sqrt(h * np.vecdot(dt, dt))
         # x-differences along the rows laid end to end: entry j >= 1 of a row
         # is r_j - r_{j-1}; entry 0 spans two rows and is not read
         ends, flat = r.reshape(-1), work.reshape(-1)
         np.divide(np.subtract(ends[1:], ends[:-1], out=flat[1:]), h, out=flat[1:])
-        dx = work[:, 1:]
-        e_spaces = np.sqrt(h * np.vecdot(dx, dx)).tolist()
-        cs = np.max(np.abs(r, out=work), axis=1).tolist()
-        inner = r[:, 1:-1]
-        l2s = np.sqrt(h * np.vecdot(inner, inner)).tolist()
-        for takes_eh, l2, c, e_time, e_space in zip(self._takes_eh, l2s, cs, e_times, e_spaces):
-            self._l2 = max(self._l2, l2)
-            self._c = max(self._c, c)
-            if takes_eh:
-                self._e = max(self._e, e_time, e_space)
+        dx = work[..., 1:]
+        e_spaces = np.sqrt(h * np.vecdot(dx, dx))
+        cs = np.max(np.abs(r, out=work), axis=-1)
+        inner = r[..., 1:-1]
+        l2s = np.sqrt(h * np.vecdot(inner, inner))
+        # the block's levels are axis 0: fold them into the running maxima
+        e_levels = np.fmax(e_times, e_spaces)[np.array(self._takes_eh)]
+        self._l2 = np.fmax(self._l2, np.fmax.reduce(l2s))
+        self._c = np.fmax(self._c, np.fmax.reduce(cs))
+        self._e = np.fmax(self._e, np.fmax.reduce(e_levels, initial=0.0))
         rows[0] = rows[k]
         self._takes_eh = []
 
-    def result(self) -> ErrorTriple:
+    def result(self) -> ErrorTriple | list[ErrorTriple]:
         self._reduce()
-        return ErrorTriple(self._l2, self._c, self._e)
+        norms = np.array([self._l2, self._c, self._e])
+        if norms.ndim == 1:
+            return ErrorTriple(*norms.tolist())
+        return [ErrorTriple(*row) for row in norms.T.tolist()]
 
 
-def _last_level(exact: Callable) -> Callable:
-    """exact(x, t) remembered for the last (x, t) asked for: the observers of
-    a stack's rows, shown one level in turn, write each level's residual
-    from one evaluation: one call per level, with a scalar t."""
-    last = [None, None, None]
-
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        if x is not last[0] or t != last[1]:
-            last[:] = x, t, exact(x, t)
-        return last[2]
-
-    return evaluate
-
-
-# a level past ~1e154 overflows the observers' squares: the march's verdict
+# a level past ~1e154 overflows the observer's squares: the march's verdict
 # ends such a run, which reports the infinite triple, so the warning is moot.
 # One errstate per call covers the marches too, on purpose: an overflow in a
 # step gives an infinite or NaN level, which the same verdict ends, and an
@@ -168,13 +160,12 @@ def run_errors(
     run.  The implicit kinds go to schemes.run_stacked by kind, which marches
     them over the horizon as one stack with one row per kind (one A apply,
     forcing entry, trace and block-diagonal solve per level), each run equal
-    to the kind's own bit for bit (a lone kind runs on its own); their
-    observers share one exact evaluation per level.  characteristic runs on
-    the problem's uniform axis with h_t = h/a.  A run that blew up reports
-    the infinite triple; the others run to the end.
+    to the kind's own bit for bit (a lone kind runs on its own); one error
+    observer watches the stack, with one exact evaluation per level.
+    characteristic runs on the problem's uniform axis with h_t = h/a.  A run
+    that blew up reports the infinite triple; the others run to the end.
     """
     kinds = [SchemeKind(kind) for kind in kinds]
-    exact = _last_level(problem.exact)
     explicit = SchemeKind.EXPLICIT_CHARACTERISTIC
     done = {}
     if explicit in kinds:
@@ -182,17 +173,20 @@ def run_errors(
         axis_c, tmesh_c = schemes.characteristic_meshes(problem, n, n_steps)
         if not np.array_equal(axis.nodes, axis_c.nodes):
             raise ValueError("the characteristic-mesh scheme runs on the problem's uniform axis")
-        obs = ErrorObserver(exact, axis_c, tmesh_c)
-        done[explicit] = schemes.run_explicit_characteristic(problem, n, n_steps, obs)[0], obs
+        obs = ErrorObserver(problem.exact, axis_c, tmesh_c)
+        result = schemes.run_explicit_characteristic(problem, n, n_steps, obs)[0]
+        done[explicit] = result, obs.result()
     implicit = [kind for kind in kinds if kind != explicit]
     if implicit:
         tmesh = build_time_mesh(n_steps, problem.horizon)
-        observers = [ErrorObserver(exact, axis, tmesh) for _ in implicit]
-        results = schemes.run_stacked(problem, implicit, axis, tmesh, observers)
-        done.update(zip(implicit, zip(results, observers)))
+        obs = ErrorObserver(problem.exact, axis, tmesh)
+        results = schemes.run_stacked(problem, implicit, axis, tmesh, obs)
+        # a lone kind runs on its own: its observer gives one triple
+        triples = obs.result() if len(implicit) > 1 else [obs.result()]
+        done.update(zip(implicit, zip(results, triples)))
     return [
-        (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else obs.result())
-        for result, obs in map(done.get, kinds)
+        (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else triple)
+        for result, triple in map(done.get, kinds)
     ]
 
 

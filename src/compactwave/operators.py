@@ -474,10 +474,11 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
     average hat_average_t0 at level 0, the two-sided ones at the interior
     levels (0 at the last node).
 
-    One-sided power profiles with the breakpoint on the mesh use the exact
-    values: nodal samples for degree 0, the three-point (1, 10, 1)/12 sample
-    average away from the hit level for degree >= 1, and
-    h_t^degree / ((degree+1)(degree+2)) at the hit level.
+    One-sided power profiles with the breakpoint on the mesh: nodal samples
+    for degree 0 and h_t^degree / ((degree+1)(degree+2)) at the hit level
+    are exact, and away from it the three-point (1, 10, 1)/12 sample average
+    is exact up to degree 3 only: past the hit level degree 4 is 4.8% off
+    one step on and 0.11% three steps on, degree 5 17% and 0.52%.
     """
     h_t = tmesh.h_t
     idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
@@ -490,27 +491,28 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
     else:
         out[1:-1] = (profile.eval(t - h_t) + 10.0 * profile.eval(t) + profile.eval(t + h_t)) / 12.0
         out[idx] = h_t**profile.degree / ((profile.degree + 1) * (profile.degree + 2))
+    # the ends last: a hit level 0 takes the one-sided average, not the above
     out[0] = hat_average_t0(profile, h_t)
     out[-1] = 0.0
     return out
 
 
 def hat_average_t0(profile: TimeProfile, h_t: float) -> float:
-    """One-sided hat average (2/h_t) * int_0^{h_t} y(t) (1 - t/h_t) dt."""
+    """One-sided hat average (2/h_t) * int_0^{h_t} y(t) (1 - t/h_t) dt; an
+    atom at t = 0 counts fully, as it does in the exact solutions.
+
+    For y = (t - t_*)_+^l it is (2/h_t^2) [Y(h_t) - Y(0) - h_t Y'(0)] with
+    Y = (t - t_*)_+^(l+2) / ((l+1)(l+2)), Y'' = y, for every t_*.
+    """
+    t_star = profile.t_star
     if isinstance(profile, TimeDirac):
-        if 0.0 < profile.t_star < h_t:
-            return (2.0 / h_t) * (1.0 - profile.t_star / h_t)
+        return (2.0 / h_t) * (1.0 - t_star / h_t) if 0.0 <= t_star < h_t else 0.0
+    if t_star >= h_t:
         return 0.0
-    if profile.t_star >= h_t:
-        return 0.0
-    pts = sorted({0.0, h_t, profile.t_star})
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t = mid + half * _GAUSS_X
-        total += half * float(np.sum(_GAUSS_W * profile.eval(t) * (1.0 - t / h_t)))
-    return 2.0 * total / h_t
+    k = profile.degree
+    y = lambda t: max(t - t_star, 0.0)
+    big_y = lambda t: y(t) ** (k + 2) / ((k + 1) * (k + 2))
+    return 2.0 / h_t**2 * (big_y(h_t) - big_y(0.0) - h_t * y(0.0) ** (k + 1) / (k + 1))
 
 
 # ---------------------------------------------------------------------------

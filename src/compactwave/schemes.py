@@ -30,14 +30,14 @@ couplings to the two boundary nodes.
 
 Every run, the explicit one and a 1D stack included, takes its Dirichlet
 trace from one rule (problems.ProblemSpec.trace) and marches through one
-level loop (_march), which shows each level to its observers and applies
-the blow-up rule to it.  The recipe of a 1D run (analysis.run_errors)
-marches two or more implicit kinds as one stack (run_stacked), a (K, N+1)
-array with one row per kind: on one axis every 1D kind has the same A, so a
-level is one first_step or time_step of the stack, with one A apply, one
-forcing entry, one trace and one block-diagonal solve for all rows, and
-the loop ends each row's run on its own.  Every 1D run takes its step count
-from one rule (step_count).
+level loop (_march), which shows each level to its one observer and
+applies the blow-up rule to each of its rows.  The recipe of a 1D run
+(analysis.run_errors) marches two or more implicit kinds as one stack
+(run_stacked), a (K, N+1) array with one row per kind: on one axis every 1D
+kind has the same A, so a level is one first_step or time_step of the
+stack, with one A apply, one forcing entry, one trace and one
+block-diagonal solve for all rows, and the loop ends each row's run on its
+own.  Every 1D run takes its step count from one rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
@@ -370,7 +370,7 @@ class Scheme:
             lambda v: self.first_step(v, u1n, forcing(0)),
             lambda v_prev, v_curr, level: self.time_step(v_prev, v_curr, level, forcing(level)),
             self.tmesh,
-            [observer],
+            observer,
         )[0]
 
     def march_data(
@@ -396,24 +396,26 @@ class Scheme:
         return self._march_from(self.initial_level(), self.u1n, self.fn_table, observer)
 
 
-def _march(v0: np.ndarray, first, step, tmesh: TimeMesh, observers) -> list[RunResult]:
+def _march(
+    v0: np.ndarray, first, step, tmesh: TimeMesh, observer, stacked: bool = False
+) -> list[RunResult]:
     """The level loop of every run: v^1 = first(v^0) and
     v^{m+1} = step(v^{m-1}, v^m, m) up to the last node of the time mesh.
 
-    With one observer (None: an unwatched run) a level is the run's whole
-    array; with K observers a (K, N+1) array whose row k is run k's.  Every
-    row of every level, v^0 included, is shown to its observer as
-    (level, t, row), then judged by the blow-up rule (diverged).  A row that
-    meets it ends its run with the flag set and is held at zero from a copy
-    of that level on (the observers may keep what they were shown), so no
-    inf or NaN reaches a step shared by the rows.  Returns one RunResult per
-    observer, once every run has ended or at the last node.
+    A level is the run's whole array, or for a stack (stacked) a (K, N+1)
+    array whose row k is run k's.  Every level, v^0 included, is shown whole
+    to the observer (None: an unwatched run) as (level, t, v), then each row
+    is judged by the blow-up rule (diverged).  A row that meets it ends its
+    run with the flag set and is held at zero from a copy of that level on
+    (the observer may keep what it was shown), so no inf or NaN reaches a
+    step shared by the rows: the later levels show it as zeros.  Returns one
+    RunResult per row (one for a run), once every run has ended or at the
+    last node.
     """
-    rows = (lambda v: (v,)) if len(observers) == 1 else iter
-    shows = [(lambda *level: None) if show is None else show for show in observers]
-    for show, row in zip(shows, rows(v0)):
-        show(0, 0.0, row)
-    results: list[RunResult | None] = [None] * len(shows)
+    show = (lambda *level: None) if observer is None else observer
+    rows = iter if stacked else (lambda v: (v,))
+    show(0, 0.0, v0)
+    results: list[RunResult | None] = [None] * (len(v0) if stacked else 1)
     ended: list[int] = []
     v_prev, v_curr = None, v0
     for level in range(1, tmesh.n_steps + 1):
@@ -421,13 +423,12 @@ def _march(v0: np.ndarray, first, step, tmesh: TimeMesh, observers) -> list[RunR
         if ended:
             v_next[ended] = 0.0
         v_prev, v_curr = v_curr, v_next
+        show(level, tmesh.nodes[level], v_curr)
         blown = False
-        for k, (show, prev, row) in enumerate(zip(shows, rows(v_prev), rows(v_curr))):
-            if results[k] is None:
-                show(level, tmesh.nodes[level], row)
-                if diverged(row):
-                    results[k] = RunResult(level + 1, prev, row, True)
-                    blown = True
+        for k, (prev, row) in enumerate(zip(rows(v_prev), rows(v_curr))):
+            if results[k] is None and diverged(row):
+                results[k] = RunResult(level + 1, prev, row, True)
+                blown = True
         if blown:
             ended = [k for k, result in enumerate(results) if result is not None]
             if len(ended) == len(results):
@@ -445,11 +446,11 @@ def run_stacked(
     kinds: Sequence[SchemeKind | str],
     axis: AxisMesh,
     tmesh: TimeMesh,
-    observers: Sequence[Callable[[int, float, np.ndarray], None]],
+    observer: Callable[[int, float, np.ndarray], None] | None,
 ) -> list[RunResult]:
     """Run the 1D kinds on one problem, axis and time mesh as one stack, a
-    (K, N+1) array with one row per kind, showing each row's levels to its
-    own observer; one RunResult per kind, equal to the kind's own run bit
+    (K, N+1) array with one row per kind, showing each level of the stack to
+    the observer; one RunResult per kind, equal to the kind's own run bit
     for bit.
 
     Every 1D kind has the same A (-a^2 Lambda: compact1d's cross average runs
@@ -458,14 +459,15 @@ def run_stacked(
     time_step of the first kind's scheme on the stack's transpose, with the
     StackHandle of the K step factors in place of its own, and _march ends
     each row's run on its own.  A lone kind runs on its own (Scheme.run):
-    the same step on 1-D levels, which cost less than a stack of one row.
+    the same step on 1-D levels, which cost less than a stack of one row,
+    and its observer is shown those.
     """
-    if not kinds or len(observers) != len(kinds):
-        raise ValueError(f"{len(observers)} observers for {len(kinds)} kinds")
+    if not kinds:
+        raise ValueError("a stack needs at least one kind")
     stack = [Scheme(problem, SchemeConfig(SchemeKind(kind)), [axis], tmesh) for kind in kinds]
     lead = stack[0]
     if len(stack) == 1:
-        return [lead.run(observers[0])]
+        return [lead.run(observer)]
     handle = StackHandle([scheme.step_factor for scheme in stack])
     # the shared interior data broadcast over the columns of the transpose
     u1n, forcing = lead.u1n[:, None], lead.fn_table
@@ -476,7 +478,8 @@ def run_stacked(
             v_prev.T, v_curr.T, level, forcing(level)[:, None], handle
         ).T,
         tmesh,
-        observers,
+        observer,
+        stacked=True,
     )
 
 
@@ -608,4 +611,4 @@ def run_explicit_characteristic(
         return v_next
 
     v0 = np.array(problem.u0(nodes), dtype=float)
-    return _march(v0, first, step, tmesh, [observer])[0], axis, tmesh
+    return _march(v0, first, step, tmesh, observer)[0], axis, tmesh

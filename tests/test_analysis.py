@@ -165,11 +165,15 @@ def _bits(triple):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(data=st.data())
 def test_block_observer_equals_the_per_level_oracle_bitwise(data):
-    # level counts around the block's edges, uniform and graded axes,
-    # result() asked mid-run, and a level with an inf or NaN at a random
-    # position: the block reduction gives the per-level triple bit for bit
+    # level counts around the block's edges, uniform and graded axes, a
+    # run's 1-D levels or a stack's (K, N+1) ones, result() asked mid-run,
+    # and a level with an inf or NaN at a random position or over a whole
+    # row: the block reduction gives each row the triple of the per-level
+    # oracle on that row, bit for bit
     n_levels = data.draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 2]))
     n = data.draw(st.integers(2, 60))
+    stacked = data.draw(st.sampled_from([None, 2, 3]))  # None: a run's levels
+    rows = stacked or 1
     if data.draw(st.booleans()):
         phi = NODE_DISTRIBUTIONS[data.draw(st.sampled_from(sorted(NODE_DISTRIBUTIONS)))]
         axis = build_graded_axis(phi, n, 1.0, -0.5)
@@ -177,28 +181,36 @@ def test_block_observer_equals_the_per_level_oracle_bitwise(data):
         axis = build_uniform_axis(n, data.draw(st.floats(0.5, 2.0)), -0.25)
     tmesh = build_time_mesh(max(n_levels - 1, 1), data.draw(st.floats(0.5, 2.0)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    levels = rng.standard_normal((n_levels, n + 1)) * 10.0 ** rng.uniform(-12, 2, (n_levels, 1))
+    levels = rng.standard_normal((n_levels, rows, n + 1))
+    levels *= 10.0 ** rng.uniform(-12, 2, (n_levels, rows, 1))
     bad = data.draw(st.none() | st.tuples(
-        st.integers(0, n_levels - 1), st.integers(0, n), st.sampled_from([math.inf, -math.inf, math.nan]),
-        st.booleans(),
+        st.integers(0, n_levels - 1), st.integers(0, rows - 1), st.integers(0, n),
+        st.sampled_from([math.inf, -math.inf, math.nan]), st.booleans(),
     ))
     if bad is not None:
-        level, node, value, whole_level = bad
-        levels[level, slice(None) if whole_level else node] = value
+        level, row, node, value, whole_row = bad
+        levels[level, row, slice(None) if whole_row else node] = value
     asked = data.draw(st.sets(st.integers(0, n_levels - 1), max_size=4))
     exact = lambda x, t: np.sin(3.0 * x - t) * 1e-3
     observer = ErrorObserver(exact, axis, tmesh)
-    oracle = PerLevelErrorObserver(exact, axis, tmesh)
+    oracles = [PerLevelErrorObserver(exact, axis, tmesh) for _ in range(rows)]
+
+    def assert_same_triples():
+        got = observer.result()
+        got = [got] if stacked is None else got
+        assert [_bits(triple) for triple in got] == [_bits(oracle.result()) for oracle in oracles]
+
     with np.errstate(all="ignore"):
         for level, values in enumerate(levels):
             t = tmesh.nodes[level]
-            observer.observe(level, t, values)
-            oracle.observe(level, t, values)
+            observer.observe(level, t, values if stacked else values[0])
+            for oracle, row in zip(oracles, values, strict=True):
+                oracle.observe(level, t, row)
             if level in asked:
-                assert _bits(observer.result()) == _bits(oracle.result())
-        assert _bits(observer.result()) == _bits(oracle.result())
+                assert_same_triples()
+        assert_same_triples()
         # a second result() reduces nothing more
-        assert _bits(observer.result()) == _bits(oracle.result())
+        assert_same_triples()
 
 
 def test_observer_holds_no_view_of_the_callers_levels():
@@ -392,10 +404,10 @@ def test_graded_axis_stacks_equal_their_solo_runs_bitwise():
     solo = _solo(problem, "compact1d", axis, m)
     assert not solo[0].blew_up and solo[0].completed_levels == m + 1
     tmesh = build_time_mesh(m, problem.horizon)
-    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in range(2)]
-    for result, obs in zip(schemes.run_stacked(problem, ["compact1d"] * 2, axis, tmesh, observers),
-                           observers):
-        _assert_same_run((result, obs.result()), solo)
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    results = schemes.run_stacked(problem, ["compact1d"] * 2, axis, tmesh, obs)
+    for got in zip(results, obs.result(), strict=True):
+        _assert_same_run(got, solo)
     [got] = run_errors(problem, ["compact1d"], axis, m)
     _assert_same_run(got, solo)
 
@@ -481,8 +493,8 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
     tmesh = build_time_mesh(20, problem.horizon)
     scheme = Scheme(problem, SchemeConfig(SchemeKind.SECOND_ORDER), [axis], tmesh)
     assert built == {}
-    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in range(2)]
-    schemes.run_stacked(problem, ["compact1d", "second-order"], axis, tmesh, observers)
+    obs = ErrorObserver(problem.exact, axis, tmesh)
+    schemes.run_stacked(problem, ["compact1d", "second-order"], axis, tmesh, obs)
     assert built == {"build_rhs_table": 1, "initial_velocity": 1}
     built.clear()
     rng = np.random.default_rng(2)
@@ -496,15 +508,28 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
         scheme.run()
 
 
-def test_run_stacked_needs_one_observer_per_scheme():
+def test_run_stacked_shows_each_level_once_to_its_one_observer():
+    # a stack of K kinds shows its observer one (K, N+1) level per time
+    # node, each row the kind's own run; a lone kind shows its own 1-D
+    # levels; a stack of no kinds is refused
     problem = make_example(2.5)
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(20, problem.horizon)
     kinds = ["compact1d", "second-order"]
-    observers = [ErrorObserver(problem.exact, axis, tmesh) for _ in kinds]
-    for rows, watchers in ((kinds, observers[:1]), (kinds[:1], observers), ([], [])):
-        with pytest.raises(ValueError, match="observers for"):
-            schemes.run_stacked(problem, rows, axis, tmesh, watchers)
+    for rows in (kinds, kinds[:1]):
+        shown = []
+        results = schemes.run_stacked(
+            problem, rows, axis, tmesh, lambda level, t, v: shown.append((level, t, v.copy()))
+        )
+        assert [(level, t) for level, t, _ in shown] == list(enumerate(tmesh.nodes))
+        last = shown[-1][2].reshape(len(rows), -1)
+        for k, kind in enumerate(rows):
+            solo = run(problem, SchemeConfig(SchemeKind(kind)), [axis], tmesh)
+            np.testing.assert_array_equal(results[k].v_last, solo.v_last)
+            np.testing.assert_array_equal(last[k], solo.v_last)
+        assert shown[0][2].shape == ((axis.nodes.size,) if len(rows) == 1 else (2, axis.nodes.size))
+    with pytest.raises(ValueError, match="at least one kind"):
+        schemes.run_stacked(problem, [], axis, tmesh, None)
 
 
 def test_every_1d_kind_has_the_one_stiffness_a_stack_shares():

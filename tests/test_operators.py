@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
@@ -18,6 +19,7 @@ from compactwave.operators import (
     SpaceDirac,
     TimeDirac,
     TridiagonalFactor,
+    _hat_weights_t,
     build_rhs_table,
     hat_average_t0,
     hat_average_x,
@@ -409,21 +411,40 @@ def test_hat_average_t_values():
     assert hat_average_t(TimeDirac(t_star), tmesh, 4) == 0.0
 
 
+def _quad_hat(profile, lo, peak, hi):
+    """The hat average (2 / (hi - lo)) int y(t) hat(t) dt by adaptive
+    quadrature, the hat rising from lo to 1 at peak and falling to hi (one
+    side only when peak is an end), cut at the switch-on."""
+    def piece(a, b, weight):
+        if b <= a:
+            return 0.0
+        cut = [profile.t_star] if a < profile.t_star < b else None
+        return quad(lambda t: profile.eval(t) * weight(t), a, b, points=cut,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    rise = piece(lo, peak, lambda t: (t - lo) / (peak - lo))
+    fall = piece(peak, hi, lambda t: (hi - t) / (hi - peak))
+    return 2.0 * (rise + fall) / (hi - lo)
+
+
 def test_hat_average_t_exactness_oracle():
-    # hat-weighted quadrature over the two adjacent cells for degrees 1..3
-    tmesh = build_time_mesh(8, 1.0)
-    h_t = tmesh.h_t
-    t_star = 0.5
-    for degree in (1, 2, 3):
-        prof = QPiece(degree, t_star)
-        for level in (3, 4, 5, 6):
-            t_c = tmesh.nodes[level]
-            ts = np.linspace(t_c - h_t, t_c + h_t, 40001)
-            hat = 1.0 - np.abs(ts - t_c) / h_t
-            oracle = np.trapezoid(prof.eval(ts) * hat, ts) / h_t
-            assert hat_average_t(prof, tmesh, level) == pytest.approx(
-                oracle, rel=1e-6, abs=1e-12
-            ), (degree, level)
+    # the weights of every level of a switch-on at t_* = 0.5 on 10 steps
+    # against adaptive quadrature: the hit level 5 and the levels away from
+    # it, two-sided, and level 0, one-sided.  Degree 4 is off from one step
+    # past the hit level on: the (1, 10, 1)/12 sample average is exact up
+    # to degree 3 only
+    tmesh = build_time_mesh(10, 1.0)
+    h_t, nodes = tmesh.h_t, tmesh.nodes
+    for degree in (0, 1, 2, 3, 4):
+        profile = QPiece(degree, 0.5)
+        weights = _hat_weights_t(profile, tmesh)
+        assert weights[0] == _quad_hat(profile, 0.0, 0.0, h_t) == 0.0
+        assert weights[-1] == 0.0
+        for level in range(1, 10):
+            expected = _quad_hat(profile, nodes[level] - h_t, nodes[level], nodes[level] + h_t)
+            if degree <= 3 or level <= 5:
+                assert weights[level] == pytest.approx(expected, rel=1e-13, abs=0.0), (degree, level)
+            else:
+                assert weights[level] != pytest.approx(expected, rel=1e-4), (degree, level)
 
 
 def test_hat_average_t_star_off_mesh():
@@ -436,6 +457,12 @@ def test_one_sided_average():
     # vanishes whenever the profile switches on after the first step
     assert hat_average_t0(QPiece(2, 0.5), 0.1) == 0.0
     assert hat_average_t0(TimeDirac(0.5), 0.1) == 0.0
+    # an atom at t = 0 counts fully, as in the exact solutions: 2/h_t
+    assert hat_average_t0(TimeDirac(0.0), 0.1) == pytest.approx(20.0, rel=1e-15)
+    assert hat_average_t0(TimeDirac(-1e-3), 0.1) == 0.0
+    # a profile switched on before t = 0 integrates over [0, h_t] only
+    assert hat_average_t0(QPiece(0, -0.05), 0.1) == pytest.approx(1.0, rel=1e-14)
+    assert hat_average_t0(QPiece(1, -0.05), 0.1) == pytest.approx(1.0 / 12.0, rel=1e-14)
     # switch-on inside the first cell: compare against brute quadrature
     prof = QPiece(1, 0.03)
     h_t = 0.1
@@ -453,6 +480,21 @@ def test_one_sided_average():
     assert one_sided == pytest.approx(tmesh.h_t / 3.0, rel=1e-14)
     expected = 1.3 * one_sided * hat_average_x(PPiece(1), mesh)[1:-1]
     assert np.array_equal(build_rhs_table(data, [mesh], tmesh)(0), expected)
+    # and an atom at t = 0 there, level 0 only
+    at_zero = PiecewiseData((SeparableTerm(1.0, SpaceDirac(0.0), TimeDirac(0.0)),))
+    table = build_rhs_table(at_zero, [mesh], tmesh)
+    assert table(0)[4] == pytest.approx(2.0 / tmesh.h_t / mesh.h, rel=1e-14)
+    assert not table(1).any()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("t_star", [-0.2, -0.05, -1e-3, 0.0, 0.03, 0.0999])
+def test_one_sided_average_matches_quadrature_for_every_switch_on(degree, t_star):
+    # (2/h_t) int_0^{h_t} y(t) (1 - t/h_t) dt, the profile switched on
+    # before, at or after t = 0
+    h_t = 0.1
+    expected = _quad_hat(QPiece(degree, t_star), 0.0, 0.0, h_t)
+    assert hat_average_t0(QPiece(degree, t_star), h_t) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from compactwave.operators import (
     SeparableTerm,
     SpaceDirac,
     TimeDirac,
+    _dalembert_forcing_part,
     initial_velocity,
     pair_appliers,
     step_factor,
 )
-from compactwave.analysis import ErrorTriple, run_errors
+from compactwave.analysis import ErrorTriple, fit_order, run_errors
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     ProblemSpec,
@@ -669,18 +670,18 @@ def test_blowup_at_level_one_ends_every_runner_there():
 def test_march_ends_each_row_of_a_stack_on_its_own():
     # four rows of v^{m+1} = r v^m + v^{m-1} + 1: they meet the blow-up
     # rule at level 1 (an overflow to inf, ignored as run_errors does), at
-    # level 4, at the last level (20) and never.  Each row's run and shown
-    # levels equal that row marched alone, no step sees a non-finite value
-    # (the constant term regrows an ended row unless it is held at zero),
-    # and an ended row's observer sees nothing after its aborting level.
-    # The observers keep the rows they are shown, not copies: no later
-    # level may overwrite them
+    # level 4, at the last level (20) and never.  Each row's run equals that
+    # row marched alone, and no step sees a non-finite value (the constant
+    # term regrows an ended row unless it is held at zero).  The one
+    # observer is shown every level whole: a row as its solo run shows it
+    # up to its aborting level, and zeros after.  The observer keeps the
+    # levels it is shown, not copies: no later level may overwrite them
     tmesh = build_time_mesh(20, 1.0)
     rates = np.array([1e30, 1e30, 10**5.05, 1.5])
     v0 = np.tile(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), (rates.size, 1))
     v0[0] *= 1e300
 
-    def march(v0, r, observers):
+    def march(v0, r, observer, stacked=False):
         def first(v):
             assert np.isfinite(v).all()
             return r * v
@@ -690,26 +691,48 @@ def test_march_ends_each_row_of_a_stack_on_its_own():
             return r * v_curr + v_prev + 1.0
 
         with np.errstate(over="ignore"):
-            return _march(v0, first, step, tmesh, observers)
+            return _march(v0, first, step, tmesh, observer, stacked)
 
     def watcher():
         shown = []
         return shown, lambda level, t, values: shown.append((level, t, values))
 
-    stacked = [watcher() for _ in rates]
-    results = march(v0, rates[:, None], [observe for _, observe in stacked])
+    shown, observe = watcher()
+    results = march(v0, rates[:, None], observe, stacked=True)
     assert [r.completed_levels for r in results] == [2, 5, 21, 21]
     assert [r.blew_up for r in results] == [True, True, True, False]
-    for k, (result, (shown, _)) in enumerate(zip(results, stacked)):
+    assert [(level, t) for level, t, _ in shown] == list(enumerate(tmesh.nodes))
+    for k, result in enumerate(results):
         solo_shown, observe = watcher()
-        [solo] = march(v0[k], rates[k], [observe])
+        [solo] = march(v0[k], rates[k], observe)
         assert (result.completed_levels, result.blew_up) == (solo.completed_levels, solo.blew_up)
         np.testing.assert_array_equal(result.v_prev, solo.v_prev)
         np.testing.assert_array_equal(result.v_last, solo.v_last)
-        assert [level for level, _, _ in shown] == list(range(result.completed_levels))
-        assert [t for _, t, _ in shown] == [t for _, t, _ in solo_shown]
-        for (_, _, got), (_, _, expected) in zip(shown, solo_shown, strict=True):
-            np.testing.assert_array_equal(got, expected)
+        assert len(solo_shown) == result.completed_levels
+        for level, (_, _, values) in enumerate(shown):
+            expected = solo_shown[level][2] if level < len(solo_shown) else 0.0
+            np.testing.assert_array_equal(values[k], expected)
+
+
+def test_forcing_impulse_at_t0_converges_to_the_exact_solution():
+    # f = PPiece(1) delta(t): the exact solution counts the impulse at t = 0
+    # fully, and so must the first-step forcing (its one-sided hat average
+    # 2/h_t).  Dropping it leaves Ch at 0.25 for every N
+    f = PiecewiseData((SeparableTerm(1.0, PPiece(1), TimeDirac(0.0)),))
+    problem = ProblemSpec(
+        name="impulse at 0", speeds=(1.0,), origin=(-0.5,), extents=(1.0,), horizon=0.5,
+        u0=lambda x: np.zeros_like(x), f_data=f,
+        exact=lambda x, t: _dalembert_forcing_part(f, x, t, 1.0),
+    )
+    points = []
+    for n in (40, 80, 160, 320):
+        axis = build_uniform_axis(n, 1.0, -0.5)
+        m = step_count(problem, axis, "compact1d")
+        [(result, triple)] = run_errors(problem, ["compact1d"], axis, m)
+        assert result.stable
+        points.append((n, triple.Ch))
+    assert points[0][1] < 2e-4
+    assert fit_order(points).gamma > 1.6
 
 
 def test_problem_with_only_a_velocity_callable_assembles_and_runs():
