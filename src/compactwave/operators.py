@@ -426,10 +426,12 @@ class PiecewiseData:
         return iter(self.terms)
 
 
-def _nearest_node(nodes: np.ndarray, x: float, scale: float) -> int:
+def _nearest_node(nodes: np.ndarray, x: float, scale: float, data: str, mesh: str) -> int:
+    """The index of the node at x; a ValueError naming the data and the mesh
+    when no node lies within roundoff (relative to `scale`) of x."""
     idx = int(np.argmin(np.abs(nodes - x)))
     if abs(nodes[idx] - x) > NODE_SNAP_TOL * max(scale, 1.0):
-        raise ValueError(f"atom at {x} is not located at a mesh node")
+        raise ValueError(f"{data} is not located at a mesh node of the {mesh}")
     return idx
 
 
@@ -446,7 +448,10 @@ def hat_average_x(
     nodes = mesh.nodes
     out = np.zeros(nodes.size)
     if isinstance(profile, SpaceDirac):
-        idx = _nearest_node(nodes, profile.location, mesh.extent)
+        idx = _nearest_node(
+            nodes, profile.location, mesh.extent, f"the spatial atom at x = {profile.location}",
+            f"axis with N = {mesh.n_intervals}",
+        )
         if idx == 0 or idx == nodes.size - 1:
             raise ValueError("Dirac atom on the boundary is not supported")
         h_star = 0.5 * (nodes[idx + 1] - nodes[idx - 1])
@@ -481,7 +486,11 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
     one step on and 0.11% three steps on, degree 5 17% and 0.52%.
     """
     h_t = tmesh.h_t
-    idx = _nearest_node(tmesh.nodes, profile.t_star, tmesh.horizon)
+    t_star = profile.t_star
+    idx = _nearest_node(
+        tmesh.nodes, t_star, tmesh.horizon, f"the forcing's switch-on time t_* = {t_star}",
+        f"time mesh with M = {tmesh.n_steps}",
+    )
     out = np.zeros(tmesh.nodes.size)
     t = tmesh.nodes[1:-1]
     if isinstance(profile, TimeDirac):
@@ -517,6 +526,12 @@ def hat_average_t0(profile: TimeProfile, h_t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # backward-cone integrals of piecewise forcing
+
+
+def _one_time(t) -> bool:
+    """Whether t is one time (a float or 0-d): the exact solutions take it as a
+    Python float, so that its arithmetic is scalar, not 0-d NumPy operations."""
+    return isinstance(t, float) or np.ndim(t) == 0
 
 
 def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -582,7 +597,7 @@ def _forcing_convolution(j: int, degree: int, x, tau, a: float) -> np.ndarray:
     scaled up by a power of 1/a, so no digits cancel for slow waves.
     """
     left, right, cone, m = _convolution_plan(j, degree)
-    tau = np.maximum(tau, 0.0)
+    tau = max(float(tau), 0.0) if _one_time(tau) else np.maximum(tau, 0.0)
     scale = {k: a**k * _int_power(tau, degree + k + 1) for k in range(1, m + 1, 2)}
 
     def odd_sum(rows):
@@ -607,9 +622,13 @@ def _dalembert_forcing_part(
     space and time counts half on a side of the cone and a quarter at its
     apex (ties judged on the scales |x - location| + a|t| and |t|).
     """
-    total = np.zeros(np.broadcast(x, t).shape)
     # the latest time asked for, widened past the snap of t - t_* to zero
-    latest = (t + 2.0 * TIE_RTOL * np.abs(t)).max()
+    if _one_time(t):
+        t = float(t)
+        latest = t + 2.0 * TIE_RTOL * abs(t)
+    else:
+        latest = (t + 2.0 * TIE_RTOL * np.abs(t)).max()
+    total = np.zeros(np.broadcast(x, t).shape)
     for term in terms:
         space, time = term.space, term.time
         if latest < time.t_star:

@@ -6,7 +6,23 @@ from typing import Callable
 import numpy as np
 
 from compactwave.analysis import ErrorTriple
-from compactwave.operators import TridiagonalFactor, _dalembert_forcing_part, _hat_weights_t
+from compactwave.operators import (
+    TIE_RTOL,
+    QPiece,
+    SpaceDirac,
+    TimeDirac,
+    TridiagonalFactor,
+    _convolution_plan,
+    _dalembert_forcing_part,
+    _hat_weights_t,
+    _horner,
+    _int_power,
+    _signed_power,
+    _signed_power_antideriv,
+    _snap,
+    _step,
+)
+from compactwave.problems import EXAMPLE_COEFFICIENTS, _example_pieces
 from compactwave.solvers import SingularSystemError, pair_spectra, sine_coefficients
 
 _PIVOT_RTOL = 1e-14
@@ -236,3 +252,107 @@ def forcing_convolution_gauss(j: int, degree: int, x, tau, a: float) -> np.ndarr
         )
         out[active] = np.sum(half[..., None] * vals * _GL_W, axis=(-1, -2))
     return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# the E_alpha exact solutions as they were evaluated before one time took
+# scalar arithmetic, the velocity term reused the position term's powers and
+# a correction wave of zeros was skipped; frozen verbatim, every result of
+# problems.make_example's evaluator must equal theirs bit for bit
+
+
+def forcing_convolution_frozen(j: int, degree: int, x, tau, a: float) -> np.ndarray:
+    """operators._forcing_convolution with tau a NumPy value or array."""
+    left, right, cone, m = _convolution_plan(j, degree)
+    tau = np.maximum(tau, 0.0)
+    scale = {k: a**k * _int_power(tau, degree + k + 1) for k in range(1, m + 1, 2)}
+
+    def odd_sum(rows):
+        return _horner([sum(f * scale[k] for k, f in row) for row in rows], x)
+
+    on_right = x >= 0
+    cone = cone / a ** (degree + 1)
+    if m % 2:
+        cone = np.where(on_right, -cone, cone)
+    reach = np.maximum(a * tau - np.abs(x), 0.0)
+    odd = np.where(on_right, odd_sum(right), odd_sum(left))
+    return odd + cone * _int_power(reach, degree + m + 1)
+
+
+def dalembert_forcing_part_frozen(terms, x, t, a: float) -> np.ndarray:
+    """operators._dalembert_forcing_part with t a NumPy value or array."""
+    total = np.zeros(np.broadcast(x, t).shape)
+    # the latest time asked for, widened past the snap of t - t_* to zero
+    latest = (t + 2.0 * TIE_RTOL * np.abs(t)).max()
+    for term in terms:
+        space, time = term.space, term.time
+        if latest < time.t_star:
+            continue  # not switched on anywhere yet: the term adds exact zeros
+        tau = t - time.t_star
+        if isinstance(time, TimeDirac):
+            if isinstance(space, SpaceDirac):
+                # 1/2 on the cone's sides, 1/4 at its apex (0, t_*)
+                dx = np.abs(x - space.location)
+                contrib = _step(_snap(a * tau - dx, dx + a * np.abs(t))) * _step(
+                    _snap(tau, np.abs(t))
+                )
+            else:
+                contrib = _step(tau) * (
+                    _signed_power_antideriv(space.degree, x + a * tau)
+                    - _signed_power_antideriv(space.degree, x - a * tau)
+                )
+        elif isinstance(space, SpaceDirac):
+            # window where the backward cone covers the atom
+            lo = np.abs(x - space.location) / a
+            width = np.maximum(tau - lo, 0.0)
+            contrib = np.where(
+                width > 0, QPiece(time.degree + 1, 0.0).eval(width) / (time.degree + 1), 0.0
+            )
+        else:
+            contrib = forcing_convolution_frozen(space.degree, time.degree, x, tau, a)
+        total += term.coef * contrib
+    return total / (2.0 * a)
+
+
+def example_exact_frozen(
+    alpha: float, extent: float = 1.0, horizon: float = 1.0, a: float | None = None
+) -> Callable:
+    """The exact solution of problems.make_example(alpha, extent, horizon, a)."""
+    if a is None:
+        a = 1.0 / math.sqrt(5.0)
+    t_star = horizon / 2.0
+    k, u1, f = _example_pieces(alpha, t_star)
+    coefs = EXAMPLE_COEFFICIENTS[alpha]
+    c1, c2 = coefs[0], coefs[1]
+    half = extent / 2.0
+
+    # d'Alembert velocity term from the antiderivative of u1 at x -+ a t
+    if k == 0:
+        u1_part = lambda left, right: (c1 / (2.0 * a)) * (_step(right) - _step(left))
+    else:
+        u1_part = lambda left, right: (c1 / (2.0 * a)) * (
+            _signed_power_antideriv(k - 1, right) - _signed_power_antideriv(k - 1, left)
+        )
+
+    # left-moving correction emitted where the smooth trace departs from the
+    # whole-line trace (the Heaviside-in-x forcing term)
+    if alpha == 0.5:
+        correction = None
+    elif alpha == 1.5:
+        correction = lambda s: c2 * np.maximum(s, 0.0)
+    else:
+        correction = lambda s: c2 * _int_power(np.maximum(s, 0.0), k) / (k * (k - 1))
+
+    def exact(x, t):
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        left, right = x - a * t, x + a * t
+        if k == 0:
+            left, right = _snap(left, half + extent), _snap(right, half + extent)
+        u0_part = 0.5 * (_signed_power(k, left) + _signed_power(k, right))
+        total = u0_part + u1_part(left, right) + dalembert_forcing_part_frozen(f, x, t, a)
+        if correction is not None:
+            total = total - correction((t - t_star) - (half - x) / a)
+        return total
+
+    return exact

@@ -345,6 +345,38 @@ def test_run_errors_equal_separate_runs_with_one_exact_call_per_level():
     assert calls == list(tmesh.nodes)
 
 
+@pytest.mark.parametrize(
+    "kinds", [["compact1d", "second-order"], ["compact1d"], ["characteristic"]],
+    ids=["stack", "lone-kind", "characteristic"],
+)
+def test_every_run_asks_exact_once_per_level_with_one_time(kinds):
+    # the observer's contract with the exact solutions, which evaluate one
+    # time with scalar arithmetic and which a tracer keys by float(t): one
+    # call per level of the run's time mesh, in order, each with a 0-d time
+    # (the 1D traces come from g, not from exact)
+    problem = make_example(2.5)
+    calls = []
+
+    def recorder(x, t):
+        calls.append(t)
+        return problem.exact(x, t)
+
+    watched = dataclasses.replace(problem, exact=recorder)
+    axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
+    m = step_count(problem, axis, kinds[0])
+    if kinds == ["characteristic"]:
+        axis_c, tmesh = schemes.characteristic_meshes(problem, 40, m)
+        obs = ErrorObserver(watched.exact, axis_c, tmesh)
+        result = schemes.run_explicit_characteristic(watched, 40, m, obs)[0]
+        assert obs.result().Ch <= 1e-12
+    else:
+        tmesh = build_time_mesh(m, problem.horizon)
+        ((result, _), *_) = run_errors(watched, kinds, axis, m)
+    assert result.completed_levels == m + 1 and not result.blew_up
+    assert all(np.ndim(t) == 0 for t in calls)
+    assert [float(t) for t in calls] == tmesh.nodes.tolist()
+
+
 def test_run_errors_of_the_characteristic_kind_keeps_its_own_time_mesh():
     # h_t = h/a on the problem's axis, next to an implicit kind on h_t = T/M;
     # M = 16 < floor(a T / h) = 17 puts the switch-on time t_* = T/2 on the

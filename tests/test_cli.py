@@ -39,6 +39,29 @@ def test_run_with_a_forcing_atom_off_the_time_mesh_is_a_config_error(capsys):
     assert "not located at a mesh node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--scheme", "compact1d", "--problem", "E_2.5", "--N", "201"],
+            "the forcing's switch-on time t_* = 0.5 is not located at a mesh node"
+            " of the time mesh with M = 201",
+        ),
+        (
+            ["--problem", "E_0.5", "--N", "41", "--M", "82"],
+            "the spatial atom at x = 0.0 is not located at a mesh node of the axis with N = 41",
+        ),
+    ],
+    ids=["switch-on-time", "spatial-atom"],
+)
+def test_data_off_the_mesh_names_itself_and_the_mesh(capsys, argv, message):
+    # E_2.5 switches on at t_* = 0.5, between two of the 201 steps; E_0.5's
+    # velocity atom at x = 0 lies between two nodes of an odd N (its forcing
+    # switch-on time is a node of M = 82)
+    assert main(["run", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_second_order_with_smooth_forcing(tmp_path):
     # the weighted 2nd-order scheme takes the compact forcing table too
     out = tmp_path / "run.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compactwave import operators, schemes
-from compactwave.mesh import build_uniform_axis
+from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.operators import (
     PiecewiseData,
     PPiece,
@@ -25,7 +25,12 @@ from compactwave.problems import (
     make_sine_mode_problem,
     make_smooth_nonuniform_problem,
 )
-from oracles import forcing_convolution_gauss, signed_power_antideriv_pow, signed_power_pow
+from oracles import (
+    example_exact_frozen,
+    forcing_convolution_gauss,
+    signed_power_antideriv_pow,
+    signed_power_pow,
+)
 
 try:
     import hypothesis
@@ -411,3 +416,69 @@ def test_catalog_exact_matches_gauss_convolution_at_scale(monkeypatch):
             for v, t in zip(values, np.arange(n + 1) / n)
         )
         assert worst <= 1e-13, (alpha, worst)
+
+
+def _study_times(spec, n):
+    """The nodes of a uniform axis with n intervals and the time meshes that
+    the studies run on it: the step rule's and the characteristic mesh's."""
+    axis = build_uniform_axis(n, spec.extents[0], spec.origin[0])
+    tmesh = build_time_mesh(schemes.step_count(spec, axis, "compact1d"), spec.horizon)
+    m_char = schemes.step_count(spec, axis, "characteristic")
+    return axis.nodes, (tmesh.nodes, schemes.characteristic_meshes(spec, n, m_char)[1].nodes)
+
+
+@pytest.mark.parametrize("alpha", EXAMPLE_ALPHAS)
+def test_catalog_exact_equals_the_frozen_evaluator_bitwise(alpha):
+    # every level of the step-rule and characteristic meshes of the study
+    # sizes (an odd N too), one time per call as the observer asks and one
+    # (nodes x times) block: the same bytes as the evaluator frozen in
+    # oracles, sign of zero included, and the block equals the scalar calls
+    spec = make_example(alpha)
+    frozen = example_exact_frozen(alpha)
+    for n in (20, 40, 41, 200):
+        nodes, meshes = _study_times(spec, n)
+        for times in meshes:
+            levels = np.stack([spec.exact(nodes, t) for t in times])
+            want = np.stack([frozen(nodes, t) for t in times])
+            assert levels.tobytes() == want.tobytes(), (n, times.size)
+            block = spec.exact(nodes[None, :], times[:, None])
+            assert block.tobytes() == levels.tobytes(), (n, times.size)
+            assert block.tobytes() == frozen(nodes[None, :], times[:, None]).tobytes()
+
+
+@pytest.mark.skipif(hypothesis is None, reason="property test needs hypothesis")
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+def test_catalog_exact_on_its_singular_lines_equals_the_frozen_evaluator_bitwise():
+    # nodes on the data's lines x = +-a t, the forcing's x = +-a (t - t_*)
+    # (and one ulp off each), at the faces and the breakpoint, at t = t_*,
+    # before t = 0 and past the horizon, for drawn speeds and intervals
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        alpha = data.draw(st.sampled_from(EXAMPLE_ALPHAS))
+        a = data.draw(st.one_of(st.none(), st.floats(0.25, 3.0)))
+        extent = data.draw(st.sampled_from([1.0, 0.8, 2.0]))
+        horizon = data.draw(st.sampled_from([1.0, 0.6]))
+        spec = make_example(alpha, extent, horizon, a)
+        frozen = example_exact_frozen(alpha, extent, horizon, a)
+        a, t_star, half = spec.speeds[0], spec.t_star, extent / 2.0
+        t = data.draw(st.one_of(
+            st.just(t_star), st.just(0.0), st.floats(-0.5, -1e-9), st.floats(0.0, 1.5 * horizon)
+        ))
+        lines = [a * t, -a * t, a * (t - t_star), -a * (t - t_star), half, -half, 0.0]
+        lines += [np.nextafter(x, side) for x in lines for side in (-np.inf, np.inf)]
+        drawn = data.draw(st.lists(st.floats(-half, half), max_size=20))
+        nodes = np.array(data.draw(st.permutations(lines + drawn)))
+        got, want = spec.exact(nodes, t), frozen(nodes, t)
+        assert got.tobytes() == want.tobytes()
+        # one node a call, and a block of this time and two others
+        points = np.array([spec.exact(x, t) for x in nodes])
+        assert points.tobytes() == want.tobytes()
+        times = np.array([t, data.draw(st.floats(-0.5, 1.5 * horizon)), t_star])
+        block = spec.exact(nodes[None, :], times[:, None])
+        levels = np.stack([frozen(nodes, s) for s in times])
+        assert block.tobytes() == levels.tobytes()
+
+    check()

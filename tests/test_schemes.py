@@ -28,7 +28,7 @@ from compactwave.operators import (
     pair_appliers,
     step_factor,
 )
-from compactwave.analysis import ErrorTriple, fit_order, run_errors
+from compactwave.analysis import ErrorObserver, ErrorTriple, fit_order, run_errors
 from compactwave.problems import (
     EXAMPLE_ALPHAS,
     ProblemSpec,
@@ -178,6 +178,47 @@ def test_compact1d_explicit_on_characteristic_step():
     rng = np.random.default_rng(0)
     values = rng.standard_normal(9)
     assert np.allclose(scheme.apply_step_operator_interior(values), values[1:-1], atol=1e-14)
+
+
+def test_compact1d_with_its_own_data_on_the_characteristic_mesh():
+    # PAPER.md: on the characteristic mesh the 4th-order scheme "becomes
+    # explicit and close to an exact four-point scheme".  How close, with
+    # compact1d's own hat-average data: at a = 0.4, h_t = 2.5 h puts t_* = 0.5
+    # on the time mesh (the catalog's a = 1/sqrt(5) never does), and
+    # a T = 0.4 < X/2 keeps E_0.5's jump off the faces.  E_1.5 and E_3.5 are
+    # exact to roundoff, E_4.5 and E_5.5 converge at order 4; E_2.5 (order 2)
+    # and E_0.5 (no convergence) are reported, not asserted
+    ns = (40, 80, 160, 320)
+    report = []
+    for alpha in EXAMPLE_ALPHAS:
+        problem = make_example(alpha, a=0.4)
+        ch = []
+        for n in ns:
+            axis, tmesh = characteristic_meshes(problem, n, math.floor(0.4 * n))
+            scheme = Scheme(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], tmesh)
+            obs = ErrorObserver(problem.exact, axis, tmesh)
+            assert not scheme.run(obs).blew_up
+            ch.append(obs.result().Ch)
+        order = fit_order(list(zip(ns, ch))).gamma
+        report.append(f"E_{alpha}: Ch {ch[0]:.2e} -> {ch[-1]:.2e}, fitted order {order:.2f}")
+        if alpha in (1.5, 3.5):
+            assert max(ch) <= 1e-11, (alpha, ch)
+        elif alpha in (4.5, 5.5):
+            assert order >= 3.9, (alpha, ch)
+    # the highest sine mode at h_t = h/a, where the step condition holds with
+    # eps0 = 0: its two roots exp(+-i phi), cos phi = 1 - h_t^2 mu_A / (2 mu_S)
+    # with mu_S = mu_B + h_t^2 mu_A / 12, lie a gap pi - phi ~ pi/N from a
+    # double root at -1, and a first-step increment in that mode grows by up
+    # to 1/sin phi ~ N/pi over the run
+    mu_b, mu_a = scheme.spectra
+    h_t = tmesh.h_t
+    cos_phi = 1.0 - h_t**2 * mu_a[-1] / (2.0 * (mu_b[-1] + h_t**2 * mu_a[-1] / 12.0))
+    phi = math.acos(cos_phi)
+    report.append(
+        f"highest mode at N = {ns[-1]}: pi - phi = {math.pi - phi:.3e}, "
+        f"growth 1/sin phi = {1.0 / math.sin(phi):.1f}"
+    )
+    print("\n".join(report))
 
 
 def test_first_step_fourth_order():
