@@ -9,47 +9,26 @@ predictions (4/5 alpha rates, capped at 4) and beat the classical weighted
 Run:  python demos/01_uniform_convergence.py
 """
 
-from compactwave import (
-    SchemeKind,
-    build_uniform_axis,
-    fit_order,
-    make_example,
-    run_errors,
-    step_count,
-    theoretical_orders,
-)
-from compactwave.analysis import NORM_NAMES
+from compactwave import SchemeKind
+from compactwave.analysis import NORM_NAMES, study
 
 RESOLUTIONS = (100, 200, 400)
 KINDS = (SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER)
 
-
-def study(alpha):
-    """(norm -> [(N, error)]) per kind; both kinds march as one stack."""
-    problem = make_example(alpha)
-    points = {kind: {norm: [] for norm in NORM_NAMES} for kind in KINDS}
-    for n in RESOLUTIONS:
-        axis = build_uniform_axis(n, 1.0, -0.5)
-        m = step_count(problem, axis, KINDS[0])  # M = N: time step equal to h
-        for kind, (_, triple) in zip(KINDS, run_errors(problem, KINDS, axis, m)):
-            for norm, err in triple.as_dict().items():
-                points[kind][norm].append((n, err))
-    return points
-
+# both kinds march as one stack on each problem's uniform axis at M = N (h_t = h)
+reports = study([(f"E_{alpha}", "uniform", RESOLUTIONS) for alpha in (1.5, 2.5, 3.5)], KINDS)
 
 print(f"{'alpha':>6} {'norm':>4} {'order(4th)':>11} {'theory':>7} "
       f"{'order(2nd)':>11} {'theory':>7} {'err4th(400)':>12} {'err2nd(400)':>12}")
-for alpha in (1.5, 2.5, 3.5):
-    fourth, second = study(alpha).values()
-    th4 = dict(zip(NORM_NAMES, theoretical_orders(alpha, 4)))
-    th2 = dict(zip(NORM_NAMES, theoretical_orders(alpha, 2)))
+for fourth, second in zip(reports[::2], reports[1::2]):
+    fourth.fit()
+    second.fit()
+    err4, err2 = fourth.results[-1][1].as_dict(), second.results[-1][1].as_dict()
     for norm in NORM_NAMES:
-        g4 = fit_order(fourth[norm]).gamma
-        g2 = fit_order(second[norm]).gamma
         print(
-            f"{alpha:>6} {norm:>4} {g4:>11.3f} {th4[norm]:>7.3f} "
-            f"{g2:>11.3f} {th2[norm]:>7.3f} "
-            f"{fourth[norm][-1][1]:>12.3E} {second[norm][-1][1]:>12.3E}"
+            f"{fourth.alpha:>6} {norm:>4} {fourth.fits[norm].gamma:>11.3f} "
+            f"{fourth.gamma_th[norm]:>7.3f} {second.fits[norm].gamma:>11.3f} "
+            f"{second.gamma_th2[norm]:>7.3f} {err4[norm]:>12.3E} {err2[norm]:>12.3E}"
         )
 
 print("\nThe error orders respond to the data smoothness, not to the formal")

@@ -9,37 +9,23 @@ weight condition on adjacent step ratios is strongly violated.
 Run:  python demos/02_graded_meshes.py
 """
 
-from compactwave import (
-    NODE_DISTRIBUTIONS,
-    SchemeKind,
-    build_graded_axis,
-    fit_order,
-    make_smooth_nonuniform_problem,
-    mesh_stats,
-    run_errors,
-    step_count,
-)
+from compactwave import NODE_DISTRIBUTIONS, SchemeKind
+from compactwave.analysis import study
 
 RESOLUTIONS = (100, 200, 400)
-KIND = SchemeKind.COMPACT_1D
 
-problem = make_smooth_nonuniform_problem()
+# practical rule M = floor(sqrt(2) a T / h_min); step statistics and M/N at N = 400
+groups = [("smooth1d", name, RESOLUTIONS) for name in NODE_DISTRIBUTIONS]
+reports = study(groups, [SchemeKind.COMPACT_1D])
 
 print(f"{'phi':>5} {'order':>6} {'err(400)':>10} {'h_max/h_min':>12} "
       f"{'rho_min':>8} {'rho_max':>8} {'M/N':>6}")
-for name, phi in NODE_DISTRIBUTIONS.items():
-    points = []
-    for n in RESOLUTIONS:
-        axis = build_graded_axis(phi, n, 1.0, -0.5)
-        # practical rule: M = floor(sqrt(2) a T / h_min)
-        m = step_count(problem, axis, KIND)
-        [(_, triple)] = run_errors(problem, [KIND], axis, m)
-        points.append((n, triple.Ch))
-    gamma = fit_order(points).gamma
-    stats = mesh_stats(build_graded_axis(phi, RESOLUTIONS[-1], 1.0, -0.5))
+for rep in reports:
+    rep.fit()
+    x = rep.extras
     print(
-        f"{name:>5} {gamma:>6.3f} {points[-1][1]:>10.3E} {stats.ratio:>12.2f} "
-        f"{stats.rho_min:>8.4f} {stats.rho_max:>8.4f} {m / RESOLUTIONS[-1]:>6.2f}"
+        f"{rep.problem:>5} {rep.fits['Ch'].gamma:>6.3f} {rep.results[-1][1].Ch:>10.3E} "
+        f"{x['h_ratio']:>12.2f} {x['rho_min']:>8.4f} {x['rho_max']:>8.4f} {x['M_over_N']:>6.2f}"
     )
 
 print("\nphi0 is the uniform layout (included for comparison); the graded")

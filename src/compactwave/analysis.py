@@ -1,7 +1,8 @@
 """Error norms, the recipe of a 1D run (run_errors: the implicit kinds of a
-study marched as one stack, watched by one error observer),
-least-squares order fitting, theoretical order formulas, and report assembly
-for convergence studies.
+study marched as one stack, watched by one error observer), the one
+convergence study (study: the runs of every (problem, layout, N) case on one
+pool, one report per group and kind), least-squares order fitting,
+theoretical order formulas, and report assembly.
 
 Three uniform-in-time mesh norms of the error r = u - v are tracked, the
 observer keeping a block of levels' residuals and reducing the block at
@@ -13,11 +14,13 @@ once (ErrorObserver):
 
 with the x-part summed over k = 1..N (one-sided difference at every node
 pair).  Practical orders come from least squares on log10 error versus
-log10 N, reported as ||r|| ~ c0 (X/N)^gamma.
+log10 N, reported as ||r|| ~ c0 N^-gamma: c0 is the constant of that power
+law in N (every study problem lies on a unit interval).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,14 +28,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import schemes
-from .mesh import AxisMesh, TimeMesh, build_time_mesh
+from . import problems, schemes
+from .mesh import NODE_DISTRIBUTIONS, AxisMesh, TimeMesh, build_graded_axis, build_time_mesh
+from .mesh import build_uniform_axis, mesh_stats
 from .schemes import _BLOCK, RunResult, SchemeKind
 
 __all__ = [
     "ErrorTriple",
     "ErrorObserver",
     "run_errors",
+    "study",
     "FitResult",
     "fit_order",
     "theoretical_orders",
@@ -88,7 +93,7 @@ class ErrorObserver:
         self.exact = exact
         self.nodes = axis.nodes
         self.h = axis.extent / axis.n_intervals
-        self.h_t = tmesh.horizon / tmesh.n_steps
+        self.h_t = tmesh.h_t
         # the residual block and its scratch, made for the first level's shape
         self._rows = self._work = None
         # per pending row 1, 2, ...: whether its level takes an Eh term
@@ -192,7 +197,7 @@ def run_errors(
 
 @dataclass(frozen=True)
 class FitResult:
-    """Power-law fit ||r|| ~ c0 (X/N)^gamma."""
+    """Power-law fit ||r|| ~ c0 N^-gamma."""
 
     c0: float
     gamma: float
@@ -201,11 +206,7 @@ class FitResult:
     starred: bool = False
 
 
-def fit_order(
-    points: Sequence[tuple[int, float]],
-    extent: float = 1.0,
-    drop_below: int | None = None,
-) -> FitResult:
+def fit_order(points: Sequence[tuple[int, float]], drop_below: int | None = None) -> FitResult:
     """Ordinary least squares on log10 error versus log10 N.
 
     Non-finite (blown-up) and non-positive errors are excluded with a warning
@@ -228,8 +229,7 @@ def fit_order(
     log_n = np.log10([n for n, _ in usable])
     log_e = np.log10([e for _, e in usable])
     slope, intercept = np.polyfit(log_n, log_e, 1)
-    gamma = -float(slope)
-    c0 = 10.0 ** float(intercept) * extent ** (-gamma)
+    c0, gamma = 10.0 ** float(intercept), -float(slope)
     return FitResult(c0, gamma, len(usable), tuple(excluded), drop_below is not None)
 
 
@@ -279,11 +279,11 @@ class ConvergenceReport:
     gamma_th2: dict[str, float] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
-    def fit(self, drop_below: int | None = None, extent: float = 1.0) -> None:
+    def fit(self, drop_below: int | None = None) -> None:
         for norm in NORM_NAMES:
             points = [(n, triple.as_dict()[norm]) for n, triple in self.results]
             try:
-                self.fits[norm] = fit_order(points, extent, drop_below)
+                self.fits[norm] = fit_order(points, drop_below)
             except ValueError:
                 continue
 
@@ -297,6 +297,60 @@ class ConvergenceReport:
         for norm, g4, g2 in zip(NORM_NAMES, th4, th2):
             self.gamma_th[norm] = g4
             self.gamma_th2[norm] = g2
+
+
+def _study_axis(problem, layout: str, n: int) -> AxisMesh:
+    """N intervals on the problem's interval: uniform, or graded by the node
+    distribution named `layout`."""
+    if layout == "uniform":
+        return build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    return build_graded_axis(NODE_DISTRIBUTIONS[layout], n, problem.extents[0], problem.origin[0])
+
+
+def _study_case(name: str, layout: str, n: int, kinds: tuple, factor: float):
+    """The triples of `kinds` on the catalog problem `name` at N intervals of
+    `layout`, marched at the step count M of the first kind, and M."""
+    problem = problems.catalog(name)
+    axis = _study_axis(problem, layout, n)
+    m = schemes.step_count(problem, axis, kinds[0], factor)
+    return [triple for _, triple in run_errors(problem, kinds, axis, m)], m
+
+
+def study(groups: Sequence[tuple[str, str, Sequence[int]]], kinds: Sequence[SchemeKind | str],
+          factor: float = math.sqrt(2.0), jobs: int = 1) -> list[ConvergenceReport]:
+    """One unfitted report, with its theoretical orders, per group (catalog
+    problem name, layout "uniform" or a node distribution name, N list) and
+    kind.  Each (group, N) case runs the kinds through run_errors at the step
+    count of the first kind, on one pool of `jobs` processes when jobs > 1,
+    largest N first so no long case ends last.  A report is named by its
+    problem on the uniform layout, else by its layout, whose step statistics
+    and M/N at the largest N it carries."""
+    kinds = tuple(kinds)
+    groups = [(name, layout, sorted(n_list)) for name, layout, n_list in groups]
+    cases = [(name, layout, n, kinds, factor) for name, layout, n_list in groups for n in n_list]
+    order = sorted(cases, key=lambda case: -case[2])
+    if jobs == 1:
+        outcomes = [_study_case(*case) for case in order]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_study_case, *zip(*order)))
+    done = {case[:3]: outcome for case, outcome in zip(order, outcomes)}
+    reports = []
+    for name, layout, n_list in groups:
+        problem, n = problems.catalog(name), n_list[-1]
+        label, extras = problem.name, {}
+        if layout != "uniform":
+            stats = mesh_stats(_study_axis(problem, layout, n))
+            label, extras = layout, {"h_ratio": stats.ratio, "rho_min": stats.rho_min,
+                                     "rho_max": stats.rho_max,
+                                     "M_over_N": done[name, layout, n][1] / n}
+        for k, kind in enumerate(kinds):
+            results = [(n, done[name, layout, n][0][k]) for n in n_list]
+            rep = ConvergenceReport(label, getattr(kind, "value", kind), problem.alpha, results,
+                                    extras=dict(extras))
+            rep.attach_theory()
+            reports.append(rep)
+    return reports
 
 
 def _sci(x: float | None) -> str:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical blow-up,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import locale  # argparse's gettext imports it on the first parser build
 import math
@@ -276,34 +275,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# uniform-mesh convergence study
-
-
-TABLE1_SCHEMES = ("compact1d", "second-order")
-
-
-def _run_cases(fn, cases: list[tuple], jobs: int) -> dict:
-    """{case: fn(*case)}, on one pool of `jobs` processes when jobs > 1; the
-    largest N (second entry of a case) goes first, so no long case ends last."""
-    order = sorted(cases, key=lambda case: -case[1])
-    if jobs == 1:
-        return {case: fn(*case) for case in order}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return dict(zip(order, pool.map(fn, *zip(*order))))
-
-
-def _study_exit(triples) -> int:
-    """EXIT_BLOWUP when any run of a study blew up (its norms are infinite)."""
-    return EXIT_BLOWUP if any(math.isinf(t.Ch) for t in triples) else EXIT_OK
-
-
-def _table1_case(alpha: float, n: int) -> list[analysis.ErrorTriple]:
-    """Error triples of both schemes (TABLE1_SCHEMES order) on E_alpha at N,
-    marched as one stack at the step rule's M = N."""
-    problem = problems.make_example(alpha)
-    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
-    m = schemes.step_count(problem, axis, TABLE1_SCHEMES[0])
-    return [triple for _, triple in analysis.run_errors(problem, TABLE1_SCHEMES, axis, m)]
+# convergence studies: table1 (uniform meshes) and table2 (graded meshes)
 
 
 def _study_n(settings: dict, full) -> list[int]:
@@ -316,70 +288,37 @@ def _study_n(settings: dict, full) -> list[int]:
     return list(_STUDY_N) if settings["N"] is None else settings["N"]
 
 
+def _write_study(s: dict, header: dict, reports, starred=()) -> int:
+    """Fit the reports (those named in `starred` from N = 200 on), write them;
+    EXIT_BLOWUP when any run blew up (its norms are infinite)."""
+    for rep in reports:
+        rep.fit(drop_below=200 if rep.problem in starred else None)
+    text = "\n".join(_echo_header(header, s["format"]))
+    _emit(text + "\n" + analysis.build_report(reports, s["format"]), s["out"])
+    triples = (triple for rep in reports for _, triple in rep.results)
+    return EXIT_BLOWUP if any(math.isinf(triple.Ch) for triple in triples) else EXIT_OK
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
+    """The compact and the second-order scheme on each E_alpha's uniform axis."""
     s = _settings(args)
     alphas = s["alpha"]
-    n_lists = {alpha: sorted(_study_n(s, _FULL_N_BY_ALPHA[alpha])) for alpha in alphas}
-    if any(n % 2 for n_list in n_lists.values() for n in n_list):
+    groups = [(f"E_{alpha}", "uniform", _study_n(s, _FULL_N_BY_ALPHA[alpha])) for alpha in alphas]
+    if any(n % 2 for _, _, n_list in groups for n in n_list):
         raise ConfigError("odd N places the data singularity between nodes; use even N")
-    cases = [(alpha, n) for alpha in alphas for n in n_lists[alpha]]
-    triples = _run_cases(_table1_case, cases, s["jobs"])
-    reports: list[analysis.ConvergenceReport] = []
-    for alpha in alphas:
-        for k, scheme_name in enumerate(TABLE1_SCHEMES):
-            results = [(n, triples[alpha, n][k]) for n in n_lists[alpha]]
-            rep = analysis.ConvergenceReport(
-                problem=f"E_{alpha}", scheme=scheme_name, alpha=alpha, results=results
-            )
-            rep.fit()
-            rep.attach_theory()
-            reports.append(rep)
-    text = "\n".join(_echo_header({"alphas": alphas, "command": "table1"}, s["format"]))
-    text += "\n" + analysis.build_report(reports, s["format"])
-    _emit(text, s["out"])
-    return _study_exit(t for pair in triples.values() for t in pair)
-
-
-# ---------------------------------------------------------------------------
-# graded-mesh convergence study
-
-
-def _table2_case(phi_name: str, n: int, factor: float) -> tuple[analysis.ErrorTriple, float]:
-    problem = problems.make_smooth_nonuniform_problem()
-    axis = build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n, problem.extents[0], problem.origin[0])
-    m = schemes.step_count(problem, axis, SchemeKind.COMPACT_1D, factor)
-    [(_, triple)] = analysis.run_errors(problem, [SchemeKind.COMPACT_1D], axis, m)
-    return triple, m / n
+    reports = analysis.study(groups, ("compact1d", "second-order"), jobs=s["jobs"])
+    return _write_study(s, {"alphas": alphas, "command": "table1"}, reports)
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    """The graded-mesh compact scheme on smooth1d, one layout per phi."""
     s = _settings(args)
-    phis, factor = s["phi"], s["cfl_factor"]
-    n_list = sorted(_study_n(s, range(50, 1001, 50)))
-    cases = [(phi, n, factor) for phi in phis for n in n_list]
-    outcomes = _run_cases(_table2_case, cases, s["jobs"])
-    reports: list[analysis.ConvergenceReport] = []
-    for phi_name in phis:
-        results = [(n, outcomes[phi_name, n, factor][0]) for n in n_list]
-        n_big = n_list[-1]
-        stats = mesh_stats(build_graded_axis(NODE_DISTRIBUTIONS[phi_name], n_big, 1.0, -0.5))
-        rep = analysis.ConvergenceReport(
-            problem=phi_name, scheme="nonuniform-compact", alpha=None, results=results
-        )
-        # coarse resolutions are too rough for the strongly graded layouts
-        drop = 200 if (s["full"] and phi_name in ("phi2", "phi6")) else None
-        rep.fit(drop_below=drop)
-        rep.extras = {
-            "h_ratio": stats.ratio,
-            "rho_min": stats.rho_min,
-            "rho_max": stats.rho_max,
-            "M_over_N": outcomes[phi_name, n_big, factor][1],
-        }
-        reports.append(rep)
-    text = "\n".join(_echo_header({"phis": phis, "command": "table2"}, s["format"]))
-    text += "\n" + analysis.build_report(reports, s["format"])
-    _emit(text, s["out"])
-    return _study_exit(triple for triple, _ in outcomes.values())
+    phis, n_list = s["phi"], _study_n(s, range(50, 1001, 50))
+    groups = [("smooth1d", phi, n_list) for phi in phis]
+    reports = analysis.study(groups, ("nonuniform-compact",), s["cfl_factor"], s["jobs"])
+    # coarse resolutions are too rough for the strongly graded layouts
+    starred = ("phi2", "phi6") if s["full"] else ()
+    return _write_study(s, {"phis": phis, "command": "table2"}, reports, starred)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,16 @@ def _validate_nodes(nodes: np.ndarray, min_intervals: int) -> np.ndarray:
     return nodes
 
 
+def _set_nodes(mesh, nodes: np.ndarray, length: float) -> None:
+    """Set a mesh's nodes, their steps, and whether every step lies within
+    UNIFORM_RTOL * length of length / intervals."""
+    steps = np.diff(nodes)
+    uniform = bool(np.max(np.abs(steps - length / (nodes.size - 1))) <= UNIFORM_RTOL * length)
+    object.__setattr__(mesh, "nodes", nodes)
+    object.__setattr__(mesh, "steps", steps)
+    object.__setattr__(mesh, "uniform", uniform)
+
+
 @dataclass(frozen=True, eq=False)
 class AxisMesh:
     """Nodes of one spatial axis, including both endpoints."""
@@ -56,12 +66,7 @@ class AxisMesh:
 
     def __post_init__(self):
         nodes = _validate_nodes(self.nodes, min_intervals=2)
-        steps = np.diff(nodes)
-        extent = nodes[-1] - nodes[0]
-        uniform = bool(np.max(np.abs(steps - extent / (nodes.size - 1))) <= UNIFORM_RTOL * extent)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "uniform", uniform)
+        _set_nodes(self, nodes, nodes[-1] - nodes[0])
 
     @property
     def n_intervals(self) -> int:
@@ -91,12 +96,7 @@ class TimeMesh:
         nodes = _validate_nodes(self.nodes, min_intervals=1)
         if abs(nodes[0]) > 1e-15 * max(1.0, abs(nodes[-1])):
             raise MeshError("time mesh must start at t = 0")
-        steps = np.diff(nodes)
-        horizon = nodes[-1]
-        uniform = bool(np.max(np.abs(steps - horizon / (nodes.size - 1))) <= UNIFORM_RTOL * horizon)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "uniform", uniform)
+        _set_nodes(self, nodes, nodes[-1])
 
     @property
     def n_steps(self) -> int:

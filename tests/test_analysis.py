@@ -23,6 +23,7 @@ from compactwave.mesh import (
     build_graded_axis,
     build_time_mesh,
     build_uniform_axis,
+    mesh_stats,
 )
 from compactwave.problems import ProblemSpec, make_example, make_smooth_nonuniform_problem
 from compactwave.schemes import (
@@ -611,3 +612,34 @@ def test_run_shows_every_level_and_returns_the_run_result():
     assert not result.blew_up and result.completed_levels == tmesh.n_steps + 1
     np.testing.assert_array_equal(result.v_prev, seen[-2][2])
     np.testing.assert_array_equal(result.v_last, seen[-1][2])
+
+
+
+def test_study_reports_equal_run_errors_and_mesh_stats():
+    kinds = ("compact1d", "second-order")
+    ns = (80, 40, 60)
+    reports = analysis.study([("E_1.5", "uniform", ns), ("smooth1d", "phi3", ns)], kinds)
+    assert [(rep.problem, rep.scheme) for rep in reports] == [
+        ("E_1.5", "compact1d"), ("E_1.5", "second-order"),
+        ("phi3", "compact1d"), ("phi3", "second-order"),
+    ]
+    groups = [
+        (make_example(1.5), lambda n: build_uniform_axis(n, 1.0, -0.5)),
+        (make_smooth_nonuniform_problem(),
+         lambda n: build_graded_axis(NODE_DISTRIBUTIONS["phi3"], n, 1.0, -0.5)),
+    ]
+    for (problem, axis_at), pair in zip(groups, (reports[:2], reports[2:])):
+        for j, n in enumerate(sorted(ns)):
+            axis = axis_at(n)
+            m = step_count(problem, axis, kinds[0])
+            for rep, (_, triple) in zip(pair, run_errors(problem, kinds, axis, m)):
+                assert rep.results[j] == (n, triple)
+    # the catalog alpha's theory on E_1.5; step statistics and M/N at N = 80 on phi3
+    assert reports[0].gamma_th == dict(zip(analysis.NORM_NAMES, theoretical_orders(1.5, 4)))
+    assert reports[0].extras == reports[1].extras == {}
+    problem, axis_at = groups[1]
+    stats = mesh_stats(axis_at(80))
+    assert reports[2].extras == reports[3].extras == {
+        "h_ratio": stats.ratio, "rho_min": stats.rho_min, "rho_max": stats.rho_max,
+        "M_over_N": step_count(problem, axis_at(80), kinds[0]) / 80,
+    }

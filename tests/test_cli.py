@@ -194,15 +194,19 @@ def test_table1_smoke_and_determinism(tmp_path):
     assert "err_40" in text
 
 
-def test_table1_jobs_output_equals_serial(tmp_path):
+@pytest.mark.parametrize("args, row", [
+    (["table1", "--alpha", "1.5", "2.5", "--N", "40,80,160"], "\nE_2.5,second-order,"),
+    (["table2", "--phi", "phi0", "phi3", "--N", "40,60,80"], "\nphi3,nonuniform-compact,"),
+], ids=["table1", "table2"])
+def test_study_jobs_output_equals_serial(tmp_path, args, row):
+    # both tables run their cases on the study's one pool
     outs = {}
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}.csv"
-        args = ["table1", "--alpha", "1.5", "2.5", "--N", "40,80,160", "--jobs", str(jobs)]
-        assert main(args + ["--out", str(out)]) == EXIT_OK
+        assert main(args + ["--jobs", str(jobs), "--out", str(out)]) == EXIT_OK
         outs[jobs] = out.read_text()
     assert outs[1] == outs[2]
-    assert outs[1].count("\nE_2.5,second-order,") == 3
+    assert outs[1].count(row) == 3
 
 
 def test_table2_blown_up_runs_report_inf_and_leave_the_fit(tmp_path):
@@ -227,13 +231,14 @@ def test_table1_blown_up_run_writes_report_and_exits_3(tmp_path, monkeypatch):
     from compactwave import cli
     from compactwave.analysis import ErrorTriple
 
-    real_case = cli._table1_case
+    real_case = cli.analysis._study_case
 
-    def case(alpha, n):
-        triples = real_case(alpha, n)
-        return triples if n < 400 else [triples[0], ErrorTriple(math.inf, math.inf, math.inf)]
+    def case(name, layout, n, kinds, factor):
+        triples, m = real_case(name, layout, n, kinds, factor)
+        blown = triples if n < 400 else [triples[0], ErrorTriple(math.inf, math.inf, math.inf)]
+        return blown, m
 
-    monkeypatch.setattr(cli, "_table1_case", case)
+    monkeypatch.setattr(cli.analysis, "_study_case", case)
     out = tmp_path / "t1.csv"
     with pytest.warns(UserWarning, match="excluding non-finite"):
         code = main(["table1", "--alpha", "1.5", "--N", "100,200,400", "--out", str(out)])
@@ -406,7 +411,7 @@ def test_full_studies_reject_a_given_resolution_list(tmp_path, capsys, monkeypat
                                                      config, argv):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     if config is not None:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(yaml.safe_dump(config))
@@ -421,7 +426,7 @@ def test_full_studies_reject_a_given_resolution_list(tmp_path, capsys, monkeypat
 def test_jobs_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, command, jobs, source):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, f"_{command}_case", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     argv = [command, "--N", "40,80"]
     if source == "flag":
         argv += ["--jobs", str(jobs)]
@@ -448,7 +453,7 @@ def test_a_repeated_study_value_is_a_config_error(
 ):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, f"_{command}_case", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     if source == "flag":
         joined = [",".join(map(str, values))] if key == "N" else [str(v) for v in values]
         argv = [command, f"--{key}", *joined]
@@ -464,7 +469,7 @@ def test_a_repeated_study_value_is_a_config_error(
 def test_config_format_is_checked_before_any_run(tmp_path, capsys, monkeypatch, command):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     monkeypatch.setattr(cli.schemes, "run", lambda *a, **k: pytest.fail("a scheme ran"))
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({"format": "html"}))
@@ -755,7 +760,7 @@ def test_a_fractional_or_boolean_count_is_a_config_error(tmp_path, capsys, monke
                                                          command, config, named):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     monkeypatch.setattr(cli.analysis, "run_errors", lambda *a: pytest.fail("a run ran"))
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(config))
@@ -805,7 +810,7 @@ def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeyp
                                                        config, argv, named):
     from compactwave import cli
 
-    monkeypatch.setattr(cli, "_run_cases", lambda *a: pytest.fail("a case ran"))
+    monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(config))
     out = tmp_path / "out.txt"
