@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from compactwave import (
-    SchemeConfig,
+    Scheme,
     SchemeKind,
     build_time_mesh,
     build_uniform_axis,
@@ -30,7 +30,6 @@ from compactwave import (
     verify_energy_bound,
 )
 from compactwave.problems import ProblemSpec
-from compactwave.schemes import Scheme
 
 a = 1.0 / math.sqrt(5.0)
 axis = build_uniform_axis(800, 1.0, -0.5)
@@ -55,7 +54,7 @@ problem = ProblemSpec(
     horizon=steps * h_t, u0=lambda x: np.zeros_like(x),
 )
 tmesh = build_time_mesh(steps, steps * h_t)
-scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [mesh], tmesh)
+scheme = Scheme(problem, SchemeKind.COMPACT_1D, [mesh], tmesh)
 u1n = rng.standard_normal(15)
 forcing = [rng.standard_normal(15) for _ in range(steps)]
 v0 = np.zeros(17)

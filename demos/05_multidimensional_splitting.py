@@ -11,7 +11,7 @@ Run:  python demos/05_multidimensional_splitting.py
 
 import numpy as np
 
-from compactwave import SchemeConfig, SchemeKind, build_time_mesh, build_uniform_axis, run
+from compactwave import Scheme, SchemeKind, build_time_mesh, build_uniform_axis
 from compactwave.operators import pair_appliers, step_factor
 from compactwave.problems import make_sine_mode_problem
 from compactwave.solvers import SplittingHandle
@@ -28,7 +28,7 @@ for kind in (SchemeKind.COMPACT_2D_SUM, SchemeKind.COMPACT_ND, SchemeKind.SPLITT
         global err
         err = max(err, float(np.max(np.abs(problem.exact(*grids, t) - v))))
 
-    result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, observer=watch)
+    result = Scheme(problem, kind, meshes, tmesh).run(watch)
     print(f"{kind.value:>10}: stable={result.stable}, max error vs exact mode {err:.3E}")
 
 # the factorization identity behind the splitting scheme

@@ -28,7 +28,7 @@ from .mesh import (
     mesh_stats,
     select_time_step_count,
 )
-from .schemes import SchemeConfig, SchemeKind
+from .schemes import SchemeKind
 from .solvers import SingularSystemError
 
 EXIT_OK = 0
@@ -398,7 +398,7 @@ def _certify_random_instance(kind, c0, meshes, speeds, rng) -> list[str]:
         u0=lambda *xs: np.zeros_like(xs[0]),
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = schemes.Scheme(problem, SchemeConfig(SchemeKind(kind)), meshes, tmesh)
+    scheme = schemes.Scheme(problem, kind, meshes, tmesh)
     traj = scheme.march_data(full0, u1n, forcing)
     certs = stability.verify_energy_bound(scheme, traj, u1n, forcing, eps0)
     return [

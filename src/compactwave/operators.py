@@ -20,7 +20,9 @@ compact sampling formulas, None zeros; anything else is a TypeError.
 per time step, whose level 0 is the forcing of the first-step equation;
 `initial_velocity` makes u_1N.  The hat averages integrate piecewise
 polynomials analytically (Gauss rules of sufficient order per smooth piece)
-and give Dirac atoms located at mesh nodes the weight 1/h_*.
+and give Dirac atoms located at mesh nodes the weight 1/h_*.  In time they
+are exact up to degree 3, the catalog's highest; a temporal power of a
+higher degree is a ValueError.
 
 The backward-cone integral of piecewise forcing (`_dalembert_forcing_part`,
 closed form) is the forcing part of the catalog's exact solutions and, in
@@ -482,9 +484,14 @@ def _hat_weights_t(profile: TimeProfile, tmesh: TimeMesh) -> np.ndarray:
     One-sided power profiles with the breakpoint on the mesh: nodal samples
     for degree 0 and h_t^degree / ((degree+1)(degree+2)) at the hit level
     are exact, and away from it the three-point (1, 10, 1)/12 sample average
-    is exact up to degree 3 only: past the hit level degree 4 is 4.8% off
-    one step on and 0.11% three steps on, degree 5 17% and 0.52%.
+    is exact up to degree 3 only, the catalog's highest: a higher degree is
+    a ValueError (past the hit level degree 4 would be 4.8% off one step on,
+    degree 5 17%).
     """
+    if isinstance(profile, QPiece) and profile.degree > 3:
+        raise ValueError(
+            f"the hat averages in time are exact up to degree 3, not degree {profile.degree}"
+        )
     h_t = tmesh.h_t
     t_star = profile.t_star
     idx = _nearest_node(

@@ -61,10 +61,11 @@ import numpy as np
 from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis, mesh_stats
 from .mesh import select_time_step_count
 from .operators import (
-    TIE_RTOL,
     RhsTable,
     SpaceDirac,
     _dalembert_forcing_part,
+    _snap,
+    _step,
     build_rhs_table,
     initial_velocity,
     pair_appliers,
@@ -162,8 +163,9 @@ def step_count(problem, axis: AxisMesh, kind, factor: float = math.sqrt(2.0)) ->
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme selection: the kind, which fixes the rest (_KINDS).  The
-    discrete data follow the problem's data, not the config: see Scheme."""
+    """A kind in a wrapper, kept only for its one caller, the benchmark's nD
+    pass (bench/workloads.py), with run; both go once that pass builds its
+    scheme from the kind.  Everything else passes the kind itself."""
 
     kind: SchemeKind
 
@@ -185,35 +187,36 @@ class RunResult:
 class Scheme:
     """Assembled scheme: step operators, data constructions, and solvers.
 
-    The discrete data follow the problem's data.  The forcing is one table
-    fn_table of f_N^0 .. f_N^{M-1}, one entry per time step (level 0 is the
-    forcing of the first-step equation), made from the problem's piecewise
-    f_data, averaged exactly, or else from its callable f_fn, sampled by the
-    compact formulas (operators.build_rhs_table); march_data and the energy
-    certificates take the forcing in the same form.  The initial velocity
-    u1n is the problem's callable u1_fn, sampled, when it has one, and
-    otherwise its piecewise u1_data, averaged (operators.initial_velocity).
-    Both are built on first read: the second scheme of a stack and a scheme
-    that marches other data (march_data) never build them, and data that
-    cannot be discretized (a time atom off the time mesh, say) raises when
-    a run starts, not at assembly.
+    The kind (a SchemeKind, its value or the alias nonuniform-compact)
+    fixes the rest (_KINDS); the discrete data follow the problem's data.
+    The forcing is one table fn_table of f_N^0 .. f_N^{M-1}, one entry per
+    time step (level 0 is the forcing of the first-step equation), made
+    from the problem's piecewise f_data, averaged exactly, or else from its
+    callable f_fn, sampled by the compact formulas
+    (operators.build_rhs_table); march_data and the energy certificates
+    take the forcing in the same form.  The initial velocity u1n is the
+    problem's callable u1_fn, sampled, when it has one, and otherwise its
+    piecewise u1_data, averaged (operators.initial_velocity).  Both are
+    built on first read: the second scheme of a stack and a scheme that
+    marches other data (march_data) never build them, and data that cannot
+    be discretized (a time atom off the time mesh, say) raises when a run
+    starts, not at assembly.
     """
 
     def __init__(
         self,
         problem,
-        config: SchemeConfig,
+        kind: SchemeKind | str,
         meshes: Sequence[AxisMesh],
         tmesh: TimeMesh,
     ):
-        kind = config.kind
+        kind = SchemeKind(kind)
         meshes = tuple(meshes)
         n = len(meshes)
         self.pair = operator_pair(kind, n)
         if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
             raise ValueError("use run_explicit_characteristic for the explicit scheme")
         self.problem = problem
-        self.config = config
         self.kind = kind
         self.meshes = meshes
         self.tmesh = tmesh
@@ -464,7 +467,7 @@ def run_stacked(
     """
     if not kinds:
         raise ValueError("a stack needs at least one kind")
-    stack = [Scheme(problem, SchemeConfig(SchemeKind(kind)), [axis], tmesh) for kind in kinds]
+    stack = [Scheme(problem, kind, [axis], tmesh) for kind in kinds]
     lead = stack[0]
     if len(stack) == 1:
         return [lead.run(observer)]
@@ -490,19 +493,13 @@ def run(
     tmesh: TimeMesh,
     observer: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> RunResult:
-    return Scheme(problem, config, meshes, tmesh).run(observer)
+    """Scheme(problem, config.kind, meshes, tmesh).run(observer), kept only
+    for its one caller, the benchmark's nD pass (see SchemeConfig)."""
+    return Scheme(problem, config.kind, meshes, tmesh).run(observer)
 
 
 # ---------------------------------------------------------------------------
 # explicit scheme on the characteristic mesh
-
-
-def _atom_weight(gap, scale: float):
-    """Weight of a Dirac atom lying `gap` inside the end of its integration
-    window: 1 inside, 1/2 on the end (the half-value convention of the exact
-    solutions), 0 outside.  Ties are judged relative to the coordinate scale."""
-    tol = TIE_RTOL * scale
-    return np.where(gap > tol, 1.0, np.where(gap >= -tol, 0.5, 0.0))
 
 
 def characteristic_meshes(problem, n_intervals: int, n_steps: int) -> tuple[AxisMesh, TimeMesh]:
@@ -519,14 +516,15 @@ def _char_velocity_table(problem, nodes: np.ndarray, h: float) -> np.ndarray:
     """(1/(2h)) * integral of the initial velocity over (x_{k-1}, x_{k+1})."""
     out = np.zeros(nodes.size)
     if problem.u1_data is not None:
-        # ties on the axis scale |origin| + X, as in the exact solutions:
-        # the nodes origin + k X/N carry the rounding of the origin
+        # an atom weighs 1 inside its window, 1/2 on its end and 0 outside,
+        # the exact solutions' tie rule on the axis scale |origin| + X: the
+        # nodes origin + k X/N carry the rounding of the origin
         scale = abs(nodes[0]) + (nodes[-1] - nodes[0])
         for term in problem.u1_data:
             space = term.space
             if isinstance(space, SpaceDirac):
                 gap = np.minimum(space.location - nodes[:-2], nodes[2:] - space.location)
-                out[1:-1] += term.coef * _atom_weight(gap, scale) / (2.0 * h)
+                out[1:-1] += term.coef * _step(_snap(gap, scale)) / (2.0 * h)
             else:
                 anti = space.antideriv(nodes)
                 out[1:-1] += term.coef * (anti[2:] - anti[:-2]) / (2.0 * h)

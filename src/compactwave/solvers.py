@@ -57,8 +57,6 @@ _DIRECT_DST_MAX = 256
 # the LAPACK tridiagonal wrappers need at least three unknowns
 _GT_MIN_UNKNOWNS = 3
 
-_sine_matrix_cache: dict[int, np.ndarray] = {}
-
 
 def _load_flapack():
     """SciPy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded from
@@ -152,13 +150,10 @@ def sine_spectrum(mesh: AxisMesh) -> np.ndarray:
     return (4.0 / mesh.h**2) * np.sin(np.pi * np.arange(1, n) / (2.0 * n)) ** 2
 
 
+@functools.cache
 def _sine_matrix(n_intervals: int) -> np.ndarray:
-    mat = _sine_matrix_cache.get(n_intervals)
-    if mat is None:
-        l = np.arange(1, n_intervals)
-        mat = np.sin(np.pi * np.outer(l, l) / n_intervals)
-        _sine_matrix_cache[n_intervals] = mat
-    return mat
+    l = np.arange(1, n_intervals)
+    return np.sin(np.pi * np.outer(l, l) / n_intervals)
 
 
 def dst1(values: np.ndarray, axis: int, direct: bool | None = None) -> np.ndarray:

@@ -24,7 +24,7 @@ from compactwave.mesh import (
 )
 from compactwave.operators import TridiagonalFactor, pair_appliers, step_factor, tridiag_second_diff
 from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
-from compactwave.schemes import Scheme, SchemeConfig, SchemeKind, operator_pair, step_count
+from compactwave.schemes import Scheme, SchemeKind, operator_pair, step_count
 from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
@@ -363,7 +363,7 @@ def test_criterion_9_energy_certificates():
                 u0=lambda *xs: np.zeros_like(xs[0]),
             )
             tmesh = build_time_mesh(m_steps, m_steps * h_t)
-            scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+            scheme = Scheme(problem, kind, meshes, tmesh)
             u1n = rng.standard_normal(interior_shape)
             forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
             full0 = np.zeros(shape)

@@ -26,13 +26,7 @@ from compactwave.mesh import (
     mesh_stats,
 )
 from compactwave.problems import ProblemSpec, make_example, make_smooth_nonuniform_problem
-from compactwave.schemes import (
-    Scheme,
-    SchemeConfig,
-    SchemeKind,
-    run,
-    step_count,
-)
+from compactwave.schemes import Scheme, SchemeKind, step_count
 from oracles import PerLevelErrorObserver
 
 _BLOCK = analysis._BLOCK
@@ -150,7 +144,7 @@ def test_observer_prefix_monotonicity():
         obs.observe(level, t, v)
         partials.append(obs.result())
 
-    run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=watch)
+    Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run(watch)
     for earlier, later in zip(partials[:-1], partials[1:]):
         assert earlier.L2h <= later.L2h + 1e-15
         assert earlier.Ch <= later.Ch + 1e-15
@@ -319,11 +313,11 @@ def test_build_report_extras_columns():
 # stacked studies
 
 
-def _separate_triples(problem, configs, axis, tmesh):
+def _separate_triples(problem, kinds, axis, tmesh):
     triples = []
-    for config in configs:
+    for kind in kinds:
         obs = ErrorObserver(problem.exact, axis, tmesh)
-        run(problem, config, [axis], tmesh, observer=obs)
+        Scheme(problem, kind, [axis], tmesh).run(obs)
         triples.append(obs.result())
     return triples
 
@@ -340,8 +334,7 @@ def test_run_errors_equal_separate_runs_with_one_exact_call_per_level():
     tmesh = build_time_mesh(40, problem.horizon)
     kinds = [SchemeKind.COMPACT_1D, SchemeKind.SECOND_ORDER]
     shared = run_errors(dataclasses.replace(problem, exact=counted), kinds, axis, 40)
-    configs = [SchemeConfig(kind=kind) for kind in kinds]
-    assert [triple for _, triple in shared] == _separate_triples(problem, configs, axis, tmesh)
+    assert [triple for _, triple in shared] == _separate_triples(problem, kinds, axis, tmesh)
     assert all(result.completed_levels == 41 and not result.blew_up for result, _ in shared)
     assert calls == list(tmesh.nodes)
 
@@ -392,7 +385,7 @@ def test_run_errors_of_the_characteristic_kind_keeps_its_own_time_mesh():
     assert explicit.completed_levels == implicit.completed_levels == m + 1
     assert exact_triple.Ch <= 1e-12 < triple.Ch
     assert [triple] == _separate_triples(
-        problem, [SchemeConfig(SchemeKind.COMPACT_1D)], axis, build_time_mesh(m, problem.horizon)
+        problem, [SchemeKind.COMPACT_1D], axis, build_time_mesh(m, problem.horizon)
     )
 
 
@@ -404,7 +397,7 @@ def _solo(problem, kind, axis, n_steps):
     reference of a row of the stack."""
     tmesh = build_time_mesh(n_steps, problem.horizon)
     obs = ErrorObserver(problem.exact, axis, tmesh)
-    result = Scheme(problem, SchemeConfig(kind), [axis], tmesh).run(obs)
+    result = Scheme(problem, kind, [axis], tmesh).run(obs)
     return result, INF if result.blew_up else obs.result()
 
 
@@ -503,7 +496,7 @@ def test_lockstep_blowup_reports_inf_and_keeps_the_stable_triple(unstable_first)
     assert shared[stable][1] == separate[stable][1]
     assert math.isfinite(shared[stable][1].Ch)
     tmesh = build_time_mesh(200, 20.0)
-    [expected] = _separate_triples(problem, [SchemeConfig(stable)], axis, tmesh)
+    [expected] = _separate_triples(problem, [stable], axis, tmesh)
     assert shared[stable][1] == expected
     for kind in kinds:
         _assert_same_run(shared[kind], _solo(problem, kind, axis, 200))
@@ -524,7 +517,7 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
     problem = make_example(2.5)
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(20, problem.horizon)
-    scheme = Scheme(problem, SchemeConfig(SchemeKind.SECOND_ORDER), [axis], tmesh)
+    scheme = Scheme(problem, SchemeKind.SECOND_ORDER, [axis], tmesh)
     assert built == {}
     obs = ErrorObserver(problem.exact, axis, tmesh)
     schemes.run_stacked(problem, ["compact1d", "second-order"], axis, tmesh, obs)
@@ -536,7 +529,7 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
     assert built == {}
     # E_1.5's forcing has a time atom at t = 0.5, off the mesh of 7 steps
     problem = make_example(1.5)
-    scheme = Scheme(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], build_time_mesh(7, 1.0))
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], build_time_mesh(7, 1.0))
     with pytest.raises(ValueError, match="not located at a mesh node"):
         scheme.run()
 
@@ -557,7 +550,7 @@ def test_run_stacked_shows_each_level_once_to_its_one_observer():
         assert [(level, t) for level, t, _ in shown] == list(enumerate(tmesh.nodes))
         last = shown[-1][2].reshape(len(rows), -1)
         for k, kind in enumerate(rows):
-            solo = run(problem, SchemeConfig(SchemeKind(kind)), [axis], tmesh)
+            solo = Scheme(problem, kind, [axis], tmesh).run()
             np.testing.assert_array_equal(results[k].v_last, solo.v_last)
             np.testing.assert_array_equal(last[k], solo.v_last)
         assert shown[0][2].shape == ((axis.nodes.size,) if len(rows) == 1 else (2, axis.nodes.size))
@@ -576,7 +569,7 @@ def test_every_1d_kind_has_the_one_stiffness_a_stack_shares():
     ]
     assert len(kinds) == 3
     tmesh = build_time_mesh(30, problem.horizon)
-    stack = [Scheme(problem, SchemeConfig(kind), [axis], tmesh) for kind in kinds]
+    stack = [Scheme(problem, kind, [axis], tmesh) for kind in kinds]
     values = np.random.default_rng(3).standard_normal((31, 4))
     reference = stack[0].apply_a_interior(values)
     for scheme in stack[1:]:
@@ -588,9 +581,8 @@ def test_run_shows_the_aborting_level_to_the_observer():
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(200, 20.0)
     seen = []
-    result = run(
-        problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh,
-        observer=lambda level, t, values: seen.append((level, np.abs(values).max())),
+    result = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run(
+        lambda level, t, values: seen.append((level, np.abs(values).max()))
     )
     assert result.blew_up
     assert seen[-1][0] == result.completed_levels - 1 < tmesh.n_steps
@@ -603,9 +595,8 @@ def test_run_shows_every_level_and_returns_the_run_result():
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(20, problem.horizon)
     seen = []
-    result = run(
-        problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh,
-        observer=lambda level, t, values: seen.append((level, t, values.copy())),
+    result = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run(
+        lambda level, t, values: seen.append((level, t, values.copy()))
     )
     assert [level for level, _, _ in seen] == list(range(tmesh.n_steps + 1))
     assert [t for _, t, _ in seen] == list(tmesh.nodes)

@@ -13,9 +13,11 @@ from compactwave.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SINGULAR,
     _build_parser,
     main,
 )
+from compactwave.mesh import NODE_DISTRIBUTIONS
 from compactwave.operators import PiecewiseData
 
 
@@ -420,6 +422,25 @@ def test_full_studies_reject_a_given_resolution_list(tmp_path, capsys, monkeypat
     assert "unread setting 'N' with --full" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, layouts, n_list", [
+    (["table1", "--alpha", "5.5"], ["uniform"], list(range(200, 601, 100))),
+    (["table2"], list(NODE_DISTRIBUTIONS), list(range(50, 1001, 50))),
+])
+def test_full_studies_run_the_full_scale_lists(tmp_path, monkeypatch, argv, layouts, n_list):
+    from compactwave import cli
+    from compactwave.analysis import ErrorTriple
+
+    asked = []
+
+    def record(name, layout, n, kinds, factor):
+        asked.append((layout, n))
+        return [ErrorTriple(1.0 / n, 1.0 / n, 1.0 / n)] * len(kinds), n
+
+    monkeypatch.setattr(cli.analysis, "_study_case", record)
+    assert main([*argv, "--full", "--out", str(tmp_path / "out.txt")]) == EXIT_OK
+    assert sorted(asked) == [(layout, n) for layout in sorted(layouts) for n in n_list]
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("jobs", [0, -2])
 @pytest.mark.parametrize("command", ["table1", "table2"])
@@ -470,7 +491,7 @@ def test_config_format_is_checked_before_any_run(tmp_path, capsys, monkeypatch, 
     from compactwave import cli
 
     monkeypatch.setattr(cli.analysis, "_study_case", lambda *a: pytest.fail("a case ran"))
-    monkeypatch.setattr(cli.schemes, "run", lambda *a, **k: pytest.fail("a scheme ran"))
+    monkeypatch.setattr(cli.schemes, "Scheme", lambda *a, **k: pytest.fail("a scheme ran"))
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({"format": "html"}))
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
@@ -805,6 +826,9 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     ("run", {"problem": "E_1.5"}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
     ("run", {"problem": "E_1.5", "N": "40.0"}, [], "N must be a whole number, not '40.0'"),
     ("stability", {}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
+    ("run", {"problem": {"kind": "example"}}, [], "problem of kind example needs an alpha"),
+    # a config file is one mapping of keys
+    ("run", [{"problem": "E_1.5"}], [], "config file must hold a mapping"),
 ])
 def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
                                                        config, argv, named):
@@ -818,6 +842,17 @@ def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_singular_system_exits_4(capsys, monkeypatch):
+    from compactwave import solvers
+
+    def singular(self, rhs, boundary=None):
+        raise solvers.SingularSystemError("zero pivot in row 3 of the tridiagonal factor")
+
+    monkeypatch.setattr(solvers.StackHandle, "solve", singular)
+    assert main(["run", "--problem", "smooth1d", "--N", "16", "--M", "16"]) == EXIT_SINGULAR
+    assert capsys.readouterr().err.startswith("singular system: zero pivot in row 3")
 
 
 def test_selftest_rejects_a_negative_seed(capsys):

@@ -37,3 +37,14 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / demo).with_suffix(".txt").read_text()
+
+
+def test_readme_library_example_runs(capsys):
+    # its lone scheme, built from a kind's name, reports the triple that
+    # run_errors gives the same kind
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example")[1].split("```python\n")[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {})
+    stack, _, lone = capsys.readouterr().out.splitlines()
+    assert stack.startswith("compact1d True ErrorTriple(") and lone.startswith("True ")
+    assert stack.split(" ", 2)[2] == lone.split(" ", 1)[1]

@@ -1,6 +1,7 @@
 """Every exported name resolves and has a caller: the `__all__` list of
 each compactwave module and the names the package re-exports from its
-modules."""
+modules.  The benchmark's own entry point (`schemes.SchemeConfig`,
+`schemes.run`) has no other caller."""
 
 import ast
 import importlib
@@ -65,3 +66,50 @@ def test_every_exported_name_has_a_caller():
         if export not in used
     ]
     assert unused == []
+
+
+def _nodes_outside(tree: ast.AST, skipped: set[ast.AST]):
+    """Every node of the tree but those under a skipped node."""
+    for node in ast.iter_child_nodes(tree):
+        if node not in skipped:
+            yield node
+            yield from _nodes_outside(node, skipped)
+
+
+def test_scheme_config_and_schemes_run_serve_only_the_benchmark():
+    # a scheme is built from its kind: SchemeConfig and schemes.run remain
+    # only as the entry point of the benchmark's nD pass (bench/workloads.py),
+    # so outside their definitions no library, test or demo file names the
+    # one or reaches the other
+    schemes_file = ROOT / "src" / "compactwave" / "schemes.py"
+    found = []
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            skipped = set()
+            if path == schemes_file:
+                skipped = {
+                    node for node in tree.body
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name in ("SchemeConfig", "run")
+                }
+                assert len(skipped) == 2
+            for node in _nodes_outside(tree, skipped):
+                if isinstance(node, ast.Name):
+                    named = node.id == "SchemeConfig"
+                elif isinstance(node, ast.Attribute):
+                    # schemes.run, cli.schemes.run, compactwave.schemes.run
+                    owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                    named = node.attr == "SchemeConfig" or (node.attr, owner) == ("run", "schemes")
+                elif isinstance(node, ast.ImportFrom):
+                    source = node.module or ""
+                    named = any(
+                        alias.name == "SchemeConfig"
+                        or (alias.name == "run" and source.endswith(("schemes", "compactwave")))
+                        for alias in node.names
+                    )
+                else:
+                    continue
+                if named:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []

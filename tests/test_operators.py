@@ -429,22 +429,21 @@ def _quad_hat(profile, lo, peak, hi):
 def test_hat_average_t_exactness_oracle():
     # the weights of every level of a switch-on at t_* = 0.5 on 10 steps
     # against adaptive quadrature: the hit level 5 and the levels away from
-    # it, two-sided, and level 0, one-sided.  Degree 4 is off from one step
-    # past the hit level on: the (1, 10, 1)/12 sample average is exact up
-    # to degree 3 only
+    # it, two-sided, and level 0, one-sided.  The (1, 10, 1)/12 sample
+    # average is exact up to degree 3 only, so degrees 4 and 5 are refused
     tmesh = build_time_mesh(10, 1.0)
     h_t, nodes = tmesh.h_t, tmesh.nodes
-    for degree in (0, 1, 2, 3, 4):
+    for degree in (0, 1, 2, 3):
         profile = QPiece(degree, 0.5)
         weights = _hat_weights_t(profile, tmesh)
         assert weights[0] == _quad_hat(profile, 0.0, 0.0, h_t) == 0.0
         assert weights[-1] == 0.0
         for level in range(1, 10):
             expected = _quad_hat(profile, nodes[level] - h_t, nodes[level], nodes[level] + h_t)
-            if degree <= 3 or level <= 5:
-                assert weights[level] == pytest.approx(expected, rel=1e-13, abs=0.0), (degree, level)
-            else:
-                assert weights[level] != pytest.approx(expected, rel=1e-4), (degree, level)
+            assert weights[level] == pytest.approx(expected, rel=1e-13, abs=0.0), (degree, level)
+    for degree in (4, 5):
+        with pytest.raises(ValueError, match=f"not degree {degree}"):
+            _hat_weights_t(QPiece(degree, 0.5), tmesh)
 
 
 def test_hat_average_t_star_off_mesh():

@@ -14,7 +14,7 @@ from compactwave.mesh import (
     build_uniform_axis,
     mesh_stats,
 )
-from compactwave.schemes import _KINDS, Scheme, SchemeConfig, SchemeKind
+from compactwave.schemes import _KINDS, Scheme, SchemeKind
 from oracles import assemble_dense_operator, dense_solve_oracle
 from test_schemes import IMPLICIT_KINDS, zero_problem
 
@@ -64,7 +64,7 @@ def _step_instance(draw, kind, ndim):
     speeds = tuple(draw(st.floats(0.5, 1.5)) for _ in meshes)
     h_t = draw(st.floats(0.05, 1.0)) * min(mesh_stats(m).h_min for m in meshes) / max(speeds)
     problem = dataclasses.replace(zero_problem(len(meshes)), speeds=speeds)
-    scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, build_time_mesh(4, 4.0 * h_t))
+    scheme = Scheme(problem, kind, meshes, build_time_mesh(4, 4.0 * h_t))
     return scheme, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
@@ -77,7 +77,7 @@ def test_solve_step_carries_trace_and_inverts_step_operator(kind, ndim, data):
     problem = dataclasses.replace(
         untraced.problem, exact=lambda *args: np.cos(args[0] + shift) + args[-1]
     )
-    scheme = Scheme(problem, untraced.config, untraced.meshes, untraced.tmesh)
+    scheme = Scheme(problem, untraced.kind, untraced.meshes, untraced.tmesh)
     shape = tuple(m.nodes.size for m in scheme.meshes)
     interior = tuple(slice(1, -1) for _ in shape)
     rhs = rng.standard_normal(tuple(s - 2 for s in shape))
@@ -131,7 +131,7 @@ def test_marched_levels_satisfy_the_increment_equations(kind, ndim, data):
         exact = lambda *args: np.cos(args[0] + shift) * (1.0 + args[-1])
         problem = dataclasses.replace(problem, exact=exact)
     tmesh = build_time_mesh(8, 8.0 * drawn.h_t)
-    scheme = Scheme(problem, drawn.config, drawn.meshes, tmesh)
+    scheme = Scheme(problem, drawn.kind, drawn.meshes, tmesh)
     shape = tuple(m.nodes.size for m in scheme.meshes)
     interior = tuple(slice(1, -1) for _ in shape)
     inner_shape = tuple(s - 2 for s in shape)

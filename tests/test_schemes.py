@@ -38,14 +38,12 @@ from compactwave.problems import (
 )
 from compactwave.schemes import (
     Scheme,
-    SchemeConfig,
     SchemeKind,
     _char_forcing,
     _char_velocity_table,
     _march,
     characteristic_meshes,
     operator_pair,
-    run,
     run_explicit_characteristic,
     step_count,
 )
@@ -89,7 +87,7 @@ def test_zero_data_stays_zero(kind, ndim):
     meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
     tmesh = build_time_mesh(6, 0.05)
     levels = []
-    result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, observer=collect(levels))
+    result = Scheme(problem, kind, meshes, tmesh).run(collect(levels))
     assert result.stable
     for level in levels:
         assert np.max(np.abs(level)) == 0.0
@@ -103,7 +101,7 @@ def _solve_with_full_lift(scheme, rhs, t):
     scheme.boundary_values(out, t)
     interior = tuple(slice(1, -1) for _ in scheme.meshes)
     untraced = dataclasses.replace(scheme.problem, exact=None, g=None)
-    homogeneous = Scheme(untraced, scheme.config, scheme.meshes, scheme.tmesh)
+    homogeneous = Scheme(untraced, scheme.kind, scheme.meshes, scheme.tmesh)
     lifted = rhs - scheme.apply_step_operator_interior(out)
     out[interior] = homogeneous.solve_step(lifted, t, np.zeros(out.shape))[interior]
     return out
@@ -119,7 +117,7 @@ def test_zero_trace_shortcut_equals_full_lift_bitwise(kind, ndim):
         zero_problem(ndim), exact=lambda *args: np.cos(args[0]) + args[-1]
     )
     for problem, zero_trace in ((zero_problem(ndim), True), (traced, False)):
-        scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+        scheme = Scheme(problem, kind, meshes, tmesh)
         got = scheme.solve_step(rhs, 0.1, np.zeros(tuple(m.nodes.size for m in meshes)))
         full = _solve_with_full_lift(scheme, rhs, 0.1)
         # every handle lifts the trace from its rows next to the faces, which
@@ -137,7 +135,7 @@ def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind,
     # S v^{m+1} = S (2 v^m - v^{m-1}) + h_t^2 (f^m - A v^m), zero faces
     problem = dataclasses.replace(zero_problem(ndim), u0=lambda *xs: 1.0 + np.prod(xs, axis=0))
     meshes = [build_uniform_axis(4 + i, 1.0) for i in range(ndim)]
-    scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, build_time_mesh(6, 0.05))
+    scheme = Scheme(problem, kind, meshes, build_time_mesh(6, 0.05))
     levels = []
     assert scheme.run(collect(levels)).stable
     shape, h_t = levels[0].shape, scheme.h_t
@@ -157,15 +155,25 @@ def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind,
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("given", [SchemeKind.COMPACT_1D, "compact1d", "nonuniform-compact"])
+def test_a_scheme_is_built_from_its_kind(given):
+    # a SchemeKind, its value or the graded-mesh alias, converted once
+    axis, tmesh = build_uniform_axis(8, 1.0, -0.5), build_time_mesh(4, 0.1)
+    scheme = Scheme(make_smooth_nonuniform_problem(), given, [axis], tmesh)
+    assert scheme.kind is SchemeKind.COMPACT_1D
+    assert not hasattr(scheme, "config")
+    with pytest.raises(ValueError, match="compact9d"):
+        Scheme(make_smooth_nonuniform_problem(), "compact9d", [axis], tmesh)
+
+
 def test_kind_dimension_compatibility():
     problem = zero_problem(2)
     meshes = [build_uniform_axis(4, 1.0), build_uniform_axis(4, 1.0)]
     tmesh = build_time_mesh(4, 0.1)
     with pytest.raises(ValueError):
-        Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), meshes, tmesh)
+        Scheme(problem, SchemeKind.COMPACT_1D, meshes, tmesh)
     with pytest.raises(ValueError):
-        Scheme(zero_problem(1), SchemeConfig(kind=SchemeKind.SPLITTING),
-               [build_uniform_axis(4, 1.0)], tmesh)
+        Scheme(zero_problem(1), SchemeKind.SPLITTING, [build_uniform_axis(4, 1.0)], tmesh)
 
 
 def test_compact1d_explicit_on_characteristic_step():
@@ -174,7 +182,7 @@ def test_compact1d_explicit_on_characteristic_step():
     axis = build_uniform_axis(8, 1.0)
     h_t = axis.h / 1.0
     tmesh = build_time_mesh(int(round(1.0 / h_t)), 1.0)
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh)
     rng = np.random.default_rng(0)
     values = rng.standard_normal(9)
     assert np.allclose(scheme.apply_step_operator_interior(values), values[1:-1], atol=1e-14)
@@ -195,7 +203,7 @@ def test_compact1d_with_its_own_data_on_the_characteristic_mesh():
         ch = []
         for n in ns:
             axis, tmesh = characteristic_meshes(problem, n, math.floor(0.4 * n))
-            scheme = Scheme(problem, SchemeConfig(SchemeKind.COMPACT_1D), [axis], tmesh)
+            scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh)
             obs = ErrorObserver(problem.exact, axis, tmesh)
             assert not scheme.run(obs).blew_up
             ch.append(obs.result().Ch)
@@ -227,7 +235,7 @@ def test_first_step_fourth_order():
     for n in (40, 80):
         axis = build_uniform_axis(n, 1.0, -0.5)
         tmesh = build_time_mesh(n, 1.0)
-        scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+        scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh)
         v1 = scheme.first_step(scheme.initial_level(), scheme.u1n, scheme.fn_table(0))
         errors[n] = np.max(np.abs(problem.exact(axis.nodes, tmesh.h_t) - v1))
     assert errors[40] / errors[80] > 12.0
@@ -245,7 +253,7 @@ def test_smooth_run_fourth_order_halving():
             nonlocal err
             err = max(err, float(np.max(np.abs(problem.exact(axis.nodes, t) - v))))
 
-        run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=watch)
+        Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run(watch)
         errors[n] = err
     ratio = errors[50] / errors[100]
     assert 11.0 < ratio < 22.0
@@ -256,7 +264,7 @@ def test_boundary_values_imposed():
     axis = build_uniform_axis(50, 1.0, -0.5)
     tmesh = build_time_mesh(50, 1.0)
     levels = []
-    run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh, observer=collect(levels))
+    Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run(collect(levels))
     g0, g1 = problem.g
     for level, v in enumerate(levels[1:], start=1):
         t = tmesh.nodes[level]
@@ -270,7 +278,7 @@ def test_modal_decoupling_2d():
     tmesh = build_time_mesh(30, 1.0)
     for kind in (SchemeKind.COMPACT_2D_SUM, SchemeKind.COMPACT_ND, SchemeKind.SPLITTING):
         levels = []
-        result = run(problem, SchemeConfig(kind=kind), meshes, tmesh, observer=collect(levels))
+        result = Scheme(problem, kind, meshes, tmesh).run(collect(levels))
         assert result.stable
         amp0 = None
         for v in levels:
@@ -287,7 +295,7 @@ def test_reversibility():
     problem = make_sine_mode_problem((1.0,), (1.0,), (3,), amplitude=0.7)
     axis = build_uniform_axis(16, 1.0)
     tmesh = build_time_mesh(12, 0.4)
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh)
     traj = []
     scheme.run(collect(traj))
     # walk the three-level recursion backwards: solve for the older level
@@ -304,8 +312,8 @@ def test_compact2d_variants_differ_at_fourth_order():
     for n in (8, 16):
         meshes = [build_uniform_axis(n, 1.0), build_uniform_axis(n, 0.9)]
         tmesh = build_time_mesh(4 * n, 1.0)
-        r1 = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_2D_SUM), meshes, tmesh)
-        r2 = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
+        r1 = Scheme(problem, SchemeKind.COMPACT_2D_SUM, meshes, tmesh).run()
+        r2 = Scheme(problem, SchemeKind.COMPACT_ND, meshes, tmesh).run()
         diffs[n] = np.max(np.abs(r1.v_last - r2.v_last))
     ratio = diffs[8] / diffs[16]
     assert ratio > 10.0  # the two mass operators differ by a 4th-order term
@@ -342,8 +350,8 @@ def test_splitting_trajectory_close_to_unsplit_scheme():
     diffs = {}
     for m_steps in (20, 40):
         tmesh = build_time_mesh(m_steps, 0.5)
-        r_split = run(problem, SchemeConfig(kind=SchemeKind.SPLITTING), meshes, tmesh)
-        r_full = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
+        r_split = Scheme(problem, SchemeKind.SPLITTING, meshes, tmesh).run()
+        r_full = Scheme(problem, SchemeKind.COMPACT_ND, meshes, tmesh).run()
         diffs[m_steps] = np.max(np.abs(r_split.v_last - r_full.v_last))
     assert diffs[20] / diffs[40] > 10.0
 
@@ -354,10 +362,9 @@ def test_graded_identity_layout_matches_uniform_scheme():
     uniform = build_uniform_axis(n, 1.0, -0.5)
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi0"], n, 1.0, -0.5)
     tmesh = build_time_mesh(step_count(problem, uniform, SchemeKind.COMPACT_1D), 1.0)
-    config = SchemeConfig(kind=SchemeKind.COMPACT_1D)
     levels_uniform, levels_graded = [], []
-    run(problem, config, [uniform], tmesh, observer=collect(levels_uniform))
-    run(problem, config, [graded], tmesh, observer=collect(levels_graded))
+    Scheme(problem, SchemeKind.COMPACT_1D, [uniform], tmesh).run(collect(levels_uniform))
+    Scheme(problem, SchemeKind.COMPACT_1D, [graded], tmesh).run(collect(levels_graded))
     assert len(levels_uniform) == len(levels_graded) == tmesh.n_steps + 1
     for v_u, v_g in zip(levels_uniform, levels_graded):
         assert np.max(np.abs(v_u - v_g)) < 1e-12
@@ -371,12 +378,11 @@ def test_a_graded_axis_runs_the_factored_kinds_and_not_the_sine_basis(kind, ndim
     graded = build_graded_axis(NODE_DISTRIBUTIONS["phi3"], 8, 1.0, -0.5)
     meshes = [graded] + [build_uniform_axis(6, 1.0) for _ in range(ndim - 1)]
     tmesh = build_time_mesh(4, 0.1)
-    config = SchemeConfig(kind=kind)
     if ndim > 1 and kind != SchemeKind.SPLITTING:
         with pytest.raises(MeshError, match="sine basis"):
-            Scheme(zero_problem(ndim), config, meshes, tmesh)
+            Scheme(zero_problem(ndim), kind, meshes, tmesh)
         return
-    scheme = Scheme(zero_problem(ndim), config, meshes, tmesh)
+    scheme = Scheme(zero_problem(ndim), kind, meshes, tmesh)
     levels = []
     assert scheme.run(collect(levels)).stable
     assert len(levels) == tmesh.n_steps + 1
@@ -396,7 +402,7 @@ def test_a_non_uniform_time_mesh_is_a_mesh_error():
     for kind, ndim in IMPLICIT_KINDS:
         meshes = [build_uniform_axis(6, 1.0)] * ndim
         with pytest.raises(MeshError, match="time mesh is not uniform"):
-            Scheme(zero_problem(ndim), SchemeConfig(kind=kind), meshes, tmesh)
+            Scheme(zero_problem(ndim), kind, meshes, tmesh)
 
 
 @pytest.mark.parametrize("dims,sizes", [(2, (10, 20, 40)), (3, (10, 20))])
@@ -418,7 +424,7 @@ def test_splitting_is_fourth_order_on_graded_axes(dims, sizes):
         def watch(level, t, values):
             worst[0] = max(worst[0], float(np.max(np.abs(values - problem.exact(*grids, t)))))
 
-        assert run(problem, SchemeConfig(kind=SchemeKind.SPLITTING), meshes, tmesh, watch).stable
+        assert Scheme(problem, SchemeKind.SPLITTING, meshes, tmesh).run(watch).stable
         errors[n] = worst[0]
     slope = -np.polyfit(np.log(list(errors)), np.log(list(errors.values())), 1)[0]
     assert slope >= 3.8
@@ -442,7 +448,7 @@ def test_compactnd_in_1d_is_compact1d_on_a_graded_axis_bitwise():
     tmesh = build_time_mesh(step_count(problem, axis, SchemeKind.COMPACT_1D), problem.horizon)
     built, levels = [], []
     for kind in (SchemeKind.COMPACT_1D, SchemeKind.COMPACT_ND):
-        built.append(Scheme(problem, SchemeConfig(kind=kind), [axis], tmesh))
+        built.append(Scheme(problem, kind, [axis], tmesh))
         levels.append([])
         built[-1].run(collect(levels[-1]))
     assert built[0].pair == built[1].pair
@@ -569,9 +575,7 @@ def test_second_order_spectra_are_the_identity_mass_and_the_stiffness():
     # second-order's B is the identity; its A is -a^2 Lambda
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(40, problem.extents[0], problem.origin[0])
-    scheme = Scheme(
-        problem, SchemeConfig(kind=SchemeKind.SECOND_ORDER), [axis], build_time_mesh(40, 1.0)
-    )
+    scheme = Scheme(problem, SchemeKind.SECOND_ORDER, [axis], build_time_mesh(40, 1.0))
     mu_b, mu_a = scheme.spectra
     assert mu_b.shape == mu_a.shape == (39,)
     assert np.all(mu_b == 1.0)
@@ -621,7 +625,7 @@ def test_every_kind_runs_where_the_readme_says():
                     for _ in range(ndim)
                 ]
                 try:
-                    Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+                    Scheme(problem, kind, meshes, tmesh)
                     ran = True
                 except (ValueError, MeshError):
                     ran = False
@@ -701,7 +705,7 @@ def test_blowup_at_level_one_ends_every_runner_there():
     )
     levels = []
     explicit, axis, tmesh = run_explicit_characteristic(problem, 20, 10, observer=collect(levels))
-    implicit = run(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    implicit = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh).run()
     for result in (explicit, implicit):
         assert result.blew_up
         assert result.completed_levels == 2
@@ -786,7 +790,7 @@ def test_problem_with_only_a_velocity_callable_assembles_and_runs():
     )
     axis = build_uniform_axis(20, 1.0)
     tmesh = build_time_mesh(10, 0.5)
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis], tmesh)
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], tmesh)
     sampled = initial_velocity(problem.u1_fn, [axis], tmesh.h_t, problem.speeds)
     assert np.array_equal(scheme.u1n, sampled)
     [(result, triple)] = run_errors(problem, [SchemeKind.COMPACT_1D], axis, tmesh.n_steps)
@@ -803,7 +807,7 @@ def test_forcing_table_level_0_is_the_first_step_forcing():
     )
     meshes = [build_uniform_axis(10, 1.0), build_uniform_axis(8, 0.8)]
     tmesh = build_time_mesh(6, 0.3)
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_ND), meshes, tmesh)
+    scheme = Scheme(problem, SchemeKind.COMPACT_ND, meshes, tmesh)
     x, y = np.meshgrid(meshes[0].nodes, meshes[1].nodes, indexing="ij")
     h_t = tmesh.h_t
     f0 = f(x, y, 0.0)
@@ -817,8 +821,7 @@ def test_forcing_table_level_0_is_the_first_step_forcing():
 def test_forcing_table_covers_the_steps_0_to_m_minus_1():
     problem = make_smooth_nonuniform_problem()
     axis = build_uniform_axis(10, 1.0, -0.5)
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
-                    build_time_mesh(5, 1.0))
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], build_time_mesh(5, 1.0))
     assert scheme.fn_table.n_steps == 5
     for level in range(5):
         assert scheme.fn_table(level).shape == (9,)

@@ -17,7 +17,7 @@ from compactwave.problems import (
     make_sine_mode_problem,
     make_smooth_nonuniform_problem,
 )
-from compactwave.schemes import Scheme, SchemeConfig, SchemeKind, operator_pair
+from compactwave.schemes import Scheme, SchemeKind, operator_pair
 from compactwave.solvers import operator_pair_c0
 from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
 
@@ -152,7 +152,7 @@ def random_run(kind, dims, rng, step_fraction=None, m_steps=None):
         u0=lambda *xs: np.zeros_like(xs[0]),
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    scheme = Scheme(problem, kind, meshes, tmesh)
     u1n = rng.standard_normal(interior_shape)
     forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
     full0 = np.zeros(shape)
@@ -248,7 +248,7 @@ def test_march_data_with_own_data_equals_run():
     # run marches the scheme's own u1n and forcing table f^0 .. f^{M-1}
     # through the path of march_data, for every data type
     for problem, kind, meshes, tmesh in _own_data_cases():
-        scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+        scheme = Scheme(problem, kind, meshes, tmesh)
         m_steps = tmesh.n_steps
         forcing = [scheme.fn_table(m) for m in range(m_steps)]
         levels = scheme.march_data(scheme.initial_level(), scheme.u1n, forcing)
@@ -264,8 +264,7 @@ def test_march_data_with_own_data_equals_run():
 
 def test_march_data_ends_at_the_aborting_level():
     scheme = Scheme(
-        _forced_sine_problem(), SchemeConfig(kind=SchemeKind.COMPACT_ND), MARCH_MESHES,
-        build_time_mesh(5, 0.2),
+        _forced_sine_problem(), SchemeKind.COMPACT_ND, MARCH_MESHES, build_time_mesh(5, 0.2)
     )
     forcing = [scheme.fn_table(m) for m in range(5)]
     forcing[2] = np.full_like(forcing[2], 1e110)  # v^3 = v^{2+1} blows up
@@ -310,8 +309,7 @@ def test_energy_bound_zero_data():
         name="zero", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=0.04,
         u0=lambda x: np.zeros_like(x),
     )
-    scheme = Scheme(problem, SchemeConfig(kind=SchemeKind.COMPACT_1D), [axis],
-                    build_time_mesh(4, 0.04))
+    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], build_time_mesh(4, 0.04))
     levels = [np.zeros(9) for _ in range(5)]
     certs = verify_energy_bound(scheme, levels, np.zeros(7), [np.zeros(7)] * 4, EPS0)
     assert set(certs) == DEFAULT_ESTIMATES
@@ -360,7 +358,7 @@ def test_energy_bound_telescoped_forcing_variant():
         horizon=m_steps * h_t, u0=lambda x: np.zeros_like(x),
     )
     tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = Scheme(problem, SchemeConfig(kind=kind), meshes, tmesh)
+    scheme = Scheme(problem, kind, meshes, tmesh)
     u1n = rng.standard_normal(n - 1)
     full0 = np.zeros(n + 1)
     full0[1:-1] = rng.standard_normal(n - 1)
