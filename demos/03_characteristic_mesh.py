@@ -14,13 +14,13 @@ import dataclasses
 
 import numpy as np
 
-from compactwave import SchemeKind, build_uniform_axis, make_example, run_errors
+from compactwave import SchemeKind, make_example, run_errors
 from compactwave.problems import make_sine_mode_problem
 
 
 def max_nodal_error(problem, n, m):
     """Ch, the largest error over every node and level of the run."""
-    axis = build_uniform_axis(n, problem.extents[0], problem.origin[0])
+    axis = problem.axis(n)
     [(_, triple)] = run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, m)
     return triple.Ch
 

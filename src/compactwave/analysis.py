@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import problems, schemes
-from .mesh import NODE_DISTRIBUTIONS, AxisMesh, TimeMesh, build_graded_axis, build_time_mesh
-from .mesh import build_uniform_axis, mesh_stats
+from .mesh import AxisMesh, TimeMesh, build_time_mesh, mesh_stats
 from .schemes import _BLOCK, RunResult, SchemeKind
 
 __all__ = [
@@ -299,19 +298,11 @@ class ConvergenceReport:
             self.gamma_th2[norm] = g2
 
 
-def _study_axis(problem, layout: str, n: int) -> AxisMesh:
-    """N intervals on the problem's interval: uniform, or graded by the node
-    distribution named `layout`."""
-    if layout == "uniform":
-        return build_uniform_axis(n, problem.extents[0], problem.origin[0])
-    return build_graded_axis(NODE_DISTRIBUTIONS[layout], n, problem.extents[0], problem.origin[0])
-
-
 def _study_case(name: str, layout: str, n: int, kinds: tuple, factor: float):
     """The triples of `kinds` on the catalog problem `name` at N intervals of
     `layout`, marched at the step count M of the first kind, and M."""
     problem = problems.catalog(name)
-    axis = _study_axis(problem, layout, n)
+    axis = problem.axis(n, None if layout == "uniform" else layout)
     m = schemes.step_count(problem, axis, kinds[0], factor)
     return [triple for _, triple in run_errors(problem, kinds, axis, m)], m
 
@@ -340,7 +331,7 @@ def study(groups: Sequence[tuple[str, str, Sequence[int]]], kinds: Sequence[Sche
         problem, n = problems.catalog(name), n_list[-1]
         label, extras = problem.name, {}
         if layout != "uniform":
-            stats = mesh_stats(_study_axis(problem, layout, n))
+            stats = mesh_stats(problem.axis(n, layout))
             label, extras = layout, {"h_ratio": stats.ratio, "rho_min": stats.rho_min,
                                      "rho_max": stats.rho_max,
                                      "M_over_N": done[name, layout, n][1] / n}

@@ -22,7 +22,7 @@ from . import analysis, problems, schemes, stability
 from .mesh import (
     NODE_DISTRIBUTIONS,
     MeshError,
-    build_graded_axis,
+    build_axis,
     build_time_mesh,
     build_uniform_axis,
     mesh_stats,
@@ -129,15 +129,9 @@ def _fields(value, key: str, readers: dict) -> dict:
 
 _PHI = functools.partial(_choice, choices=tuple(NODE_DISTRIBUTIONS))
 _ALPHA = functools.partial(_choice, choices=problems.EXAMPLE_ALPHAS, read=_number)
+# an entry of axes: N intervals on [origin, origin + X], graded by phi when given
 _AXIS = {"N": _whole, "X": _number, "origin": functools.partial(_number, positive=False),
-         "kind": functools.partial(_choice, choices=("uniform", "graded"))}
-
-
-def _axis(value, key: str) -> dict:
-    """An axis: N intervals on [origin, origin + X] (X 1, origin -X/2 unless
-    given), uniform or graded by a node distribution phi."""
-    graded = isinstance(value, dict) and value.get("kind") == "graded"
-    return _fields(value, key, {**_AXIS, "phi": _PHI} if graded else _AXIS)
+         "phi": _PHI}
 
 
 def _problem(value, key: str) -> problems.ProblemSpec:
@@ -158,13 +152,10 @@ def _problem(value, key: str) -> problems.ProblemSpec:
 
 
 def _axis_from_config(entry: dict):
-    """The mesh of a read axis entry."""
+    """The mesh of a read axes entry: X 1 and origin -X/2 unless given."""
     extent = entry.get("X", 1.0)
     origin = entry.get("origin", -extent / 2.0)
-    n = entry.get("N", 0)
-    if entry.get("kind", "uniform") == "uniform":
-        return build_uniform_axis(n, extent, origin)
-    return build_graded_axis(NODE_DISTRIBUTIONS[entry.get("phi", "phi0")], n, extent, origin)
+    return build_axis(entry.get("N", 0), extent, origin, entry.get("phi"))
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:
@@ -188,35 +179,35 @@ _SQRT2 = math.sqrt(2.0)
 _STUDY_N = (200, 400, 800)
 _FORMATS = ("csv", "md")
 COMMAND_DEFAULTS = {
-    "run": {"problem": "smooth1d", "scheme": "compact1d", "N": 100, "axis": None, "M": "auto",
+    "run": {"problem": "smooth1d", "scheme": "compact1d", "N": 100, "phi": None, "M": "auto",
             "cfl_factor": None, "format": "csv"},
     "table1": {"alpha": (1.5, 2.5, 3.5), "N": None, "jobs": 1, "format": "csv"},
     "table2": {"phi": tuple(NODE_DISTRIBUTIONS), "N": None, "cfl_factor": _SQRT2,
                "jobs": 1, "format": "csv"},
-    "stability": {"problem": None, "scheme": "compact1d", "N": None, "axis": None, "axes": None,
+    "stability": {"problem": None, "scheme": "compact1d", "N": None, "phi": None, "axes": None,
                   "speeds": None, "T": None, "M": "auto", "cfl_factor": None},
 }
 # The reader of each setting, config key or flag: it returns the typed value
-# or raises a ConfigError naming the key.  The studies read N as a list.
+# or raises a ConfigError naming the key.  The studies read N and phi as lists.
 _READERS = {
     "problem": _problem,
     # names, not kinds: a report echoes the name given, alias included
     "scheme": functools.partial(
         _choice, choices=(*(kind.value for kind in SchemeKind), "nonuniform-compact")),
     "N": _whole,
-    "axis": _axis,
-    "axes": functools.partial(_list, read=_axis),
+    "phi": _PHI,
+    "axes": functools.partial(_list, read=functools.partial(_fields, readers=_AXIS)),
     "speeds": functools.partial(_list, read=_number, item="speed"),
     "T": _number,
     "M": lambda value, key: value if value == "auto" else _whole(value, key),
     "cfl_factor": _number,
     "format": functools.partial(_choice, choices=_FORMATS),
     "alpha": functools.partial(_list, read=_ALPHA, distinct=True),
-    "phi": functools.partial(_list, read=_PHI, distinct=True),
     "jobs": functools.partial(_whole, low=1),
     "seed": functools.partial(_whole, low=0),
 }
-_STUDY_READERS = {**_READERS, "N": functools.partial(_list, read=_whole, distinct=True)}
+_STUDY_READERS = {**_READERS, "N": functools.partial(_list, read=_whole, distinct=True),
+                  "phi": functools.partial(_list, read=_PHI, distinct=True)}
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -252,10 +243,9 @@ def _reject(settings: dict, keys: Sequence[str], where: str) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     s = _settings(args)
     problem, kind = s["problem"], s["scheme"]
-    # N intervals on the problem's interval, unless the config's axis says otherwise
-    axis_cfg = {"N": s["N"], "X": problem.extents[0], "origin": problem.origin[0],
-                **(s["axis"] or {})}
-    axis = _axis_from_config(axis_cfg)
+    if kind == SchemeKind.EXPLICIT_CHARACTERISTIC:
+        _reject(s, ("phi",), "with the characteristic scheme, which runs on a uniform axis")
+    axis = problem.axis(s["N"], s["phi"])
     if s["M"] != "auto":
         _reject(s, ("cfl_factor",), "with an explicit M")
         m = s["M"]
@@ -266,6 +256,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     [(result, triple)] = analysis.run_errors(problem, [kind], axis, m)
 
     header = {"problem": problem.name, "scheme": kind, "N": axis.n_intervals, "M": m}
+    if s["phi"] is not None:
+        header["phi"] = s["phi"]
     lines = _echo_header(header, s["format"]) + [
         f"stable: {result.stable}",
         f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}",
@@ -327,27 +319,27 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     s = _settings(args)
-    kind = s["scheme"]
-    # the meshes: N (default 800) and axis, or else a list of axes
-    if s["axes"]:
-        _reject(s, ("N", "axis"), "next to axes")
-        meshes = [_axis_from_config(entry) for entry in s["axes"]]
-    else:
-        n = 800 if s["N"] is None else s["N"]
-        meshes = [_axis_from_config({"N": n, **(s["axis"] or {})})]
+    kind, axes = s["scheme"], s["axes"]
     # speeds and horizon: the problem's (default smooth1d) on one axis, else
     # the config's (default 1 each)
-    if len(meshes) == 1:
+    if axes is None or len(axes) == 1:
         _reject(s, ("speeds", "T"), "on one axis, where the problem sets them")
         problem = s["problem"] or problems.make_smooth_nonuniform_problem()
         speeds, horizon = problem.speeds, problem.horizon
     else:
         _reject(s, ("problem",), "on two or more axes")
-        speeds = s["speeds"] or [1.0] * len(meshes)
-        if len(speeds) != len(meshes):
+        speeds = s["speeds"] or [1.0] * len(axes)
+        if len(speeds) != len(axes):
             raise ConfigError(f"speeds {speeds!r} must give one speed per axis, "
-                              f"{len(meshes)} in all")
+                              f"{len(axes)} in all")
         horizon = s["T"] or 1.0
+    # the meshes: the placed axes, or else N (default 800) intervals on the
+    # problem's interval, graded by phi when given
+    if axes:
+        _reject(s, ("N", "phi"), "next to axes")
+        meshes = [_axis_from_config(entry) for entry in axes]
+    else:
+        meshes = [problem.axis(800 if s["N"] is None else s["N"], s["phi"])]
     h_min = min(mesh_stats(m).h_min for m in meshes)
     if s["M"] == "auto":
         m = select_time_step_count(h_min, max(speeds), horizon, s["cfl_factor"] or _SQRT2)
@@ -359,7 +351,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if pair is None:
         raise ConfigError(f"no step condition is attached to scheme {kind!r}")
     eps0 = math.sqrt(0.5)
-    report = stability.check_cfl(pair, meshes, speeds, h_t, eps0)
+    try:
+        report = stability.check_cfl(pair, meshes, speeds, h_t, eps0)
+    except MeshError as exc:  # the sine basis: uniform axes only
+        raise ConfigError(f"{exc} such as a phi other than phi0 lays out") from None
     lines = _echo_header({"scheme": kind, "M": m, "pair": pair}, "csv")
     lines.append(f"value: {report.value:.6f}")
     lines.append(f"threshold: {report.threshold:.6f}")
@@ -431,7 +426,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     checks.append(("splitting identity", float(np.max(np.abs(lhs - rhs))) < 1e-13))
 
     problem = problems.make_example(1.5)
-    axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
+    axis = problem.axis(20)
     [(_, triple)] = analysis.run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, 10)
     checks.append(("characteristic-mesh exactness", triple.Ch < 1e-12))
 

@@ -21,6 +21,7 @@ __all__ = [
     "TimeMesh",
     "MeshStats",
     "NODE_DISTRIBUTIONS",
+    "build_axis",
     "build_uniform_axis",
     "build_graded_axis",
     "build_time_mesh",
@@ -167,6 +168,14 @@ def build_graded_axis(
     if np.any(np.diff(mapped) <= 0):
         raise MeshError("node distribution is not increasing on the sampled grid")
     return AxisMesh(origin + extent * mapped)
+
+
+def build_axis(n_intervals: int, extent: float, origin: float, phi: str | None = None) -> AxisMesh:
+    """N intervals on [origin, origin + extent]: uniform, or graded by the node
+    distribution named `phi` (phi0: the identity map, graded arithmetic)."""
+    if phi is None:
+        return build_uniform_axis(n_intervals, extent, origin)
+    return build_graded_axis(NODE_DISTRIBUTIONS[phi], n_intervals, extent, origin)
 
 
 def build_time_mesh(n_steps: int, horizon: float) -> TimeMesh:

@@ -111,12 +111,6 @@ class TridiagonalFactor:
         rows = slice(0, 1) if side == 0 else slice(-1, None)
         return TridiagonalFactor(self.axis, self.lower[rows], self.diag[rows], self.upper[rows])
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        m += np.diag(self.lower[1:], k=-1)
-        m += np.diag(self.upper[:-1], k=1)
-        return m
-
 
 def tridiag_second_diff(mesh: AxisMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interior stencil rows of the (possibly non-uniform) second difference."""

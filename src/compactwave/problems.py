@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .mesh import AxisMesh, build_axis
 from .operators import (
     PPiece,
     PiecewiseData,
@@ -92,13 +93,23 @@ class ProblemSpec:
     def ndim(self) -> int:
         return len(self.extents)
 
+    def axis(self, n_intervals: int, phi: str | None = None) -> AxisMesh:
+        """N intervals on the problem's interval (its first axis): uniform,
+        or graded by the node distribution named `phi`."""
+        return build_axis(n_intervals, self.extents[0], self.origin[0], phi)
+
     def trace(self, faces: Sequence[Sequence]) -> Callable[[float], list] | None:
         """The Dirichlet trace of every run on the given faces, each given
         by its node coordinates: a map from t to one value (or array) per
         face, or None when the trace is identically zero.  The rule: the
-        traces g on one axis (faces: its left end, then its right end), else
-        the exact solution on the faces, else none."""
+        traces g on one axis (faces: the ends of the problem's interval, left
+        then right, else a ValueError), else the exact solution, else none."""
         if self.g is not None and self.ndim == 1:
+            ends = (self.origin[0], self.origin[0] + self.extents[0])
+            scale = abs(ends[0]) + self.extents[0]  # the nodes' rounding scale
+            if not np.allclose(faces[0] + faces[1], ends, rtol=0.0, atol=1e-13 * scale):
+                raise ValueError(f"the traces g of {self.name} hold on [{ends[0]:g}, {ends[1]:g}],"
+                                 f" not on the axis [{faces[0][0]:g}, {faces[1][0]:g}]")
             return lambda t: [g(t) for g in self.g]
         if self.exact is not None:
             return lambda t: [self.exact(*coords, t) for coords in faces]

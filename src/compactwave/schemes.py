@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import AxisMesh, MeshError, TimeMesh, build_uniform_axis, mesh_stats
+from .mesh import AxisMesh, MeshError, TimeMesh, mesh_stats
 from .mesh import select_time_step_count
 from .operators import (
     RhsTable,
@@ -507,7 +507,7 @@ def characteristic_meshes(problem, n_intervals: int, n_steps: int) -> tuple[Axis
     h_t = h/a on which the explicit scheme runs."""
     if n_steps < 1:
         raise MeshError(f"need at least one time step, got M = {n_steps}")
-    axis = build_uniform_axis(n_intervals, problem.extents[0], problem.origin[0])
+    axis = problem.axis(n_intervals)
     h_t = axis.h / problem.speeds[0]
     return axis, TimeMesh(np.arange(n_steps + 1) * h_t)
 

@@ -56,6 +56,14 @@ def thomas_solve(factor: TridiagonalFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def dense(factor: TridiagonalFactor) -> np.ndarray:
+    """The interior rows of a factor as a dense matrix."""
+    m = np.diag(factor.diag)
+    m += np.diag(factor.lower[1:], k=-1)
+    m += np.diag(factor.upper[:-1], k=1)
+    return m
+
+
 def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Direct factorization solve of an explicitly assembled operator."""
     matrix = np.asarray(matrix, dtype=float)

@@ -32,7 +32,7 @@ from compactwave.solvers import (
     pair_spectra,
 )
 from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
-from oracles import assemble_dense_operator, dense_solve_oracle, thomas_solve
+from oracles import assemble_dense_operator, dense, dense_solve_oracle, thomas_solve
 
 EPS0 = math.sqrt(0.5)
 
@@ -214,7 +214,7 @@ def test_criterion_7_oracle_equivalence():
         factor = step_factor(mesh, h_t, 1.0, 0)
         rhs = rng.standard_normal(n - 1)
         got = thomas_solve(factor, rhs)
-        ref = dense_solve_oracle(factor.dense(), rhs)
+        ref = dense_solve_oracle(dense(factor), rhs)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst["thomas"] = max(worst["thomas"], float(np.max(np.abs(got - ref))) / scale)
 
@@ -240,9 +240,9 @@ def test_criterion_7_oracle_equivalence():
             full[tuple(slice(1, -1) for _ in meshes)] = interior
             return mass(full) + h_t**2 / 12.0 * stiffness(full)
 
-        dense = assemble_dense_operator(apply, interior_shape)
+        matrix = assemble_dense_operator(apply, interior_shape)
         rhs = rng.standard_normal(interior_shape)
-        ref = dense_solve_oracle(dense, rhs.reshape(-1)).reshape(interior_shape)
+        ref = dense_solve_oracle(matrix, rhs.reshape(-1)).reshape(interior_shape)
         got = handle.solve(rhs)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst["spectral"] = max(worst["spectral"], float(np.max(np.abs(got - ref))) / scale)
@@ -261,9 +261,9 @@ def test_criterion_7_oracle_equivalence():
             full[tuple(slice(1, -1) for _ in meshes)] = interior
             return handle.apply(full)
 
-        dense = assemble_dense_operator(apply_split, interior_shape)
+        matrix = assemble_dense_operator(apply_split, interior_shape)
         rhs = rng.standard_normal(interior_shape)
-        ref = dense_solve_oracle(dense, rhs.reshape(-1)).reshape(interior_shape)
+        ref = dense_solve_oracle(matrix, rhs.reshape(-1)).reshape(interior_shape)
         got = handle.solve(rhs)
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst["splitting"] = max(worst["splitting"], float(np.max(np.abs(got - ref))) / scale)

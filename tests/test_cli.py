@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from compactwave import problems, schemes
+from compactwave import analysis, problems, schemes
 from compactwave.cli import (
     COMMAND_DEFAULTS,
     EXIT_BLOWUP,
@@ -17,7 +17,7 @@ from compactwave.cli import (
     _build_parser,
     main,
 )
-from compactwave.mesh import NODE_DISTRIBUTIONS
+from compactwave.mesh import NODE_DISTRIBUTIONS, build_graded_axis, build_uniform_axis
 from compactwave.operators import PiecewiseData
 
 
@@ -140,7 +140,7 @@ def test_run_auto_steps_of_a_switch_on_problem_on_a_graded_axis(tmp_path):
     cfg = tmp_path / "graded.yaml"
     cfg.write_text(yaml.safe_dump({
         "problem": "E_2.5", "scheme": "compact1d", "M": "auto",
-        "axis": {"kind": "graded", "phi": "phi3", "N": 400, "X": 1.0, "origin": -0.5},
+        "N": 400, "phi": "phi3",
     }))
     out = tmp_path / "run.txt"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -253,13 +253,13 @@ def test_table1_blown_up_run_writes_report_and_exits_3(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("axis", [
-    {"kind": "graded", "phi": "phi3"},
-    {"X": 2.0},
-    {"origin": 0.0},
+    {"phi": "phi3"},
+    {"phi": "phi0"},  # the identity map, with the graded arithmetic
+    {"phi": "phi6"},
 ])
 def test_run_characteristic_rejects_axis_settings(tmp_path, capsys, axis):
     cfg = tmp_path / "char.yaml"
-    cfg.write_text(yaml.safe_dump({"axis": axis}))
+    cfg.write_text(yaml.safe_dump(axis))
     code = main([
         "run", "--problem", "E_1.5", "--scheme", "characteristic", "--N", "40",
         "--config", str(cfg),
@@ -268,7 +268,7 @@ def test_run_characteristic_rejects_axis_settings(tmp_path, capsys, axis):
     assert "uniform axis" in capsys.readouterr().err
 
 
-GRADED_AXIS = {"axis": {"kind": "graded", "phi": "phi3"}}
+GRADED_AXIS = {"phi": "phi3"}
 
 
 @pytest.mark.parametrize("scheme", ["second-order", "compactnd"])
@@ -298,6 +298,27 @@ def test_run_compact1d_on_a_graded_axis(tmp_path, scheme):
     text = out.read_text()
     assert f"# scheme: {scheme}" in text
     assert "stable: True" in text
+
+
+@pytest.mark.parametrize("phi", ["phi0", "phi3", None])
+def test_run_reports_the_triple_of_run_errors_on_the_problems_axis(tmp_path, phi):
+    # N and phi lay out the problem's own interval; the header echoes a phi
+    problem = problems.catalog("smooth1d")
+    lo, extent = problem.origin[0], problem.extents[0]
+    axis = (build_uniform_axis(80, extent, lo) if phi is None
+            else build_graded_axis(NODE_DISTRIBUTIONS[phi], 80, extent, lo))
+    m = schemes.step_count(problem, axis, "compact1d")
+    [(_, triple)] = analysis.run_errors(problem, ["compact1d"], axis, m)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"problem": "smooth1d", "N": 80, "phi": phi}))
+    out = tmp_path / "run.txt"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    header = [f"# M: {m}", "# N: 80", *([f"# phi: {phi}"] if phi else []),
+              "# problem: smooth1d", "# scheme: compact1d"]
+    assert out.read_text().splitlines() == header + [
+        "stable: True",
+        f"errors: L2h={triple.L2h:.6E} Ch={triple.Ch:.6E} Eh={triple.Eh:.6E}",
+    ]
 
 
 def test_table1_rejects_odd_n(capsys):
@@ -354,7 +375,7 @@ def test_stability_nonuniform_compact_is_the_compact1d_report(tmp_path, capsys):
 def test_stability_refuses_a_graded_axis_in_nd(tmp_path, capsys, scheme, dims):
     # one graded axis among uniform ones: the report works in the sine basis
     cfg = tmp_path / "graded.yaml"
-    axes = [{"N": 8, "kind": "graded", "phi": "phi3"}] + [{"N": 6}] * (dims - 1)
+    axes = [{"N": 8, "phi": "phi3"}] + [{"N": 6}] * (dims - 1)
     cfg.write_text(yaml.safe_dump({"scheme": scheme, "axes": axes}))
     assert main(["stability", "--config", str(cfg)]) == EXIT_CONFIG
     assert "the sine basis requires uniform spatial meshes" in capsys.readouterr().err
@@ -503,8 +524,8 @@ def test_stability_2d_sum_pair_constant(tmp_path):
     config.write_text(yaml.safe_dump({
         "scheme": "compact2d",
         "axes": [
-            {"kind": "uniform", "N": 16, "X": 1.0, "origin": 0.0},
-            {"kind": "uniform", "N": 12, "X": 0.8, "origin": 0.0},
+            {"N": 16, "X": 1.0, "origin": 0.0},
+            {"N": 12, "X": 0.8, "origin": 0.0},
         ],
         "speeds": [1.0, 1.2],
         "T": 1.0,
@@ -701,13 +722,13 @@ def test_studies_read_the_resolutions_of_the_config(tmp_path, config):
 
 @pytest.mark.parametrize("config, argv, named", [
     # one axis: the problem gives the speeds and the horizon
-    ({"axis": {"N": 16}, "speeds": [0.8], "T": 3.0}, [], "'speeds', 'T'"),
+    ({"N": 16, "speeds": [0.8], "T": 3.0}, [], "'speeds', 'T'"),
     ({"axes": [{"N": 16}], "T": 3.0}, [], "'T'"),
-    # two axes: no problem; the axes replace N and axis
+    # two axes: no problem; the axes replace N and phi
     ({"axes": [{"N": 4}, {"N": 5}]}, ["--problem", "E_2.5"], "'problem'"),
     ({"axes": [{"N": 4}, {"N": 5}]}, ["--N", "40"], "'N'"),
     ({"axes": [{"N": 4}, {"N": 5}], "N": 40}, [], "'N'"),
-    ({"axes": [{"N": 4}, {"N": 5}], "axis": {"N": 4}}, [], "'axis'"),
+    ({"axes": [{"N": 4}, {"N": 5}], "phi": "phi3"}, [], "'phi'"),
 ])
 def test_stability_rejects_settings_its_dimension_does_not_read(tmp_path, capsys, config,
                                                                 argv, named):
@@ -718,14 +739,15 @@ def test_stability_rejects_settings_its_dimension_does_not_read(tmp_path, capsys
 
 
 @pytest.mark.parametrize("axis, named", [
-    ({"N": 40, "phi": "phi3"}, "'phi'"),
-    ({"kind": "graded", "phi": "phi3", "n": 40}, "'n'"),
-])
+    # a phi the characteristic scheme does not read; a key no command reads
+    ({"N": 40, "phi": "phi3", "scheme": "characteristic"}, "unread setting 'phi'"),
+    ({"N": 40, "phi": "phi3", "n": 40}, "unknown config key 'n'"),
+], ids=["axis0-'phi'", "axis1-'n'"])
 def test_run_rejects_unknown_axis_keys(tmp_path, capsys, axis, named):
     cfg = tmp_path / "axis.yaml"
-    cfg.write_text(yaml.safe_dump({"axis": axis}))
+    cfg.write_text(yaml.safe_dump({"problem": "E_1.5", **axis}))
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
-    assert f"unread axis key {named}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {named}")
 
 
 def test_readme_lists_the_flags_and_config_keys_of_every_subcommand():
@@ -767,7 +789,7 @@ def test_stability_needs_one_positive_finite_speed_per_axis(tmp_path, capsys, sp
 @pytest.mark.parametrize("command, config, named", [
     ("run", {"problem": "E_1.5", "N": 40.5}, "40.5"),
     ("run", {"problem": "E_1.5", "N": True}, "True"),
-    ("run", {"problem": "E_1.5", "axis": {"N": 40.5}}, "40.5"),
+    ("run", {"problem": "E_1.5", "N": 40.5, "phi": "phi3"}, "40.5"),
     ("run", {"problem": "E_1.5", "N": 40, "M": 40.5}, "40.5"),
     ("table1", {"alpha": [1.5], "N": [20, 40.5, 80]}, "40.5"),
     ("table1", {"alpha": [1.5], "N": "20,40.5"}, "'40.5'"),
@@ -807,8 +829,8 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     ("table2", {}, ["--phi", "phi0", "--N", "8,16", "--cfl-factor", "inf"],
      "cfl_factor 'inf' must be a positive, finite number"),
     # a value of the wrong shape
-    ("run", {"axis": [1, 2]}, [], "axis must be a mapping, not [1, 2]"),
-    ("run", {"axis": 7}, [], "axis must be a mapping, not 7"),
+    ("run", {"phi": [1, 2]}, [], "unknown phi [1, 2]; choose from phi0"),
+    ("run", {"phi": 7}, [], "unknown phi 7; choose from phi0"),
     ("stability", {"axes": {"N": 4}}, [], "axes must be a non-empty list, not {'N': 4}"),
     ("stability", {"axes": [4, 4]}, [], "axes[0] must be a mapping, not 4"),
     ("table1", {"alpha": 1.5}, [], "alpha must be a non-empty list, not 1.5"),
@@ -829,6 +851,15 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     ("run", {"problem": {"kind": "example"}}, [], "problem of kind example needs an alpha"),
     # a config file is one mapping of keys
     ("run", [{"problem": "E_1.5"}], [], "config file must hold a mapping"),
+    # one axis is N and phi on the problem's interval, not an axis mapping;
+    # an axes entry is graded by its phi, not by a kind
+    ("run", {"problem": "smooth1d", "N": 80, "axis": {"X": 2.0}}, [],
+     "unknown config key 'axis'"),
+    ("stability", {"axis": {"N": 16}}, [], "unknown config key 'axis'"),
+    ("stability", {"axes": [{"N": 16, "kind": "graded", "phi": "phi3"}]}, [],
+     "unread axes[0] key 'kind'"),
+    ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4, "kind": "uniform"}]}, [],
+     "unread axes[1] key 'kind'"),
 ])
 def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
                                                        config, argv, named):
@@ -867,7 +898,7 @@ def test_selftest_rejects_a_negative_seed(capsys):
     ("table2", {"phi": ["phi0"], "N": [8, 16]}, [], "jobs"),
     ("run", {"problem": "E_1.5"}, [], "N"),
     ("run", {"problem": "E_1.5"}, ["--N", "16"], "M"),
-    ("run", {"problem": "E_1.5"}, ["--N", "16"], "axis"),
+    ("run", {"problem": "E_1.5"}, ["--N", "16"], "phi"),
     ("stability", {"problem": "E_1.5"}, ["--N", "16", "--certify", "--seed", "5"], "scheme"),
 ])
 def test_a_null_config_value_is_not_given(tmp_path, command, config, argv, key):

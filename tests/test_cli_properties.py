@@ -50,11 +50,12 @@ STABILITY_BASE = {  # speeds and T are read on two or more axes, axes in place o
 }
 
 _SMALL = st.integers(2, 16)
-_PLACED = {"X": st.sampled_from([0.5, 2.0]), "origin": st.sampled_from([-1.0, 0.0])}
-_AXIS = st.one_of(
-    st.fixed_dictionaries({"N": _SMALL}, optional={**_PLACED, "kind": st.just("uniform")}),
-    st.fixed_dictionaries({"N": _SMALL, "kind": st.just("graded")},
-                          optional={**_PLACED, "phi": st.sampled_from(sorted(NODE_DISTRIBUTIONS))}),
+_PHI = st.sampled_from(sorted(NODE_DISTRIBUTIONS))
+# an entry of axes: placed by X and origin, graded when it names a phi
+_AXIS = st.fixed_dictionaries(
+    {"N": _SMALL},
+    optional={"X": st.sampled_from([0.5, 2.0]), "origin": st.sampled_from([-1.0, 0.0]),
+              "phi": _PHI},
 )
 VALID = {
     "problem": st.sampled_from(
@@ -62,7 +63,7 @@ VALID = {
     ),
     "scheme": st.sampled_from([*(kind.value for kind in SchemeKind), "nonuniform-compact"]),
     "N": _SMALL,
-    "axis": _AXIS,
+    "phi": _PHI,
     "axes": st.lists(_AXIS, min_size=1, max_size=3),
     "speeds": st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=2, max_size=2),
     "T": st.sampled_from([0.5, 1.0, 2.0]),
@@ -70,14 +71,15 @@ VALID = {
     "cfl_factor": st.sampled_from([0.5, 1.0, 1.4]),
     "format": st.sampled_from(["csv", "md"]),
     "alpha": st.lists(st.sampled_from(EXAMPLE_ALPHAS), min_size=1, max_size=3, unique=True),
-    "phi": st.lists(st.sampled_from(sorted(NODE_DISTRIBUTIONS)), min_size=1, max_size=3,
-                    unique=True),
     "jobs": st.sampled_from([1, 2]),
     "seed": st.integers(0, 2**40),
 }
-STUDY_N = {
-    "table1": st.lists(st.sampled_from(range(2, 17, 2)), min_size=1, max_size=3, unique=True),
-    "table2": st.lists(_SMALL, min_size=1, max_size=3, unique=True),
+# the studies read N and phi as lists
+STUDY_VALID = {
+    ("table1", "N"): st.lists(st.sampled_from(range(2, 17, 2)), min_size=1, max_size=3,
+                              unique=True),
+    ("table2", "N"): st.lists(_SMALL, min_size=1, max_size=3, unique=True),
+    ("table2", "phi"): st.lists(_PHI, min_size=1, max_size=3, unique=True),
 }
 HOSTILE = st.sampled_from([
     None, True, False, -1, -2.5, 0, 0.5, 1.5, math.inf, -math.inf, math.nan,
@@ -140,8 +142,8 @@ def test_every_key_exits_0_2_or_3_and_a_config_error_names_a_key(config_dir, dat
             study_n = key == "N" and command in STUDIES
             value = data.draw(HOSTILE_STUDY_N if study_n else HOSTILE, label=f"{command} value")
         else:
-            value = data.draw(STUDY_N[command] if key == "N" and command in STUDIES
-                              else VALID[key], label=f"{command} value")
+            value = data.draw(STUDY_VALID.get((command, key), VALID[key]),
+                              label=f"{command} value")
         base = STABILITY_BASE.get(key, BASE[command]) if command == "stability" else BASE[command]
         if key in COMMAND_DEFAULTS.get(command, ()):
             config = config_dir / "config.yaml"

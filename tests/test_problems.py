@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from compactwave import operators, schemes
+from compactwave import analysis, operators, schemes
 from compactwave.mesh import build_time_mesh, build_uniform_axis
 from compactwave.operators import (
     PiecewiseData,
@@ -292,6 +292,20 @@ def test_pure_dalembert_sine():
     t = 0.37
     expected = 0.5 * (np.sin(2 * np.pi * (xs - a * t)) + np.sin(2 * np.pi * (xs + a * t)))
     assert np.allclose(spec.exact(xs, t), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["smooth1d", "E_2.5"])
+@pytest.mark.parametrize("extent, origin", [(2.0, -1.0), (1.0, 0.0), (1.0, -0.5 + 1e-9)])
+def test_traces_g_refuse_an_axis_off_the_problems_interval(name, extent, origin):
+    # g holds at the interval's two ends only: a run placed elsewhere would
+    # impose the wrong boundary values and report a meaningless error
+    problem = catalog(name)
+    axis = build_uniform_axis(80, extent, origin)
+    with pytest.raises(ValueError) as info:
+        analysis.run_errors(problem, ["compact1d"], axis, 25)
+    message = str(info.value)
+    assert name in message and "[-0.5, 0.5]" in message
+    assert f"[{axis.nodes[0]:g}, {axis.nodes[-1]:g}]" in message
 
 
 def test_smooth_problem_rejects_unit_speed():

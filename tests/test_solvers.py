@@ -26,7 +26,7 @@ from compactwave.solvers import (
     sine_coefficients,
     sine_spectrum,
 )
-from oracles import assemble_dense_operator, dense_solve_oracle, thomas_solve
+from oracles import assemble_dense_operator, dense, dense_solve_oracle, thomas_solve
 
 
 def identity_factor(n):
@@ -192,10 +192,8 @@ def test_trisolver_equals_scipy_linalg_lapack_bitwise(case):
     # rows built densely (decoupled unit rows pad a system to three unknowns)
     factors = _lapack_cases()[case]
     n = sum(f.n_interior for f in factors)
-    blocks = [np.diag(f.diag) + np.diag(f.lower[1:], -1) + np.diag(f.upper[:-1], 1)
-              for f in factors]
-    dense = scipy.linalg.block_diag(*blocks, np.eye(max(3 - n, 0)))
-    *lu, info = scipy.linalg.lapack.dgttrf(np.diag(dense, -1), np.diag(dense), np.diag(dense, 1))
+    matrix = scipy.linalg.block_diag(*map(dense, factors), np.eye(max(3 - n, 0)))
+    *lu, info = scipy.linalg.lapack.dgttrf(np.diag(matrix, -1), np.diag(matrix), np.diag(matrix, 1))
     if case == "zero pivot":
         assert info > 0
         with pytest.raises(SingularSystemError):
@@ -207,7 +205,7 @@ def test_trisolver_equals_scipy_linalg_lapack_bitwise(case):
     solver = TriSolver(*factors)
     rng = np.random.default_rng(n)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        padded = np.concatenate([rhs, np.zeros((len(dense) - n,) + rhs.shape[1:])])
+        padded = np.concatenate([rhs, np.zeros((len(matrix) - n,) + rhs.shape[1:])])
         expected, info = scipy.linalg.lapack.dgttrs(*lu, padded)
         assert info == 0
         assert solver.solve(rhs).tobytes() == expected[:n].tobytes()
@@ -223,7 +221,7 @@ def test_thomas_vs_dense_neg_laplacian():
     factor = neg_second_diff_factor(mesh)
     rhs = np.ones(3)
     got = thomas_solve(factor, rhs)
-    expected = dense_solve_oracle(factor.dense(), rhs)
+    expected = dense_solve_oracle(dense(factor), rhs)
     assert np.max(np.abs(got - expected)) < 1e-13
 
 
@@ -282,8 +280,8 @@ def test_sine_spectrum_matches_dense_eigs():
     mesh = build_uniform_axis(7, 1.0)
     lam = np.sort(sine_spectrum(mesh))
     factor = neg_second_diff_factor(mesh)
-    dense = np.sort(np.linalg.eigvalsh(factor.dense()))
-    assert np.allclose(lam, dense, rtol=1e-12)
+    eigs = np.sort(np.linalg.eigvalsh(dense(factor)))
+    assert np.allclose(lam, eigs, rtol=1e-12)
 
 
 def test_dst_direct_and_fast_agree():
@@ -552,7 +550,7 @@ def test_oracle_equivalence_random_instances():
         factor = step_factor(mesh, h_t, 1.0, 0)
         rhs = rng.standard_normal(n - 1)
         got = thomas_solve(factor, rhs)
-        expected = dense_solve_oracle(factor.dense(), rhs)
+        expected = dense_solve_oracle(dense(factor), rhs)
         scale = max(1.0, float(np.max(np.abs(expected))))
         worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     assert worst < 1e-11
@@ -564,8 +562,8 @@ def test_step_factor_spectrum_matches_dense():
     # the step factor is B + (h_t^2/12) A of the 1D pair
     mu_b, mu_a = pair_spectra([mesh], (a,), "prod_stiffprod")
     spec = np.sort(mu_b + h_t**2 / 12.0 * mu_a)
-    dense = np.sort(np.linalg.eigvalsh(step_factor(mesh, h_t, a).dense()))
-    assert np.allclose(spec, dense, rtol=1e-12)
+    eigs = np.sort(np.linalg.eigvalsh(dense(step_factor(mesh, h_t, a))))
+    assert np.allclose(spec, eigs, rtol=1e-12)
     with pytest.raises(ValueError):
         pair_spectra([mesh], (a,), "prod_residual_stiffprod")
 
