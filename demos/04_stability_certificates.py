@@ -5,8 +5,9 @@ stay below 1 - eps0^2.  This demo evaluates the condition for the step rule
 used by the graded-mesh studies (marginally violated, yet stable in
 practice), shows the sharp constant of the mass/stiffness operator
 inequality, numerically certifies the strong and weak energy estimates on a
-random run, and finally demonstrates what happens when the step rule is
-relaxed by a factor of two.
+run with random data (random_run, the run of `stability --certify`, here at
+half the largest_step the condition allows and over 10 steps), and finally
+demonstrates what happens when the step rule is relaxed by a factor of two.
 
 Run:  python demos/04_stability_certificates.py
 """
@@ -16,20 +17,19 @@ import math
 import numpy as np
 
 from compactwave import (
-    Scheme,
     SchemeKind,
-    build_time_mesh,
     build_uniform_axis,
     check_cfl,
+    largest_step,
     make_smooth_nonuniform_problem,
     mesh_stats,
+    random_run,
     run_errors,
     select_time_step_count,
     sharp_alpha2,
     step_count,
     verify_energy_bound,
 )
-from compactwave.problems import ProblemSpec
 
 a = 1.0 / math.sqrt(5.0)
 axis = build_uniform_axis(800, 1.0, -0.5)
@@ -43,24 +43,11 @@ bound = 6.0 * a**2 / axis.h**2
 print(f"sharp constant alpha^2 = {alpha2:.4E}, upper bound 6 a^2/h^2 = {bound:.4E} "
       f"(ratio {alpha2 / bound:.6f})")
 
-# certify the energy estimates on a random small run
-rng = np.random.default_rng(0)
+# certify the energy estimates on a random small run at half the largest step
 mesh = build_uniform_axis(16, 1.0)
-speeds = (1.0,)
-h_t = 0.5 * math.sqrt(0.5 / (1.0 / mesh.h**2))
-steps = 10
-problem = ProblemSpec(
-    name="random", speeds=speeds, origin=(0.0,), extents=(1.0,),
-    horizon=steps * h_t, u0=lambda x: np.zeros_like(x),
-)
-tmesh = build_time_mesh(steps, steps * h_t)
-scheme = Scheme(problem, SchemeKind.COMPACT_1D, [mesh], tmesh)
-u1n = rng.standard_normal(15)
-forcing = [rng.standard_normal(15) for _ in range(steps)]
-v0 = np.zeros(17)
-v0[1:-1] = rng.standard_normal(15)
-trajectory = scheme.march_data(v0, u1n, forcing)
-certs = verify_energy_bound(scheme, trajectory, u1n, forcing, math.sqrt(0.5))
+h_t = 0.5 * largest_step("prod_stiffprod", [mesh], (1.0,), math.sqrt(0.5))
+run = random_run(SchemeKind.COMPACT_1D, [mesh], (1.0,), h_t, 10, np.random.default_rng(0))
+certs = verify_energy_bound(*run, math.sqrt(0.5))
 for which in ("strong", "weak"):
     cert = certs[which]
     print(f"{which:>6} energy estimate: lhs {cert.lhs:.4E} <= rhs {cert.rhs:.4E} "

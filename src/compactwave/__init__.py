@@ -18,6 +18,6 @@ from .mesh import (
 from .operators import PiecewiseData
 from .problems import ProblemSpec, catalog, make_example, make_smooth_nonuniform_problem
 from .schemes import RunResult, Scheme, SchemeKind, run_explicit_characteristic, step_count
-from .stability import check_cfl, sharp_alpha2, verify_energy_bound
+from .stability import check_cfl, largest_step, random_run, sharp_alpha2, verify_energy_bound
 
 __version__ = "0.1.0"

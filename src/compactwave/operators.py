@@ -431,9 +431,7 @@ def _nearest_node(nodes: np.ndarray, x: float, scale: float, data: str, mesh: st
     return idx
 
 
-def hat_average_x(
-    profile: SpaceProfile | Callable[[np.ndarray], np.ndarray], mesh: AxisMesh
-) -> np.ndarray:
+def hat_average_x(profile: SpaceProfile, mesh: AxisMesh) -> np.ndarray:
     """Exact hat-function average at every interior node (faces set to zero).
 
     Each half-cell is cut at the profile's breakpoint clipped to the cell (a
@@ -453,19 +451,15 @@ def hat_average_x(
         h_star = 0.5 * (nodes[idx + 1] - nodes[idx - 1])
         out[idx] = 1.0 / h_star
         return out
-    if isinstance(profile, PPiece):
-        fn, cut = profile.eval, profile.breakpoint
-    else:
-        fn, cut = profile, None
     xl, xc, xr = (v[:, None] for v in (nodes[:-2], nodes[1:-1], nodes[2:]))
     total = np.zeros(nodes.size - 2)
     for a, b, rise in ((xl, xc, True), (xc, xr, False)):
-        cuts = (a, b) if cut is None else (a, np.clip(cut, a, b), b)
+        cuts = (a, np.clip(profile.breakpoint, a, b), b)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             half = 0.5 * (hi - lo)
             x = 0.5 * (lo + hi) + half * _GAUSS_X
             weight = (x - xl) / (xc - xl) if rise else (xr - x) / (xr - xc)
-            total += half[:, 0] * np.sum(_GAUSS_W * fn(x) * weight, axis=1)
+            total += half[:, 0] * np.sum(_GAUSS_W * profile.eval(x) * weight, axis=1)
     out[1:-1] = total / (0.5 * (nodes[2:] - nodes[:-2]))
     return out
 

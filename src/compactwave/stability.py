@@ -16,9 +16,11 @@ both sides of every one of these estimates for a stored run of an assembled
 Scheme and returns them by name.  It works over the tensor sine basis, where
 every operator pair is diagonal, so fractional operator powers reduce to
 eigenvalue scalings; the eigenvalues are the scheme's own (`Scheme.spectra`),
-and the levels and the data are each sine-analysed once.  The sine basis
-exists on uniform axes only: on a graded axis the spectra, and with them
-`check_cfl`, `sharp_alpha2` and `verify_energy_bound`, raise MeshError.
+and the levels and the data are each sine-analysed once.  `random_run` is
+the one run with random data the estimates are checked on, at a step that
+`largest_step` bounds.  The sine basis exists on uniform axes only: on a
+graded axis the spectra, and with them `check_cfl`, `sharp_alpha2`,
+`largest_step`'s h_i and `verify_energy_bound`, raise MeshError.
 """
 
 from __future__ import annotations
@@ -29,14 +31,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .mesh import AxisMesh
+from .mesh import AxisMesh, build_time_mesh
+from .problems import ProblemSpec
+from .schemes import Scheme, SchemeKind
 from .solvers import operator_pair_c0, pair_spectra, sine_coefficients
 
 __all__ = [
     "StabilityReport",
     "EnergyCertificate",
     "check_cfl",
+    "largest_step",
     "sharp_alpha2",
+    "random_run",
     "verify_energy_bound",
     "MARGINAL_BAND",
 ]
@@ -96,6 +102,36 @@ def check_cfl(
     passed = value <= threshold
     marginal = (not passed) and (value - threshold <= MARGINAL_BAND)
     return StabilityReport(value, threshold, c0, eps0, alpha2, passed, marginal)
+
+
+def largest_step(
+    pair: str, meshes: Sequence[AxisMesh], speeds: Sequence[float], eps0: float
+) -> float:
+    """The largest h_t the time-step condition allows for the pair,
+    sqrt((1 - eps0^2) / (C0 sum_i a_i^2 / h_i^2))."""
+    bound = operator_pair_c0(pair) * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
+    return math.sqrt((1.0 - eps0**2) / bound)
+
+
+def random_run(kind: SchemeKind | str, meshes: Sequence[AxisMesh], speeds: Sequence[float],
+               h_t: float, m_steps: int, rng: np.random.Generator) -> tuple:
+    """(scheme, levels, u1n, forcing), the arguments of verify_energy_bound,
+    of one run with random data: a `kind` scheme of the zero-data problem on
+    `meshes` over m_steps steps of h_t marches standard normal data drawn
+    from `rng` in the order u_1N, f^0 .. f^{M-1}, the interior of v^0."""
+    problem = ProblemSpec(
+        name="random", speeds=tuple(speeds), origin=tuple(m.nodes[0] for m in meshes),
+        extents=tuple(m.extent for m in meshes), horizon=m_steps * h_t,
+        u0=lambda *xs: np.zeros_like(xs[0]),
+    )
+    scheme = Scheme(problem, kind, meshes, build_time_mesh(m_steps, m_steps * h_t))
+    shape = tuple(m.nodes.size for m in meshes)
+    interior = tuple(s - 2 for s in shape)
+    u1n = rng.standard_normal(interior)
+    forcing = [rng.standard_normal(interior) for _ in range(m_steps)]
+    v0 = np.zeros(shape)
+    v0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior)
+    return scheme, scheme.march_data(v0, u1n, forcing), u1n, forcing
 
 
 def sharp_alpha2(

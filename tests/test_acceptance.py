@@ -18,20 +18,19 @@ from compactwave.analysis import NORM_NAMES, fit_order, run_errors
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     build_graded_axis,
-    build_time_mesh,
     build_uniform_axis,
     mesh_stats,
 )
 from compactwave.operators import TridiagonalFactor, pair_appliers, step_factor, tridiag_second_diff
-from compactwave.problems import EXAMPLE_ALPHAS, ProblemSpec, make_example, make_smooth_nonuniform_problem
-from compactwave.schemes import Scheme, SchemeKind, operator_pair, step_count
+from compactwave.problems import EXAMPLE_ALPHAS, make_example, make_smooth_nonuniform_problem
+from compactwave.schemes import SchemeKind, operator_pair, step_count
 from compactwave.solvers import (
     SpectralHandle,
     SplittingHandle,
     operator_pair_c0,
     pair_spectra,
 )
-from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
+from compactwave.stability import check_cfl, largest_step, random_run, sharp_alpha2, verify_energy_bound
 from oracles import assemble_dense_operator, dense, dense_solve_oracle, thomas_solve
 
 EPS0 = math.sqrt(0.5)
@@ -346,30 +345,10 @@ def test_criterion_9_energy_certificates():
             speeds = tuple(float(rng.uniform(0.3, 1.8)) for _ in range(dims))
             meshes = [build_uniform_axis(n, x) for n, x in zip(n_list, extents)]
             pair = operator_pair(kind, dims)
-            c0 = operator_pair_c0(pair)
-            bound = c0 * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
-            h_t = float(rng.uniform(0.2, 0.999)) * math.sqrt((1.0 - EPS0**2) / bound)
-            report = check_cfl(pair, meshes, speeds, h_t, EPS0)
-            assert report.passed
-            m_steps = int(rng.integers(3, 7))
-            shape = tuple(m.nodes.size for m in meshes)
-            interior_shape = tuple(s - 2 for s in shape)
-            problem = ProblemSpec(
-                name="random",
-                speeds=speeds,
-                origin=tuple(m.nodes[0] for m in meshes),
-                extents=tuple(m.extent for m in meshes),
-                horizon=m_steps * h_t,
-                u0=lambda *xs: np.zeros_like(xs[0]),
-            )
-            tmesh = build_time_mesh(m_steps, m_steps * h_t)
-            scheme = Scheme(problem, kind, meshes, tmesh)
-            u1n = rng.standard_normal(interior_shape)
-            forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
-            full0 = np.zeros(shape)
-            full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior_shape)
-            trajectory = scheme.march_data(full0, u1n, forcing)
-            certs = verify_energy_bound(scheme, trajectory, u1n, forcing, EPS0)
+            h_t = float(rng.uniform(0.2, 0.999)) * largest_step(pair, meshes, speeds, EPS0)
+            assert check_cfl(pair, meshes, speeds, h_t, EPS0).passed
+            run = random_run(kind, meshes, speeds, h_t, int(rng.integers(3, 7)), rng)
+            certs = verify_energy_bound(*run, EPS0)
             for which in ("strong", "weak"):
                 cert = certs[which]
                 total += 1

@@ -79,7 +79,7 @@ def test_run_characteristic(tmp_path):
     out = tmp_path / "run.txt"
     code = main([
         "run", "--problem", "E_1.5", "--scheme", "characteristic",
-        "--N", "20", "--M", "10", "--out", str(out),
+        "--N", "20", "--M", "8", "--out", str(out),
     ])
     assert code == EXIT_OK
     text = out.read_text()
@@ -132,6 +132,15 @@ def test_run_characteristic_auto_steps_stop_at_horizon(tmp_path):
     assert "# M: 17" in lines
     ch = float(lines[-1].split("Ch=")[1].split()[0])
     assert ch <= 1e-12
+
+
+def test_run_characteristic_refuses_steps_past_the_horizon(capsys):
+    # 25 steps of h/a end at t = 1.40 > T = 1; 17, the automatic M, is the most
+    argv = ["run", "--problem", "E_2.5", "--scheme", "characteristic", "--N", "40", "--M"]
+    assert main(argv + ["25"]) == EXIT_CONFIG
+    assert "M = 25 steps of h/a end past the horizon" in capsys.readouterr().err
+    assert main(argv + ["17"]) == EXIT_OK
+    assert float(capsys.readouterr().out.split("Ch=")[1].split()[0]) <= 1e-12
 
 
 def test_run_auto_steps_of_a_switch_on_problem_on_a_graded_axis(tmp_path):

@@ -51,7 +51,7 @@ def test_cli_runs_import_no_scipy_module_after_the_package(tmp_path):
     runs = [
         ["table1", "--alpha", "1.5", "--N", "20,40", "--out", str(tmp_path / "t1.csv")],
         ["stability", "--config", str(cfg), "--certify", "--out", str(tmp_path / "st.txt")],
-        ["run", "--problem", "E_1.5", "--scheme", "characteristic", "--N", "20", "--M", "10",
+        ["run", "--problem", "E_1.5", "--scheme", "characteristic", "--N", "20", "--M", "8",
          "--out", str(tmp_path / "run.txt")],
     ]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -314,9 +314,10 @@ def test_hat_average_heaviside_nodal():
 
 
 def test_hat_average_constant():
-    axis = build_uniform_axis(12, 1.0, -0.5)
-    out = hat_average_x(lambda x: np.full_like(x, 2.5), axis)
-    assert np.allclose(out[1:-1], 2.5, atol=1e-13)
+    # right of its breakpoint the Heaviside piece is the constant 1
+    axis = build_uniform_axis(12, 1.0, 0.5)
+    out = hat_average_x(PPiece(0), axis)
+    assert np.allclose(out[1:-1], 1.0, atol=1e-13)
 
 
 def test_hat_average_kink_profile():
@@ -359,16 +360,14 @@ _HAT_MESHES = {
 
 
 @pytest.mark.parametrize("mesh_name", sorted(_HAT_MESHES))
-@pytest.mark.parametrize("profile", [PPiece(k) for k in range(6)] + ["callable"])
+@pytest.mark.parametrize("profile", [PPiece(k) for k in range(6)] + ["off-axis"])
 def test_hat_average_x_matches_scalar_oracle(mesh_name, profile):
     mesh = _HAT_MESHES[mesh_name]
-    if profile == "callable":
-        profile = lambda x: np.cos(3.0 * x) + x**3
-        fn, breaks = profile, ()
-    else:
-        fn, breaks = profile.eval, (profile.breakpoint,)
+    if profile == "off-axis":  # the breakpoint left of the axis: no cell is cut
+        mesh, profile = AxisMesh(mesh.nodes + 1.0), PPiece(3)
     got = hat_average_x(profile, mesh)
-    oracle = [_hat_quad(fn, breaks, mesh, k) for k in range(1, mesh.nodes.size - 1)]
+    breaks = (profile.breakpoint,)
+    oracle = [_hat_quad(profile.eval, breaks, mesh, k) for k in range(1, mesh.nodes.size - 1)]
     assert got[0] == got[-1] == 0.0
     np.testing.assert_allclose(got[1:-1], oracle, rtol=0.0, atol=1e-14)
 
@@ -601,8 +600,9 @@ def test_axis_average_preserves_constants_on_graded_mesh():
     graded = AxisMesh(np.array([0.0, 0.07, 0.2, 0.55, 0.72, 1.0]))
     average = TridiagonalFactor(0, *tridiag_axis_average(graded))
     assert np.allclose(average.apply(np.full(6, 3.7)), 3.7, atol=1e-13)
-    out = hat_average_x(lambda x: np.full_like(x, 3.7), graded)
-    assert np.allclose(out[1:-1], 3.7, atol=1e-12)
+    # the Heaviside piece is the constant 1 on the axis moved right of 0
+    out = hat_average_x(PPiece(0), AxisMesh(graded.nodes + 1.0))
+    assert np.allclose(out[1:-1], 1.0, atol=1e-12)
 
 
 def test_hat_average_t_constant_profile():

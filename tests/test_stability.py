@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from compactwave import stability
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     build_graded_axis,
@@ -12,16 +13,16 @@ from compactwave.mesh import (
 )
 from compactwave.operators import pair_appliers
 from compactwave.problems import (
-    ProblemSpec,
     make_example,
     make_sine_mode_problem,
     make_smooth_nonuniform_problem,
 )
-from compactwave.schemes import Scheme, SchemeKind, operator_pair
+from compactwave.schemes import _KINDS, Scheme, SchemeKind, operator_pair
 from compactwave.solvers import operator_pair_c0
-from compactwave.stability import check_cfl, sharp_alpha2, verify_energy_bound
+from compactwave.stability import check_cfl, largest_step, sharp_alpha2, verify_energy_bound
 
 from oracles import energy_bound_per_level
+from test_schemes import zero_problem
 
 EPS0 = math.sqrt(0.5)
 
@@ -55,6 +56,17 @@ def test_cfl_monotone_in_step():
     passed = [check_cfl("prod_stiffprod", [axis], (1.0,), float(ht), EPS0).passed for ht in steps]
     # once failing, never passes again as the step grows
     assert passed == sorted(passed, reverse=True)
+
+
+def test_largest_step_meets_the_cfl_threshold_for_every_kind():
+    # at the largest step the condition's value is its threshold, for each
+    # pair and dimension of the kind table
+    rng = np.random.default_rng(12)
+    for pair, dims in sorted({(k.pair, d) for k in _KINDS.values() if k.pair for d in k.dims}):
+        meshes = [build_uniform_axis(int(rng.integers(3, 9)), rng.uniform(0.5, 2.0)) for _ in range(dims)]
+        speeds = tuple(rng.uniform(0.3, 1.8, size=dims))
+        report = check_cfl(pair, meshes, speeds, largest_step(pair, meshes, speeds, EPS0), EPS0)
+        assert report.value == pytest.approx(report.threshold, rel=1e-14, abs=0.0), (pair, dims)
 
 
 def test_cfl_rejects_bad_eps0():
@@ -127,38 +139,18 @@ def test_sharp_alpha2_matches_bruteforce_rayleigh(pair, dims):
 DEFAULT_ESTIMATES = {"strong", "strong_delta_f", "weak"}
 
 
-def random_run(kind, dims, rng, step_fraction=None, m_steps=None):
-    """(scheme, trajectory, u1n, forcing) of a random run marched with random
-    data, at a step inside the step condition."""
+def random_run(kind, dims, rng, m_steps=None):
+    """stability.random_run on random uniform meshes and speeds, at a random
+    fraction of the largest step the step condition allows."""
     n_list = [int(rng.integers(4, 8)) for _ in range(dims)]
     extents = [float(rng.uniform(0.5, 2.0)) for _ in range(dims)]
     speeds = tuple(float(rng.uniform(0.3, 1.8)) for _ in range(dims))
     meshes = [build_uniform_axis(n, x) for n, x in zip(n_list, extents)]
     pair = operator_pair(kind, dims)
-    c0 = operator_pair_c0(pair)
-    bound = c0 * sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
-    frac = step_fraction if step_fraction is not None else float(rng.uniform(0.2, 0.999))
-    h_t = frac * math.sqrt((1.0 - EPS0**2) / bound)
+    h_t = float(rng.uniform(0.2, 0.999)) * largest_step(pair, meshes, speeds, EPS0)
     if m_steps is None:
         m_steps = int(rng.integers(3, 9))
-    shape = tuple(m.nodes.size for m in meshes)
-    interior_shape = tuple(s - 2 for s in shape)
-    problem = ProblemSpec(
-        name="random",
-        speeds=speeds,
-        origin=tuple(m.nodes[0] for m in meshes),
-        extents=tuple(m.extent for m in meshes),
-        horizon=m_steps * h_t,
-        u0=lambda *xs: np.zeros_like(xs[0]),
-    )
-    tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = Scheme(problem, kind, meshes, tmesh)
-    u1n = rng.standard_normal(interior_shape)
-    forcing = [rng.standard_normal(interior_shape) for _ in range(m_steps)]
-    full0 = np.zeros(shape)
-    full0[tuple(slice(1, -1) for _ in shape)] = rng.standard_normal(interior_shape)
-    trajectory = scheme.march_data(full0, u1n, forcing)
-    return scheme, trajectory, u1n, forcing
+    return stability.random_run(kind, meshes, speeds, h_t, m_steps, rng)
 
 
 def oracle_bound(scheme, trajectory, u1n, forcing, which):
@@ -305,11 +297,7 @@ def test_energy_bound_non_finite_level_is_not_satisfied(which):
 
 def test_energy_bound_zero_data():
     axis = build_uniform_axis(8, 1.0)
-    problem = ProblemSpec(
-        name="zero", speeds=(1.0,), origin=(0.0,), extents=(1.0,), horizon=0.04,
-        u0=lambda x: np.zeros_like(x),
-    )
-    scheme = Scheme(problem, SchemeKind.COMPACT_1D, [axis], build_time_mesh(4, 0.04))
+    scheme = Scheme(zero_problem(1), SchemeKind.COMPACT_1D, [axis], build_time_mesh(4, 0.04))
     levels = [np.zeros(9) for _ in range(5)]
     certs = verify_energy_bound(scheme, levels, np.zeros(7), [np.zeros(7)] * 4, EPS0)
     assert set(certs) == DEFAULT_ESTIMATES
@@ -348,17 +336,11 @@ def test_energy_bound_telescoped_forcing_variant():
     n = 10
     meshes = [build_uniform_axis(n, 1.0)]
     speeds = (1.0,)
-    bound = sum(s**2 / m.h**2 for s, m in zip(speeds, meshes))
-    h_t = 0.5 * math.sqrt((1.0 - EPS0**2) / bound)
+    h_t = 0.5 * largest_step(operator_pair(kind, dims), meshes, speeds, EPS0)
     m_steps = 6
     g_series = [rng.standard_normal(n - 1) for _ in range(m_steps + 1)]
     forcing = [(g_series[m + 1] - g_series[m]) / h_t for m in range(m_steps)]
-    problem = ProblemSpec(
-        name="random", speeds=speeds, origin=(0.0,), extents=(1.0,),
-        horizon=m_steps * h_t, u0=lambda x: np.zeros_like(x),
-    )
-    tmesh = build_time_mesh(m_steps, m_steps * h_t)
-    scheme = Scheme(problem, kind, meshes, tmesh)
+    scheme = Scheme(zero_problem(1), kind, meshes, build_time_mesh(m_steps, m_steps * h_t))
     u1n = rng.standard_normal(n - 1)
     full0 = np.zeros(n + 1)
     full0[1:-1] = rng.standard_normal(n - 1)
