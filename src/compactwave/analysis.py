@@ -20,7 +20,6 @@ law in N (every study problem lies on a unit interval).
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -323,6 +322,8 @@ def study(groups: Sequence[tuple[str, str, Sequence[int]]], kinds: Sequence[Sche
     if jobs == 1:
         outcomes = [_study_case(*case) for case in order]
     else:
+        import concurrent.futures  # only a pool needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_study_case, *zip(*order)))
     done = {case[:3]: outcome for case, outcome in zip(order, outcomes)}

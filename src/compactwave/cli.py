@@ -15,8 +15,6 @@ import sys
 from typing import Sequence
 
 import numpy as np
-import numpy.random  # the certificates' generator, loaded with the CLI, not in a run
-import yaml
 
 from . import analysis, problems, schemes, stability
 from .mesh import (
@@ -46,10 +44,6 @@ _FULL_N_BY_ALPHA = {
 }
 
 
-# libyaml's parser when PyYAML was built with it; same documents, same values
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 class ConfigError(ValueError):
     """A setting that cannot be used (exit code 2)."""
 
@@ -57,9 +51,13 @@ class ConfigError(ValueError):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import yaml  # only a config file needs it
+
+    # libyaml's parser when PyYAML was built with it; same documents, same values
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_YAML_LOADER) or {}
+            data = yaml.load(fh, Loader=loader) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -405,9 +403,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rhs = mass(values) + h_t**2 / 12.0 * stiffness(values)
     checks.append(("splitting identity", float(np.max(np.abs(lhs - rhs))) < 1e-13))
 
-    problem = problems.make_example(1.5)
+    problem, kind = problems.make_example(1.5), SchemeKind.EXPLICIT_CHARACTERISTIC
     axis = problem.axis(20)
-    [(_, triple)] = analysis.run_errors(problem, [SchemeKind.EXPLICIT_CHARACTERISTIC], axis, 10)
+    # steps of h/a up to the horizon T = 1
+    m = schemes.step_count(problem, axis, kind)
+    [(_, triple)] = analysis.run_errors(problem, [kind], axis, m)
     checks.append(("characteristic-mesh exactness", triple.Ch < 1e-12))
 
     ok = all(flag for _, flag in checks)

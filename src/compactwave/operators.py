@@ -64,7 +64,22 @@ __all__ = [
     "build_rhs_table",
 ]
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre nodes and weights on [-1, 1] by point count, written out:
+# np.polynomial.legendre.leggauss(n) bit for bit, without loading
+# numpy.polynomial on import
+_GAUSS_LEGENDRE = {
+    6: (np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519]),
+        np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027])),
+    8: (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362]),
+        np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])),
+}
+_GAUSS_X, _GAUSS_W = _GAUSS_LEGENDRE[8]
 NODE_SNAP_TOL = 1e-12
 # relative distance below which a point counts as lying on a singular line
 # or on the end of an integration window (a few units in the last place)

@@ -63,6 +63,7 @@ from .mesh import select_time_step_count
 from .operators import (
     RhsTable,
     SpaceDirac,
+    _GAUSS_LEGENDRE,
     _dalembert_forcing_part,
     _snap,
     _step,
@@ -93,7 +94,7 @@ COMPACT_SIGMA = 1.0 / 12.0
 # block and the characteristic runner's cone integrals
 _BLOCK = 32
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+_GL_X, _GL_W = _GAUSS_LEGENDRE[6]
 
 
 def diverged(row: np.ndarray) -> bool:

@@ -884,6 +884,21 @@ def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    # a YAML syntax error: yaml.YAMLError, caught where yaml loads
+    ("scheme: [compact1d\n", "cannot read config"),
+    (None, "cannot read config"),
+    ("- scheme: compact1d\n- N: 40\n", "config file must hold a mapping"),
+])
+def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, text, named):
+    cfg = tmp_path / "c.yaml"
+    if text is not None:  # else the path names no file
+        cfg.write_text(text)
+    assert main(["stability", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_a_singular_system_exits_4(capsys, monkeypatch):
     from compactwave import solvers
 

@@ -1,8 +1,12 @@
-"""The SciPy modules a call loads: the package binds LAPACK's tridiagonal
-routines from the compiled `scipy.linalg._flapack` extension alone when it
-imports, without the `scipy.linalg` package or the NumPy submodules SciPy's
-array-API layer loads, and `scipy.fft` only on the first fast sine transform.
-So a measured CLI run imports nothing after `import compactwave.cli`.
+"""The modules a call loads.  `import compactwave.cli` loads what every
+command needs: NumPy, LAPACK's tridiagonal routines from the compiled
+`scipy.linalg._flapack` extension alone (without the `scipy.linalg` package
+or the NumPy submodules SciPy's array-API layer loads), and the `locale`
+argparse's gettext loads on every parser build.  What only some commands
+need loads where it is used: `yaml` with a config file, `numpy.random` with
+the certificates' generator, `concurrent.futures` with a process pool, and
+`scipy.fft` on the first fast sine transform.  The Gauss-Legendre rules are
+literal constants, so no command loads `numpy.polynomial`.
 
 Each check runs in a fresh interpreter, since this process has loaded
 whatever the other tests used.
@@ -19,20 +23,26 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 
 NAMES = ("scipy", "scipy.linalg", "scipy._lib", "scipy.fft", "scipy.special", "numpy.f2py",
-         "numpy.testing", "numpy.random", "scipy.linalg._flapack")
+         "numpy.testing", "numpy.random", "numpy.polynomial", "yaml", "concurrent.futures",
+         "scipy.linalg._flapack")
+# the packages whose modules a command's import set is checked on
+PACKAGES = ("compactwave", "numpy", "scipy", "yaml", "concurrent")
 
 SCRIPT = """
 import json, sys
 
-import numpy as np
-
 import compactwave.cli
-from compactwave.solvers import dst1
 
 found = {name: name in sys.modules for name in json.loads(sys.argv[2])}
-before = set(sys.modules)
-codes = [compactwave.cli.main(argv) for argv in json.loads(sys.argv[1])]
-added = sorted(set(sys.modules) - before)
+codes, added = [], []
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    codes.append(compactwave.cli.main(argv))
+    added.append(sorted(set(sys.modules) - before))
+
+import numpy as np
+from compactwave.solvers import dst1
+
 values = np.random.default_rng(0).standard_normal(300)
 fast = dst1(values, 0)
 fft_loaded = "scipy.fft" in sys.modules
@@ -49,10 +59,10 @@ def test_cli_runs_import_no_scipy_module_after_the_package(tmp_path):
         {"scheme": "splitting", "axes": [{"N": 4, "X": 1.0}] * 3, "speeds": [1.0, 0.6, 1.2]}
     ))
     runs = [
-        ["table1", "--alpha", "1.5", "--N", "20,40", "--out", str(tmp_path / "t1.csv")],
-        ["stability", "--config", str(cfg), "--certify", "--out", str(tmp_path / "st.txt")],
         ["run", "--problem", "E_1.5", "--scheme", "characteristic", "--N", "20", "--M", "8",
          "--out", str(tmp_path / "run.txt")],
+        ["table1", "--alpha", "1.5", "--N", "20,40", "--out", str(tmp_path / "t1.csv")],
+        ["stability", "--config", str(cfg), "--certify", "--out", str(tmp_path / "st.txt")],
     ]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -62,12 +72,18 @@ def test_cli_runs_import_no_scipy_module_after_the_package(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    # only the LAPACK extension of SciPy; numpy.random is the CLI's own import
-    # (the certificates' generator), which scipy.linalg used to load for it
-    assert report["found"] == {name: name in ("numpy.random", "scipy.linalg._flapack")
-                               for name in NAMES}
+    # of SciPy only the LAPACK extension; nothing only some commands use
+    assert report["found"] == {name: name == "scipy.linalg._flapack" for name in NAMES}
     assert report["codes"] == [0, 0, 0]
-    assert report["added"] == []
+    run_added, table1_added, stability_added = report["added"]
+    # a characteristic run and a one-process study load nothing more
+    assert run_added == []
+    assert table1_added == []
+    # the config file loads yaml and the certificate's generator numpy.random,
+    # each with its own submodules, and nothing of SciPy or the package
+    ours = {name for name in stability_added if name.partition(".")[0] in PACKAGES}
+    assert {name for name in ours if not name.startswith(("yaml.", "numpy.random."))} == {
+        "yaml", "numpy.random"}
     # 300 interior nodes take the fast transform, which loads scipy.fft
     assert report["fft_loaded"]
     assert report["gap"] < 1e-12 * report["scale"]

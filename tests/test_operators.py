@@ -19,6 +19,7 @@ from compactwave.operators import (
     SpaceDirac,
     TimeDirac,
     TridiagonalFactor,
+    _GAUSS_LEGENDRE,
     _hat_weights_t,
     build_rhs_table,
     hat_average_t0,
@@ -331,6 +332,14 @@ def test_hat_average_kink_profile():
     assert out[5] == pytest.approx(1.0 - 2.0 * h / 3.0, rel=1e-12)
     assert out[5] == pytest.approx(oracle, rel=1e-7)
     assert out[3] == pytest.approx(1.0 - 2.0 * abs(axis.nodes[3]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_literal_gauss_rules_equal_leggauss_bitwise(n):
+    nodes, weights = _GAUSS_LEGENDRE[n]
+    expected_nodes, expected_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == expected_nodes.tobytes()
+    assert weights.tobytes() == expected_weights.tobytes()
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
