@@ -544,6 +544,16 @@ def _one_time(t) -> bool:
     return isinstance(t, float) or np.ndim(t) == 0
 
 
+def _sides(x, d) -> np.ndarray:
+    """x - d and x + d as one (2, ...) array, for the two characteristic
+    sides: one time's shift d (a float) in one call, an array by broadcast.
+    Elementwise IEEE arithmetic, so each side equals x - d or x + d bit for
+    bit (x - d is x + (-d))."""
+    if isinstance(d, float):
+        return np.add.outer((-d, d), x)
+    return np.stack((x - d, x + d))
+
+
 def _snap(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """z with roundoff-sized values (relative to `scale`) set to zero, so a
     point on a singular line takes the line's half value."""
@@ -630,7 +640,9 @@ def _dalembert_forcing_part(
     divided by 2a, in closed form.  Each term counts from its switch-on time
     t_*, before t = 0 too, so it needs a temporal factor.  A Dirac atom in
     space and time counts half on a side of the cone and a quarter at its
-    apex (ties judged on the scales |x - location| + a|t| and |t|).
+    apex (ties judged on the scales |x - location| + a|t| and |t|).  An atom
+    in time alone takes its profile's antiderivative on both sides x -+ a
+    tau of the cone as one (2, ...) array (_sides).
     """
     # the latest time asked for, widened past the snap of t - t_* to zero
     if _one_time(t):
@@ -652,10 +664,8 @@ def _dalembert_forcing_part(
                     _snap(tau, np.abs(t))
                 )
             else:
-                contrib = _step(tau) * (
-                    _signed_power_antideriv(space.degree, x + a * tau)
-                    - _signed_power_antideriv(space.degree, x - a * tau)
-                )
+                anti = _signed_power_antideriv(space.degree, _sides(x, a * tau))
+                contrib = _step(tau) * (anti[1] - anti[0])
         elif isinstance(space, SpaceDirac):
             # window where the backward cone covers the atom
             lo = np.abs(x - space.location) / a

@@ -17,7 +17,10 @@ left-moving wave emitted at (X/2, t_*).  Within the time horizons used here
 that wave never reaches the opposite end, so no further reflections occur.
 An evaluator takes one time (the error observer's call per level) as a
 Python float and skips that wave where it is zero at every node asked for;
-a (nodes x times) block gives the one-time calls' values bit for bit.
+a (nodes x times) block gives the one-time calls' values bit for bit.  It
+holds the two characteristic sides x - a t and x + a t as one (2, ...)
+array (operators._sides), which passes once through the node snap, the
+signed power and the velocity antiderivative.
 
 For the forcing term f = c3 * P1(x) * delta(t - t_*) (alpha = 5/2) the time
 derivative of the solution jumps across t = t_*; the d'Alembert construction
@@ -45,6 +48,7 @@ from .operators import (
     _one_time,
     _signed_power,
     _signed_power_antideriv,
+    _sides,
     _snap,
 )
 
@@ -194,7 +198,7 @@ def make_example(
     # which takes the position term's power at y: for k = 0 it is that power
     # (_step), and for k >= 3 that power over 2k, since
     # _signed_power_antideriv(k - 1, y) is _signed_power(k, y) / (2k) by the
-    # same multiplications
+    # same multiplications.  y holds both sides, one (2, ...) array
     c1_2a = c1 / (2.0 * a)
     if k == 0:
         u1_anti = lambda y, power: power
@@ -219,15 +223,16 @@ def make_example(
         x = np.asarray(x, dtype=float)
         one_time = _one_time(t)
         t = float(t) if one_time else np.asarray(t, dtype=float)
-        left, right = x - a * t, x + a * t
+        sides = _sides(x, a * t)  # x - a t and x + a t
         if k == 0:
             # the jumps travel along x = +-a t: nodes on them take the
             # average, judged on the axis scale |origin| + X that the nodes'
             # rounding follows (as the characteristic runner's atom weights)
-            left, right = _snap(left, half + extent), _snap(right, half + extent)
-        pl, pr = _signed_power(k, left), _signed_power(k, right)
-        u1_part = c1_2a * (u1_anti(right, pr) - u1_anti(left, pl))
-        total = 0.5 * (pl + pr) + u1_part + _dalembert_forcing_part(f, x, t, a)
+            sides = _snap(sides, half + extent)
+        power = _signed_power(k, sides)
+        anti = u1_anti(sides, power)
+        u1_part = c1_2a * (anti[1] - anti[0])
+        total = 0.5 * (power[0] + power[1]) + u1_part + _dalembert_forcing_part(f, x, t, a)
         # where its argument is <= 0 the correction is +-0, which leaves the
         # sum (never -0: its forcing part is not) as it is; at one time it is
         # skipped when even the largest x, whose argument is largest, has none

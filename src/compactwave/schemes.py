@@ -31,13 +31,14 @@ couplings to the two boundary nodes.
 Every run, the explicit one and a 1D stack included, takes its Dirichlet
 trace from one rule (problems.ProblemSpec.trace) and marches through one
 level loop (_march), which shows each level to its one observer and
-applies the blow-up rule to each of its rows.  The recipe of a 1D run
-(analysis.run_errors) marches two or more implicit kinds as one stack
-(run_stacked), a (K, N+1) array with one row per kind: on one axis every 1D
-kind has the same A, so a level is one first_step or time_step of the
-stack, with one A apply, one forcing entry, one trace and one
-block-diagonal solve for all rows, and the loop ends each row's run on its
-own.  Every 1D run takes its step count from one rule (step_count).
+applies the blow-up rule to it once, and to each of its rows only when the
+level meets it.  The recipe of a 1D run (analysis.run_errors) marches two
+or more implicit kinds as one stack (run_stacked), a (K, N+1) array with
+one row per kind: on one axis every 1D kind has the same A, so a level is
+one first_step or time_step of the stack, with one A apply, one forcing
+entry, one trace and one block-diagonal solve for all rows, and the loop
+ends each row's run on its own.  Every 1D run takes its step count from one
+rule (step_count).
 
 The explicit scheme on the characteristic mesh h_t = h/a advances
 
@@ -97,10 +98,12 @@ _BLOCK = 32
 _GL_X, _GL_W = _GAUSS_LEGENDRE[6]
 
 
-def diverged(row: np.ndarray) -> bool:
-    """The blow-up rule, one verdict per row of a march: a non-finite value
-    or a magnitude beyond 1e100."""
-    return not np.abs(row).max() <= BLOWUP_ABORT
+def diverged(v: np.ndarray) -> bool:
+    """The blow-up rule: a non-finite value or a magnitude beyond 1e100 in v
+    (a NaN carries through the max and fails the comparison).  _march asks
+    it once of each level, a whole stack at once, and of each row only when
+    the level meets it."""
+    return not np.abs(v).max() <= BLOWUP_ABORT
 
 
 class SchemeKind(str, Enum):
@@ -408,13 +411,14 @@ def _march(
 
     A level is the run's whole array, or for a stack (stacked) a (K, N+1)
     array whose row k is run k's.  Every level, v^0 included, is shown whole
-    to the observer (None: an unwatched run) as (level, t, v), then each row
-    is judged by the blow-up rule (diverged).  A row that meets it ends its
-    run with the flag set and is held at zero from a copy of that level on
-    (the observer may keep what it was shown), so no inf or NaN reaches a
-    step shared by the rows: the later levels show it as zeros.  Returns one
-    RunResult per row (one for a run), once every run has ended or at the
-    last node.
+    to the observer (None: an unwatched run) as (level, t, v), then judged
+    by the blow-up rule (diverged) once, a stack as a whole; only a level
+    that meets it has its rows judged.  A row that meets it ends its run
+    with the flag set and is held at zero from a copy of that level on (the
+    observer may keep what it was shown), so no inf or NaN reaches a step
+    shared by the rows: the later levels show it as zeros, which never meet
+    the rule.  Returns one RunResult per row (one for a run), once every
+    run has ended or at the last node.
     """
     show = (lambda *level: None) if observer is None else observer
     rows = iter if stacked else (lambda v: (v,))
@@ -428,12 +432,10 @@ def _march(
             v_next[ended] = 0.0
         v_prev, v_curr = v_curr, v_next
         show(level, tmesh.nodes[level], v_curr)
-        blown = False
-        for k, (prev, row) in enumerate(zip(rows(v_prev), rows(v_curr))):
-            if results[k] is None and diverged(row):
-                results[k] = RunResult(level + 1, prev, row, True)
-                blown = True
-        if blown:
+        if diverged(v_curr):
+            for k, (prev, row) in enumerate(zip(rows(v_prev), rows(v_curr))):
+                if results[k] is None and diverged(row):
+                    results[k] = RunResult(level + 1, prev, row, True)
             ended = [k for k, result in enumerate(results) if result is not None]
             if len(ended) == len(results):
                 return results

@@ -180,9 +180,10 @@ class PerLevelErrorObserver:
         return ErrorTriple(self._l2, self._c, self._e)
 
 
-def char_forcing_per_level(f_data, nodes, tmesh, a):
+def char_forcing_per_level(f_data, nodes, tmesh, a, cone_part=_dalembert_forcing_part):
     """The characteristic runner's forcing terms (schemes._char_forcing) with
-    one cone evaluation per level and a rolling window of three levels.
+    one cone evaluation per level (by `cone_part`, the library's cone
+    integral unless given) and a rolling window of three levels.
 
     The forcing terms of the recursion at the interior nodes, one per
     step m = 0 .. M-1: (h_t^2/2) f_k^0 at m = 0 and h_t^2 f_k^m after, with
@@ -196,7 +197,7 @@ def char_forcing_per_level(f_data, nodes, tmesh, a):
     (t_{m-1}, t_{m+1}).  C is evaluated once per level, when the level is
     asked for, and three levels are kept.
     """
-    cone = lambda m: _dalembert_forcing_part(f_data, nodes, tmesh.nodes[m], a)
+    cone = lambda m: cone_part(f_data, nodes, tmesh.nodes[m], a)
     mid, above = cone(0), cone(1)
     yield above[1:-1]
     for m in range(1, tmesh.n_steps):

@@ -37,6 +37,7 @@ from compactwave.problems import (
     make_smooth_nonuniform_problem,
 )
 from compactwave.schemes import (
+    BLOWUP_ABORT,
     Scheme,
     SchemeKind,
     _char_forcing,
@@ -49,7 +50,12 @@ from compactwave.schemes import (
 )
 from compactwave.solvers import sine_coefficients, sine_spectrum
 from compactwave.stability import check_cfl, verify_energy_bound
-from oracles import assemble_dense_operator, char_forcing_per_level, dense_solve_oracle
+from oracles import (
+    assemble_dense_operator,
+    char_forcing_per_level,
+    dalembert_forcing_part_frozen,
+    dense_solve_oracle,
+)
 
 
 def zero_problem(n):
@@ -713,27 +719,31 @@ def test_blowup_at_level_one_ends_every_runner_there():
 
 
 def test_march_ends_each_row_of_a_stack_on_its_own():
-    # four rows of v^{m+1} = r v^m + v^{m-1} + 1: they meet the blow-up
-    # rule at level 1 (an overflow to inf, ignored as run_errors does), at
-    # level 4, at the last level (20) and never.  Each row's run equals that
-    # row marched alone, and no step sees a non-finite value (the constant
-    # term regrows an ended row unless it is held at zero).  The one
-    # observer is shown every level whole: a row as its solo run shows it
-    # up to its aborting level, and zeros after.  The observer keeps the
-    # levels it is shown, not copies: no later level may overwrite them
+    # six rows of v^{m+1} = r v^m + v^{m-1} + 1 (+ NaN from a row's NaN
+    # level on): they meet the blow-up rule at level 1 (an overflow to inf,
+    # ignored as run_errors does), at level 3 by a NaN while no magnitude
+    # ever passes 1e100, two rows at level 4 (2e120 and 3.2e121), at the
+    # last level (20) and never.  The march judges a stack once per level
+    # and its rows only then.  Each row's run equals that row marched alone,
+    # and no step sees a non-finite value (the constant term regrows an
+    # ended row unless it is held at zero).  The one observer is shown every
+    # level whole: a row as its solo run shows it up to its aborting level,
+    # and zeros after.  The observer keeps the levels it is shown, not
+    # copies: no later level may overwrite them
     tmesh = build_time_mesh(20, 1.0)
-    rates = np.array([1e30, 1e30, 10**5.05, 1.5])
+    rates = np.array([1e30, 0.5, 1e30, 2e30, 10**5.05, 1.5])
+    nan_levels = np.array([np.inf, 3, np.inf, np.inf, np.inf, np.inf])
     v0 = np.tile(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), (rates.size, 1))
     v0[0] *= 1e300
 
-    def march(v0, r, observer, stacked=False):
+    def march(v0, r, nan_level, observer, stacked=False):
         def first(v):
             assert np.isfinite(v).all()
             return r * v
 
         def step(v_prev, v_curr, level):
             assert np.isfinite(v_prev).all() and np.isfinite(v_curr).all()
-            return r * v_curr + v_prev + 1.0
+            return r * v_curr + v_prev + 1.0 + np.where(level + 1 < nan_level, 0.0, np.nan)
 
         with np.errstate(over="ignore"):
             return _march(v0, first, step, tmesh, observer, stacked)
@@ -743,13 +753,14 @@ def test_march_ends_each_row_of_a_stack_on_its_own():
         return shown, lambda level, t, values: shown.append((level, t, values))
 
     shown, observe = watcher()
-    results = march(v0, rates[:, None], observe, stacked=True)
-    assert [r.completed_levels for r in results] == [2, 5, 21, 21]
-    assert [r.blew_up for r in results] == [True, True, True, False]
+    results = march(v0, rates[:, None], nan_levels[:, None], observe, stacked=True)
+    assert [r.completed_levels for r in results] == [2, 4, 5, 5, 21, 21]
+    assert [r.blew_up for r in results] == [True, True, True, True, True, False]
+    assert np.isnan(results[1].v_last).all()
     assert [(level, t) for level, t, _ in shown] == list(enumerate(tmesh.nodes))
     for k, result in enumerate(results):
         solo_shown, observe = watcher()
-        [solo] = march(v0[k], rates[k], observe)
+        [solo] = march(v0[k], rates[k], nan_levels[k], observe)
         assert (result.completed_levels, result.blew_up) == (solo.completed_levels, solo.blew_up)
         np.testing.assert_array_equal(result.v_prev, solo.v_prev)
         np.testing.assert_array_equal(result.v_last, solo.v_last)
@@ -757,6 +768,7 @@ def test_march_ends_each_row_of_a_stack_on_its_own():
         for level, (_, _, values) in enumerate(shown):
             expected = solo_shown[level][2] if level < len(solo_shown) else 0.0
             np.testing.assert_array_equal(values[k], expected)
+    assert not any((np.abs(values[1]) > BLOWUP_ABORT).any() for _, _, values in shown)
 
 
 def test_forcing_impulse_at_t0_converges_to_the_exact_solution():
@@ -992,12 +1004,15 @@ _SEAM_CASES = [(200, m) for m in (1, _B - 1, _B, _B + 1, 2 * _B, 89)] + [(1600, 
 
 
 def _assert_block_forcing_equals_per_level(terms, problem, n, n_steps):
+    # per level with the library's cone integral and with the frozen one
+    # (oracles), so a change to the cone integral cannot move both sides
     axis, tmesh = characteristic_meshes(problem, n, n_steps)
     a = problem.speeds[0]
-    got = list(_char_forcing(terms, axis.nodes, tmesh, a))
-    want = list(char_forcing_per_level(terms, axis.nodes, tmesh, a))
-    assert len(got) == len(want) == n_steps
-    assert np.stack(got).tobytes() == np.stack(want).tobytes()
+    got = np.stack(list(_char_forcing(terms, axis.nodes, tmesh, a)))
+    assert len(got) == n_steps
+    for cone_part in (_dalembert_forcing_part, dalembert_forcing_part_frozen):
+        want = list(char_forcing_per_level(terms, axis.nodes, tmesh, a, cone_part))
+        assert got.tobytes() == np.stack(want).tobytes(), cone_part.__name__
 
 
 @pytest.mark.parametrize("n,n_steps", _SEAM_CASES)
