@@ -163,8 +163,8 @@ def run_errors(
     run.  The implicit kinds go to schemes.run_stacked by kind, which marches
     them over the horizon as one stack with one row per kind (one A apply,
     forcing entry, trace and block-diagonal solve per level), each run equal
-    to the kind's own bit for bit (a lone kind runs on its own); one error
-    observer watches the stack, with one exact evaluation per level.
+    to the kind's own bit for bit, a lone kind's too; one error observer
+    watches the stack, with one exact evaluation per level.
     characteristic runs on the problem's uniform axis with h_t = h/a.  A run
     that blew up reports the infinite triple; the others run to the end.
     """
@@ -184,9 +184,7 @@ def run_errors(
         tmesh = build_time_mesh(n_steps, problem.horizon)
         obs = ErrorObserver(problem.exact, axis, tmesh)
         results = schemes.run_stacked(problem, implicit, axis, tmesh, obs)
-        # a lone kind runs on its own: its observer gives one triple
-        triples = obs.result() if len(implicit) > 1 else [obs.result()]
-        done.update(zip(implicit, zip(results, triples)))
+        done.update(zip(implicit, zip(results, obs.result())))
     return [
         (result, ErrorTriple(math.inf, math.inf, math.inf) if result.blew_up else triple)
         for result, triple in map(done.get, kinds)

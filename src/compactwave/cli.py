@@ -127,33 +127,19 @@ def _fields(value, key: str, readers: dict) -> dict:
 
 _PHI = functools.partial(_choice, choices=tuple(NODE_DISTRIBUTIONS))
 _ALPHA = functools.partial(_choice, choices=problems.EXAMPLE_ALPHAS, read=_number)
-# an entry of axes: N intervals on [origin, origin + X], graded by phi when given
-_AXIS = {"N": _whole, "X": _number, "origin": functools.partial(_number, positive=False),
-         "phi": _PHI}
+# an entry of axes: N intervals on [-X/2, X/2], graded by phi when given
+_AXIS = {"N": _whole, "X": _number, "phi": _PHI}
 
 
 def _problem(value, key: str) -> problems.ProblemSpec:
-    """A catalog name, or {kind: example, alpha: ...} or {kind: smooth1d}."""
-    if isinstance(value, str):
-        try:
-            return problems.catalog(value)
-        except KeyError:
-            raise ConfigError(f"unknown {key} {value!r}") from None
-    kind = value.get("kind", "example") if isinstance(value, dict) else None
-    fields = {"kind": functools.partial(_choice, choices=("example", "smooth1d"))}
-    entry = _fields(value, key, {**fields, "alpha": _ALPHA} if kind == "example" else fields)
-    if kind == "smooth1d":
-        return problems.make_smooth_nonuniform_problem()
-    if "alpha" not in entry:
-        raise ConfigError(f"{key} of kind example needs an alpha")
-    return problems.make_example(entry["alpha"])
+    """A catalog problem by its name, as reports print it."""
+    return problems.catalog(_choice(value, key, problems.CATALOG_NAMES))
 
 
 def _axis_from_config(entry: dict):
-    """The mesh of a read axes entry: X 1 and origin -X/2 unless given."""
+    """The mesh of a read axes entry, X 1 unless given, centred on 0."""
     extent = entry.get("X", 1.0)
-    origin = entry.get("origin", -extent / 2.0)
-    return build_axis(entry.get("N", 0), extent, origin, entry.get("phi"))
+    return build_axis(entry.get("N", 0), extent, -extent / 2.0, entry.get("phi"))
 
 
 def _echo_header(config: dict, fmt: str) -> list[str]:
@@ -189,9 +175,8 @@ COMMAND_DEFAULTS = {
 # or raises a ConfigError naming the key.  The studies read N and phi as lists.
 _READERS = {
     "problem": _problem,
-    # names, not kinds: a report echoes the name given, alias included
-    "scheme": functools.partial(
-        _choice, choices=(*(kind.value for kind in SchemeKind), "nonuniform-compact")),
+    # names, not kinds: a report echoes the name given
+    "scheme": functools.partial(_choice, choices=tuple(kind.value for kind in SchemeKind)),
     "N": _whole,
     "phi": _PHI,
     "axes": functools.partial(_list, read=functools.partial(_fields, readers=_AXIS)),
@@ -311,7 +296,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
     s = _settings(args)
     phis, n_list = s["phi"], _study_n(s, range(50, 1001, 50))
     groups = [("smooth1d", phi, n_list) for phi in phis]
-    reports = analysis.study(groups, ("nonuniform-compact",), s["cfl_factor"], s["jobs"])
+    reports = analysis.study(groups, ("compact1d",), s["cfl_factor"], s["jobs"])
+    for rep in reports:  # the graded-mesh compact scheme's name in the paper's Table 2
+        rep.scheme = "nonuniform-compact"
     # coarse resolutions are too rough for the strongly graded layouts
     starred = ("phi2", "phi6") if s["full"] else ()
     return _write_study(s, {"phis": phis, "command": "table2"}, reports, starred)
@@ -324,29 +311,31 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     s = _settings(args)
     kind, axes = s["scheme"], s["axes"]
-    # speeds and horizon: the problem's (default smooth1d) on one axis, else
-    # the config's (default 1 each)
-    if axes is None or len(axes) == 1:
+    # one layout per axis count, with the step rule of M: auto.  One axis is
+    # N (default 800) intervals on the problem's interval (default smooth1d),
+    # graded by phi when given, with the problem's speeds and horizon and
+    # run's M; two or more are axes, with speeds and T (default 1 each) and
+    # the 1D rule at the smallest step
+    if axes is None:
         _reject(s, ("speeds", "T"), "on one axis, where the problem sets them")
         problem = s["problem"] or problems.make_smooth_nonuniform_problem()
+        meshes = [problem.axis(800 if s["N"] is None else s["N"], s["phi"])]
         speeds, horizon = problem.speeds, problem.horizon
+        rule = functools.partial(schemes.step_count, problem, meshes[0], kind)
     else:
-        _reject(s, ("problem",), "on two or more axes")
+        _reject(s, ("problem", "N", "phi"), "next to axes")
+        if len(axes) < 2:
+            raise ConfigError("axes must hold two or more axes; one axis is N and phi "
+                              "on the problem's interval")
         speeds = s["speeds"] or [1.0] * len(axes)
         if len(speeds) != len(axes):
             raise ConfigError(f"speeds {speeds!r} must give one speed per axis, "
                               f"{len(axes)} in all")
-        horizon = s["T"] or 1.0
-    # the meshes: the placed axes, or else N (default 800) intervals on the
-    # problem's interval, graded by phi when given
-    if axes:
-        _reject(s, ("N", "phi"), "next to axes")
-        meshes = [_axis_from_config(entry) for entry in axes]
-    else:
-        meshes = [problem.axis(800 if s["N"] is None else s["N"], s["phi"])]
-    h_min = min(mesh_stats(m).h_min for m in meshes)
+        meshes, horizon = [_axis_from_config(entry) for entry in axes], s["T"] or 1.0
+        h_min = min(mesh_stats(mesh).h_min for mesh in meshes)
+        rule = functools.partial(select_time_step_count, h_min, max(speeds), horizon)
     if s["M"] == "auto":
-        m = select_time_step_count(h_min, max(speeds), horizon, s["cfl_factor"] or _SQRT2)
+        m = rule(s["cfl_factor"] or _SQRT2)
     else:
         _reject(s, ("cfl_factor",), "with an explicit M")
         m = s["M"]

@@ -204,8 +204,8 @@ def select_time_step_count(
 
     The default factor sqrt(2) corresponds to h_t^2 a^2 / h_min^2 <= 1/2 up to
     the flooring, which may leave the quotient marginally above 1/2.  The
-    primitive of schemes.step_count; only `stability` also calls it directly.
-    A non-finite argument or quotient is a MeshError.
+    primitive of schemes.step_count; only `stability` on two or more axes
+    calls it directly.  A non-finite argument or quotient is a MeshError.
     """
     if not all(0.0 < x < math.inf for x in (h_min, speed, horizon, factor)):
         raise MeshError("all arguments must be positive and finite")

@@ -58,11 +58,14 @@ __all__ = [
     "make_smooth_nonuniform_problem",
     "make_sine_mode_problem",
     "catalog",
+    "CATALOG_NAMES",
     "EXAMPLE_ALPHAS",
     "EXAMPLE_COEFFICIENTS",
 ]
 
 EXAMPLE_ALPHAS = (0.5, 1.5, 2.5, 3.5, 4.5, 5.5)
+# the catalog's problems by name, as reports print them
+CATALOG_NAMES = ("smooth1d", *(f"E_{alpha}" for alpha in EXAMPLE_ALPHAS))
 
 # multipliers (c1, c2[, c3]) chosen to balance the error contributions
 EXAMPLE_COEFFICIENTS: dict[float, tuple[float, ...]] = {
@@ -345,14 +348,8 @@ def make_sine_mode_problem(
 
 
 def catalog(name: str) -> ProblemSpec:
-    """Look up a problem by name: 'E_0.5' ... 'E_5.5' or 'smooth1d'."""
-    if name == "smooth1d":
-        return make_smooth_nonuniform_problem()
-    if name.startswith("E_"):
-        try:
-            alpha = float(name[2:])
-        except ValueError:
-            raise KeyError(f"unknown problem {name!r}") from None
-        if alpha in EXAMPLE_ALPHAS:
-            return make_example(alpha)
-    raise KeyError(f"unknown problem {name!r}")
+    """A problem by its name as reports print it, one of CATALOG_NAMES
+    ('smooth1d', 'E_0.5' ... 'E_5.5'); any other name is a KeyError."""
+    if name not in CATALOG_NAMES:
+        raise KeyError(f"unknown problem {name!r}")
+    return make_smooth_nonuniform_problem() if name == "smooth1d" else make_example(float(name[2:]))

@@ -32,8 +32,8 @@ Every run, the explicit one and a 1D stack included, takes its Dirichlet
 trace from one rule (problems.ProblemSpec.trace) and marches through one
 level loop (_march), which shows each level to its one observer and
 applies the blow-up rule to it once, and to each of its rows only when the
-level meets it.  The recipe of a 1D run (analysis.run_errors) marches two
-or more implicit kinds as one stack (run_stacked), a (K, N+1) array with
+level meets it.  The recipe of a 1D run (analysis.run_errors) marches its
+implicit kinds as one stack (run_stacked), a (K, N+1) array with
 one row per kind: on one axis every 1D kind has the same A, so a level is
 one first_step or time_step of the stack, with one A apply, one forcing
 entry, one trace and one block-diagonal solve for all rows, and the loop
@@ -115,11 +115,6 @@ class SchemeKind(str, Enum):
     EXPLICIT_CHARACTERISTIC = "characteristic"
     SECOND_ORDER = "second-order"
 
-    @classmethod
-    def _missing_(cls, value):
-        # the graded-mesh compact scheme is compact1d: its old name is an alias
-        return cls.COMPACT_1D if value == "nonuniform-compact" else None
-
 
 class _Kind(NamedTuple):
     """A kind's dimensions, operator pair (None outside the stability theory)
@@ -191,8 +186,8 @@ class RunResult:
 class Scheme:
     """Assembled scheme: step operators, data constructions, and solvers.
 
-    The kind (a SchemeKind, its value or the alias nonuniform-compact)
-    fixes the rest (_KINDS); the discrete data follow the problem's data.
+    The kind (a SchemeKind or its value) fixes the rest (_KINDS); the
+    discrete data follow the problem's data.
     The forcing is one table fn_table of f_N^0 .. f_N^{M-1}, one entry per
     time step (level 0 is the forcing of the first-step equation), made
     from the problem's piecewise f_data, averaged exactly, or else from its
@@ -464,16 +459,12 @@ def run_stacked(
     u1n and fn_table and the trace, so each level is one first_step or
     time_step of the first kind's scheme on the stack's transpose, with the
     StackHandle of the K step factors in place of its own, and _march ends
-    each row's run on its own.  A lone kind runs on its own (Scheme.run):
-    the same step on 1-D levels, which cost less than a stack of one row,
-    and its observer is shown those.
+    each row's run on its own.  A lone kind is a stack of one row.
     """
     if not kinds:
         raise ValueError("a stack needs at least one kind")
     stack = [Scheme(problem, kind, [axis], tmesh) for kind in kinds]
     lead = stack[0]
-    if len(stack) == 1:
-        return [lead.run(observer)]
     handle = StackHandle([scheme.step_factor for scheme in stack])
     # the shared interior data broadcast over the columns of the transpose
     u1n, forcing = lead.u1n[:, None], lead.fn_table

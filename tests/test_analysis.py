@@ -536,8 +536,8 @@ def test_data_tables_are_built_on_first_read(monkeypatch):
 
 def test_run_stacked_shows_each_level_once_to_its_one_observer():
     # a stack of K kinds shows its observer one (K, N+1) level per time
-    # node, each row the kind's own run; a lone kind shows its own 1-D
-    # levels; a stack of no kinds is refused
+    # node, each row the kind's own run, a lone kind's (1, N+1) levels too;
+    # a stack of no kinds is refused
     problem = make_example(2.5)
     axis = build_uniform_axis(20, problem.extents[0], problem.origin[0])
     tmesh = build_time_mesh(20, problem.horizon)
@@ -553,7 +553,7 @@ def test_run_stacked_shows_each_level_once_to_its_one_observer():
             solo = Scheme(problem, kind, [axis], tmesh).run()
             np.testing.assert_array_equal(results[k].v_last, solo.v_last)
             np.testing.assert_array_equal(last[k], solo.v_last)
-        assert shown[0][2].shape == ((axis.nodes.size,) if len(rows) == 1 else (2, axis.nodes.size))
+        assert shown[0][2].shape == (len(rows), axis.nodes.size)
     with pytest.raises(ValueError, match="at least one kind"):
         schemes.run_stacked(problem, [], axis, tmesh, None)
 

@@ -14,6 +14,7 @@ from compactwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SINGULAR,
+    _AXIS,
     _build_parser,
     main,
 )
@@ -296,7 +297,7 @@ def test_run_takes_a_graded_axis_for_every_other_1d_kind(tmp_path, scheme):
     assert (reports[scheme] == reports["compact1d"]) == (scheme == "compactnd")
 
 
-@pytest.mark.parametrize("scheme", ["compact1d", "nonuniform-compact"])
+@pytest.mark.parametrize("scheme", ["compact1d"])
 def test_run_compact1d_on_a_graded_axis(tmp_path, scheme):
     cfg = tmp_path / "graded.yaml"
     cfg.write_text(yaml.safe_dump(GRADED_AXIS))
@@ -361,21 +362,26 @@ def test_stability_marginal_case(tmp_path):
     assert "warning" in text
 
 
-def test_stability_nonuniform_compact_is_the_compact1d_report(tmp_path, capsys):
-    reports = {}
-    for scheme in ("compact1d", "nonuniform-compact"):
-        out = tmp_path / f"{scheme}.txt"
-        code = main(["stability", "--problem", "smooth1d", "--scheme", scheme,
-                     "--N", "16", "--M", "200", "--certify", "--seed", "3", "--out", str(out)])
-        assert code == EXIT_OK
-        reports[scheme] = out.read_text().replace(f"# scheme: {scheme}\n", "")
-    assert reports["nonuniform-compact"] == reports["compact1d"]
+def test_stability_refuses_a_graded_axis_in_1d(tmp_path, capsys):
     cfg = tmp_path / "graded.yaml"
     cfg.write_text(yaml.safe_dump(GRADED_AXIS))
-    code = main(["stability", "--problem", "smooth1d", "--scheme", "nonuniform-compact",
+    code = main(["stability", "--problem", "smooth1d", "--scheme", "compact1d",
                  "--N", "40", "--config", str(cfg)])
     assert code == EXIT_CONFIG
     assert "the sine basis requires uniform spatial meshes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("alpha", problems.EXAMPLE_ALPHAS)
+def test_one_axis_stability_takes_the_step_count_of_run(capsys, alpha, n):
+    # M: auto is schemes.step_count on one axis, rounded up to a multiple of
+    # N for an E_alpha, whose forcing switches on at t_*
+    argv = ["--problem", f"E_{alpha}", "--N", str(n)]
+    lines = []
+    for command in ("stability", "run"):
+        assert main([command, *argv]) == EXIT_OK
+        lines += [line for line in capsys.readouterr().out.splitlines() if line.startswith("# M:")]
+    assert lines == [f"# M: {n}"] * 2
 
 
 @pytest.mark.parametrize("scheme,dims", [
@@ -533,8 +539,8 @@ def test_stability_2d_sum_pair_constant(tmp_path):
     config.write_text(yaml.safe_dump({
         "scheme": "compact2d",
         "axes": [
-            {"N": 16, "X": 1.0, "origin": 0.0},
-            {"N": 12, "X": 0.8, "origin": 0.0},
+            {"N": 16, "X": 1.0},
+            {"N": 12, "X": 0.8},
         ],
         "speeds": [1.0, 1.2],
         "T": 1.0,
@@ -560,7 +566,7 @@ def test_stability_certify(tmp_path):
 
 
 @pytest.mark.parametrize("config", [
-    {"scheme": "compact1d", "axes": [{"N": 6, "X": 1.0}]},
+    {"scheme": "compact1d", "N": 6},
     {"scheme": "compact2d", "axes": [{"N": 4, "X": 1.0}, {"N": 5, "X": 0.7}], "speeds": [1.0, 1.3]},
     {"scheme": "splitting", "axes": [{"N": 4, "X": 1.0}] * 3, "speeds": [1.0, 0.6, 1.2]},
 ])
@@ -732,7 +738,7 @@ def test_studies_read_the_resolutions_of_the_config(tmp_path, config):
 @pytest.mark.parametrize("config, argv, named", [
     # one axis: the problem gives the speeds and the horizon
     ({"N": 16, "speeds": [0.8], "T": 3.0}, [], "'speeds', 'T'"),
-    ({"axes": [{"N": 16}], "T": 3.0}, [], "'T'"),
+    ({"N": 16, "T": 3.0}, [], "'T'"),
     # two axes: no problem; the axes replace N and phi
     ({"axes": [{"N": 4}, {"N": 5}]}, ["--problem", "E_2.5"], "'problem'"),
     ({"axes": [{"N": 4}, {"N": 5}]}, ["--N", "40"], "'N'"),
@@ -771,6 +777,15 @@ def test_readme_lists_the_flags_and_config_keys_of_every_subcommand():
         flags = {opt for action in parser._actions for opt in action.option_strings}
         assert set(re.findall(r"--[\w-]+", flags_cell)) == flags - {"-h", "--help"}, name
         assert set(re.findall(r"`(\w+)`", keys_cell)) == set(COMMAND_DEFAULTS.get(name, ())), name
+    # the key table's values of problem and axes, and the scheme names
+    keys = readme.split("| key | read by | accepted values | default |\n")[1].split("\n\n")[0]
+    values = dict(re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|", keys, flags=re.MULTILINE))
+    assert re.findall(r"`([\w.]+)`", values["problem"]) == list(problems.CATALOG_NAMES)
+    entry = re.search(r"each a mapping of (.*), and no other key", values["axes"]).group(1)
+    assert re.findall(r"`(\w+)`", entry) == list(_AXIS)
+    names = re.search(r"Scheme names, with the dimensions each runs in: (.*?)\.  ", readme,
+                      flags=re.DOTALL).group(1)
+    assert re.findall(r"`([\w-]+)`", names) == [kind.value for kind in schemes.SchemeKind]
 
 
 @pytest.mark.parametrize("speeds, message", [
@@ -850,14 +865,14 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
     ("run", {}, ["--cfl-factor", "nan"], "cfl_factor 'nan' must be a positive, finite number"),
     ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4}], "T": [1]}, [],
      "T [1] must be a positive, finite number"),
-    ("run", {"problem": {"kind": "example", "alpha": [1]}}, [],
-     "problem.alpha [1] must be a positive, finite number"),
+    ("run", {"problem": {"kind": "example", "alpha": 1.5}}, [],
+     "unknown problem {'alpha': 1.5, 'kind': 'example'}; choose from smooth1d, E_0.5"),
     ("stability", {}, ["--certify", "--seed", "-1"], "seed must be at least 0, not -1"),
     # the flag --N and the key N are read alike: as the digits of a whole number
     ("run", {"problem": "E_1.5"}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
     ("run", {"problem": "E_1.5", "N": "40.0"}, [], "N must be a whole number, not '40.0'"),
     ("stability", {}, ["--N", "40.0"], "N must be a whole number, not '40.0'"),
-    ("run", {"problem": {"kind": "example"}}, [], "problem of kind example needs an alpha"),
+    ("stability", {"problem": {"kind": "smooth1d"}}, [], "unknown problem {'kind': 'smooth1d'}"),
     # a config file is one mapping of keys
     ("run", [{"problem": "E_1.5"}], [], "config file must hold a mapping"),
     # one axis is N and phi on the problem's interval, not an axis mapping;
@@ -869,6 +884,16 @@ def test_a_whole_resolution_runs_as_a_number_or_its_digits(tmp_path, n):
      "unread axes[0] key 'kind'"),
     ("stability", {"scheme": "compactnd", "axes": [{"N": 4}, {"N": 4, "kind": "uniform"}]}, [],
      "unread axes[1] key 'kind'"),
+    # one spelling per input (a problem mapping above too): a problem is its
+    # catalog name, a scheme its one name (table2's nonuniform-compact is the
+    # paper's label of compact1d), and axes, two or more, are centred on 0
+    ("run", {}, ["--problem", "E_2.50"], "unknown problem 'E_2.50'"),
+    ("stability", {"problem": "E_25e-1"}, [], "unknown problem 'E_25e-1'"),
+    ("run", {}, ["--scheme", "nonuniform-compact"], "unknown scheme 'nonuniform-compact'"),
+    ("stability", {"scheme": "nonuniform-compact"}, [], "unknown scheme 'nonuniform-compact'"),
+    ("stability", {"axes": [{"N": 16}]}, [], "axes must hold two or more axes"),
+    ("stability", {"scheme": "compactnd", "axes": [{"N": 10, "origin": 1e6}, {"N": 10}]}, [],
+     "unread axes[0] key 'origin'"),
 ])
 def test_a_value_the_key_cannot_take_exits_2_naming_it(tmp_path, capsys, monkeypatch, command,
                                                        config, argv, named):

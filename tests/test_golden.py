@@ -23,6 +23,23 @@ def test_study_output_is_byte_identical_to_golden(argv, name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def test_compact_error_is_below_second_order_in_every_table1_cell():
+    # the paper's comparative claim on the default table1, read from its
+    # golden output: compact1d's error is the smaller in each of the 27
+    # (alpha, norm, N) cells (smallest ratio 2.01, E_1.5 Eh at N = 200)
+    header, *body = [line.split(",") for line in (GOLDEN / "table1.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    errors = [column for column in header if column.startswith("err_")]
+    cells = {}
+    for row in map(dict, (zip(header, values) for values in body)):
+        for n in errors:
+            cells[row["problem"], row["scheme"], row["norm"], n] = float(row[n])
+    pairs = [(compact, cells[problem, "second-order", norm, n])
+             for (problem, scheme, norm, n), compact in cells.items() if scheme == "compact1d"]
+    assert len(pairs) == 27
+    assert all(compact < second for compact, second in pairs)
+
+
 def test_certificate_pool_output_is_byte_identical_to_the_recorded_one(tmp_path, capsys):
     # the 600 `stability --certify` configurations of the nd-small benchmark
     # pool, each run in-process; its configs go to a temporary file

@@ -18,6 +18,7 @@ from compactwave.operators import (
     _signed_power_antideriv,
 )
 from compactwave.problems import (
+    CATALOG_NAMES,
     EXAMPLE_ALPHAS,
     EXAMPLE_COEFFICIENTS,
     catalog,
@@ -316,8 +317,12 @@ def test_smooth_problem_rejects_unit_speed():
 def test_catalog_lookup():
     assert catalog("E_2.5").alpha == 2.5
     assert catalog("smooth1d").name == "smooth1d"
-    with pytest.raises(KeyError):
-        catalog("nope")
+    # a problem answers to its name as reports print it, and to no other
+    assert [catalog(name).name for name in CATALOG_NAMES] == list(CATALOG_NAMES)
+    assert len(CATALOG_NAMES) == 7
+    for name in ("nope", "E_2.50", "E_ 2.5", "E_25e-1", "E_2.5 ", "e_2.5", "E_2"):
+        with pytest.raises(KeyError, match="unknown problem"):
+            catalog(name)
 
 
 def test_integer_signed_powers_match_float_pow():

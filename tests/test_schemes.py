@@ -161,9 +161,9 @@ def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind,
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("given", [SchemeKind.COMPACT_1D, "compact1d", "nonuniform-compact"])
+@pytest.mark.parametrize("given", [SchemeKind.COMPACT_1D, "compact1d"])
 def test_a_scheme_is_built_from_its_kind(given):
-    # a SchemeKind, its value or the graded-mesh alias, converted once
+    # a SchemeKind or its value, converted once
     axis, tmesh = build_uniform_axis(8, 1.0, -0.5), build_time_mesh(4, 0.1)
     scheme = Scheme(make_smooth_nonuniform_problem(), given, [axis], tmesh)
     assert scheme.kind is SchemeKind.COMPACT_1D
@@ -466,9 +466,14 @@ def test_compactnd_in_1d_is_compact1d_on_a_graded_axis_bitwise():
         assert v_1d.tobytes() == v_nd.tobytes()
 
 
-def test_nonuniform_compact_is_an_alias_of_compact1d():
-    assert SchemeKind("nonuniform-compact") is SchemeKind.COMPACT_1D
+def test_nonuniform_compact_is_no_kind():
+    # the paper's Table 2 name of compact1d labels table2's reports only
     assert "nonuniform-compact" not in {kind.value for kind in SchemeKind}
+    with pytest.raises(ValueError, match="nonuniform-compact"):
+        SchemeKind("nonuniform-compact")
+    axis, tmesh = build_uniform_axis(8, 1.0, -0.5), build_time_mesh(4, 0.1)
+    with pytest.raises(ValueError, match="nonuniform-compact"):
+        Scheme(make_smooth_nonuniform_problem(), "nonuniform-compact", [axis], tmesh)
 
 
 def test_graded_power_mesh_fourth_order():
