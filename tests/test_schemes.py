@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compactwave import schemes
+from compactwave import analysis, schemes
+from compactwave.cli import EXIT_OK, main
 from compactwave.mesh import (
     NODE_DISTRIBUTIONS,
     MeshError,
@@ -161,10 +162,15 @@ def test_untraced_run_from_nonzero_faces_matches_the_whole_array_recursion(kind,
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("given", [SchemeKind.COMPACT_1D, "compact1d"])
+@pytest.mark.parametrize("given", [SchemeKind.COMPACT_1D, "compact1d", "nonuniform-compact"])
 def test_a_scheme_is_built_from_its_kind(given):
-    # a SchemeKind or its value, converted once
+    # a SchemeKind or its value, converted once; any other name, the old
+    # alias nonuniform-compact included, is refused by name
     axis, tmesh = build_uniform_axis(8, 1.0, -0.5), build_time_mesh(4, 0.1)
+    if given == "nonuniform-compact":
+        with pytest.raises(ValueError, match="nonuniform-compact"):
+            Scheme(make_smooth_nonuniform_problem(), given, [axis], tmesh)
+        return
     scheme = Scheme(make_smooth_nonuniform_problem(), given, [axis], tmesh)
     assert scheme.kind is SchemeKind.COMPACT_1D
     assert not hasattr(scheme, "config")
@@ -466,14 +472,20 @@ def test_compactnd_in_1d_is_compact1d_on_a_graded_axis_bitwise():
         assert v_1d.tobytes() == v_nd.tobytes()
 
 
-def test_nonuniform_compact_is_no_kind():
-    # the paper's Table 2 name of compact1d labels table2's reports only
+def test_nonuniform_compact_is_an_alias_of_compact1d(tmp_path):
+    # the paper's Table 2 name of compact1d is a report label only: table2
+    # prints compact1d's study under it, and no kind answers to it
     assert "nonuniform-compact" not in {kind.value for kind in SchemeKind}
     with pytest.raises(ValueError, match="nonuniform-compact"):
         SchemeKind("nonuniform-compact")
-    axis, tmesh = build_uniform_axis(8, 1.0, -0.5), build_time_mesh(4, 0.1)
-    with pytest.raises(ValueError, match="nonuniform-compact"):
-        Scheme(make_smooth_nonuniform_problem(), "nonuniform-compact", [axis], tmesh)
+    out = tmp_path / "table2.csv"
+    assert main(["table2", "--phi", "phi0", "--N", "40,80", "--out", str(out)]) == EXIT_OK
+    reports = analysis.study([("smooth1d", "phi0", [40, 80])], ("compact1d",))
+    for rep in reports:
+        rep.fit()
+    rows = analysis.build_report(reports).replace(",compact1d,", ",nonuniform-compact,")
+    assert ",nonuniform-compact," in rows
+    assert out.read_text().endswith(rows)
 
 
 def test_graded_power_mesh_fourth_order():
